@@ -453,10 +453,11 @@ let create ?families ?profiler ?(rib_rebirth_resync = true) finder loop cfg =
       adjacencies = Hashtbl.create 8; by_addr = Hashtbl.create 8;
       socks = Hashtbl.create 4; lsdb = Hashtbl.create 32;
       my_seq = 0; stubs = cfg.stub_prefixes;
-      spf_pending = false; spf_count = 0; started = false; fea_up = true;
-      (* From live Finder state, not assumed true: a process created
-         while the RIB is down (both killed, protocol restarted first)
-         must still treat the RIB's eventual return as a rebirth. *)
+      spf_pending = false; spf_count = 0; started = false;
+      (* Both from live Finder state, not assumed true: a process created
+         while its FEA or RIB is down must still treat that component's
+         eventual birth as a rebirth (reopen sockets, resync). *)
+      fea_up = Finder.live_instances finder "fea" <> [];
       rib_up = Finder.live_instances finder "rib" <> [];
       rib_rebirth_resync;
       c_resync_replayed = Telemetry.counter "ospf.rib_resync.replayed";

@@ -482,10 +482,11 @@ let create ?families ?profiler ?(seed = 17) ?(rib_rebirth_resync = true) finder
       db = Ptree.create ();
       neighbor_iface = Hashtbl.create 8;
       socks = Hashtbl.create 4;
-      started = false; trigger_pending = false; fea_up = true;
-      (* From live Finder state, not assumed true: a process created
-         while the RIB is down (both killed, protocol restarted first)
-         must still treat the RIB's eventual return as a rebirth. *)
+      started = false; trigger_pending = false;
+      (* Both from live Finder state, not assumed true: a process created
+         while its FEA or RIB is down must still treat that component's
+         eventual birth as a rebirth (reopen sockets, resync). *)
+      fea_up = Finder.live_instances finder "fea" <> [];
       rib_up = Finder.live_instances finder "rib" <> [];
       rib_rebirth_resync; redist_policies = [];
       c_resync_replayed = Telemetry.counter "rip.rib_resync.replayed";

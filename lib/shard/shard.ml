@@ -460,10 +460,11 @@ let check_failure pool =
 
 let owner pool net = Ptree.shard_of ~shards:pool.nshards net
 
+(* Broadcasts are fences: a later op for any prefix must not overtake
+   them, or a lagging worker would apply, say, a new peer's routes
+   before the reset that precedes them and then wipe them. *)
 let broadcast pool lane op =
-  Array.iter
-    (fun ib -> Mailbox.push ib lane ~net:Ipv4net.default op)
-    pool.inboxes
+  Array.iter (fun ib -> Mailbox.push_fence ib lane op) pool.inboxes
 
 let bgp_dispatch pool ~lane (op : Bgp_decision.shard_op) =
   if not pool.closed then
@@ -487,11 +488,7 @@ let rib_dispatch pool ~lane (op : Rib.shard_op) =
       if is_internal protocol then broadcast pool lane (Rib_op op)
       else Mailbox.push pool.inboxes.(owner pool net) lane ~net (Rib_op op)
 
-let replay pool =
-  if not pool.closed then
-    Array.iter
-      (fun ib -> Mailbox.push ib Laneq.Bulk ~net:Ipv4net.default Replay)
-      pool.inboxes
+let replay pool = if not pool.closed then broadcast pool Laneq.Bulk Replay
 
 let connect_bgp pool bgp =
   pool.on_bgp <-

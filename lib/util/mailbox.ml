@@ -11,6 +11,10 @@ type 'a t = {
   q : 'a Laneq.t;
   on_wakeup : (unit -> unit) option;
   mutable closed : bool;
+  mutable bulk_taken : int; (* bulk entries drained since creation *)
+  mutable fence_at : int;
+      (* [bulk_taken] once the newest bulk-lane fence has been drained:
+         a fence is pending while [bulk_taken < fence_at]. *)
 }
 
 let create ?(ordered = true) ?on_wakeup () =
@@ -18,18 +22,30 @@ let create ?(ordered = true) ?on_wakeup () =
     nonempty = Condition.create ();
     q = Laneq.create ~ordered ();
     on_wakeup;
-    closed = false }
+    closed = false;
+    bulk_taken = 0; fence_at = 0 }
 
-let push t lane ~net v =
+let enqueue ~fence t lane ~net v =
   Mutex.lock t.mu;
   if t.closed then Mutex.unlock t.mu
   else begin
     let was_empty = Laneq.is_empty t.q in
+    let lane = if t.bulk_taken < t.fence_at then Laneq.Bulk else lane in
+    let bulk_before = Laneq.bulk_length t.q in
     Laneq.push t.q lane ~net v;
+    (* A fence in the urgent lane is never overtaken: later pushes queue
+       behind it or in the bulk lane, which drains after it. One that
+       ended up in the bulk lane (asked for there, or demoted) holds
+       back every urgent push until a drain takes it. *)
+    if fence && Laneq.bulk_length t.q > bulk_before then
+      t.fence_at <- t.bulk_taken + Laneq.bulk_length t.q;
     Mutex.unlock t.mu;
     Condition.signal t.nonempty;
     if was_empty then Option.iter (fun f -> f ()) t.on_wakeup
   end
+
+let push t lane ~net v = enqueue ~fence:false t lane ~net v
+let push_fence t lane v = enqueue ~fence:true t lane ~net:Ipv4net.default v
 
 (* Urgent lane dry first, then a bounded bulk batch: the same consumer
    discipline Laneq documents, applied under one lock acquisition. *)
@@ -47,6 +63,7 @@ let take_locked t bulk_slice =
     if n > 0 then
       match Laneq.pop_bulk t.q with
       | Some (_, v) ->
+        t.bulk_taken <- t.bulk_taken + 1;
         acc := (Laneq.Bulk, v) :: !acc;
         bulk (n - 1)
       | None -> ()

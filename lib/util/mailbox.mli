@@ -39,6 +39,16 @@ val push : 'a t -> Laneq.lane -> net:Ipv4net.t -> 'a -> unit
     when the mailbox was empty. Pushes to a closed mailbox are silently
     dropped. *)
 
+val push_fence : 'a t -> Laneq.lane -> 'a -> unit
+(** Enqueue a message that no later push overtakes, whatever its
+    prefix — for broadcasts that every prefix's work must see in order
+    (a shard's peer table, its reset and replay). While a fence waits
+    in the bulk lane, every urgent push is demoted behind it; an
+    urgent-lane fence needs no help, since later pushes queue behind it
+    or in the bulk lane, which drains after it. Unlike the per-prefix
+    guard, this is explicit: a plain {!push} keyed on [0.0.0.0/0] is
+    an ordinary route and holds back nothing else. *)
+
 val drain : ?bulk_slice:int -> 'a t -> (Laneq.lane * 'a) list
 (** Non-blocking drain: returns the whole urgent lane (in FIFO order)
     followed by at most [bulk_slice] bulk entries (default: all of

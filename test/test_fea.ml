@@ -81,6 +81,192 @@ let test_lpm_edge_cases () =
   check Alcotest.bool "delete default" true (Fib.delete fib (net "0.0.0.0/0"));
   expect_miss "no default: strangers miss again" "8.8.8.8"
 
+(* --- the compiled FIB against a trie reference ----------------------- *)
+
+let entry_of n tag =
+  { Fib.net = n; nexthop = Ipv4.of_int tag; ifname = "if" ^ string_of_int tag;
+    protocol = "static" }
+
+let show_entry (e : Fib.entry) =
+  Ipv4net.to_string e.Fib.net ^ " via " ^ e.Fib.ifname
+
+let show_match = function Some e -> show_entry e | None -> "miss"
+
+let same_match a b =
+  match a, b with
+  | Some x, Some y -> x == y
+  | None, None -> true
+  | _ -> false
+
+(* Everything the FIB answers, compared with a Ptree holding the same
+   entries: lookup of each probe address, get of each candidate prefix,
+   size, and entries in (network, length) order. *)
+let agree ~what fib reference ~probes ~nets =
+  List.iter
+    (fun a ->
+       let want = Option.map snd (Ptree.longest_match reference a) in
+       let got = Fib.lookup fib a in
+       if not (same_match got want) then
+         Alcotest.failf "%s: lookup %s gave %s, expected %s" what
+           (Ipv4.to_string a) (show_match got) (show_match want))
+    probes;
+  List.iter
+    (fun n ->
+       if not (same_match (Fib.get fib n) (Ptree.find reference n)) then
+         Alcotest.failf "%s: get %s disagrees" what (Ipv4net.to_string n))
+    nets;
+  check Alcotest.int (what ^ ": size") (Ptree.size reference) (Fib.size fib);
+  check
+    Alcotest.(list string)
+    (what ^ ": entries")
+    (List.map (fun (_, e) -> show_entry e) (Ptree.to_list reference))
+    (List.map show_entry (Fib.entries fib))
+
+type fib_op = Add of int * int | Del of int
+
+(* Prefixes of every length from /0 to /32. Most sit in or around
+   10.20/16, so one block fills up and nests, and lengths cluster on
+   both sides of the /16 split. *)
+let gen_net =
+  QCheck.Gen.(
+    let* len =
+      frequency
+        [ (1, int_range 0 15); (2, int_range 14 18); (3, int_range 16 32) ]
+    in
+    let* a =
+      frequency
+        [ (4, map (fun low -> 0x0A14_0000 lor low) (int_bound 0xFFFF));
+          (2, map (fun low -> 0x0A00_0000 lor low) (int_bound 0xFF_FFFF));
+          (1, int_bound 0xFFFF_FFFF) ]
+    in
+    return (Ipv4net.make (Ipv4.of_int a) len))
+
+(* A pool of prefixes and ops indexing into it, so adds overwrite and
+   deletes hit as well as miss. *)
+let arb_fib_ops =
+  let gen =
+    QCheck.Gen.(
+      let* pool = array_size (int_range 1 60) gen_net in
+      let pick = int_bound (Array.length pool - 1) in
+      let* ops =
+        list_size (int_range 0 250)
+          (frequency
+             [ (3, map2 (fun i tag -> Add (i, tag)) pick (int_bound 1000));
+               (2, map (fun i -> Del i) pick) ])
+      in
+      let* strays = list_size (return 40) (int_bound 0xFFFF_FFFF) in
+      return (pool, ops, strays))
+  in
+  QCheck.make gen
+    ~print:(fun (pool, ops, _) ->
+        String.concat "; "
+          (List.map
+             (function
+               | Add (i, tag) ->
+                 Printf.sprintf "add %s #%d" (Ipv4net.to_string pool.(i)) tag
+               | Del i -> "del " ^ Ipv4net.to_string pool.(i))
+             ops))
+
+let prop_fib_matches_trie =
+  QCheck.Test.make ~name:"compiled FIB agrees with a trie" ~count:300
+    arb_fib_ops (fun (pool, ops, strays) ->
+        let fib = Fib.create () in
+        let reference = Ptree.create () in
+        List.iter
+          (function
+            | Add (i, tag) ->
+              let e = entry_of pool.(i) tag in
+              Fib.add fib e;
+              ignore (Ptree.insert reference pool.(i) e)
+            | Del i ->
+              let want = Ptree.remove reference pool.(i) <> None in
+              if Fib.delete fib pool.(i) <> want then
+                Alcotest.failf "delete %s: expected %b"
+                  (Ipv4net.to_string pool.(i)) want)
+          ops;
+        let nets = Array.to_list pool in
+        let edges n =
+          let lo = Ipv4net.first_addr n and hi = Ipv4net.last_addr n in
+          [ lo; hi; Ipv4.succ hi; Ipv4.of_int (Ipv4.to_int lo - 1) ]
+        in
+        agree ~what:"random ops" fib reference ~nets
+          ~probes:(List.concat_map edges nets @ List.map Ipv4.of_int strays);
+        true)
+
+(* One /16 as full as a real table gets: the /16 itself, all sixteen
+   /20s, every /24 but one, and thousands of /25../32 below them, some
+   inside the missing /24 so their chain skips a level. Every address
+   of the block is checked, then again after deleting half. *)
+let test_dense_block () =
+  let base = 0x0A1E_0000 (* 10.30/16 *) in
+  let p low len = Ipv4net.make (Ipv4.of_int (base lor low)) len in
+  let nets = ref [ p 0 16 ] in
+  let push n = nets := n :: !nets in
+  for i = 0 to 15 do push (p (i lsl 12) 20) done;
+  for c = 0 to 255 do
+    if c <> 77 then push (p (c lsl 8) 24);
+    if c mod 3 = 2 then
+      for len = 25 to 28 do
+        for k = 0 to (1 lsl (len - 24)) - 1 do
+          push (p ((c lsl 8) lor (k lsl (32 - len))) len)
+        done
+      done;
+    if c mod 17 = 0 || c = 77 then
+      for d = 0 to 63 do push (p ((c lsl 8) lor (d * 4)) 32) done
+  done;
+  let nets = Array.of_list !nets in
+  let rng = Random.State.make [| 13 |] in
+  for i = Array.length nets - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = nets.(i) in
+    nets.(i) <- nets.(j);
+    nets.(j) <- x
+  done;
+  check Alcotest.bool "thousands of prefixes in one /16" true
+    (Array.length nets > 3000);
+  let fib = Fib.create () in
+  let reference = Ptree.create () in
+  Array.iteri
+    (fun i n ->
+       let e = entry_of n i in
+       Fib.add fib e;
+       ignore (Ptree.insert reference n e))
+    nets;
+  let block = List.init 0x10000 (fun low -> Ipv4.of_int (base lor low)) in
+  let nets_l = Array.to_list nets in
+  agree ~what:"full block" fib reference ~probes:block ~nets:nets_l;
+  Array.iteri
+    (fun i n ->
+       if i mod 2 = 0 then begin
+         check Alcotest.bool "delete present" true (Fib.delete fib n);
+         ignore (Ptree.remove reference n)
+       end)
+    nets;
+  agree ~what:"half deleted" fib reference ~probes:block ~nets:nets_l
+
+(* The FIB's fixed cost must stay small: the converge bench world runs
+   30 routers with FIBs of about 80 routes, and a directory of all 2^16
+   /16 blocks (65k-131k words per FIB) would several times outweigh
+   that world's whole live heap. The trie this replaced took 2,759
+   words for the 79-route case. *)
+let test_footprint () =
+  let words fib = Obj.reachable_words (Obj.repr fib) in
+  let fib = Fib.create () in
+  let empty = words fib in
+  if empty >= 1_000 then Alcotest.failf "empty FIB takes %d words" empty;
+  let nh = addr "10.0.0.2" in
+  let add a len =
+    Fib.add fib
+      { Fib.net = Ipv4net.make (addr a) len; nexthop = nh; ifname = "eth0";
+        protocol = "bgp" }
+  in
+  for i = 0 to 29 do add (Printf.sprintf "10.200.%d.0" i) 24 done;
+  for i = 0 to 48 do add (Printf.sprintf "172.16.%d.0" (i * 5)) 24 done;
+  check Alcotest.int "79 routes" 79 (Fib.size fib);
+  let small = words fib in
+  if small >= 2_759 then
+    Alcotest.failf "79-route FIB takes %d words (trie: 2,759)" small
+
 (* --- XRL interface --------------------------------------------------- *)
 
 let test_xrl_add_lookup_delete () =
@@ -318,6 +504,9 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_fib_basics;
           Alcotest.test_case "LPM edge cases" `Quick test_lpm_edge_cases;
+          Seeded.qcheck prop_fib_matches_trie;
+          Alcotest.test_case "dense block" `Quick test_dense_block;
+          Alcotest.test_case "footprint" `Quick test_footprint;
           Alcotest.test_case "lookups counted per consumer" `Quick
             test_lookup_counted_per_consumer;
         ] );

@@ -229,6 +229,47 @@ let chain () =
   in
   (loop, a, b, c)
 
+(* OSPF started while its FEA is down must open its socket when the
+   FEA is born, even long after [udp_open]'s retries have run out. A
+   process that assumed its FEA was up at creation would take that
+   birth for a no-op and never form the adjacency. *)
+let test_fea_born_late () =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let a =
+    make_router ~loop ~netsim ~router_id:"1.1.1.1" ~ifaddr:"10.0.1.1"
+      ~neighbors:[ ("10.0.1.2", "2.2.2.2", 1) ]
+      ~stubs:[ ("172.16.0.0/16", 1) ]
+      ()
+  in
+  let finder = Finder.create () in
+  let rib = Rib.create finder loop () in
+  let ospf =
+    Ospf_process.create finder loop
+      (Ospf_process.default_config ~router_id:(addr "2.2.2.2")
+         ~ifaces:
+           [ { Ospf_process.o_addr = addr "10.0.1.2";
+               o_neighbors =
+                 [ { Ospf_process.n_addr = addr "10.0.1.1";
+                     n_id = addr "1.1.1.1"; n_cost = 1 } ] } ]
+         ())
+  in
+  Ospf_process.start ospf;
+  run_for loop 120.0;
+  check Alcotest.bool "no adjacency without an FEA" false
+    (Ospf_process.adjacency_up ospf (addr "1.1.1.1"));
+  let _fea =
+    Fea.create ~interfaces:[ ("eth0", addr "10.0.1.2") ] ~netsim finder loop ()
+  in
+  run_for loop 30.0;
+  check Alcotest.bool "adjacency once the FEA is born" true
+    (Ospf_process.adjacency_up ospf (addr "1.1.1.1"));
+  check Alcotest.bool "and seen from the other side" true
+    (Ospf_process.adjacency_up a.ospf (addr "2.2.2.2"));
+  match Rib.lookup_best rib (addr "172.16.5.5") with
+  | Some r -> check Alcotest.string "learned a's stub" "ospf" r.Rib_route.protocol
+  | None -> Alcotest.fail "a's stub not learned"
+
 let test_chain_convergence () =
   let loop, a, b, c = chain () in
   run_for loop 30.0;
@@ -400,5 +441,6 @@ let () =
             test_remove_stub_withdraws;
           Alcotest.test_case "spf debounced" `Quick test_spf_count_debounced;
           Alcotest.test_case "triangle failover" `Quick test_triangle_failover;
+          Alcotest.test_case "FEA born 120 s late" `Quick test_fea_born_late;
         ] );
     ]

@@ -330,6 +330,38 @@ let test_redistribution_survives_rib_restart () =
     learned_r1
     (Rib.origin_route_count rib' "rip")
 
+(* RIP started while its FEA is down must open its socket when the FEA
+   is born, even long after [udp_open]'s retries have run out. A
+   process that assumed its FEA was up at creation would take that
+   birth for a no-op and never learn a route. *)
+let test_fea_born_late () =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let r1 =
+    make_router ~loop ~netsim ~ifaddr:"10.0.0.1" ~neighbors:[ "10.0.0.2" ] ()
+  in
+  let finder = Finder.create () in
+  let _rib = Rib.create finder loop () in
+  let rip =
+    Rip_process.create finder loop
+      (Rip_process.default_config
+         ~ifaces:
+           [ { Rip_process.if_addr = addr "10.0.0.2";
+               if_neighbors = [ addr "10.0.0.1" ] } ])
+  in
+  Rip_process.start r1.rip;
+  Rip_process.start rip;
+  Rip_process.inject r1.rip ~net:(net "172.16.0.0/12") ();
+  run_for loop 120.0;
+  check Alcotest.int "nothing learned without an FEA" 0
+    (Rip_process.route_count rip);
+  let _fea =
+    Fea.create ~interfaces:[ ("eth0", addr "10.0.0.2") ] ~netsim finder loop ()
+  in
+  run_for loop 10.0;
+  check Alcotest.int "learned once the FEA is born" 1
+    (Rip_process.route_count rip)
+
 let test_counters () =
   let loop, r1, r2 = pair () in
   Rip_process.inject r1.rip ~net:(net "172.16.0.0/12") ();
@@ -370,6 +402,7 @@ let () =
             test_redistribution_from_rib;
           Alcotest.test_case "redistribution survives RIB restart" `Quick
             test_redistribution_survives_rib_restart;
+          Alcotest.test_case "FEA born 120 s late" `Quick test_fea_born_late;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
     ]

@@ -111,6 +111,38 @@ let test_mailbox_demotion () =
     [ "bulk"; "urgent-demoted" ]
     (List.map snd (Mailbox.drain mb))
 
+(* Shard broadcasts ride the bulk lane as fences. An urgent op for any
+   other prefix pushed after one must not be drained before it: a
+   worker that took a new BGP's routes before the reset broadcast ahead
+   of them would wipe them. The per-prefix guard cannot do this: keyed
+   on 0.0.0.0/0, a broadcast would hold back only that prefix. *)
+let test_mailbox_fence () =
+  let mb = Mailbox.create () in
+  Mailbox.push mb Laneq.Bulk ~net:(net "10.1.0.0/16") "older bulk";
+  Mailbox.push_fence mb Laneq.Bulk "broadcast";
+  Mailbox.push mb Laneq.Urgent ~net:(net "10.2.0.0/16") "urgent";
+  check
+    Alcotest.(list string)
+    "nothing overtakes the fence"
+    [ "older bulk"; "broadcast"; "urgent" ]
+    (List.map snd (Mailbox.drain mb));
+  (* Once drained, the fence holds nothing back. *)
+  Mailbox.push mb Laneq.Bulk ~net:(net "10.1.0.0/16") "bulk";
+  Mailbox.push mb Laneq.Urgent ~net:(net "10.2.0.0/16") "urgent again";
+  check
+    Alcotest.(list string)
+    "urgent overtakes plain bulk again"
+    [ "urgent again"; "bulk" ]
+    (List.map snd (Mailbox.drain mb));
+  (* A plain push keyed on the default route is an ordinary route. *)
+  Mailbox.push mb Laneq.Bulk ~net:Ipv4net.default "default route";
+  Mailbox.push mb Laneq.Urgent ~net:(net "10.2.0.0/16") "flap";
+  check
+    Alcotest.(list string)
+    "0.0.0.0/0 is no fence"
+    [ "flap"; "default route" ]
+    (List.map snd (Mailbox.drain mb))
+
 let test_mailbox_bulk_slice () =
   let mb = Mailbox.create () in
   for i = 1 to 10 do
@@ -707,6 +739,7 @@ let () =
       ( "mailbox",
         [ Alcotest.test_case "lanes" `Quick test_mailbox_lanes;
           Alcotest.test_case "demotion" `Quick test_mailbox_demotion;
+          Alcotest.test_case "broadcast fence" `Quick test_mailbox_fence;
           Alcotest.test_case "bulk_slice" `Quick test_mailbox_bulk_slice;
           Alcotest.test_case "wakeup" `Quick test_mailbox_wakeup;
           Alcotest.test_case "close" `Quick test_mailbox_close;
