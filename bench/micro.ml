@@ -93,12 +93,44 @@ let test_deadline_overhead =
            Xrl_router.send ~deadline:5.0 caller xrl sink;
            Eventloop.run loop)) ]
 
+(* The timer queue's per-event constant, on a simulated clock. Each
+   run of the first two schedules 256 timers and fires them all: one
+   deadline shared by all 256 (a link's packet burst), or 256 distinct
+   deadlines. The third fires one timer on a loop that has seen 10,000
+   timers cancelled (the debris of a re-armed hold timer); a pending
+   timer due before them keeps sweeps from draining them. *)
+let test_timer_queue =
+  let noop () = () in
+  let burst name deadline =
+    let loop = Eventloop.create () in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for i = 1 to 256 do
+             ignore (Eventloop.after loop (deadline i) noop)
+           done;
+           Eventloop.run loop))
+  in
+  let after_cancels =
+    let loop = Eventloop.create () in
+    ignore (Eventloop.after loop 1e8 noop);
+    for _ = 1 to 10_000 do
+      Eventloop.cancel (Eventloop.after loop 1e9 noop)
+    done;
+    Test.make ~name:"eventloop.fire/10k-cancelled"
+      (Staged.stage (fun () ->
+           ignore (Eventloop.after loop 0.0 noop);
+           ignore (Eventloop.run_once loop)))
+  in
+  [ burst "eventloop.256-timers/same-deadline" (fun _ -> 1.0);
+    burst "eventloop.256-timers/distinct" float_of_int;
+    after_cancels ]
+
 let all_tests =
   Test.make_grouped ~name:"micro"
     ([ test_encode 0; test_encode 10; test_encode 25;
        test_decode 0; test_decode 10; test_decode 25 ]
      @ test_ptree_ops @ [ test_policy ] @ test_bgp_encode
-     @ test_deadline_overhead)
+     @ test_deadline_overhead @ test_timer_queue)
 
 let run () =
   Bench_util.header "Micro-benchmarks (Bechamel)";

@@ -21,39 +21,45 @@ let copy t = { t with ttl = t.ttl }
    in network order; the payload follows verbatim. *)
 let header_len = 12
 
-let put_addr b a =
-  let o1, o2, o3, o4 = Ipv4.to_octets a in
-  Buffer.add_char b (Char.chr o1);
-  Buffer.add_char b (Char.chr o2);
-  Buffer.add_char b (Char.chr o3);
-  Buffer.add_char b (Char.chr o4)
+let put_addr b off a =
+  let a = Ipv4.to_int a in
+  Bytes.unsafe_set b off (Char.unsafe_chr ((a lsr 24) land 0xff));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((a lsr 16) land 0xff));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((a lsr 8) land 0xff));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (a land 0xff))
 
 let to_wire t =
-  let b = Buffer.create (header_len + String.length t.payload) in
-  Buffer.add_string b "DP";
-  Buffer.add_char b (Char.chr (t.ttl land 0xff));
-  Buffer.add_char b (Char.chr (t.proto land 0xff));
-  put_addr b t.src;
-  put_addr b t.dst;
-  Buffer.add_string b t.payload;
-  Buffer.contents b
+  let len = String.length t.payload in
+  let b = Bytes.create (header_len + len) in
+  Bytes.unsafe_set b 0 'D';
+  Bytes.unsafe_set b 1 'P';
+  Bytes.unsafe_set b 2 (Char.unsafe_chr (t.ttl land 0xff));
+  Bytes.unsafe_set b 3 (Char.unsafe_chr (t.proto land 0xff));
+  put_addr b 4 t.src;
+  put_addr b 8 t.dst;
+  Bytes.unsafe_blit_string t.payload 0 b header_len len;
+  Bytes.unsafe_to_string b
 
+(* Callers check that [s] holds [off + 4] bytes. *)
 let get_addr s off =
-  Ipv4.of_octets
-    (Char.code s.[off]) (Char.code s.[off + 1])
-    (Char.code s.[off + 2]) (Char.code s.[off + 3])
+  Ipv4.of_int
+    ((Char.code (String.unsafe_get s off) lsl 24)
+    lor (Char.code (String.unsafe_get s (off + 1)) lsl 16)
+    lor (Char.code (String.unsafe_get s (off + 2)) lsl 8)
+    lor Char.code (String.unsafe_get s (off + 3)))
 
 let of_wire s =
-  if String.length s < header_len then
-    Error (Printf.sprintf "short packet: %d bytes" (String.length s))
+  let len = String.length s in
+  if len < header_len then Error (Printf.sprintf "short packet: %d bytes" len)
   else if not (s.[0] = 'D' && s.[1] = 'P') then Error "bad magic"
   else
-    let ttl = Char.code s.[2] in
-    let proto = Char.code s.[3] in
-    let src = get_addr s 4 in
-    let dst = get_addr s 8 in
-    let payload = String.sub s header_len (String.length s - header_len) in
-    Ok (make ~ttl ~proto ~payload ~src ~dst ())
+    Ok
+      { src = get_addr s 4; dst = get_addr s 8;
+        ttl = Char.code s.[2]; proto = Char.code s.[3];
+        payload =
+          (if len = header_len then ""
+           else String.sub s header_len (len - header_len));
+        in_ifname = ""; out_ifname = ""; nexthop = Ipv4.zero }
 
 let to_string t =
   Printf.sprintf "%s -> %s ttl=%d proto=%d len=%d%s%s" (Ipv4.to_string t.src)

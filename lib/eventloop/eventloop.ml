@@ -2,16 +2,36 @@ let src = Logs.Src.create "xorp.eventloop" ~doc:"camlXORP event loop"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* The timer queue is a heap of runs. A run is a chain of timers that
+   share a deadline and were scheduled one straight after another; the
+   heap orders runs by (deadline, creation seq) and a run fires its
+   members in chain order. Runs split the timers into stretches of
+   consecutive scheduling, so that is exactly the (deadline, scheduling
+   seq) order of one heap entry per timer, while a burst of
+   same-deadline timers (a netsim link's packets, a fan-out of
+   [after 0.0]) costs one heap entry and O(1) per timer. *)
 type timer = {
-  mutable deadline : float;
-  mutable action : action;
-  mutable cancelled : bool;
-  tloop : t_ref;
+  mutable cb : unit -> unit; (* one-shot callback; [noop] once done *)
+  mutable every : every option; (* [Some] while a periodic timer lives *)
+  mutable next : timer; (* next member of the run; unread on the last *)
+  mutable state : state;
+  owner : t option; (* [None] only for [no_timer] *)
 }
 
-and action =
-  | Once of (unit -> unit)
-  | Periodic of float * (unit -> bool)
+and every = { ival : float; mutable deadline : float; tick : unit -> bool }
+
+and state =
+  | Queued (* pending, linked in a run *)
+  | Dead (* cancelled, still linked until a sweep or purge drops it *)
+  | Picked (* pending, unlinked into a tie-break batch *)
+  | Running (* a periodic timer inside its own callback *)
+  | Gone (* fired or cancelled, unlinked *)
+
+and run = {
+  mutable head : timer;
+  mutable last : timer;
+  due : float;
+}
 
 and task = {
   weight : int;
@@ -23,8 +43,16 @@ and task = {
 and t = {
   mode : [ `Real | `Sim ];
   mutable vclock : float;
-  timers : timer Minheap.t;
+  timers : run Minheap.t;
+  (* The run a timer joins when it has the same deadline, or [no_run].
+     Sealed at the start of every sweep, so that a timer scheduled by a
+     sweep's callbacks never joins a run the sweep is firing. *)
+  mutable tail : run;
   mutable live_timers : int;
+  (* Timers linked in runs, and how many of those are [Dead]. *)
+  mutable queued : int;
+  mutable dead : int;
+  self : t option; (* every timer's [owner], allocated once *)
   deferred : (unit -> unit) Queue.t;
   tasks : task Queue.t;
   mutable live_tasks : int;
@@ -47,6 +75,13 @@ and t = {
 
 and t_ref = t
 
+let noop () = ()
+
+let rec no_timer =
+  { cb = noop; every = None; next = no_timer; state = Gone; owner = None }
+
+let no_run = { head = no_timer; last = no_timer; due = nan }
+
 let create ?(mode = `Sim) () =
   let wake_rd, wake_wr =
     match mode with
@@ -57,24 +92,31 @@ let create ?(mode = `Sim) () =
       Unix.set_nonblock wr;
       (Some rd, Some wr)
   in
-  {
-    mode;
-    vclock = 0.0;
-    timers = Minheap.create ();
-    live_timers = 0;
-    deferred = Queue.create ();
-    tasks = Queue.create ();
-    live_tasks = 0;
-    readers = Hashtbl.create 8;
-    writers = Hashtbl.create 8;
-    stopping = false;
-    dispatched = 0;
-    tie_break = None;
-    posted = Queue.create ();
-    posted_mu = Mutex.create ();
-    wake_rd;
-    wake_wr;
-  }
+  let rec t =
+    {
+      mode;
+      vclock = 0.0;
+      timers = Minheap.create ~dummy:no_run ();
+      tail = no_run;
+      live_timers = 0;
+      queued = 0;
+      dead = 0;
+      self = Some t;
+      deferred = Queue.create ();
+      tasks = Queue.create ();
+      live_tasks = 0;
+      readers = Hashtbl.create 8;
+      writers = Hashtbl.create 8;
+      stopping = false;
+      dispatched = 0;
+      tie_break = None;
+      posted = Queue.create ();
+      posted_mu = Mutex.create ();
+      wake_rd;
+      wake_wr;
+    }
+  in
+  t
 
 let mode t = t.mode
 let set_tie_break t f = t.tie_break <- f
@@ -84,31 +126,100 @@ let now t =
   | `Real -> Unix.gettimeofday ()
   | `Sim -> t.vclock
 
+(* Cancelled timers may outnumber pending ones by this many before a
+   cancel purges them. *)
+let purge_slack = 64
+
+(* Link [tm] into the queue at [time]: onto the tail run when it has
+   the same deadline, else as a new run. *)
+let enqueue t time tm =
+  let r = t.tail in
+  if r != no_run && r.due = time then begin
+    r.last.next <- tm;
+    r.last <- tm
+  end
+  else begin
+    let r = { head = tm; last = tm; due = time } in
+    Minheap.push t.timers time r;
+    t.tail <- r
+  end;
+  t.queued <- t.queued + 1
+
 let at t time cb =
-  let tm = { deadline = time; action = Once cb; cancelled = false; tloop = t } in
-  Minheap.push t.timers time tm;
+  let tm =
+    { cb; every = None; next = no_timer; state = Queued; owner = t.self }
+  in
+  enqueue t time tm;
   t.live_timers <- t.live_timers + 1;
   tm
 
 let after t delay cb = at t (now t +. delay) cb
 
-let periodic t ival cb =
+let periodic t ival tick =
   if ival <= 0.0 then invalid_arg "Eventloop.periodic";
+  let deadline = now t +. ival in
   let tm =
-    { deadline = now t +. ival; action = Periodic (ival, cb);
-      cancelled = false; tloop = t }
+    { cb = noop; every = Some { ival; deadline; tick }; next = no_timer;
+      state = Queued; owner = t.self }
   in
-  Minheap.push t.timers tm.deadline tm;
+  enqueue t deadline tm;
   t.live_timers <- t.live_timers + 1;
   tm
 
-let cancel tm =
-  if not tm.cancelled then begin
-    tm.cancelled <- true;
-    tm.tloop.live_timers <- tm.tloop.live_timers - 1
+(* A cancelled timer, already unlinked, leaves the queue for good. *)
+let bury t tm =
+  tm.state <- Gone;
+  t.dead <- t.dead - 1
+
+(* Unlink the cancelled members of run [r]; false when none is left. *)
+let compact t r =
+  let last = r.last in
+  let kept = ref no_timer in
+  let tm = ref r.head in
+  let fin = ref false in
+  while not !fin do
+    let cur = !tm in
+    fin := cur == last;
+    tm := cur.next;
+    match cur.state with
+    | Dead ->
+      cur.next <- no_timer;
+      t.queued <- t.queued - 1;
+      bury t cur
+    | _ ->
+      if !kept == no_timer then r.head <- cur else (!kept).next <- cur;
+      kept := cur
+  done;
+  if !kept == no_timer then begin
+    if r == t.tail then t.tail <- no_run;
+    false
+  end
+  else begin
+    r.last <- !kept;
+    true
   end
 
-let timer_pending tm = not tm.cancelled
+(* One O(n) pass: every cancelled timer leaves the queue, every emptied
+   run leaves the heap, and the surviving runs keep their keys. *)
+let purge t = Minheap.filter t.timers (compact t)
+
+let cancel tm =
+  match (tm.owner, tm.state) with
+  | Some t, ((Queued | Picked | Running) as state) ->
+    tm.cb <- noop;
+    tm.every <- None;
+    t.live_timers <- t.live_timers - 1;
+    if state == Queued then begin
+      tm.state <- Dead;
+      t.dead <- t.dead + 1;
+      if t.dead > t.live_timers + purge_slack then purge t
+    end
+    else tm.state <- Gone
+  | _ -> ()
+
+let timer_pending tm =
+  match tm.state with Queued | Picked | Running -> true | Dead | Gone -> false
+
 let defer t cb = Queue.push cb t.deferred
 
 let add_task t ?(weight = 1) slice =
@@ -201,87 +312,138 @@ let run_deferred t =
   done;
   n > 0
 
-let fire_one t tm =
-  match tm.action with
-  | Once cb ->
-    tm.cancelled <- true;
+let fire t tm =
+  match tm.every with
+  | None ->
+    tm.state <- Gone;
     t.live_timers <- t.live_timers - 1;
+    let cb = tm.cb in
+    tm.cb <- noop;
     dispatch t cb
-  | Periodic (ival, cb) ->
-    let continue = ref false in
+  | Some e ->
+    tm.state <- Running;
     t.dispatched <- t.dispatched + 1;
-    (try continue := cb () with
-     | exn ->
-       Log.err (fun m ->
-           m "periodic timer raised %s; stopping it" (Printexc.to_string exn)));
-    if !continue && not tm.cancelled then begin
-      (* Advance from the scheduled deadline to avoid drift, but
-         never reschedule into the past. *)
-      let next = ref (tm.deadline +. ival) in
-      while !next <= now t do next := !next +. ival done;
-      tm.deadline <- !next;
-      Minheap.push t.timers !next tm
-    end
-    else if not tm.cancelled then begin
-      tm.cancelled <- true;
-      t.live_timers <- t.live_timers - 1
-    end
+    let again =
+      try e.tick () with
+      | exn ->
+        Log.err (fun m ->
+            m "periodic timer raised %s; stopping it" (Printexc.to_string exn));
+        false
+    in
+    (* A tick may cancel its own timer; then it is already [Gone]. *)
+    if tm.state == Running then
+      if again then begin
+        (* Advance from the scheduled deadline to avoid drift, but
+           never reschedule into the past. *)
+        let next = ref (e.deadline +. e.ival) in
+        while !next <= now t do next := !next +. e.ival done;
+        e.deadline <- !next;
+        tm.state <- Queued;
+        enqueue t !next tm
+      end
+      else begin
+        tm.state <- Gone;
+        tm.every <- None;
+        t.live_timers <- t.live_timers - 1
+      end
 
-(* One timer sweep. Only heap entries that existed when the sweep
-   started are eligible: a timer scheduled by a callback we dispatch —
-   even with a deadline in the past — waits for the next loop
-   iteration, so it fires exactly once there and a self-rescheduling
-   past-deadline timer cannot spin this sweep forever.
+(* Pop the top run [r] off the heap. *)
+let drop_top t r =
+  ignore (Minheap.pop t.timers);
+  if r == t.tail then t.tail <- no_run
+
+(* Unlink and return the head of the top run [r], popping [r] when it
+   was the last member. *)
+let take_head t r =
+  let tm = r.head in
+  if tm == r.last then drop_top t r
+  else begin
+    r.head <- tm.next;
+    tm.next <- no_timer
+  end;
+  t.queued <- t.queued - 1;
+  tm
+
+(* Unlink the cancelled members at the front of the top run [r],
+   dropping the run if none is left; true when [r] is still on top with
+   a pending head. *)
+let rec trim t r =
+  match r.head.state with
+  | Dead ->
+    let emptied = r.head == r.last in
+    bury t (take_head t r);
+    (not emptied) && trim t r
+  | _ -> true
+
+(* Whether a pending timer is queued; if so the top run's head is one
+   and [next_due] is the earliest deadline. *)
+let rec has_pending t =
+  (not (Minheap.is_empty t.timers))
+  && (trim t (Minheap.peek t.timers) || has_pending t)
+
+(* The top run's deadline, read from the float the run already holds:
+   the libraries are built without cross-module inlining, so a float
+   returned by [Minheap] would be boxed afresh on every call. *)
+let next_due t = (Minheap.peek t.timers).due
+let due_now t = has_pending t && next_due t <= now t
+
+(* Move every member of the top run [r] into [batch] (pending ones) or
+   out of the queue (cancelled ones), popping [r]. *)
+let rec gather t r batch =
+  let emptied = r.head == r.last in
+  let tm = take_head t r in
+  (match tm.state with
+   | Dead -> bury t tm
+   | _ ->
+     tm.state <- Picked;
+     batch := tm :: !batch);
+  if not emptied then gather t r batch
+
+(* The tie-break path: take every pending timer due at the top
+   deadline and scheduled before the sweep, in scheduling order, and
+   let the hook choose the order they fire in. *)
+let fire_batch t pick cutoff =
+  let h = t.timers in
+  let due = next_due t in
+  let batch = ref [] in
+  while has_pending t && next_due t = due && Minheap.peek_seq h < cutoff do
+    gather t (Minheap.peek h) batch
+  done;
+  let arr = Array.of_list (List.rev !batch) in
+  let n = ref (Array.length arr) in
+  while !n > 0 do
+    let i = if !n = 1 then 0 else pick !n in
+    let i = if i < 0 || i >= !n then 0 else i in
+    let tm = arr.(i) in
+    arr.(i) <- arr.(!n - 1);
+    n := !n - 1;
+    (* A batch member's callback may cancel a later member. *)
+    if tm.state == Picked then fire t tm
+  done
+
+(* One timer sweep. Only runs that existed when the sweep started are
+   eligible, and the sealed tail keeps the sweep's own timers out of
+   them: a timer scheduled by a callback we dispatch — even with a
+   deadline in the past — waits for the next loop iteration, so it
+   fires exactly once there and a self-rescheduling past-deadline timer
+   cannot spin this sweep forever.
 
    Equal-deadline timers fire in FIFO (scheduling) order unless a
    [tie_break] hook is installed, in which case the hook picks which of
    the n due same-deadline timers fires next — the deterministic
    schedule-fuzzing point used by the simulation harness. *)
 let fire_due_timers t progressed =
-  let cutoff = Minheap.stamp t.timers in
-  let rec sweep progressed =
-    match Minheap.peek_entry t.timers with
-    | Some (_, _, tm) when tm.cancelled ->
-      ignore (Minheap.pop t.timers);
-      sweep progressed
-    | Some (deadline, seq, tm) when seq < cutoff && deadline <= now t ->
-      ignore (Minheap.pop t.timers);
-      (match t.tie_break with
-       | None ->
-         fire_one t tm;
-         sweep true
-       | Some pick ->
-         (* Collect the whole batch of due timers sharing this deadline
-            (scheduled before the sweep), then dispatch them in the
-            order the hook chooses. *)
-         let batch = ref [ tm ] in
-         let rec collect () =
-           match Minheap.peek_entry t.timers with
-           | Some (_, _, tm') when tm'.cancelled ->
-             ignore (Minheap.pop t.timers);
-             collect ()
-           | Some (d', s', tm') when d' = deadline && s' < cutoff ->
-             ignore (Minheap.pop t.timers);
-             batch := tm' :: !batch;
-             collect ()
-           | _ -> ()
-         in
-         collect ();
-         let arr = Array.of_list (List.rev !batch) in
-         let n = ref (Array.length arr) in
-         while !n > 0 do
-           let i = if !n = 1 then 0 else pick !n in
-           let i = if i < 0 || i >= !n then 0 else i in
-           let tm' = arr.(i) in
-           arr.(i) <- arr.(!n - 1);
-           n := !n - 1;
-           (* A batch member's callback may cancel a later member. *)
-           if not tm'.cancelled then fire_one t tm'
-         done;
-         sweep true)
-    | _ -> progressed
-  in
-  sweep progressed
+  t.tail <- no_run;
+  let h = t.timers in
+  let cutoff = Minheap.stamp h in
+  let progressed = ref progressed in
+  while has_pending t && Minheap.peek_seq h < cutoff && next_due t <= now t do
+    progressed := true;
+    match t.tie_break with
+    | None -> fire t (take_head t (Minheap.peek h))
+    | Some pick -> fire_batch t pick cutoff
+  done;
+  !progressed
 
 (* Run one background task for [weight] slices, round-robin. *)
 let run_one_task t =
@@ -312,17 +474,6 @@ let run_one_task t =
       true
   in
   skim ()
-
-let next_deadline t =
-  let rec peek () =
-    match Minheap.peek t.timers with
-    | Some (_, tm) when tm.cancelled ->
-      ignore (Minheap.pop t.timers);
-      peek ()
-    | Some (deadline, _) -> Some deadline
-    | None -> None
-  in
-  peek ()
 
 let poll_fds t timeout =
   let rds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.readers [] in
@@ -373,10 +524,9 @@ let run_once_capped t cap =
            || not (Queue.is_empty t.deferred)
            || posted_pending t
         then 0.0
-        else
-          match next_deadline t with
-          | Some d -> max 0.0 (min (d -. now t) 0.1)
-          | None -> 0.1
+        else if has_pending t then
+          max 0.0 (min (next_due t -. now t) 0.1)
+        else 0.1
       in
       let fd_progress = poll_fds t timeout in
       progressed || fd_progress
@@ -389,20 +539,21 @@ let run_once_capped t cap =
     match t.mode with
     | `Real -> has_work t
     | `Sim ->
-      (match next_deadline t with
-       | Some d ->
-         let target = match cap with Some c -> min d c | None -> d in
-         if target > t.vclock then begin
-           t.vclock <- target;
-           true
-         end
-         else target = d (* due now; next iteration fires it *)
-       | None ->
-         (match cap with
-          | Some c when c > t.vclock ->
-            t.vclock <- c;
-            false
-          | _ -> false))
+      if has_pending t then begin
+        let d = next_due t in
+        let target = match cap with Some c when c < d -> c | _ -> d in
+        if target > t.vclock then begin
+          t.vclock <- target;
+          true
+        end
+        else target = d (* due now; next iteration fires it *)
+      end
+      else
+        match cap with
+        | Some c when c > t.vclock ->
+          t.vclock <- c;
+          false
+        | _ -> false
 
 let run_once t = run_once_capped t None
 
@@ -419,10 +570,11 @@ let run_until_time t target =
   t.stopping <- false;
   (* Keep iterating while now <= target so that work due exactly at the
      target time runs before we return. *)
+  let cap = Some target in
   let rec loop () =
     if t.stopping || now t > target then ()
     else begin
-      let progress = run_once_capped t (Some target) in
+      let progress = run_once_capped t cap in
       if progress then loop ()
     end
   in
@@ -434,7 +586,7 @@ let run_until_idle t =
     (not (Queue.is_empty t.deferred))
     || t.live_tasks > 0
     || posted_pending t
-    || (match next_deadline t with Some d -> d <= now t | None -> false)
+    || due_now t
   in
   while (not t.stopping) && work_now () do
     ignore (run_once_capped t (Some (now t)))
@@ -443,10 +595,11 @@ let run_until_idle t =
 let stop t = t.stopping <- true
 let events_dispatched t = t.dispatched
 let live_timers t = t.live_timers
+let queued_timers t = t.queued
 let live_tasks t = t.live_tasks
 
 let quiescent t =
   Queue.is_empty t.deferred
   && t.live_tasks = 0
   && (not (posted_pending t))
-  && (match next_deadline t with Some d -> d > now t | None -> true)
+  && not (due_now t)

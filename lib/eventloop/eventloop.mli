@@ -26,7 +26,20 @@ val mode : t -> [ `Real | `Sim ]
 val now : t -> float
 (** Current time in seconds: wall-clock ([`Real]) or virtual ([`Sim]). *)
 
-(** {1 Timers} *)
+(** {1:timers Timers}
+
+    The timer queue is a binary heap of {e runs}: timers scheduled one
+    straight after another with the same deadline share one heap entry
+    and fire in scheduling order. Timers fire in (deadline, scheduling
+    order) whatever the run structure; a burst of same-deadline timers
+    costs one heap operation and O(1) per timer.
+
+    {b Bound.} A cancelled timer stays queued until a sweep passes it or
+    a purge drops it. Whenever a {!cancel} leaves more cancelled timers
+    queued than [live_timers + 64], it purges them all in one O(n) pass.
+    Right after any cancel, then, the queue holds at most
+    [2 * live_timers + 64] timers, however often timers are cancelled
+    and re-armed; {!queued_timers} reads it. *)
 
 type timer
 
@@ -147,6 +160,11 @@ val set_tie_break : t -> (int -> int) option -> unit
 
 val live_timers : t -> int
 (** Timers scheduled and not yet fired or cancelled (leak checks). *)
+
+val queued_timers : t -> int
+(** Timers the queue holds: the pending ones not yet taken for firing
+    plus the cancelled ones not yet dropped. See the bound under
+    {!section-timers}. *)
 
 val live_tasks : t -> int
 (** Background tasks registered and not yet retired. *)

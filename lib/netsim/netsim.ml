@@ -2,7 +2,21 @@ let src = Logs.Src.create "xorp.netsim" ~doc:"camlXORP network simulator"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type addr_port = int * int (* Ipv4 as int, port *)
+(* Listeners and datagram sockets are keyed by their (address, port)
+   packed into one int: the 32-bit address below the port, distinct for
+   every port under 2^30 (the simulated XRL family numbers its ports
+   from a counter, so they can pass 65,535). *)
+let key addr port = (port lsl 32) lor Ipv4.to_int addr
+
+module Port_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Multiply, then keep the high bits, so the table's low-bit bucket
+     index depends on the address as well as the port. *)
+  let hash k = (k * 0x2545F4914F6CDD1D) lsr 31
+end)
 
 type stream_endpoint = {
   net : t;
@@ -32,22 +46,26 @@ and dgram_socket = {
 and t = {
   loop : Eventloop.t;
   default_latency : float;
-  listeners : (addr_port, listener_rec) Hashtbl.t;
-  dsockets : (addr_port, dgram_socket) Hashtbl.t;
+  listeners : listener_rec Port_tbl.t;
+  dsockets : dgram_socket Port_tbl.t;
   (* Administratively-down links, keyed by the unordered address pair.
      While a pair is cut, connects fail, datagrams vanish, and any
      stream crossing the pair was severed when the cut landed. *)
   cuts : (int * int, unit) Hashtbl.t;
-  (* Every live stream endpoint, so a link cut can find and sever the
-     connections crossing it; compacted on each cut. *)
+  (* Stream endpoints, newest first, so a link cut can find and sever
+     the connections crossing it. [open_streams] of them are open; the
+     closed ones are dropped whenever they outnumber the open ones by
+     more than [stream_slack], and on every cut. *)
   mutable streams : stream_endpoint list;
+  mutable n_streams : int;
+  mutable open_streams : int;
   mutable loss_rng : Rng.t;
   mutable ephemeral : int;
 }
 
 and listener_rec = {
   l_net : t;
-  l_key : addr_port;
+  l_key : int;
   accept_cb : stream_endpoint -> unit;
   mutable l_open : bool;
 }
@@ -56,23 +74,41 @@ let create ?(default_latency = 0.001) loop =
   {
     loop;
     default_latency;
-    listeners = Hashtbl.create 16;
-    dsockets = Hashtbl.create 16;
+    listeners = Port_tbl.create 16;
+    dsockets = Port_tbl.create 16;
     cuts = Hashtbl.create 8;
     streams = [];
+    n_streams = 0;
+    open_streams = 0;
     loss_rng = Rng.create 7;
     ephemeral = 49152;
   }
 
 let eventloop t = t.loop
 let set_loss_seed t seed = t.loss_rng <- Rng.create seed
-let key addr port = (Ipv4.to_int addr, port)
 
 let addr_pair a b =
   let x = Ipv4.to_int a and y = Ipv4.to_int b in
   if x <= y then (x, y) else (y, x)
 
-let link_cut t ~a ~b = Hashtbl.mem t.cuts (addr_pair a b)
+(* Most worlds never cut a link: skip the pair hash for them. *)
+let link_cut t ~a ~b =
+  Hashtbl.length t.cuts > 0 && Hashtbl.mem t.cuts (addr_pair a b)
+
+let stream_slack = 64
+
+let compact_streams t =
+  t.streams <- List.filter (fun ep -> ep.ep_open) t.streams;
+  t.n_streams <- t.open_streams
+
+(* The one place an endpoint stops being open. *)
+let shut ep =
+  if ep.ep_open then begin
+    ep.ep_open <- false;
+    let t = ep.net in
+    t.open_streams <- t.open_streams - 1;
+    if t.n_streams > (2 * t.open_streams) + stream_slack then compact_streams t
+  end
 
 module Stream = struct
   type endpoint = stream_endpoint
@@ -80,29 +116,29 @@ module Stream = struct
 
   let listen net ~addr ~port accept_cb =
     let k = key addr port in
-    if Hashtbl.mem net.listeners k then
+    if Port_tbl.mem net.listeners k then
       invalid_arg
         (Printf.sprintf "Netsim.Stream.listen: %s:%d already bound"
            (Ipv4.to_string addr) port);
     let l = { l_net = net; l_key = k; accept_cb; l_open = true } in
-    Hashtbl.replace net.listeners k l;
+    Port_tbl.replace net.listeners k l;
     l
 
   let unlisten l =
     if l.l_open then begin
       l.l_open <- false;
-      Hashtbl.remove l.l_net.listeners l.l_key
+      Port_tbl.remove l.l_net.listeners l.l_key
     end
 
   let connect net ?latency ~src:srcaddr ~dst ~port cb =
     let latency = Option.value latency ~default:net.default_latency in
     let attempt () =
-      if Hashtbl.mem net.cuts (addr_pair srcaddr dst) then
+      if link_cut net ~a:srcaddr ~b:dst then
         (* The SYN dies on the cut wire; the caller times out as if
            nothing listened there. *)
         ignore (Eventloop.after net.loop latency (fun () -> cb None))
       else
-      match Hashtbl.find_opt net.listeners (key dst port) with
+      match Port_tbl.find_opt net.listeners (key dst port) with
       | Some l when l.l_open ->
         net.ephemeral <- net.ephemeral + 1;
         let sport = net.ephemeral in
@@ -120,6 +156,8 @@ module Stream = struct
         in
         client.peer <- Some server;
         net.streams <- client :: server :: net.streams;
+        net.n_streams <- net.n_streams + 2;
+        net.open_streams <- net.open_streams + 2;
         (* SYN-ACK: the client learns of success one more latency
            later. Schedule this before invoking the accept callback so
            that, at equal deadlines, the client attaches its receive
@@ -142,7 +180,7 @@ module Stream = struct
            | Some (Seg_data d) -> if peer.ep_open then peer.recv_cb d
            | Some Seg_close ->
              if peer.ep_open then begin
-               peer.ep_open <- false;
+               shut peer;
                peer.close_cb ()
              end
            | None -> ()))
@@ -160,17 +198,17 @@ module Stream = struct
      flight, like a FIN. *)
   let close ep =
     if ep.ep_open then begin
-      ep.ep_open <- false;
+      shut ep;
       match ep.peer with
       | Some peer -> transmit ep.net peer ep.latency Seg_close
       | None -> ()
     end
 
   let sever ep =
-    ep.ep_open <- false;
+    shut ep;
     match ep.peer with
     | Some peer ->
-      peer.ep_open <- false;
+      shut peer;
       (* Whatever was in flight dies with the wire. *)
       Queue.clear peer.inflight;
       Queue.clear ep.inflight
@@ -179,6 +217,7 @@ module Stream = struct
   let is_open ep = ep.ep_open
   let local_addr ep = fst ep.ep_local
   let remote_addr ep = fst ep.ep_remote
+  let registered net = net.n_streams
 end
 
 let cut_link ?(reset = false) t ~a ~b =
@@ -195,12 +234,12 @@ let cut_link ?(reset = false) t ~a ~b =
              if the interface went down under the socket. *)
           (match ep.peer with
           | Some peer when peer.ep_open ->
-            peer.ep_open <- false;
+            shut peer;
             Queue.clear peer.inflight;
             peer.close_cb ()
           | _ -> ());
           if ep.ep_open then begin
-            ep.ep_open <- false;
+            shut ep;
             Queue.clear ep.inflight;
             ep.close_cb ()
           end
@@ -209,7 +248,7 @@ let cut_link ?(reset = false) t ~a ~b =
     t.streams;
   (* Compact the registry while we're here; closed endpoints can never
      matter again. *)
-  t.streams <- List.filter (fun ep -> ep.ep_open) t.streams
+  compact_streams t
 
 let heal_link t ~a ~b = Hashtbl.remove t.cuts (addr_pair a b)
 
@@ -218,7 +257,7 @@ module Dgram = struct
 
   let bind net ~addr ~port =
     let k = key addr port in
-    if Hashtbl.mem net.dsockets k then
+    if Port_tbl.mem net.dsockets k then
       invalid_arg
         (Printf.sprintf "Netsim.Dgram.bind: %s:%d already bound"
            (Ipv4.to_string addr) port);
@@ -226,7 +265,7 @@ module Dgram = struct
       { dnet = net; d_local = (addr, port); d_open = true;
         drecv_cb = (fun ~src:_ ~sport:_ _ -> ()) }
     in
-    Hashtbl.replace net.dsockets k s;
+    Port_tbl.replace net.dsockets k s;
     s
 
   let on_receive s cb = s.drecv_cb <- cb
@@ -236,25 +275,28 @@ module Dgram = struct
     else begin
       let net = s.dnet in
       let latency = Option.value latency ~default:net.default_latency in
-      let cut = Hashtbl.mem net.cuts (addr_pair (fst s.d_local) dst) in
-      let dropped = cut || (loss > 0.0 && Rng.float net.loss_rng < loss) in
+      let srcaddr, sport = s.d_local in
+      let dropped =
+        link_cut net ~a:srcaddr ~b:dst
+        || (loss > 0.0 && Rng.float net.loss_rng < loss)
+      in
       if dropped then
         Log.debug (fun m ->
             m "dropping datagram to %s:%d" (Ipv4.to_string dst) dport)
       else
-        let srcaddr, sport = s.d_local in
+        let k = key dst dport in
         ignore
           (Eventloop.after net.loop latency (fun () ->
-               match Hashtbl.find_opt net.dsockets (key dst dport) with
-               | Some d when d.d_open -> d.drecv_cb ~src:srcaddr ~sport data
-               | _ -> ()))
+               match Port_tbl.find net.dsockets k with
+               | d -> if d.d_open then d.drecv_cb ~src:srcaddr ~sport data
+               | exception Not_found -> ()))
     end
 
   let close s =
     if s.d_open then begin
       s.d_open <- false;
       let addr, port = s.d_local in
-      Hashtbl.remove s.dnet.dsockets (key addr port)
+      Port_tbl.remove s.dnet.dsockets (key addr port)
     end
 
   let local_addr s = fst s.d_local

@@ -18,7 +18,15 @@ val create : ?default_latency:float -> Eventloop.t -> t
 
 val eventloop : t -> Eventloop.t
 
-(** Reliable ordered byte-stream channels (TCP stand-in). *)
+(** Reliable ordered byte-stream channels (TCP stand-in).
+
+    The simulator keeps a registry of stream endpoints so a link cut
+    can find the connections crossing it. {b Bound:} it holds the open
+    endpoints plus at most [open + 64] closed ones. Whenever an
+    endpoint closes or is severed and that would be exceeded, the
+    closed ones are dropped in one pass (as they are on every
+    {!cut_link}), so restarting components without cutting a link
+    does not keep their dead sessions alive. *)
 module Stream : sig
   type endpoint
   type listener
@@ -60,6 +68,9 @@ module Stream : sig
   val is_open : endpoint -> bool
   val local_addr : endpoint -> Ipv4.t
   val remote_addr : endpoint -> Ipv4.t
+
+  val registered : t -> int
+  (** Endpoints in the registry, open or closed (bound checks). *)
 end
 
 (** Datagram channels (UDP stand-in). *)

@@ -378,6 +378,48 @@ let test_full_stack_to_fib () =
   check Alcotest.bool "gone from FIB" true
     (Fib.lookup (Fea.fib fea) (addr "128.16.5.5") = None)
 
+(* Every UPDATE re-arms the receiver's 90 s hold timer, so a cancelled
+   timer left queued until its deadline grows the heap reachable from
+   the event loop by ~18 words per route change. After warm-up, 10,000
+   more changes through BGP, RIB and FEA must leave it where it was. *)
+let test_churn_heap_flat () =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let a = standalone_router ~loop ~netsim ~local_as:65001 ~bgp_id:(addr "1.1.1.1") () in
+  let _, fea, rib, b =
+    full_stack_router ~loop ~netsim ~local_as:65002 ~bgp_id:(addr "2.2.2.2") ()
+  in
+  peering ~checking:false a "10.0.0.1" b "10.0.0.2" ~as_a:65001 ~as_b:65002;
+  Result.get_ok
+    (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.0.0/24")
+       ~nexthop:Ipv4.zero ());
+  Bgp_process.start a;
+  Bgp_process.start b;
+  run_for loop 2.0;
+  let pool =
+    Array.init 64 (fun k -> Ipv4net.make (Ipv4.of_octets 130 0 k 0) 24)
+  in
+  let fib = Fea.fib fea in
+  (* Change k announces pool entry k/2 when k is even and withdraws it
+     when k is odd, then waits until the FIB agrees. *)
+  let change k =
+    let n = pool.(k / 2 mod 64) and announce = k mod 2 = 0 in
+    if announce then Bgp_process.originate a n else Bgp_process.withdraw a n;
+    Eventloop.run ~until:(fun () -> Option.is_some (Fib.get fib n) = announce)
+      loop;
+    Eventloop.run_until_idle loop
+  in
+  let words () = Obj.reachable_words (Obj.repr loop) in
+  for k = 0 to 1_999 do change k done;
+  let warm = words () in
+  for k = 2_000 to 11_999 do change k done;
+  let after = words () in
+  check Alcotest.int "FIB holds only the connected route" 1 (Fib.size fib);
+  if after - warm > 2_000 then
+    Alcotest.failf
+      "loop heap grew %d words over 10,000 route changes (%d -> %d)"
+      (after - warm) warm after
+
 let test_full_stack_nexthop_gating () =
   (* Without a route to the BGP nexthop, the decision process must
      ignore the route; adding an IGP route to the nexthop range
@@ -735,6 +777,8 @@ let () =
       ( "full_stack",
         [
           Alcotest.test_case "BGP to FIB" `Quick test_full_stack_to_fib;
+          Alcotest.test_case "churn leaves the loop heap flat" `Quick
+            test_churn_heap_flat;
           Alcotest.test_case "nexthop gating" `Quick
             test_full_stack_nexthop_gating;
           Alcotest.test_case "damping end to end" `Quick test_damping_full_path;

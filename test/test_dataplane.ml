@@ -579,9 +579,64 @@ let test_xrl_without_dataplane () =
   | e ->
     Alcotest.failf "expected Command_failed, got %s" (Xrl_error.to_string e)
 
+(* The wire form, spelled out byte by byte: "DP", ttl, proto, src and
+   dst in network order, then the payload. *)
+let reference_wire (p : Packet.t) =
+  let b = Buffer.create 16 in
+  Buffer.add_string b "DP";
+  Buffer.add_char b (Char.chr p.Packet.ttl);
+  Buffer.add_char b (Char.chr p.Packet.proto);
+  List.iter
+    (fun a ->
+       let o1, o2, o3, o4 = Ipv4.to_octets a in
+       List.iter (fun o -> Buffer.add_char b (Char.chr o)) [ o1; o2; o3; o4 ])
+    [ p.Packet.src; p.Packet.dst ];
+  Buffer.add_string b p.Packet.payload;
+  Buffer.contents b
+
+let prop_wire_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((src, dst), (ttl, proto), payload) ->
+           Packet.make ~ttl ~proto ~payload ~src:(Ipv4.of_int src)
+             ~dst:(Ipv4.of_int dst) ())
+        (triple
+           (pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF))
+           (pair (int_bound 255) (int_bound 255))
+           (oneof [ return ""; string_size (int_bound 40) ])))
+  in
+  QCheck.Test.make ~name:"packet wire form is byte-exact and round-trips"
+    ~count:500 (QCheck.make ~print:Packet.to_string gen) (fun p ->
+      let wire = Packet.to_wire p in
+      wire = reference_wire p
+      &&
+      match Packet.of_wire wire with
+      | Ok q ->
+        Ipv4.equal q.Packet.src p.Packet.src
+        && Ipv4.equal q.Packet.dst p.Packet.dst
+        && q.Packet.ttl = p.Packet.ttl && q.Packet.proto = p.Packet.proto
+        && q.Packet.payload = p.Packet.payload && q.Packet.in_ifname = ""
+        && q.Packet.out_ifname = "" && Ipv4.equal q.Packet.nexthop Ipv4.zero
+      | Error _ -> false)
+
+let test_wire_rejects () =
+  let bad w =
+    match Packet.of_wire w with Ok _ -> false | Error _ -> true
+  in
+  check Alcotest.bool "short" true (bad "DP\064\000\010\000\000");
+  check Alcotest.bool "bad magic" true
+    (bad "XP\064\000\010\000\000\001\010\000\000\002");
+  check Alcotest.bool "bare header parses" false
+    (bad "DP\064\000\010\000\000\001\010\000\000\002")
+
 let () =
   Alcotest.run "xorp_dataplane"
-    [ ( "grammar",
+    [ ( "wire",
+        [ Seeded.qcheck prop_wire_roundtrip;
+          Alcotest.test_case "malformed packets rejected" `Quick
+            test_wire_rejects ] );
+      ( "grammar",
         [ Seeded.qcheck prop_parse_print_stable;
           Alcotest.test_case "malformed graphs rejected" `Quick
             test_malformed_graphs;

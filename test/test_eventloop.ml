@@ -311,59 +311,472 @@ let test_real_mode_fd () =
   Unix.close r;
   Unix.close w
 
-(* Minheap, directly. *)
+(* The hold-timer pattern: one timer cancelled and re-armed over and
+   over, beside a few unrelated pending timers. Cancelled timers must
+   not pile up: the queue stays within its documented bound (pending
+   timers plus at most pending + 64 cancelled ones). *)
+let test_rearm_keeps_queue_bounded () =
+  let loop = Eventloop.create () in
+  for i = 1 to 10 do
+    ignore (Eventloop.after loop (float_of_int i) ignore)
+  done;
+  let hold = ref (Eventloop.after loop 90.0 ignore) in
+  let worst = ref 0 in
+  for _ = 1 to 100_000 do
+    Eventloop.cancel !hold;
+    hold := Eventloop.after loop 90.0 ignore;
+    let live = Eventloop.live_timers loop in
+    worst := max !worst (Eventloop.queued_timers loop - (2 * live))
+  done;
+  check Alcotest.int "live timers" 11 (Eventloop.live_timers loop);
+  if !worst > 64 then
+    Alcotest.failf "queue exceeded twice the live timers by %d" !worst;
+  Eventloop.run loop;
+  check Alcotest.int "nothing left queued" 0 (Eventloop.queued_timers loop);
+  check Alcotest.int "nothing left live" 0 (Eventloop.live_timers loop)
+
+(* Fired and cancelled timers must not keep their closures (and what
+   those capture) alive — not from the queue, and not from a timer
+   handle the owner still holds. *)
+let test_done_timers_release_closures () =
+  let loop = Eventloop.create () in
+  let w = Weak.create 3 in
+  let arm i delay =
+    let payload = Bytes.make 64 'x' in
+    Weak.set w i (Some payload);
+    Eventloop.after loop delay (fun () -> ignore (Bytes.length payload))
+  in
+  let fired = arm 0 1.0 in
+  let cancelled = arm 1 50.0 in
+  let _ = arm 2 2.0 in
+  ignore (Eventloop.after loop 100.0 ignore);
+  Eventloop.cancel cancelled;
+  Eventloop.run_until_time loop 3.0;
+  Gc.full_major ();
+  check Alcotest.bool "fired closure collected, handle still held" false
+    (Weak.check w 0);
+  check Alcotest.bool "cancelled closure collected while still queued" false
+    (Weak.check w 1);
+  check Alcotest.bool "fired closure collected" false (Weak.check w 2);
+  check Alcotest.bool "handles stay usable" false
+    (Eventloop.timer_pending fired || Eventloop.timer_pending cancelled)
+
+(* Same-deadline timers share a queue entry, but cancelling some of them
+   must still leave the rest firing in order, and a purge in the middle
+   of a run must keep the run's order and its open tail. *)
+let test_run_cancel_and_purge () =
+  let loop = Eventloop.create () in
+  let order = ref [] in
+  let tms =
+    Array.init 200 (fun i ->
+        Eventloop.at loop 5.0 (fun () -> order := i :: !order))
+  in
+  (* Enough cancels to force a purge while the run is still the tail. *)
+  Array.iteri (fun i tm -> if i mod 4 <> 3 then Eventloop.cancel tm) tms;
+  check Alcotest.bool "purged down to the pending ones" true
+    (Eventloop.queued_timers loop <= (2 * Eventloop.live_timers loop) + 64);
+  (* Joins the same run after the purge. *)
+  ignore (Eventloop.at loop 5.0 (fun () -> order := 1000 :: !order));
+  Eventloop.run loop;
+  check (Alcotest.list Alcotest.int) "survivors fire in scheduling order"
+    (List.filter (fun i -> i mod 4 = 3) (List.init 200 Fun.id) @ [ 1000 ])
+    (List.rev !order)
+
+(* Minheap, directly. Values carry their own priority, so a drain shows
+   the order entries came out in. *)
+let drain h =
+  let rec go acc =
+    if Minheap.is_empty h then List.rev acc else go (Minheap.pop h :: acc)
+  in
+  go []
+
+let push h p v = Minheap.push h p (p, v)
+
 let test_minheap () =
-  let h = Minheap.create () in
+  let h = Minheap.create ~dummy:(0.0, "") () in
   check Alcotest.bool "empty" true (Minheap.is_empty h);
-  List.iter (fun (p, v) -> Minheap.push h p v)
+  List.iter (fun (p, v) -> push h p v)
     [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (1.0, "a2") ];
   check Alcotest.int "size" 4 (Minheap.size h);
-  let order = ref [] in
-  let rec drain () =
-    match Minheap.pop h with
-    | Some (_, v) -> order := v :: !order; drain ()
-    | None -> ()
-  in
-  drain ();
   check (Alcotest.list Alcotest.string) "sorted, stable"
-    [ "a"; "a2"; "b"; "c" ] (List.rev !order)
+    [ "a"; "a2"; "b"; "c" ] (List.map snd (drain h));
+  check Alcotest.bool "pop on empty raises" true
+    (match Minheap.pop h with _ -> false | exception Invalid_argument _ -> true)
 
-let test_minheap_stamp_and_peek_entry () =
-  let h = Minheap.create () in
+let test_minheap_stamp_and_peek () =
+  let h = Minheap.create ~dummy:(0.0, "") () in
   check Alcotest.int "fresh heap stamp" 0 (Minheap.stamp h);
-  Minheap.push h 2.0 "x";
-  Minheap.push h 1.0 "y";
-  Minheap.push h 1.0 "z";
+  push h 2.0 "x";
+  push h 1.0 "y";
+  push h 1.0 "z";
   check Alcotest.int "stamp counts pushes" 3 (Minheap.stamp h);
-  (match Minheap.peek_entry h with
-   | Some (p, seq, v) ->
-     check (Alcotest.float 1e-9) "min priority first" 1.0 p;
-     check Alcotest.int "earliest equal push wins" 1 seq;
-     check Alcotest.string "its value" "y" v
-   | None -> Alcotest.fail "unexpectedly empty");
+  check Alcotest.int "earliest equal push wins" 1 (Minheap.peek_seq h);
+  check Alcotest.string "min priority first" "y" (snd (Minheap.peek h));
   ignore (Minheap.pop h);
-  (match Minheap.peek_entry h with
-   | Some (p, seq, v) ->
-     check (Alcotest.float 1e-9) "still the equal batch" 1.0 p;
-     check Alcotest.int "then the later equal push" 2 seq;
-     check Alcotest.string "its value" "z" v
-   | None -> Alcotest.fail "unexpectedly empty");
+  check Alcotest.int "then the later equal push" 2 (Minheap.peek_seq h);
+  check Alcotest.string "still the equal batch" "z" (snd (Minheap.peek h));
   check Alcotest.int "pops do not move the stamp" 3 (Minheap.stamp h)
+
+let test_minheap_filter () =
+  let h = Minheap.create ~dummy:(0.0, -1) () in
+  for i = 0 to 199 do
+    push h (float_of_int (i mod 10)) i
+  done;
+  (* Few enough survivors that the storage shrinks too. *)
+  Minheap.filter h (fun (_, v) -> v mod 5 = 0);
+  check Alcotest.int "kept a fifth" 40 (Minheap.size h);
+  let want =
+    List.filter (fun v -> v mod 5 = 0) (List.init 200 Fun.id)
+    |> List.map (fun v -> (float_of_int (v mod 10), v))
+    |> List.stable_sort (fun (p, _) (q, _) -> compare p q)
+  in
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.float 0.0) Alcotest.int))
+    "order by (priority, seq) survives" want (drain h)
+
+(* A popped value must not stay reachable from the heap's storage. *)
+let test_minheap_pop_releases () =
+  let h = Minheap.create ~dummy:(ref 0) () in
+  let w = Weak.create 2 in
+  let push_tracked i p =
+    let v = ref p in
+    Weak.set w i (Some v);
+    Minheap.push h (float_of_int p) v
+  in
+  push_tracked 0 1;
+  push_tracked 1 2;
+  ignore (Minheap.pop h);
+  ignore (Minheap.pop h);
+  Gc.full_major ();
+  check Alcotest.bool "first popped value collected" false (Weak.check w 0);
+  check Alcotest.bool "last popped value collected" false (Weak.check w 1)
 
 let prop_minheap_sorts =
   QCheck.Test.make ~name:"minheap pops in sorted order" ~count:300
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_int))
     (fun items ->
-       let h = Minheap.create () in
-       List.iter (fun (p, v) -> Minheap.push h p v) items;
-       let rec drain acc =
-         match Minheap.pop h with
-         | Some (p, _) -> drain (p :: acc)
-         | None -> List.rev acc
-       in
-       let popped = drain [] in
+       let h = Minheap.create ~dummy:(0.0, 0) () in
+       List.iter (fun (p, v) -> push h p v) items;
+       let popped = List.map fst (drain h) in
        List.length popped = List.length items
        && popped = List.sort compare (List.map fst items))
+
+(* Differential test of the timer queue against a reference model: one
+   list entry per timer, sorted by (deadline, scheduling seq), swept
+   with the loop's documented rules. Timers are named by handle (their
+   creation index); a one-shot timer may carry effects that run when it
+   fires, so sweeps schedule past-deadline and same-deadline timers and
+   cancel members of the run they belong to. *)
+
+type effect =
+  | E_after of float (* schedule a plain timer this far ahead (<= 0 ok) *)
+  | E_cancel of int (* cancel handle (index mod handles created) *)
+
+type op =
+  | At of float * effect list
+  | After of float * effect list
+  | Every of float * int (* interval, ticks that return true *)
+  | Burst of float * int * int (* deadline, count, cancel every k-th *)
+  | Cancel of int
+  | Run_once
+  | Run_until of float (* this far past now *)
+
+let pp_effect = function
+  | E_after d -> Printf.sprintf "after %g" d
+  | E_cancel k -> Printf.sprintf "cancel %d" k
+
+let pp_op = function
+  | At (t, es) ->
+    Printf.sprintf "at %g [%s]" t (String.concat "; " (List.map pp_effect es))
+  | After (d, es) ->
+    Printf.sprintf "after %g [%s]" d
+      (String.concat "; " (List.map pp_effect es))
+  | Every (i, n) -> Printf.sprintf "every %g x%d" i n
+  | Burst (t, n, k) -> Printf.sprintf "burst %d at %g, cancel each %d" n t k
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Run_once -> "run_once"
+  | Run_until d -> Printf.sprintf "run_until +%g" d
+
+module Model = struct
+  type entry = { dl : float; seq : int; h : int; mutable dead : bool }
+
+  type t = {
+    mutable now : float;
+    mutable seq : int;
+    mutable q : entry list; (* sorted by (dl, seq) *)
+    mutable cur : entry option array; (* each handle's queued entry *)
+    mutable handles : int;
+    mutable live : int;
+    mutable log : (int * float) list;
+    every : (int, float * int ref) Hashtbl.t;
+    effects : (int, effect list) Hashtbl.t;
+    pick : (int -> int) option;
+  }
+
+  let create pick =
+    { now = 0.0; seq = 0; q = []; cur = Array.make 16 None; handles = 0;
+      live = 0; log = []; every = Hashtbl.create 8;
+      effects = Hashtbl.create 8; pick }
+
+  let before a b = a.dl < b.dl || (a.dl = b.dl && a.seq < b.seq)
+
+  let insert m h dl =
+    let e = { dl; seq = m.seq; h; dead = false } in
+    m.seq <- m.seq + 1;
+    let rec ins = function
+      | x :: rest when before x e -> x :: ins rest
+      | l -> e :: l
+    in
+    m.q <- ins m.q;
+    m.cur.(h) <- Some e
+
+  let new_handle m =
+    let h = m.handles in
+    if h = Array.length m.cur then begin
+      let a = Array.make (2 * h) None in
+      Array.blit m.cur 0 a 0 h;
+      m.cur <- a
+    end;
+    m.handles <- h + 1;
+    m.live <- m.live + 1;
+    h
+
+  let at m dl effects =
+    let h = new_handle m in
+    Hashtbl.replace m.effects h effects;
+    insert m h dl
+
+  let every m ival n =
+    let h = new_handle m in
+    Hashtbl.replace m.every h (ival, ref n);
+    insert m h (m.now +. ival)
+
+  let cancel m k =
+    if m.handles > 0 then
+      match m.cur.(k mod m.handles) with
+      | Some e when not e.dead ->
+        e.dead <- true;
+        m.cur.(e.h) <- None;
+        m.live <- m.live - 1
+      | _ -> ()
+
+  let fire m e =
+    m.log <- (e.h, m.now) :: m.log;
+    m.cur.(e.h) <- None;
+    match Hashtbl.find_opt m.every e.h with
+    | Some (ival, left) ->
+      if !left > 0 then begin
+        decr left;
+        let next = ref (e.dl +. ival) in
+        while !next <= m.now do next := !next +. ival done;
+        insert m e.h !next
+      end
+      else m.live <- m.live - 1
+    | None ->
+      m.live <- m.live - 1;
+      List.iter
+        (function
+          | E_after d -> at m (m.now +. d) []
+          | E_cancel k -> cancel m k)
+        (Hashtbl.find m.effects e.h)
+
+  let rec drop_dead m =
+    match m.q with
+    | e :: rest when e.dead -> m.q <- rest; drop_dead m
+    | _ -> ()
+
+  let sweep m =
+    let cutoff = m.seq in
+    let fired = ref false in
+    let rec loop () =
+      drop_dead m;
+      match m.q with
+      | e :: rest when e.seq < cutoff && e.dl <= m.now ->
+        fired := true;
+        m.q <- rest;
+        (match m.pick with
+         | None -> fire m e
+         | Some pick ->
+           let rec collect acc =
+             drop_dead m;
+             match m.q with
+             | x :: rest when x.dl = e.dl && x.seq < cutoff ->
+               m.q <- rest;
+               collect (x :: acc)
+             | _ -> List.rev acc
+           in
+           let arr = Array.of_list (collect [ e ]) in
+           let n = ref (Array.length arr) in
+           while !n > 0 do
+             let i = if !n = 1 then 0 else pick !n in
+             let i = if i < 0 || i >= !n then 0 else i in
+             let x = arr.(i) in
+             arr.(i) <- arr.(!n - 1);
+             decr n;
+             if not x.dead then fire m x
+           done);
+        loop ()
+      | _ -> ()
+    in
+    loop ();
+    !fired
+
+  let run_once m cap =
+    if sweep m then true
+    else begin
+      drop_dead m;
+      match m.q with
+      | e :: _ ->
+        let target = match cap with Some c when c < e.dl -> c | _ -> e.dl in
+        if target > m.now then begin
+          m.now <- target;
+          true
+        end
+        else target = e.dl
+      | [] ->
+        (match cap with
+         | Some c when c > m.now -> m.now <- c
+         | _ -> ());
+        false
+    end
+
+  let run_until m target =
+    let rec loop () =
+      if m.now <= target && run_once m (Some target) then loop ()
+    in
+    loop ()
+end
+
+(* Drive the real loop through the same ops, logging (handle, time). *)
+let run_real pick ops =
+  let loop = Eventloop.create () in
+  Eventloop.set_tie_break loop pick;
+  let log = ref [] in
+  let timers = ref [||] and n = ref 0 in
+  let remember tm =
+    if !n = Array.length !timers then begin
+      let a = Array.make (max 16 (2 * !n)) tm in
+      Array.blit !timers 0 a 0 !n;
+      timers := a
+    end;
+    !timers.(!n) <- tm;
+    incr n
+  in
+  let cancel k = if !n > 0 then Eventloop.cancel !timers.(k mod !n) in
+  let rec at time effects =
+    let h = !n in
+    let cb () =
+      log := (h, Eventloop.now loop) :: !log;
+      List.iter
+        (function
+          | E_after d -> at (Eventloop.now loop +. d) []
+          | E_cancel k -> cancel k)
+        effects
+    in
+    remember (Eventloop.at loop time cb)
+  in
+  let every ival count =
+    let h = !n and left = ref count in
+    remember
+      (Eventloop.periodic loop ival (fun () ->
+           log := (h, Eventloop.now loop) :: !log;
+           if !left > 0 then (decr left; true) else false))
+  in
+  List.iter
+    (function
+      | At (t, es) -> at t es
+      | After (d, es) -> at (Eventloop.now loop +. d) es
+      | Every (i, c) -> every i c
+      | Burst (t, c, k) ->
+        let first = !n in
+        for _ = 1 to c do at t [] done;
+        for j = 0 to c - 1 do
+          if j mod k = 0 then Eventloop.cancel !timers.(first + j)
+        done
+      | Cancel k -> cancel k
+      | Run_once -> ignore (Eventloop.run_once loop)
+      | Run_until d ->
+        Eventloop.run_until_time loop (Eventloop.now loop +. d))
+    ops;
+  (List.rev !log, Eventloop.live_timers loop, Eventloop.now loop)
+
+let run_model pick ops =
+  let m = Model.create pick in
+  List.iter
+    (function
+      | At (t, es) -> Model.at m t es
+      | After (d, es) -> Model.at m (m.Model.now +. d) es
+      | Every (i, c) -> Model.every m i c
+      | Burst (t, c, k) ->
+        let first = m.Model.handles in
+        for _ = 1 to c do Model.at m t [] done;
+        for j = 0 to c - 1 do
+          if j mod k = 0 then Model.cancel m (first + j)
+        done
+      | Cancel k -> Model.cancel m k
+      | Run_once -> ignore (Model.run_once m None)
+      | Run_until d -> Model.run_until m (m.Model.now +. d))
+    ops;
+  (List.rev m.Model.log, m.Model.live, m.Model.now)
+
+let gen_ops =
+  let open QCheck.Gen in
+  (* Few distinct times, so deadlines collide and runs form. *)
+  let time = oneofl [ 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0 ] in
+  let delay = oneofl [ -1.0; -0.5; 0.0; 0.0; 0.5; 1.0; 2.0 ] in
+  let effect =
+    frequency
+      [ (2, map (fun d -> E_after d) delay);
+        (2, map (fun k -> E_cancel k) (int_bound 200)) ]
+  in
+  let effects = list_size (int_bound 3) effect in
+  let op =
+    frequency
+      [ (4, map2 (fun t es -> At (t, es)) time effects);
+        (4, map2 (fun d es -> After (d, es)) delay effects);
+        (1, map2 (fun i c -> Every (i, c)) (oneofl [ 0.5; 1.0; 2.0 ])
+              (int_bound 4));
+        (1, map3 (fun t c k -> Burst (t, c, k)) time (int_range 1 150)
+              (int_range 1 4));
+        (3, map (fun k -> Cancel k) (int_bound 200));
+        (3, return Run_once);
+        (2, map (fun d -> Run_until d) (oneofl [ 0.0; 0.5; 1.0; 4.0 ])) ]
+  in
+  list_size (int_range 1 80) op
+
+let arb_ops =
+  QCheck.make gen_ops ~print:(fun ops ->
+      String.concat "\n" (List.map pp_op ops))
+
+(* Run both sides with the same ops and, when [hooked], the same seeded
+   tie-break stream; then drain both to the end. *)
+let same_firings hooked ops =
+  let ops = ops @ [ Run_until 100.0 ] in
+  let hook () =
+    if hooked then
+      let st = Random.State.make [| List.length ops |] in
+      Some (fun n -> Random.State.int st (n + 1))
+    else None
+  in
+  let real = run_real (hook ()) ops and model = run_model (hook ()) ops in
+  if real <> model then begin
+    let show (log, live, now) =
+      Printf.sprintf "live %d now %g: %s" live now
+        (String.concat " "
+           (List.map (fun (h, t) -> Printf.sprintf "%d@%g" h t) log))
+    in
+    QCheck.Test.fail_reportf "real  %s\nmodel %s" (show real) (show model)
+  end
+  else true
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"timer queue fires like the sorted-list model"
+    ~count:400 arb_ops (same_firings false)
+
+let prop_queue_matches_model_hooked =
+  QCheck.Test.make
+    ~name:"timer queue fires like the sorted-list model (tie-break hook)"
+    ~count:400 arb_ops (same_firings true)
 
 let () =
   Alcotest.run "xorp_eventloop"
@@ -388,6 +801,12 @@ let () =
           Alcotest.test_case "periodic" `Quick test_periodic;
           Alcotest.test_case "cancel periodic mid-flight" `Quick
             test_periodic_cancel_mid_flight;
+          Alcotest.test_case "cancel and re-arm stays bounded" `Quick
+            test_rearm_keeps_queue_bounded;
+          Alcotest.test_case "done timers release closures" `Quick
+            test_done_timers_release_closures;
+          Alcotest.test_case "cancel within a run, then purge" `Quick
+            test_run_cancel_and_purge;
         ] );
       ( "events",
         [
@@ -427,7 +846,13 @@ let () =
         ] );
       ( "minheap",
         Alcotest.test_case "basic" `Quick test_minheap
-        :: Alcotest.test_case "stamp and peek_entry FIFO" `Quick
-             test_minheap_stamp_and_peek_entry
+        :: Alcotest.test_case "stamp and peek FIFO" `Quick
+             test_minheap_stamp_and_peek
+        :: Alcotest.test_case "filter keeps order" `Quick test_minheap_filter
+        :: Alcotest.test_case "pop releases values" `Quick
+             test_minheap_pop_releases
         :: List.map Seeded.qcheck [ prop_minheap_sorts ] );
+      ( "queue",
+        List.map Seeded.qcheck
+          [ prop_queue_matches_model; prop_queue_matches_model_hooked ] );
     ]

@@ -283,6 +283,84 @@ let connected_pair loop net =
   | Some c, Some s -> (c, s)
   | _ -> Alcotest.fail "pair did not connect"
 
+(* Ports past 16 bits (the simulated XRL family counts its listener
+   ports up from 7000) must not alias another address's port. *)
+let test_wide_ports_distinct () =
+  let loop, net = setup () in
+  let a = addr "10.0.0.1" and b = addr "10.0.0.2" in
+  let wide = Netsim.Dgram.bind net ~addr:a ~port:(65536 + 520) in
+  let narrow = Netsim.Dgram.bind net ~addr:b ~port:520 in
+  let got = ref [] in
+  Netsim.Dgram.on_receive wide (fun ~src:_ ~sport:_ d ->
+      got := ("wide", d) :: !got);
+  Netsim.Dgram.on_receive narrow (fun ~src:_ ~sport:_ d ->
+      got := ("narrow", d) :: !got);
+  Netsim.Dgram.sendto narrow ~dst:a ~dport:(65536 + 520) "to-wide";
+  Netsim.Dgram.sendto wide ~dst:b ~dport:520 "to-narrow";
+  Eventloop.run loop;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "each datagram reached its own socket"
+    [ ("wide", "to-wide"); ("narrow", "to-narrow") ]
+    (List.rev !got);
+  ignore
+    (Netsim.Stream.listen net ~addr:a ~port:(65536 + 179) (fun _ -> ()));
+  ignore (Netsim.Stream.listen net ~addr:b ~port:179 (fun _ -> ()))
+
+(* Components restart without any link being cut: every simtest
+   kill/restart closes sessions and dials new ones. Closed endpoints
+   (and the callbacks they hold) must leave the stream registry, which
+   stays within its documented bound of open + (open + 64). *)
+let test_registry_bounded_without_cuts () =
+  let loop, net = setup () in
+  let server = addr "10.0.0.2" in
+  let accepted = ref [] in
+  ignore
+    (Netsim.Stream.listen net ~addr:server ~port:179 (fun ep ->
+         accepted := ep :: !accepted));
+  let dial src =
+    let got = ref None in
+    Netsim.Stream.connect net ~src ~dst:server ~port:179 (fun ep -> got := ep);
+    Eventloop.run loop;
+    match (!got, !accepted) with
+    | Some c, s :: _ -> (c, s)
+    | _ -> Alcotest.fail "connect failed"
+  in
+  (* Five sessions that stay up throughout. *)
+  let kept = List.init 5 (fun i -> dial (Ipv4.of_octets 10 0 1 (i + 1))) in
+  let w = Weak.create 1 in
+  let worst = ref 0 in
+  for i = 1 to 1_000 do
+    let c, s = dial (Ipv4.of_octets 10 0 0 1) in
+    if i = 1 then begin
+      let payload = Bytes.make 64 'x' in
+      Weak.set w 0 (Some payload);
+      Netsim.Stream.on_close s (fun () -> ignore (Bytes.length payload))
+    end;
+    (* Close from either end, or sever, in turn. *)
+    (match i mod 3 with
+     | 0 -> Netsim.Stream.close c
+     | 1 -> Netsim.Stream.close s
+     | _ -> Netsim.Stream.sever c);
+    Eventloop.run loop;
+    let open_eps =
+      List.length
+        (List.filter Netsim.Stream.is_open
+           (List.concat_map (fun (c, s) -> [ c; s ]) kept))
+    in
+    worst := max !worst (Netsim.Stream.registered net - (2 * open_eps))
+  done;
+  check Alcotest.bool "kept sessions still open" true
+    (List.for_all
+       (fun (c, s) -> Netsim.Stream.is_open c && Netsim.Stream.is_open s)
+       kept);
+  if !worst > 64 then
+    Alcotest.failf "registry exceeded twice the open endpoints by %d" !worst;
+  accepted := [];
+  Gc.full_major ();
+  check Alcotest.bool "a closed session's callbacks were released" false
+    (Weak.check w 0)
+
 let test_cut_link_silent () =
   let loop, net = setup () in
   let a, b = link_pair in
@@ -414,6 +492,8 @@ let () =
             test_stream_fanout_fifo;
           Alcotest.test_case "120 bound dgram sockets" `Quick
             test_dgram_many_ports;
+          Alcotest.test_case "ports past 16 bits stay distinct" `Quick
+            test_wide_ports_distinct;
         ] );
       ( "links",
         [
@@ -424,6 +504,8 @@ let () =
             test_cut_link_drops_dgrams;
           Alcotest.test_case "cut is per-pair" `Quick
             test_cut_link_spares_others;
+          Alcotest.test_case "registry bounded without cuts" `Quick
+            test_registry_bounded_without_cuts;
         ] );
       ( "determinism",
         [ Alcotest.test_case "identical runs" `Quick test_determinism ] );
