@@ -74,7 +74,6 @@ type setup = {
   fea : Fea.t;
   rib : Rib.t;
   bgp : Bgp_process.t;
-  pool : Shard.t option;
   feed_peer : Injector.t;
   test_peer : Injector.t;
   feed : Feed.entry array;
@@ -89,34 +88,22 @@ let test_net i = Ipv4net.make (Ipv4.of_octets 240 (i / 250) (i mod 250) 0) 24
 
 (* Build the stack with both peerings established and the paper's one
    steady route installed. The feed is generated here but not yet
-   announced; phases announce it when (and while) they need it.
-   [domains > 1] runs the decision and arbitration stages sharded
-   across that many worker domains (docs/CONCURRENCY.md). *)
-let build ?(domains = 1) () =
+   announced; phases announce it when (and while) they need it. *)
+let build () =
   let loop = Eventloop.create ~mode:`Real () in
   let netsim = Netsim.create ~default_latency:0.0005 loop in
   let finder = Finder.create () in
   let profiler = Profiler.create loop in
   let fea = Fea.create ~profiler finder loop () in
-  let pool =
-    if domains > 1 then Some (Shard.create ~shards:domains loop ()) else None
-  in
-  let rib =
-    Rib.create ~profiler
-      ?shard_dispatch:(Option.map Shard.rib_dispatch pool)
-      finder loop ()
-  in
-  Option.iter (fun p -> Shard.connect_rib p rib) pool;
+  let rib = Rib.create ~profiler finder loop () in
   (* The peering LAN is reachable: BGP nexthops resolve. *)
   Result.get_ok
     (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.0.0/24")
        ~nexthop:Ipv4.zero ());
   let bgp =
-    Bgp_process.create ~profiler
-      ?shard_dispatch:(Option.map Shard.bgp_dispatch pool)
-      finder loop ~netsim ~local_as:65000 ~bgp_id:(addr "10.0.0.1") ()
+    Bgp_process.create ~profiler finder loop ~netsim ~local_as:65000
+      ~bgp_id:(addr "10.0.0.1") ()
   in
-  Option.iter (fun p -> Shard.connect_bgp p bgp) pool;
   let add_peer peer_addr =
     Bgp_process.add_peer bgp
       { (default_peer ~peer_addr:(addr peer_addr)
@@ -144,7 +131,7 @@ let build ?(domains = 1) () =
   Injector.announce test_peer ~nexthop:(addr "10.0.0.11")
     [ net "250.0.2.0/24" ];
   let s =
-    { loop; profiler; fea; rib; bgp; pool; feed_peer; test_peer;
+    { loop; profiler; fea; rib; bgp; feed_peer; test_peer;
       feed = Feed.generate Feed.paper_table_size; next_test = 0 }
   in
   run_real_until loop
@@ -183,40 +170,11 @@ let preload s n =
   { routes = n; bgp_s; settled_s = Unix.gettimeofday () -. t0 }
 
 let teardown s =
-  Option.iter Shard.shutdown s.pool;
   Bgp_process.shutdown s.bgp;
   Rib.shutdown s.rib;
   Fea.shutdown s.fea;
   ignore s.feed_peer;
   ignore s.test_peer
-
-(* --- domains sweep ---------------------------------------------------- *)
-
-type domains_point = { d_domains : int; d_load : load_timing }
-
-let load_rps (l : load_timing) = float_of_int l.routes /. l.settled_s
-
-(* Full-table load timed at each shard-worker count. domains=1 is the
-   unsharded pipeline — the exact code path of every other phase in
-   this bench — so the sweep's first row doubles as a baseline check. *)
-let run_domains_points ns =
-  header "Domains sweep: full-table load vs shard-worker domains";
-  paper_note
-    [ "Not a paper figure: the decision + arbitration stages sharded by";
-      "prefix range across OCaml domains (docs/CONCURRENCY.md).";
-      "domains=1 is the single-domain pipeline unchanged. Speedup needs";
-      "real cores; on a single-core container the sweep instead prices";
-      "the cross-domain message passing, which must stay moderate." ];
-  List.map
-    (fun d ->
-       let s = build ~domains:d () in
-       let load = preload s Feed.paper_table_size in
-       pf
-         "domains %d: %d routes, BGP in %.2fs, settled through FIB in %.2fs (%.0f routes/s)\n"
-         d load.routes load.bgp_s load.settled_s (load_rps load);
-       teardown s;
-       { d_domains = d; d_load = load })
-    ns
 
 (* --- tracing test routes through the profile points ------------------ *)
 
@@ -408,7 +366,7 @@ let during_gate_floor_ms = 10.0
 
 (* --- JSON output ----------------------------------------------------- *)
 
-let emit_json ~path ~load ?gate ?domains_sweep experiments =
+let emit_json ~path ~load ?gate experiments =
   let buf = Buffer.create 4096 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "{\n";
@@ -428,20 +386,6 @@ let emit_json ~path ~load ?gate ?domains_sweep experiments =
        "  \"initial_load\": { \"routes\": %d, \"bgp_s\": %.3f, \"settled_s\": %.3f, \"routes_per_s\": %.0f },\n"
        l.routes l.bgp_s l.settled_s
        (float_of_int l.routes /. l.settled_s)
-   | None -> ());
-  (match domains_sweep with
-   | Some pts ->
-     bpf "  \"domains_sweep\": [\n";
-     let n_pts = List.length pts in
-     List.iteri
-       (fun i p ->
-          bpf
-            "    { \"domains\": %d, \"routes\": %d, \"bgp_s\": %.3f, \"settled_s\": %.3f, \"routes_per_s\": %.0f }%s\n"
-            p.d_domains p.d_load.routes p.d_load.bgp_s p.d_load.settled_s
-            (load_rps p.d_load)
-            (if i = n_pts - 1 then "" else ","))
-       pts;
-     bpf "  ],\n"
    | None -> ());
   bpf "  \"experiments\": [\n";
   List.iteri
@@ -672,8 +616,6 @@ let run_all () =
   in
   teardown s;
 
-  let sweep = run_domains_points [ 1; 2; 4; 8 ] in
-
   header "Figures 10-12 shape summary";
   let k10 = kernel_avg fig10
   and k50 = kernel_avg occ50
@@ -689,27 +631,4 @@ let run_all () =
     (k11 /. k10);
   pf "different-peering vs same: %.2fx (paper: 1.22x)\n" (k12 /. k11);
   emit_json ~path:"BENCH_pipeline.json" ~load:(Some load)
-    ~gate:(idle_p50, during_p50, gate_limit) ~domains_sweep:sweep
-    (List.rev !results)
-
-(* Standalone sweep (the full pipeline bench also runs it and records
-   the series in BENCH_pipeline.json). *)
-let run_domains () = ignore (run_domains_points [ 1; 2; 4; 8 ])
-
-(* CI gate: the sharded pipeline must load the full table, settle, and
-   tear down cleanly, at a throughput no worse than ~1/3 of the
-   measured single-core rate (same headroom policy as the 60 s
-   full-load budget — the gate catches the sharded path collapsing,
-   not container jitter). *)
-let domains_smoke_floor_rps = 5000.0
-
-let run_domains_smoke () =
-  match run_domains_points [ 4 ] with
-  | [ p ] ->
-    let rps = load_rps p.d_load in
-    if rps < domains_smoke_floor_rps then
-      failwith
-        (Printf.sprintf
-           "sharded load at 4 domains ran at %.0f routes/s, floor is %.0f"
-           rps domains_smoke_floor_rps)
-  | _ -> assert false
+    ~gate:(idle_p50, during_p50, gate_limit) (List.rev !results)

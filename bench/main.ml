@@ -20,12 +20,6 @@ let experiments =
     ("pipeline",
      "figures 10-12 + occupancy/during-load/churn sweep, emits BENCH_pipeline.json",
      Fig_latency.run_all);
-    ("domains",
-     "full-table load throughput vs shard-worker domains {1,2,4,8}",
-     Fig_latency.run_domains);
-    ("domains-smoke",
-     "CI smoke: sharded load at 4 domains with a routes/s floor gate",
-     Fig_latency.run_domains_smoke);
     ("fig13", "event-driven vs 30s scanners (Figure 13)", Fig13.run);
     ("converge",
      "network-wide convergence after a link flap, {3,10,30,100} routers, \
@@ -72,13 +66,11 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: [] | _ :: "all" :: _ ->
     (* "all" skips the aggregates already covered elsewhere: "pipeline"
-       re-runs figs 10-12 plus the domains sweep, and the smoke entries
-       exist for CI. *)
+       re-runs figs 10-12, and the smoke entries exist for CI. *)
     List.iter
       (fun (name, _, f) ->
          if
-           name <> "pipeline" && name <> "smoke" && name <> "domains"
-           && name <> "domains-smoke" && name <> "converge-smoke"
+           name <> "pipeline" && name <> "smoke" && name <> "converge-smoke"
          then (ignore name; f ()))
       experiments
   | _ :: "list" :: _ -> list_them ()

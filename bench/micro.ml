@@ -125,12 +125,24 @@ let test_timer_queue =
     burst "eventloop.256-timers/distinct" float_of_int;
     after_cancels ]
 
+(* One [`Real]-mode iteration with no descriptor registered: a deferred
+   no-op keeps the loop from blocking, so this is the loop's own
+   per-iteration constant. A syscall added to every iteration (a
+   [select] on an internal descriptor, say) shows up here at once. *)
+let test_real_iteration =
+  let loop = Eventloop.create ~mode:`Real () in
+  let noop () = () in
+  Test.make ~name:"eventloop.run_once/real-no-fds"
+    (Staged.stage (fun () ->
+         Eventloop.defer loop noop;
+         ignore (Eventloop.run_once loop)))
+
 let all_tests =
   Test.make_grouped ~name:"micro"
     ([ test_encode 0; test_encode 10; test_encode 25;
        test_decode 0; test_decode 10; test_decode 25 ]
      @ test_ptree_ops @ [ test_policy ] @ test_bgp_encode
-     @ test_deadline_overhead @ test_timer_queue)
+     @ test_deadline_overhead @ test_timer_queue @ [ test_real_iteration ])
 
 let run () =
   Bench_util.header "Micro-benchmarks (Bechamel)";

@@ -20,12 +20,11 @@ let read_file path =
     Ok s
   with Sys_error e -> Error e
 
-let opts_of ~bug ~trace ~domains =
+let opts_of ~bug ~trace =
   { Simtest.fea_rebirth_replay = (bug <> Some "rib-no-replay");
     dataplane_ttl_leak = (bug = Some "dataplane-ttl-leak");
     bgp_lane_unordered = (bug = Some "lane-reorder");
     rib_resync = (bug <> Some "rib-no-resync");
-    domains;
     bgp_redump = (bug <> Some "mesh-partition-heal");
     log_trace = trace }
 
@@ -84,8 +83,7 @@ let topo_boot ~size ~seed ~quiet =
     Printf.printf "deterministic: two boots agree byte-for-byte\n";
   exit 0
 
-let run_main seeds base seed replay bug trace quiet domains topo topo_boot_size
-    =
+let run_main seeds base seed replay bug trace quiet topo topo_boot_size =
   (match bug with
    | None | Some "rib-no-replay" | Some "dataplane-ttl-leak"
    | Some "lane-reorder" | Some "rib-no-resync"
@@ -103,11 +101,7 @@ let run_main seeds base seed replay bug trace quiet domains topo topo_boot_size
      prerr_endline "--topo-boot must be >= 1";
      exit 2
    | None -> ());
-  if domains < 1 then begin
-    prerr_endline "--domains must be >= 1";
-    exit 2
-  end;
-  let opts = opts_of ~bug ~trace ~domains in
+  let opts = opts_of ~bug ~trace in
   match (seed, replay) with
   | Some _, Some _ ->
     prerr_endline "--seed and --replay are mutually exclusive";
@@ -207,16 +201,6 @@ let trace_arg =
 let quiet_arg =
   Arg.(value & flag & info [ "quiet" ] ~doc:"Only report failures.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Run the DUT's BGP decision and RIB arbitration sharded by \
-              prefix range across N worker domains (default 1: the classic \
-              single-domain staged pipeline, which is also the only mode \
-              with byte-deterministic traces — keep 1 when fuzzing for \
-              counterexamples to shrink).")
-
 let topo_arg =
   Arg.(
     value & flag
@@ -242,6 +226,6 @@ let cmd =
        ~doc:"Deterministic whole-router simulation fuzzer")
     Term.(
       const run_main $ seeds_arg $ base_arg $ seed_arg $ replay_arg $ bug_arg
-      $ trace_arg $ quiet_arg $ domains_arg $ topo_arg $ topo_boot_arg)
+      $ trace_arg $ quiet_arg $ topo_arg $ topo_boot_arg)
 
 let () = exit (Cmd.eval cmd)

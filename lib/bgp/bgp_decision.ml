@@ -87,7 +87,6 @@ class decision_table ~name () =
       Hashtbl.remove infos peer_id
 
     method peer_info peer_id = Hashtbl.find_opt infos peer_id
-    method parent_count = List.length parents
     method winner_count = Ptree.size winners
 
     method private best net =
@@ -135,103 +134,4 @@ class decision_table ~name () =
       fun f init -> Ptree.fold (fun _ r acc -> f r acc) winners init
 
     method winners_iter = Ptree.Safe_iter.start winners
-  end
-
-(* --- sharded decision (multicore pipeline) --------------------------- *)
-
-(* The reading surface Bgp_process needs from "the decision stage",
-   satisfied both by the classic pull-based decision_table above and by
-   the shard_mirror below. Keeping the surface narrow is what lets the
-   sharded and single-domain pipelines share every other stage. *)
-class type view = object
-  method tbl_name : string
-  method add_route : Bgp_types.route -> unit
-  method delete_route : Bgp_types.route -> unit
-  method lookup_route : Ipv4net.t -> Bgp_types.route option
-  method set_next : Bgp_table.table option -> unit
-  method add_parent : info:Bgp_types.peer_info -> Bgp_table.table -> unit
-  method remove_parent : int -> unit
-  method peer_info : int -> Bgp_types.peer_info option
-  method parent_count : int
-  method winner_count : int
-  method fold_winners : 'acc. (Bgp_types.route -> 'acc -> 'acc) -> 'acc -> 'acc
-  method winners_iter : Bgp_types.route Ptree.Safe_iter.it
-end
-
-(* Operations the sharded decision stage sends to its shard pool. Route
-   ops are owner-routed by prefix; peer metadata is broadcast, since
-   every shard may hold candidates from every peer. *)
-type shard_op =
-  | Shard_add of Bgp_types.route
-  | Shard_delete of Bgp_types.route
-  | Shard_peer of Bgp_types.peer_info     (* peer branch attached *)
-  | Shard_peer_gone of int                (* peer branch detached *)
-
-(* Stands where decision_table stands when the decision computation
-   runs on shard-worker domains instead. Inbound route ops are
-   forwarded to the pool via [dispatch] (tagged with the ambient lane);
-   winner deltas coming back are applied with [apply_winner], which
-   maintains the local winner mirror — the duplicated state serving
-   lookups, winner dumps and the fanout — and pushes the delta
-   downstream to the fanout under the delta's lane. *)
-class shard_mirror ~name
-    ~(dispatch : lane:Laneq.lane -> shard_op -> unit) () =
-  object (self)
-    inherit Bgp_table.base name
-    val h_add = Telemetry.histogram ("bgp." ^ name ^ ".add_us")
-    val h_del = Telemetry.histogram ("bgp." ^ name ^ ".delete_us")
-    val infos : (int, Bgp_types.peer_info) Hashtbl.t = Hashtbl.create 16
-    val winners : Bgp_types.route Ptree.t = Ptree.create ()
-    val mutable parent_count = 0
-
-    method add_parent ~(info : Bgp_types.peer_info) (_ : Bgp_table.table) =
-      parent_count <- parent_count + 1;
-      Hashtbl.replace infos info.peer_id info;
-      dispatch ~lane:(Bgp_types.current_lane ()) (Shard_peer info)
-
-    method remove_parent peer_id =
-      parent_count <- parent_count - 1;
-      Hashtbl.remove infos peer_id;
-      dispatch ~lane:(Bgp_types.current_lane ()) (Shard_peer_gone peer_id)
-
-    method peer_info peer_id = Hashtbl.find_opt infos peer_id
-    method parent_count = parent_count
-    method winner_count = Ptree.size winners
-
-    method add_route r =
-      Telemetry.time h_add (fun () ->
-          dispatch ~lane:(Bgp_types.current_lane ()) (Shard_add r))
-
-    method delete_route r =
-      Telemetry.time h_del (fun () ->
-          dispatch ~lane:(Bgp_types.current_lane ()) (Shard_delete r))
-
-    method lookup_route net = Ptree.find winners net
-
-    method fold_winners
-      : 'acc. (Bgp_types.route -> 'acc -> 'acc) -> 'acc -> 'acc =
-      fun f init -> Ptree.fold (fun _ r acc -> f r acc) winners init
-
-    method winners_iter = Ptree.Safe_iter.start winners
-
-    (* Winner delta computed by the owning shard. Diffing against the
-       mirror (rather than trusting a carried old value) makes
-       re-application after a replay idempotent. *)
-    method apply_winner ~(lane : Laneq.lane) net
-        (now : Bgp_types.route option) =
-      let old = Ptree.find winners net in
-      let push f r = Bgp_types.with_lane lane (fun () -> f r) in
-      match old, now with
-      | None, None -> ()
-      | Some o, Some w when Bgp_types.route_equal o w -> ()
-      | None, Some w ->
-        ignore (Ptree.insert winners net w);
-        push self#push_add w
-      | Some o, None ->
-        ignore (Ptree.remove winners net);
-        push self#push_delete o
-      | Some o, Some w ->
-        ignore (Ptree.insert winners net w);
-        push self#push_delete o;
-        push self#push_add w
   end

@@ -86,14 +86,7 @@ type t = {
      withdrawals are attributed to the right origin protocol *)
   peer_kinds : (int, Bgp_types.peer_kind) Hashtbl.t;
   mutable next_peer_id : int;
-  decision : Bgp_decision.view;
-  (* Present when the decision stage runs on shard-worker domains:
-     [decision] is then the mirror forwarding ops to the pool, and
-     winner deltas come back through [apply_winner_delta], whose fanout
-     push reaches the RIB over the ordinary RIB branch — the XRL
-     boundary is the same in both modes, so [replay_winners] (reading
-     the mirror) also covers RIB-rebirth resync unchanged. *)
-  shard_mirror : Bgp_decision.shard_mirror option;
+  decision : Bgp_decision.decision_table;
   fanout : Bgp_fanout.fanout_table;
   local_ribin : Bgp_ribin.rib_in;
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
@@ -796,13 +789,6 @@ let build_peer t (cfg : peer_config) =
 let route_count t = t.decision#winner_count
 let fold_winners t f init = t.decision#fold_winners f init
 
-(* --- sharded-mode hooks (see lib/shard) ------------------------------ *)
-
-let apply_winner_delta t ~lane net now =
-  match t.shard_mirror with
-  | Some m -> m#apply_winner ~lane net now
-  | None -> invalid_arg "Bgp_process.apply_winner_delta: not sharded"
-
 let originate t net =
   t.local_ribin#add_route
     { Bgp_types.net;
@@ -881,27 +867,14 @@ let add_xrl_handlers t =
 let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
     ?(bgp_port = 179) ?(inbound_slice = 64) ?(urgent_threshold = 64)
     ?(lane_ordered = true) ?(rib_rebirth_resync = true)
-    ?(redump_on_reestablish = true) ?shard_dispatch
-    finder loop ~netsim ~local_as ~bgp_id () =
+    ?(redump_on_reestablish = true) finder loop ~netsim ~local_as ~bgp_id () =
   if inbound_slice < 1 || urgent_threshold < 1 then
     invalid_arg "Bgp_process.create";
   (* A fresh generation starts its metric namespace from zero, so a
      restarted BGP process does not inherit the dead instance's counts. *)
   Telemetry.reset_prefix "bgp.";
   let router = Xrl_router.create ?families finder loop ~class_name:"bgp" () in
-  let shard_mirror =
-    match shard_dispatch with
-    | None -> None
-    | Some dispatch ->
-      Some (new Bgp_decision.shard_mirror ~name:"decision" ~dispatch ())
-  in
-  let decision : Bgp_decision.view =
-    match shard_mirror with
-    | Some m -> (m :> Bgp_decision.view)
-    | None ->
-      (new Bgp_decision.decision_table ~name:"decision" ()
-        :> Bgp_decision.view)
-  in
+  let decision = new Bgp_decision.decision_table ~name:"decision" () in
   let t =
     lazy
       (let fanout =
@@ -921,7 +894,7 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
          g_inbound = Telemetry.gauge "bgp.inbound.backlog";
          peers = Hashtbl.create 8; peer_kinds = Hashtbl.create 8;
          next_peer_id = 0;
-         decision; shard_mirror; fanout;
+         decision; fanout;
          local_ribin = new Bgp_ribin.rib_in ~name:"local" ~peer_id:0 loop;
          listeners = Hashtbl.create 4;
          rib_q = Laneq.create ~ordered:lane_ordered ();
@@ -949,11 +922,7 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
   t.decision#add_parent
     ~info:(Bgp_types.local_peer_info ~local_as ~bgp_id)
     (t.local_ribin :> Bgp_table.table);
-  (* RIB branch reads the fanout like any peer — in sharded mode too:
-     decision winners come back from the shard pool into the mirror,
-     whose diff pushes through the fanout, and from here they reach
-     the RIB over the same XRL boundary as ever (the RIB then routes
-     them to the owner shard's arbitration stage). *)
+  (* RIB branch reads the fanout like any peer. *)
   let rib_branch = make_rib_branch t in
   t.fanout#add_reader
     ~info:

@@ -62,7 +62,6 @@ val create :
   ?lane_ordered:bool ->
   ?rib_rebirth_resync:bool ->
   ?redump_on_reestablish:bool ->
-  ?shard_dispatch:(lane:Laneq.lane -> Bgp_decision.shard_op -> unit) ->
   Finder.t -> Eventloop.t -> netsim:Netsim.t ->
   local_as:int -> bgp_id:Ipv4.t -> unit -> t
 (** Registers component class ["bgp"] with the Finder. [families]
@@ -107,16 +106,6 @@ val create :
     heals only post-heal deltas flow, so routes that predate the cut
     never reach the peer again.
 
-    [shard_dispatch] switches the decision stage into {e sharded}
-    mode (docs/CONCURRENCY.md): route operations reaching Decision are
-    forwarded to the callback (tagged with their ambient lane) instead
-    of being decided in-process, and the winner table becomes a mirror
-    fed by {!apply_winner_delta}. Everything upstream (sessions,
-    staging, filters, nexthop resolution) and downstream (fanout,
-    per-peer export branches, the RIB branch) is unchanged: a winner
-    delivered by a shard worker travels to the RIB over the same XRL
-    boundary as a single-domain decision result.
-
     @raise Invalid_argument if [inbound_slice] or [urgent_threshold]
     is not positive. *)
 
@@ -150,17 +139,6 @@ val route_count : t -> int
 
 val fold_winners : t -> (Bgp_types.route -> 'a -> 'a) -> 'a -> 'a
 (** Fold over the post-decision winner table (prefix order). *)
-
-(** {1 Sharded-mode hooks} (wired by [Shard.connect_bgp]) *)
-
-val apply_winner_delta :
-  t -> lane:Laneq.lane -> Ipv4net.t -> Bgp_types.route option -> unit
-(** Sharded mode only: install the decision winner computed by a shard
-    worker for one prefix ([None] = no winner). The delta is diffed
-    against the local winner mirror (idempotent under replay) and
-    pushed to the fanout under [lane] — from where it reaches peers and
-    the RIB branch exactly as a single-domain decision change would.
-    @raise Invalid_argument when the process is not sharded. *)
 
 val ribin_count : t -> Ipv4.t -> int
 (** Routes currently stored in one peer's PeerIn. *)

@@ -61,16 +61,6 @@ and t = {
   mutable stopping : bool;
   mutable dispatched : int;
   mutable tie_break : (int -> int) option;
-  (* Cross-domain injection ([post]): the only fields of [t] that any
-     other domain may touch, always under [posted_mu]. Everything else
-     is owned by the loop's domain. *)
-  posted : (unit -> unit) Queue.t;
-  posted_mu : Mutex.t;
-  (* Self-pipe ([`Real] mode only): [post] writes a byte so a loop
-     blocked in [select] wakes immediately. Never registered in
-     [readers], so it does not count as work for [has_work]/[run]. *)
-  wake_rd : Unix.file_descr option;
-  wake_wr : Unix.file_descr option;
 }
 
 and t_ref = t
@@ -83,15 +73,6 @@ let rec no_timer =
 let no_run = { head = no_timer; last = no_timer; due = nan }
 
 let create ?(mode = `Sim) () =
-  let wake_rd, wake_wr =
-    match mode with
-    | `Sim -> (None, None)
-    | `Real ->
-      let rd, wr = Unix.pipe () in
-      Unix.set_nonblock rd;
-      Unix.set_nonblock wr;
-      (Some rd, Some wr)
-  in
   let rec t =
     {
       mode;
@@ -110,10 +91,6 @@ let create ?(mode = `Sim) () =
       stopping = false;
       dispatched = 0;
       tie_break = None;
-      posted = Queue.create ();
-      posted_mu = Mutex.create ();
-      wake_rd;
-      wake_wr;
     }
   in
   t
@@ -242,52 +219,6 @@ let retire_task task =
   end
 
 let remove_task = retire_task
-
-(* [post] is callable from any domain: it only touches [posted] (under
-   the mutex) and the write end of the self-pipe. One wakeup byte per
-   empty-to-non-empty transition is enough — the loop drains the whole
-   queue every iteration. *)
-let post t cb =
-  Mutex.lock t.posted_mu;
-  let was_empty = Queue.is_empty t.posted in
-  Queue.push cb t.posted;
-  Mutex.unlock t.posted_mu;
-  if was_empty then
-    match t.wake_wr with
-    | None -> ()
-    | Some fd ->
-      (try ignore (Unix.single_write fd (Bytes.make 1 '!') 0 1) with
-       | Unix.Unix_error
-           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _)
-         -> ())
-
-let posted_pending t =
-  Mutex.lock t.posted_mu;
-  let p = not (Queue.is_empty t.posted) in
-  Mutex.unlock t.posted_mu;
-  p
-
-(* Loop-domain only: move posted closures into the deferred queue so
-   they run with ordinary deferred-event semantics this iteration. *)
-let drain_posted t =
-  Mutex.lock t.posted_mu;
-  Queue.transfer t.posted t.deferred;
-  Mutex.unlock t.posted_mu
-
-let drain_wake t =
-  match t.wake_rd with
-  | None -> ()
-  | Some fd ->
-    let buf = Bytes.create 64 in
-    let rec go () =
-      match Unix.read fd buf 0 64 with
-      | 64 -> go ()
-      | _ -> ()
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    in
-    go ()
 
 let add_reader t fd cb = Hashtbl.replace t.readers fd cb
 let remove_reader t fd = Hashtbl.remove t.readers fd
@@ -477,7 +408,6 @@ let run_one_task t =
 
 let poll_fds t timeout =
   let rds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.readers [] in
-  let rds = match t.wake_rd with Some fd -> fd :: rds | None -> rds in
   let wrs = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.writers [] in
   if rds = [] && wrs = [] then begin
     if timeout > 0.0 then Unix.sleepf (min timeout 0.1);
@@ -489,11 +419,9 @@ let poll_fds t timeout =
     | rready, wready, _ ->
       List.iter
         (fun fd ->
-           if t.wake_rd = Some fd then drain_wake t
-           else
-             match Hashtbl.find_opt t.readers fd with
-             | Some cb -> dispatch t cb
-             | None -> ())
+           match Hashtbl.find_opt t.readers fd with
+           | Some cb -> dispatch t cb
+           | None -> ())
         rready;
       List.iter
         (fun fd ->
@@ -507,13 +435,11 @@ let poll_fds t timeout =
 let has_work t =
   not (Queue.is_empty t.deferred)
   || t.live_timers > 0 || t.live_tasks > 0
-  || posted_pending t
   || (t.mode = `Real
       && (Hashtbl.length t.readers > 0 || Hashtbl.length t.writers > 0))
 
 (* One iteration; [cap] bounds how far the virtual clock may jump. *)
 let run_once_capped t cap =
-  drain_posted t;
   let progressed = run_deferred t in
   let progressed = fire_due_timers t progressed in
   let progressed =
@@ -522,7 +448,6 @@ let run_once_capped t cap =
       let timeout =
         if progressed || t.live_tasks > 0
            || not (Queue.is_empty t.deferred)
-           || posted_pending t
         then 0.0
         else if has_pending t then
           max 0.0 (min (next_due t -. now t) 0.1)
@@ -585,7 +510,6 @@ let run_until_idle t =
   let work_now () =
     (not (Queue.is_empty t.deferred))
     || t.live_tasks > 0
-    || posted_pending t
     || due_now t
   in
   while (not t.stopping) && work_now () do
@@ -601,5 +525,4 @@ let live_tasks t = t.live_tasks
 let quiescent t =
   Queue.is_empty t.deferred
   && t.live_tasks = 0
-  && (not (posted_pending t))
   && not (due_now t)

@@ -14,7 +14,10 @@
     - [`Sim]: [now] is a virtual clock that jumps instantaneously to the
       next timer deadline when the loop is otherwise idle, making long
       experiments (Figure 13's 255 seconds) run in milliseconds and
-      fully deterministically. *)
+      fully deterministically.
+
+    A loop and all its timers, tasks and callbacks belong to the one
+    domain that creates and runs it. *)
 
 type t
 
@@ -70,26 +73,6 @@ val timer_pending : timer -> bool
 
 val defer : t -> (unit -> unit) -> unit
 
-(** {1 Cross-domain injection}
-
-    Everything else in this interface is single-domain: a loop and all
-    its timers, tasks and callbacks belong to the domain that runs it.
-    [post] is the one exception — the wakeup half of the cross-domain
-    mailbox contract (see docs/CONCURRENCY.md). *)
-
-val post : t -> (unit -> unit) -> unit
-(** [post loop cb] hands [cb] to [loop] from {e any} domain: it is
-    queued thread-safely and runs on the loop's own domain with
-    deferred-event semantics on the next iteration. In [`Real] mode a
-    self-pipe wakes a loop blocked in [select] immediately; in [`Sim]
-    mode the closure is picked up the next time the loop is driven
-    (the virtual clock has no blocking wait to interrupt). Posted work
-    counts as pending work for {!quiescent} exactly like a deferred
-    event.
-    [cb] runs on the loop's domain, so it may touch loop-owned state;
-    the values it captures must not be mutated by the posting domain
-    afterwards. *)
-
 (** {1 Background tasks (§4, §5.1.2)} *)
 
 type task
@@ -124,7 +107,7 @@ val run_once : t -> bool
     descriptors, else run one background-task slice, else ([`Sim])
     advance the virtual clock to the next deadline. Returns [false]
     when the loop made no progress (fully idle with nothing pending —
-    in [`Real] mode after an up-to-100ms [select] wait). *)
+    in [`Real] mode after waiting up to 100 ms). *)
 
 val run : ?until:(unit -> bool) -> t -> unit
 (** Iterate until [until ()] is true (checked between iterations) or

@@ -8,12 +8,6 @@ let pp_sent_fea = "rib_sent_fea"
 
 type fea_op = [ `Add of Rib_route.t | `Delete of Rib_route.t ]
 
-(* Operations a sharded RIB forwards to its shard pool instead of
-   running through an in-process merge pipeline (docs/CONCURRENCY.md). *)
-type shard_op =
-  | Shard_add of Rib_route.t
-  | Shard_delete of { protocol : string; net : Ipv4net.t }
-
 type t = {
   router : Xrl_router.t;
   loop : Eventloop.t;
@@ -21,15 +15,6 @@ type t = {
   origins : (string, Origin_table.origin_table) Hashtbl.t;
   register : Register_table.register_table;
   redist : Redist_table.redist_table;
-  (* Sharded mode: route arbitration runs on shard-worker domains.
-     [shard_dispatch] forwards each origin-table change to the pool;
-     winners come back through [apply_winner_delta] and enter the
-     pipeline at [register]. [sharded_origins] mirrors per-protocol
-     origin contents on this domain so the direct API (known-protocol
-     checks, delete-of-absent errors, per-protocol counts and flushes)
-     answers without crossing domains. *)
-  shard_dispatch : (lane:Laneq.lane -> shard_op -> unit) option;
-  sharded_origins : (string, Rib_route.t Ptree.t) Hashtbl.t;
   send_to_fea : bool;
   bulk_fea : bool;
   (* Outbound transmit queue towards the FEA: route changes made
@@ -298,72 +283,30 @@ let build_pipeline t_router loop =
   Rib_table.plumb register redist;
   (origins, register, redist)
 
-(* Sharded-mode pipeline: the origin/merge/extint stages live inside
-   the shard workers; on this domain only the post-arbitration tail
-   (register -> redist -> sink) remains, fed by [apply_winner_delta]. *)
-let build_sharded_pipeline t_router =
-  let register =
-    new Register_table.register_table ~name:"register"
-      ~notify:(fun client valid -> notify_invalid (t_router ()) client valid)
-      ()
-  in
-  let redist =
-    new Redist_table.redist_table ~name:"redist"
-      ~parent:(register :> Rib_table.table) ()
-  in
-  Rib_table.plumb register redist;
-  (Hashtbl.create 1, register, redist)
-
 (* --- direct API ------------------------------------------------------ *)
 
 let origin_of t protocol = Hashtbl.find_opt t.origins protocol
 
-let sharded_slice t protocol = Hashtbl.find_opt t.sharded_origins protocol
-
 let add_route t ~protocol ~net ~nexthop ?(metric = 0) () =
-  match t.shard_dispatch with
-  | Some dispatch ->
-    (match sharded_slice t protocol with
-     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-     | Some slice ->
-       let r = Rib_route.make ~net ~nexthop ~metric ~protocol () in
-       ignore (Ptree.insert slice net r);
-       dispatch ~lane:t.fea_lane (Shard_add r);
-       Ok ())
-  | None ->
-    (match origin_of t protocol with
-     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-     | Some origin ->
-       let r = Rib_route.make ~net ~nexthop ~metric ~protocol () in
-       origin#originate r;
-       Ok ())
+  match origin_of t protocol with
+  | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
+  | Some origin ->
+    let r = Rib_route.make ~net ~nexthop ~metric ~protocol () in
+    origin#originate r;
+    Ok ()
 
 let delete_route t ~protocol ~net =
-  match t.shard_dispatch with
-  | Some dispatch ->
-    (match sharded_slice t protocol with
-     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-     | Some slice ->
-       (match Ptree.remove slice net with
-        | Some _ ->
-          dispatch ~lane:t.fea_lane (Shard_delete { protocol; net });
-          Ok ()
-        | None ->
-          Error
-            (Printf.sprintf "%s has no route for %s" protocol
-               (Ipv4net.to_string net))))
-  | None ->
-    (match origin_of t protocol with
-     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-     | Some origin ->
-       (match origin#lookup_route net with
-        | Some _ ->
-          origin#withdraw net;
-          Ok ()
-        | None ->
-          Error
-            (Printf.sprintf "%s has no route for %s" protocol
-               (Ipv4net.to_string net))))
+  match origin_of t protocol with
+  | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
+  | Some origin ->
+    (match origin#lookup_route net with
+     | Some _ ->
+       origin#withdraw net;
+       Ok ()
+     | None ->
+       Error
+         (Printf.sprintf "%s has no route for %s" protocol
+            (Ipv4net.to_string net)))
 
 let lookup_best t addr = t.register#lookup_best addr
 let route_count t = t.register#route_count
@@ -389,68 +332,19 @@ let subscribe_redist t ~name ~policy ~on_add ~on_delete =
 let unsubscribe_redist t ~name = t.redist#unsubscribe name
 
 let protocols t =
-  let tbl =
-    match t.shard_dispatch with
-    | Some _ -> Hashtbl.fold (fun p _ acc -> p :: acc) t.sharded_origins []
-    | None -> Hashtbl.fold (fun p _ acc -> p :: acc) t.origins []
-  in
-  List.sort compare tbl
+  List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.origins [])
 
 let origin_route_count t protocol =
-  match t.shard_dispatch with
-  | Some _ ->
-    (match sharded_slice t protocol with
-     | Some slice -> Ptree.size slice
-     | None -> 0)
-  | None ->
-    (match origin_of t protocol with
-     | Some origin -> origin#route_count
-     | None -> 0)
+  match origin_of t protocol with
+  | Some origin -> origin#route_count
+  | None -> 0
 
 let flush_protocol t protocol =
-  match t.shard_dispatch with
-  | Some dispatch ->
-    (match sharded_slice t protocol with
-     | Some slice ->
-       let entries = Ptree.to_list slice in
-       if entries <> [] then begin
-         Log.info (fun m ->
-             m "flushing %d %s routes to the shard pool"
-               (List.length entries) protocol);
-         Ptree.clear slice;
-         List.iter
-           (fun (net, _) ->
-              dispatch ~lane:Laneq.Bulk (Shard_delete { protocol; net }))
-           entries
-       end
-     | None -> ())
-  | None ->
-    (match origin_of t protocol with
-     | Some origin ->
-       Log.info (fun m -> m "flushing %s routes in the background" protocol);
-       origin#clear_gradually ()
-     | None -> ())
-
-(* Winner delta computed by a shard worker for a prefix this RIB owns
-   downstream state for: diff against the register stage's current
-   answer and drive it through the ordinary add/delete push path, so
-   interest invalidation, redistribution and the FEA sink all see a
-   sharded winner exactly as they would a merged one. Diffing here
-   (rather than trusting a carried old value) makes re-application
-   after a replay idempotent. *)
-let apply_winner_delta t ~lane net (now : Rib_route.t option) =
-  let reg = t.register in
-  let old = reg#lookup_route net in
-  let src = (reg :> Rib_table.table) in
-  with_fea_lane t lane @@ fun () ->
-  match old, now with
-  | None, None -> ()
-  | Some o, Some n when Rib_route.equal o n -> ()
-  | None, Some n -> reg#add_route src n
-  | Some o, None -> reg#delete_route src o
-  | Some o, Some n ->
-    reg#delete_route src o;
-    reg#add_route src n
+  match origin_of t protocol with
+  | Some origin ->
+    Log.info (fun m -> m "flushing %s routes in the background" protocol);
+    origin#clear_gradually ()
+  | None -> ()
 
 let xrl_router t = t.router
 let invalidations_sent t = t.register#invalidations_sent
@@ -707,8 +601,7 @@ let watch_fea_lifecycle ?(rebirth_replay = true) t finder =
         end)
 
 let create ?families ?batching ?profiler ?(send_to_fea = true)
-    ?(bulk_fea = true) ?(fea_rebirth_replay = true) ?shard_dispatch finder
-    loop () =
+    ?(bulk_fea = true) ?(fea_rebirth_replay = true) finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted RIB does not inherit the dead instance's counts. *)
   Telemetry.reset_prefix "rib.";
@@ -718,20 +611,10 @@ let create ?families ?batching ?profiler ?(send_to_fea = true)
   in
   let t_ref = ref None in
   let origins, register, redist =
-    match shard_dispatch with
-    | None -> build_pipeline (fun () -> Option.get !t_ref) loop
-    | Some _ -> build_sharded_pipeline (fun () -> Option.get !t_ref)
+    build_pipeline (fun () -> Option.get !t_ref) loop
   in
-  let sharded_origins = Hashtbl.create 8 in
-  (match shard_dispatch with
-   | Some _ ->
-     List.iter
-       (fun p -> Hashtbl.replace sharded_origins p (Ptree.create ()))
-       (igp_protocols @ egp_protocols)
-   | None -> ());
   let t =
     { router; loop; profiler; origins; register; redist; send_to_fea;
-      shard_dispatch; sharded_origins;
       bulk_fea; fea_q = Laneq.create (); fea_flush_armed = false;
       fea_lane = Laneq.Urgent;
       g_fea_depth = Telemetry.gauge "rib.fea_q.depth";

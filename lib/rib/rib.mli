@@ -28,21 +28,10 @@
 
 type t
 
-(** Operations a sharded RIB forwards to its shard pool in place of the
-    in-process origin/merge/extint stages (see docs/CONCURRENCY.md and
-    {!Shard} in [lib/shard]). Route arbitration then happens on the
-    pool's worker domains; winners return via {!apply_winner_delta}. *)
-type shard_op =
-  | Shard_add of Rib_route.t
-      (** A protocol originated (or replaced) a route. *)
-  | Shard_delete of { protocol : string; net : Ipv4net.t }
-      (** A protocol withdrew its route for [net]. *)
-
 val create :
   ?families:Pf.family list -> ?batching:bool ->
   ?profiler:Profiler.t -> ?send_to_fea:bool -> ?bulk_fea:bool ->
   ?fea_rebirth_replay:bool ->
-  ?shard_dispatch:(lane:Laneq.lane -> shard_op -> unit) ->
   Finder.t -> Eventloop.t -> unit -> t
 (** Registers class ["rib"] (sole) with the Finder. With
     [send_to_fea] (default true), winner changes are pushed to the
@@ -62,15 +51,7 @@ val create :
     current winners; when false, only the deltas held during the
     outage are flushed — a deliberately faulty mode the simulation
     harness injects to prove its fuzzer catches the resulting
-    RIB/FIB divergence.
-
-    [shard_dispatch] switches the RIB into {e sharded} mode: the
-    origin/merge/extint stages are not built; instead every originate
-    and withdraw is forwarded to the callback (tagged with the
-    transmit lane it should ride), arbitration runs on shard-worker
-    domains, and winner deltas re-enter through {!apply_winner_delta}.
-    The register/redist/sink tail, the XRL surface and the direct API
-    below behave identically in both modes. *)
+    RIB/FIB divergence. *)
 
 (** {1 Direct API} (same operations the XRLs expose; examples/tests) *)
 
@@ -109,18 +90,7 @@ val origin_route_count : t -> string -> int
 (** Routes currently held by one protocol's origin table. *)
 
 val flush_protocol : t -> string -> unit
-(** Begin gradual background deletion of a protocol's routes. In
-    sharded mode the deletions are dispatched to the shard pool on the
-    bulk lane instead. *)
-
-val apply_winner_delta : t -> lane:Laneq.lane -> Ipv4net.t -> Rib_route.t option -> unit
-(** Sharded mode only: install the winner computed by a shard worker
-    for one prefix. [None] means the prefix no longer has a winner.
-    The delta is diffed against the register stage's current answer
-    (making replays idempotent) and pushed through the ordinary
-    register → redist → sink path under [lane], so downstream
-    behaviour — interest invalidation, redistribution, FEA queueing —
-    is indistinguishable from the single-domain pipeline. *)
+(** Begin gradual background deletion of a protocol's routes. *)
 
 val xrl_router : t -> Xrl_router.t
 val invalidations_sent : t -> int

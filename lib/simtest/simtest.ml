@@ -327,7 +327,6 @@ type opts = {
   dataplane_ttl_leak : bool;
   bgp_lane_unordered : bool;
   rib_resync : bool;
-  domains : int;
   bgp_redump : bool;
   log_trace : bool;
 }
@@ -335,7 +334,7 @@ type opts = {
 let default_opts =
   { fea_rebirth_replay = true; dataplane_ttl_leak = false;
     bgp_lane_unordered = false; rib_resync = true; bgp_redump = true;
-    domains = 1; log_trace = false }
+    log_trace = false }
 
 (* The known-bad element class for [dataplane_ttl_leak]: decrements the
    TTL like DecTtl but forgets to kill expired packets, so a TTL that
@@ -367,7 +366,6 @@ type world = {
   background : chaos_levels;
   lat_max : float ref;
   killer : Xrl_router.t;
-  mutable pool : Shard.t option;
   mutable fea : Fea.t option;
   mutable rib : Rib.t option;
   mutable bgp : Bgp_process.t option;
@@ -449,19 +447,8 @@ and start_component w comp =
     if w.rib = None then begin
       let rib =
         Rib.create ~families:w.families
-          ?shard_dispatch:(Option.map Shard.rib_dispatch w.pool)
           ~fea_rebirth_replay:w.opts.fea_rebirth_replay w.finder w.loop ()
       in
-      Option.iter
-        (fun p ->
-           Shard.connect_rib p rib;
-           (* On a rebirth the workers still hold winners whose values
-              are unchanged by the protocols' resync replays — no delta
-              would fire for them, so re-emit everything; the fresh
-              register diffs against empty and picks them all up. At
-              first boot the pool is empty and this is a no-op. *)
-           Shard.replay p)
-        w.pool;
       List.iter
         (fun (n, nh) ->
            ignore
@@ -480,15 +467,10 @@ and start_component w comp =
       let bgp =
         Bgp_process.create ~families:w.families ~inbound_slice:4
           ~urgent_threshold:4 ~lane_ordered:(not w.opts.bgp_lane_unordered)
-          ?shard_dispatch:(Option.map Shard.bgp_dispatch w.pool)
           ~rib_rebirth_resync:w.opts.rib_resync
           ~redump_on_reestablish:w.opts.bgp_redump w.finder w.loop
           ~netsim:w.netsim ~local_as:65001 ~bgp_id:(ip "1.1.1.1") ()
       in
-      (* connect_bgp also resets the workers' decision-stage state: a
-         reborn BGP rebuilds it from the peers' session dumps, exactly
-         as its in-process tables are rebuilt. *)
-      Option.iter (fun p -> Shard.connect_bgp p bgp) w.pool;
       Bgp_process.add_peer bgp
         { (Bgp_process.default_peer_config ~peer_addr:(ip "10.0.0.9")
              ~local_addr:(ip "10.0.0.1") ~peer_as:65100)
@@ -588,27 +570,13 @@ let spawn (sc : scenario) (opts : opts) =
       ~finder:(Finder.create ~seed:(seed lxor 0x0F4) ())
       "legacy" legacy_config
   in
-  (* Multi-domain mode: the decision/arbitration shard pool spawns its
-     worker domains before any component exists; the RIB and BGP are
-     then created with its dispatchers. Virtual time stays on the main
-     loop — workers only see message passing — so the scenario's event
-     schedule is unchanged, but delta application order between shards
-     depends on real domain scheduling: multi-domain runs keep the
-     invariants, not the byte-identical trace. *)
-  let pool =
-    if opts.domains > 1 then Some (Shard.create ~shards:opts.domains loop ())
-    else None
-  in
   let w =
     { loop; netsim; finder; families; chaos_cfg; background = sc.background;
-      lat_max; killer; pool; fea = None; rib = None; bgp = None; rip = None;
+      lat_max; killer; fea = None; rib = None; bgp = None; rip = None;
       ospf = None; isp; neighbor; legacy;
       feed_rng = substream seed 0xFEED; injected = Hashtbl.create 64;
       trace = Buffer.create 4096; violations = []; repaired = false; opts }
   in
-  Option.iter
-    (fun p -> tr w "shard pool up: %d worker domains" (Shard.shards p))
-    w.pool;
   (* FEA first, then the RIB, then protocols — the same dependency
      order the Router Manager uses. *)
   List.iter (start_component w) [ C_fea; C_rib; C_bgp; C_rip; C_ospf ];
@@ -806,11 +774,6 @@ let converge w =
   let max_steps = 90 in
   let rec go n stable last =
     Eventloop.run_until_time w.loop (Eventloop.now w.loop +. step);
-    (* Sharded mode: the signature reads the merged mirrors, so wait
-       for in-flight shard work to land before sampling. *)
-    Option.iter
-      (fun p -> Shard.quiesce p; Eventloop.run_until_idle w.loop)
-      w.pool;
     let s = signature w in
     let stable = if s = last && pending w = 0 then stable + 1 else 0 in
     if stable >= needed then true
@@ -936,31 +899,6 @@ let check_dataplane w ~tag fea dp =
 
 let check_invariants w ~tag =
   let fail fmt = Printf.ksprintf (fun s -> violation w "%s: %s" tag s) fmt in
-  (* 0. Sharded mode: at a quiescent point the pool must be drained,
-        and replaying every shard's current winners through the delta
-        path must change nothing — i.e. the union of the per-shard
-        slices is exactly the merged state the single-domain checks
-        below then inspect (docs/CONCURRENCY.md). *)
-  (match w.pool with
-   | None -> ()
-   | Some pool ->
-     Shard.quiesce pool;
-     Eventloop.run_until_idle w.loop;
-     let bl = Shard.backlog pool in
-     if bl <> 0 then fail "shard pool: %d operations in flight after quiesce" bl;
-     let rib_before = Option.map Rib.route_count w.rib in
-     let bgp_before = Option.map Bgp_process.route_count w.bgp in
-     Shard.replay pool;
-     Shard.quiesce pool;
-     Eventloop.run_until_idle w.loop;
-     let unchanged name before now =
-       match (before, now) with
-       | Some b, Some n when b <> n ->
-         fail "shard replay changed %s winner count: %d -> %d" name b n
-       | _ -> ()
-     in
-     unchanged "RIB" rib_before (Option.map Rib.route_count w.rib);
-     unchanged "BGP" bgp_before (Option.map Bgp_process.route_count w.bgp));
   (* 1. Every RIB winner is installed in the FIB with the same nexthop,
         and nothing else is. *)
   (match (w.rib, w.fea) with
@@ -1077,10 +1015,6 @@ let repair w =
 
 let teardown w =
   tr w "teardown";
-  (* The pool goes first, while its delta appliers are still alive:
-     shutdown joins the worker domains and flushes the outbox. *)
-  Option.iter Shard.shutdown w.pool;
-  w.pool <- None;
   List.iter (do_kill w) [ C_bgp; C_rip; C_ospf; C_rib; C_fea ];
   Xrl_router.shutdown w.killer;
   Rtrmgr.shutdown w.isp;

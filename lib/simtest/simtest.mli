@@ -158,19 +158,6 @@ type opts = {
       [kill rib]/restart the RIB origin tables stay empty while the
       protocols still hold routes — the per-protocol agreement
       invariant must catch the divergence. *)
-  domains : int;
-  (** Number of worker domains for the sharded BGP→RIB pipeline
-      ({!Shard}); [1] (the default, and the fuzzer's mode) keeps the
-      classic single-domain staged pipeline. With [domains > 1] the
-      DUT's RIB and BGP are created with the pool's dispatchers, every
-      quiescent point first drains the pool ({!Shard.quiesce}), and the
-      invariant checks add a sharded one: replaying all per-shard
-      winners through the delta path must change nothing, i.e. the
-      union of the shard slices equals the merged tables the
-      single-domain invariants inspect. Multi-domain runs keep all
-      invariants but not the byte-identical [trace] — delta application
-      order between shards depends on real domain scheduling — so fuzz
-      shrinking stays on [domains = 1]. *)
   bgp_redump : bool;
   (** Passed to {!Bgp_process} as [redump_on_reestablish]; [false]
       injects the mesh-partition-heal bug — after a cut session

@@ -354,51 +354,3 @@ let check_invariants t =
       Error (Printf.sprintf "count mismatch: stored %d, found %d" t.count !count)
     else Ok (Printf.sprintf "%d bindings, structure consistent" t.count)
   | exception Bad msg -> Error msg
-
-(* Prefix-range sharding (multicore pipeline): buckets are the 2^k
-   possible values of the top k address bits, mapped onto [shards]
-   contiguous ranges. Using the canonical (host-bits-zero) network
-   address makes the function total over prefixes of any length:
-   every more-specific prefix of a /k block lands in that block's
-   bucket, and prefixes shorter than /k go to the bucket of their
-   zero-filled address. *)
-
-let shard_bits shards =
-  if shards < 1 then invalid_arg "Ptree.shard_bits";
-  let rec go k = if 1 lsl k >= shards then k else go (k + 1) in
-  go 0
-
-let shard_of ~shards net =
-  let k = shard_bits shards in
-  if k = 0 then 0
-  else
-    let bucket = Ipv4.to_int (Ipv4net.network net) lsr (32 - k) in
-    bucket * shards / (1 lsl k)
-
-let split_points ~shards =
-  let k = shard_bits shards in
-  List.init shards (fun s ->
-      (* Smallest bucket owned by shard [s]. *)
-      let b = (s * (1 lsl k) + shards - 1) / shards in
-      Ipv4net.make (Ipv4.of_int (b lsl (32 - k))) k)
-
-let partition ~shards t =
-  let parts = Array.init shards (fun _ -> create ()) in
-  iter (fun net v -> ignore (insert parts.(shard_of ~shards net) net v)) t;
-  parts
-
-let merge_disjoint parts =
-  let out = create () in
-  Array.iter
-    (fun part ->
-       iter
-         (fun net v ->
-            match insert out net v with
-            | None -> ()
-            | Some _ ->
-              invalid_arg
-                (Printf.sprintf "Ptree.merge_disjoint: duplicate key %s"
-                   (Ipv4net.to_string net)))
-         part)
-    parts;
-  out

@@ -95,43 +95,3 @@ val check_invariants : 'a t -> (string, string) result
 (** Structural self-check (keys nest correctly, counts agree, no
     dangling empty leaves unpinned). [Ok]: description; [Error]: what
     is broken. Test-suite hook. *)
-
-(** {1 Prefix-range sharding (multicore pipeline)}
-
-    Trie-aligned partition of the IPv4 prefix space into [shards]
-    contiguous ranges, used to split the BGP decision and RIB stages
-    across domains (docs/CONCURRENCY.md). With [k] the smallest integer
-    such that [2{^k} >= shards], the 2{^k} top-bit buckets are mapped
-    onto shards in order; every prefix maps to exactly one shard via
-    the top [k] bits of its canonical (host-bits-zero) network address,
-    so a /k-aligned block and all its more-specifics share a shard.
-    Prefixes shorter than /k are owned by the shard of their zero-filled
-    address. *)
-
-val shard_bits : int -> int
-(** [shard_bits shards] is the number of leading address bits the
-    partition inspects: the smallest [k] with [2{^k} >= shards].
-    @raise Invalid_argument if [shards < 1]. *)
-
-val shard_of : shards:int -> Ipv4net.t -> int
-(** [shard_of ~shards net] is the shard (in [0 .. shards-1]) that owns
-    [net]. Total, deterministic, and monotone in the network address:
-    each shard owns one contiguous range of the address space.
-    @raise Invalid_argument if [shards < 1]. *)
-
-val split_points : shards:int -> Ipv4net.t list
-(** The [shards] range-start prefixes, in shard order: element [s] is
-    the /[k] prefix at which shard [s]'s range begins (element 0 is
-    always [0.0.0.0/k]). Documentation and invariant-checking helper
-    for the partition {!shard_of} implements. *)
-
-val partition : shards:int -> 'a t -> 'a t array
-(** [partition ~shards t] splits [t] into [shards] new trees by
-    {!shard_of}; element [s] holds exactly the bindings whose key maps
-    to shard [s]. [t] is not modified. *)
-
-val merge_disjoint : 'a t array -> 'a t
-(** Union of trees with pairwise-disjoint key sets — the quiescent-point
-    merge used to compare a sharded table against its single-domain
-    equivalent.
-    @raise Invalid_argument if the same key appears in two trees. *)

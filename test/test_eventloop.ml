@@ -311,6 +311,15 @@ let test_real_mode_fd () =
   Unix.close r;
   Unix.close w
 
+(* A loop holds no file descriptor of its own: creating many [`Real]
+   loops must not grow the process's descriptor table. *)
+let test_real_mode_holds_no_fds () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  let loops = List.init 200 (fun _ -> Eventloop.create ~mode:`Real ()) in
+  check Alcotest.int "fds after 200 loops" before (open_fds ());
+  ignore (Sys.opaque_identity loops)
+
 (* The hold-timer pattern: one timer cancelled and re-armed over and
    over, beside a few unrelated pending timers. Cancelled timers must
    not pile up: the queue stays within its documented bound (pending
@@ -843,6 +852,8 @@ let () =
         [
           Alcotest.test_case "wall-clock timer" `Quick test_real_mode_timer;
           Alcotest.test_case "fd readability" `Quick test_real_mode_fd;
+          Alcotest.test_case "loops hold no fds" `Quick
+            test_real_mode_holds_no_fds;
         ] );
       ( "minheap",
         Alcotest.test_case "basic" `Quick test_minheap

@@ -194,6 +194,291 @@ let prop_rib_matches_flat_model =
              | Some _, None | None, Some _ -> false)
           [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
+(* --- staged decision + RIB vs flat model ---------------------------------- *)
+
+(* The real decision table runs over stub peer branches, and its winner
+   stream feeds the real RIB exactly as Bgp_process's RIB branch would,
+   so random BGP churn reaches the RIB's merge and extint stages. Universe:
+   BGP-fed prefixes, internal prefixes covering some nexthops but not
+   others (so the extint gate opens and closes), and prefixes added
+   straight to the RIB's ebgp/ibgp origins, one of them also internal
+   (so internal and external compete for a prefix). *)
+
+let bgp_nets =
+  Array.map Ipv4net.of_string_exn
+    [| "8.1.0.0/16"; "32.6.0.0/16"; "64.2.0.0/16"; "128.3.0.0/16";
+       "160.7.0.0/16"; "200.4.0.0/16"; "250.5.0.0/16"; "8.1.128.0/17" |]
+
+let int_nets =
+  Array.map Ipv4net.of_string_exn
+    [| "10.0.0.0/8"; "192.0.0.0/8"; "7.0.0.0/8"; "10.9.0.0/16" |]
+
+let ext_nets =
+  Array.map Ipv4net.of_string_exn
+    [| "77.1.0.0/16"; "78.2.0.0/16"; "79.3.0.0/16"; "10.9.0.0/16" |]
+
+let nexthops =
+  Array.map addr [| "10.9.0.1"; "192.168.0.1"; "7.7.7.7"; "99.9.9.9" |]
+
+let peer_infos =
+  [ (1, Bgp_types.Ebgp, 65001); (2, Bgp_types.Ebgp, 65002);
+    (3, Bgp_types.Ibgp, 65000); (4, Bgp_types.Ibgp, 65000) ]
+  |> List.map (fun (peer_id, kind, peer_as) ->
+      { Bgp_types.peer_id; peer_addr = Ipv4.of_octets 10 0 0 peer_id;
+        peer_as; kind;
+        peer_bgp_id = Ipv4.of_octets peer_id peer_id peer_id peer_id })
+
+type gop =
+  | GBgpAdd of int * int * int * int * int * int
+      (* peer idx, net idx, nexthop idx, med, localpref, igp metric *)
+  | GBgpDel of int * int (* peer idx, net idx *)
+  | GIntAdd of int * int * int * int (* proto idx, net idx, nh idx, metric *)
+  | GIntDel of int * int (* proto idx, net idx *)
+  | GExtAdd of bool * int * int (* ibgp?, net idx, nh idx *)
+  | GExtDel of bool * int (* ibgp?, net idx *)
+
+let gen_gop =
+  QCheck.Gen.(
+    frequency
+      [ (5,
+         map
+           (fun (p, n, nh, (med, lp, igp)) -> GBgpAdd (p, n, nh, med, lp, igp))
+           (quad (int_range 0 3)
+              (int_range 0 (Array.length bgp_nets - 1))
+              (int_range 0 (Array.length nexthops - 1))
+              (triple (int_range 0 3) (int_range 90 110) (int_range 0 3))));
+        (3,
+         map2 (fun p n -> GBgpDel (p, n)) (int_range 0 3)
+           (int_range 0 (Array.length bgp_nets - 1)));
+        (3,
+         map
+           (fun (p, n, nh, m) -> GIntAdd (p, n, nh, m))
+           (quad (int_range 0 3)
+              (int_range 0 (Array.length int_nets - 1))
+              (int_range 0 (Array.length nexthops - 1))
+              (int_range 0 5)));
+        (2,
+         map2 (fun p n -> GIntDel (p, n)) (int_range 0 3)
+           (int_range 0 (Array.length int_nets - 1)));
+        (2,
+         map
+           (fun (i, n, nh) -> GExtAdd (i, n, nh))
+           (triple bool
+              (int_range 0 (Array.length ext_nets - 1))
+              (int_range 0 (Array.length nexthops - 1))));
+        (1,
+         map2 (fun i n -> GExtDel (i, n)) bool
+           (int_range 0 (Array.length ext_nets - 1))) ])
+
+let make_bgp_route ~peer ~neti ~nhi ~med ~lp ~igp =
+  let info = List.nth peer_infos peer in
+  { Bgp_types.net = bgp_nets.(neti);
+    attrs =
+      { (Bgp_types.default_attrs ~nexthop:nexthops.(nhi)) with
+        Bgp_types.aspath = Aspath.prepend info.peer_as Aspath.empty;
+        med = Some med;
+        localpref =
+          (if info.kind = Bgp_types.Ibgp then Some lp else None) };
+    peer_id = info.peer_id;
+    igp_metric = Some igp }
+
+let egp_protocol (r : Bgp_types.route) =
+  match
+    (List.find (fun i -> i.Bgp_types.peer_id = r.peer_id) peer_infos).kind
+  with
+  | Bgp_types.Ibgp -> "ibgp"
+  | Bgp_types.Ebgp -> "ebgp"
+
+(* A minimal peer branch: stores the latest route per prefix and lets
+   the pull-based decision table look it up. *)
+class stub_branch name =
+  object
+    inherit Bgp_table.base name
+    val store : (Ipv4net.t, Bgp_types.route) Hashtbl.t = Hashtbl.create 16
+    method add_route (r : Bgp_types.route) =
+      Hashtbl.replace store r.Bgp_types.net r
+    method delete_route (r : Bgp_types.route) =
+      Hashtbl.remove store r.Bgp_types.net
+    method lookup_route n = Hashtbl.find_opt store n
+  end
+
+(* The flat model, per prefix. BGP: the best attached candidate, with
+   the highest local-pref first and [Bgp_decision.better] ranking the
+   rest; local-pref is restated here so that a ladder that lost it
+   cannot agree with itself. RIB: the internal winner has the lowest
+   admin distance (protocol name breaks ties); the external pick is the
+   lowest-distance ebgp/ibgp candidate, usable only while its nexthop
+   longest-matches an internal winner; internal wins distance ties. *)
+let model_bgp_winner cands =
+  let beats (a, ia) (b, ib) =
+    let lp (r : Bgp_types.route) = Bgp_types.effective_localpref r.attrs in
+    lp a > lp b || (lp a = lp b && Bgp_decision.better a ia b ib)
+  in
+  List.fold_left
+    (fun best c ->
+       match best with
+       | Some b when not (beats c b) -> best
+       | _ -> Some c)
+    None cands
+  |> Option.map fst
+
+let lowest_distance routes =
+  List.fold_left
+    (fun best (r : Rib_route.t) ->
+       match best with
+       | Some (b : Rib_route.t)
+         when (b.admin_distance, b.protocol) <= (r.admin_distance, r.protocol)
+         -> best
+       | _ -> Some r)
+    None routes
+
+let model_rib_winners ~internal ~external_ =
+  let nets tbl = Hashtbl.fold (fun (_, n) _ acc -> n :: acc) tbl [] in
+  let at tbl net =
+    Hashtbl.fold
+      (fun (_, n) r acc -> if Ipv4net.equal n net then r :: acc else acc)
+      tbl []
+  in
+  let int_winner net = lowest_distance (at internal net) in
+  let resolves nh =
+    List.exists
+      (fun n -> Ipv4net.contains_addr n nh && int_winner n <> None)
+      (nets internal)
+  in
+  let winner net =
+    let ext =
+      match lowest_distance (at external_ net) with
+      | Some e when resolves e.Rib_route.nexthop -> Some e
+      | _ -> None
+    in
+    match (int_winner net, ext) with
+    | Some i, Some e ->
+      Some (if i.admin_distance <= e.admin_distance then i else e)
+    | (Some _ as w), None | None, (Some _ as w) -> w
+    | None, None -> None
+  in
+  List.sort_uniq Ipv4net.compare (nets internal @ nets external_)
+  |> List.filter_map winner
+
+let prop_decision_rib_match_flat_model =
+  QCheck.Test.make ~name:"staged decision + RIB agree with a flat model"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 60 200) gen_gop))
+    (fun ops ->
+       let loop = Eventloop.create () in
+       let finder = Finder.create () in
+       let rib = Rib.create ~send_to_fea:false finder loop () in
+       let decision = new Bgp_decision.decision_table ~name:"decision" () in
+       let branches =
+         List.map
+           (fun info ->
+              let b =
+                new stub_branch
+                  (Printf.sprintf "peer%d" info.Bgp_types.peer_id)
+              in
+              decision#add_parent ~info (b :> Bgp_table.table);
+              (info.Bgp_types.peer_id, b))
+           peer_infos
+       in
+       let rib_branch =
+         object
+           method tbl_name = "rib-branch"
+           method set_next (_ : Bgp_table.table option) = ()
+           method lookup_route (_ : Ipv4net.t) : Bgp_types.route option =
+             None
+           method add_route (r : Bgp_types.route) =
+             match
+               Rib.add_route rib ~protocol:(egp_protocol r) ~net:r.net
+                 ~nexthop:r.attrs.nexthop
+                 ~metric:(Option.value r.attrs.med ~default:0) ()
+             with
+             | Ok () -> ()
+             | Error e -> failwith e
+           method delete_route (r : Bgp_types.route) =
+             ignore
+               (Rib.delete_route rib ~protocol:(egp_protocol r) ~net:r.net)
+         end
+       in
+       decision#set_next (Some (rib_branch :> Bgp_table.table));
+       (* Model state: BGP candidates by (peer, net), and the RIB's
+          internal and directly-added external routes by
+          (protocol, net). *)
+       let bgp = Hashtbl.create 64 in
+       let internal = Hashtbl.create 64 in
+       let direct_ext = Hashtbl.create 64 in
+       List.iter
+         (fun op ->
+            match op with
+            | GBgpAdd (p, n, nh, med, lp, igp) ->
+              let r = make_bgp_route ~peer:p ~neti:n ~nhi:nh ~med ~lp ~igp in
+              (List.assoc r.peer_id branches)#add_route r;
+              decision#add_route r;
+              Hashtbl.replace bgp (p, r.net) r
+            | GBgpDel (p, n) ->
+              let info = List.nth peer_infos p in
+              let branch = List.assoc info.Bgp_types.peer_id branches in
+              Option.iter
+                (fun r ->
+                   branch#delete_route r;
+                   decision#delete_route r;
+                   Hashtbl.remove bgp (p, r.Bgp_types.net))
+                (branch#lookup_route bgp_nets.(n))
+            | GIntAdd (p, n, nh, metric) ->
+              let protocol = protocols.(p) and net = int_nets.(n) in
+              Result.get_ok
+                (Rib.add_route rib ~protocol ~net ~nexthop:nexthops.(nh)
+                   ~metric ());
+              Hashtbl.replace internal (protocol, net)
+                (Rib_route.make ~net ~nexthop:nexthops.(nh) ~metric ~protocol
+                   ())
+            | GIntDel (p, n) ->
+              let protocol = protocols.(p) and net = int_nets.(n) in
+              if Result.is_ok (Rib.delete_route rib ~protocol ~net) then
+                Hashtbl.remove internal (protocol, net)
+            | GExtAdd (ibgp, n, nh) ->
+              let protocol = if ibgp then "ibgp" else "ebgp"
+              and net = ext_nets.(n) in
+              Result.get_ok
+                (Rib.add_route rib ~protocol ~net ~nexthop:nexthops.(nh) ());
+              Hashtbl.replace direct_ext (protocol, net)
+                (Rib_route.make ~net ~nexthop:nexthops.(nh) ~protocol ())
+            | GExtDel (ibgp, n) ->
+              let protocol = if ibgp then "ibgp" else "ebgp"
+              and net = ext_nets.(n) in
+              if Result.is_ok (Rib.delete_route rib ~protocol ~net) then
+                Hashtbl.remove direct_ext (protocol, net))
+         ops;
+       Eventloop.run_until_idle loop;
+       let want_bgp =
+         Array.to_list bgp_nets
+         |> List.filter_map (fun net ->
+             List.filter_map
+               (fun (p, info) ->
+                  Option.map (fun r -> (r, info))
+                    (Hashtbl.find_opt bgp (p, net)))
+               (List.mapi (fun p info -> (p, info)) peer_infos)
+             |> model_bgp_winner)
+       in
+       let external_ = Hashtbl.copy direct_ext in
+       List.iter
+         (fun (r : Bgp_types.route) ->
+            let protocol = egp_protocol r in
+            Hashtbl.replace external_ (protocol, r.net)
+              (Rib_route.make ~net:r.net ~nexthop:r.attrs.nexthop
+                 ~metric:(Option.value r.attrs.med ~default:0) ~protocol ()))
+         want_bgp;
+       let want_rib = model_rib_winners ~internal ~external_ in
+       let by_net net l = List.sort (fun a b -> Ipv4net.compare (net a) (net b)) l in
+       let bgp_net (r : Bgp_types.route) = r.net
+       and rib_net (r : Rib_route.t) = r.net in
+       let got_bgp = decision#fold_winners List.cons [] in
+       let got_rib = Rib.fold_winners rib List.cons [] in
+       Rib.shutdown rib;
+       List.equal Bgp_types.route_equal (by_net bgp_net want_bgp)
+         (by_net bgp_net got_bgp)
+       && List.equal Rib_route.equal (by_net rib_net want_rib)
+            (by_net rib_net got_rib))
+
 (* --- fanout ordering --------------------------------------------------------- *)
 
 let prop_fanout_order_and_filtering =
@@ -435,7 +720,9 @@ let () =
       ( "damping",
         List.map Seeded.qcheck [ prop_damping_decay_monotone ] );
       ( "rib_model",
-        List.map Seeded.qcheck [ prop_rib_matches_flat_model ] );
+        List.map Seeded.qcheck
+          [ prop_rib_matches_flat_model; prop_decision_rib_match_flat_model ]
+      );
       ( "fanout",
         List.map Seeded.qcheck
           [ prop_fanout_order_and_filtering ] );

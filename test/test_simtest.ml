@@ -253,59 +253,6 @@ let test_fuzz_finds_and_shrinks_rib_no_resync () =
        check Alcotest.bool "reparsed counterexample still fails" true
          (o''.Simtest.violations <> []))
 
-let test_multi_domain_smoke () =
-  (* The same whole-router scenario with the DUT's decision + RIB
-     arbitration sharded across 4 worker domains. A no-kill schedule
-     (shard workers hold per-range state that a killed-and-reborn
-     component only rebuilds through protocol resync): injections,
-     a flap and a surge exercise both dispatch directions and the
-     urgent lane, a mid-run checkpoint plus the final checks run the
-     full invariant suite, each preceded by the sharded quiescent
-     invariants (pool drained; replay of every shard slice is a
-     no-op, i.e. the union of slices equals the merged tables). *)
-  let sc =
-    Simtest.scenario ~seed:11 ~horizon:100.
-      [ Simtest.inject_routes 20. 12;
-        Simtest.flap_at 35. Simtest.S_bgp;
-        Simtest.surge_at 45. 8;
-        Simtest.check_at 70. ]
-  in
-  let opts = { Simtest.default_opts with Simtest.domains = 4 } in
-  assert_green "sharded (4 domains)" (Simtest.run ~opts sc)
-
-let test_multi_domain_matches_single_domain_counts () =
-  (* Sharding must be invisible at quiescent points: the same scenario
-     run single-domain and 4-way sharded converges to the same route
-     counts everywhere (the trace itself is not compared — delta
-     application order between shards is scheduling-dependent). *)
-  let sc =
-    Simtest.scenario ~seed:23 ~horizon:100.
-      [ Simtest.inject_routes 20. 10; Simtest.flap_at 40. Simtest.S_ospf ]
-  in
-  let single = Simtest.run sc in
-  assert_green "single-domain" single;
-  let sharded =
-    Simtest.run ~opts:{ Simtest.default_opts with Simtest.domains = 4 } sc
-  in
-  assert_green "sharded" sharded;
-  (* The per-checkpoint signature lines (route counts per component)
-     are embedded in both traces; equality of the final one is the
-     cross-mode agreement we are after. *)
-  let final_signature trace =
-    String.split_on_char '\n' trace
-    |> List.filter (fun l ->
-           Astring.String.is_infix ~affix:"final: invariants checked" l)
-    |> function
-    | [ l ] -> (
-      match Astring.String.cut ~sep:"(" l with
-      | Some (_, sig_part) -> sig_part
-      | None -> Alcotest.failf "no signature in %S" l)
-    | l -> Alcotest.failf "expected one final check line, got %d" (List.length l)
-  in
-  check Alcotest.string "same quiescent route counts"
-    (final_signature single.Simtest.trace)
-    (final_signature sharded.Simtest.trace)
-
 (* --- the topology world ------------------------------------------------ *)
 
 let test_topo_scenario_green () =
@@ -457,13 +404,6 @@ let () =
         ] );
       ( "text_form",
         [ Alcotest.test_case "roundtrip" `Quick test_text_form_roundtrip ] );
-      ( "multi_domain",
-        [
-          Alcotest.test_case "sharded whole-router run green" `Quick
-            test_multi_domain_smoke;
-          Alcotest.test_case "sharded counts match single-domain" `Quick
-            test_multi_domain_matches_single_domain_counts;
-        ] );
       ( "fuzz",
         [
           Alcotest.test_case "injected bug caught" `Quick
