@@ -47,15 +47,14 @@ type row = {
 
 let measure (shape, topo) =
   let t0 = Unix.gettimeofday () in
-  let params = { Simnet.default_params with seed } in
-  let w = Simnet.spawn params topo in
+  let w = Simnet.spawn ~seed topo in
   let booted, boot_last = Simnet.converge ~step ~needed ~max_steps w in
   Simnet.check_all w ~tag:"boot";
   (* Flap the middle link: a reset cut that heals 2 s later. *)
   let links = topo.Topology.links in
   let a, b = List.nth links (List.length links / 2) in
   let t_flap = Eventloop.now (Simnet.eventloop w) in
-  Simnet.exec w (Simnet.E_flap (a, b));
+  Simnet.exec w (Simnet.Link_flap (a, b));
   let reconverged, flap_last = Simnet.converge ~step ~needed ~max_steps w in
   Simnet.check_all w ~tag:"after-flap";
   Simnet.teardown w;

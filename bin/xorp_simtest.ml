@@ -1,9 +1,11 @@
-(* xorp_simtest: the deterministic whole-router simulation harness.
+(* xorp_simtest: the deterministic simulation harness.
 
-   Fuzz seeded fault schedules over the full BGP/RIP/OSPF + RIB + FEA
-   stack, or replay a single scenario:
+   Fuzz seeded fault schedules over networks of full BGP/RIP/OSPF + RIB
+   + FEA routers — the classic 4-router world, or generated topologies
+   with --topo — or replay a single scenario:
 
      dune exec bin/xorp_simtest.exe -- --seeds 500
+     dune exec bin/xorp_simtest.exe -- --topo --seeds 100
      dune exec bin/xorp_simtest.exe -- --seed 42 --trace
      dune exec bin/xorp_simtest.exe -- --replay counterexample.txt
      dune exec bin/xorp_simtest.exe -- --seeds 200 --inject-bug rib-no-replay
@@ -20,13 +22,34 @@ let read_file path =
     Ok s
   with Sys_error e -> Error e
 
+(* The known bugs behind --inject-bug: name, what it breaks, and how
+   it sets the harness opts. *)
+let bugs =
+  [ ( "rib-no-replay",
+      "the RIB skips the full FIB replay when the FEA is reborn",
+      fun o -> { o with Simtest.fea_rebirth_replay = false } );
+    ( "dataplane-ttl-leak",
+      "the forwarding graph's DecTtl forgets to drop TTL-expired packets",
+      fun o -> { o with Simtest.dataplane_ttl_leak = true } );
+    ( "lane-reorder",
+      "BGP's priority lanes lose their per-prefix FIFO guard, so an urgent \
+       withdrawal can overtake a queued bulk add",
+      fun o -> { o with Simtest.bgp_lane_unordered = true } );
+    ( "rib-no-resync",
+      "protocols mark a reborn RIB up without replaying their tables into it",
+      fun o -> { o with Simtest.rib_resync = false } );
+    ( "mesh-partition-heal",
+      "a re-established BGP session is never re-dumped, so routes withdrawn \
+       during a partition stay missing after the heal",
+      fun o -> { o with Simtest.bgp_redump = false } ) ]
+
+let bug_names = List.map (fun (name, _, _) -> name) bugs
+
 let opts_of ~bug ~trace =
-  { Simtest.fea_rebirth_replay = (bug <> Some "rib-no-replay");
-    dataplane_ttl_leak = (bug = Some "dataplane-ttl-leak");
-    bgp_lane_unordered = (bug = Some "lane-reorder");
-    rib_resync = (bug <> Some "rib-no-resync");
-    bgp_redump = (bug <> Some "mesh-partition-heal");
-    log_trace = trace }
+  List.fold_left
+    (fun o (name, _, inject) -> if bug = Some name then inject o else o)
+    { Simtest.default_opts with Simtest.log_trace = trace }
+    bugs
 
 let report_outcome ~quiet (o : Simtest.outcome) =
   if o.Simtest.violations = [] then begin
@@ -54,8 +77,7 @@ let topo_boot ~size ~seed ~quiet =
     else Topology.grid rows (size / rows)
   in
   let boot () =
-    let params = { Simnet.default_params with seed } in
-    let w = Simnet.spawn params topo in
+    let w = Simnet.spawn ~seed topo in
     let converged, _ = Simnet.converge w in
     if converged then Simnet.check_all w ~tag:"boot";
     let sign = Simnet.signature w in
@@ -85,15 +107,11 @@ let topo_boot ~size ~seed ~quiet =
 
 let run_main seeds base seed replay bug trace quiet topo topo_boot_size =
   (match bug with
-   | None | Some "rib-no-replay" | Some "dataplane-ttl-leak"
-   | Some "lane-reorder" | Some "rib-no-resync"
-   | Some "mesh-partition-heal" -> ()
-   | Some other ->
-     Printf.eprintf
-       "unknown --inject-bug %S (known: rib-no-replay, dataplane-ttl-leak, \
-        lane-reorder, rib-no-resync, mesh-partition-heal)\n"
-       other;
-     exit 2);
+   | Some other when not (List.mem other bug_names) ->
+     Printf.eprintf "unknown --inject-bug %S (known: %s)\n" other
+       (String.concat ", " bug_names);
+     exit 2
+   | _ -> ());
   (match topo_boot_size with
    | Some size when size >= 1 ->
      topo_boot ~size ~seed:(Option.value seed ~default:0) ~quiet
@@ -184,14 +202,10 @@ let bug_arg =
   Arg.(
     value & opt (some string) None
     & info [ "inject-bug" ] ~docv:"NAME"
-        ~doc:"Run with a known bug injected (rib-no-replay: the RIB \
-              skips the full FIB replay when the FEA is reborn; \
-              dataplane-ttl-leak: the forwarding graph's DecTtl forgets \
-              to drop TTL-expired packets; lane-reorder: BGP's priority \
-              lanes lose their per-prefix FIFO guard, so an urgent \
-              withdrawal can overtake a queued bulk add; rib-no-resync: \
-              protocols mark a reborn RIB up without replaying their \
-              tables into it).")
+        ~doc:
+          (Printf.sprintf "Run with a known bug injected (%s)."
+             (String.concat "; "
+                (List.map (fun (name, what, _) -> name ^ ": " ^ what) bugs))))
 
 let trace_arg =
   Arg.(

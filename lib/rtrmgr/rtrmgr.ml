@@ -4,6 +4,24 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type component = [ `Fea | `Rib | `Bgp | `Rip | `Ospf ]
 
+let components = [ `Fea; `Rib; `Bgp; `Rip; `Ospf ]
+
+type knobs = {
+  fea_rebirth_replay : bool;
+  rib_resync : bool;
+  bgp_lane_ordered : bool;
+  bgp_redump : bool;
+  bgp_inbound_slice : int option;
+  bgp_urgent_threshold : int option;
+  bgp_deletion_slice : int option;
+  dataplane : (string list -> string) option;
+}
+
+let default_knobs =
+  { fea_rebirth_replay = true; rib_resync = true; bgp_lane_ordered = true;
+    bgp_redump = true; bgp_inbound_slice = None; bgp_urgent_threshold = None;
+    bgp_deletion_slice = None; dataplane = None }
+
 type t = {
   loop : Eventloop.t;
   net : Netsim.t;
@@ -13,7 +31,7 @@ type t = {
   (* Creation-time knobs, kept so [restart_component] rebuilds a
      component exactly as [boot] did. *)
   families : Pf.family list option;
-  bgp_redump : bool;
+  knobs : knobs;
   tel_ns : string; (* ambient telemetry namespace captured at boot *)
   mutable fea_c : Fea.t option;
   mutable rib_c : Rib.t option;
@@ -99,15 +117,20 @@ let configure_static rib_c cfg =
       (Ok ())
       (Config_tree.children static "route")
 
-let configure_bgp ?families ?profiler ?(redump = true) fndr loop net cfg =
+let configure_bgp ?families ?profiler ~knobs fndr loop net cfg =
   match Config_tree.path cfg [ "protocols"; "bgp" ] with
   | None -> Ok None
   | Some bgp_cfg ->
     let local_as = int_of_string (Config_tree.leaf_exn bgp_cfg "local-as") in
     let bgp_id = Ipv4.of_string_exn (Config_tree.leaf_exn bgp_cfg "bgp-id") in
     let bgp_c =
-      Bgp_process.create ?families ?profiler ~redump_on_reestablish:redump
-        fndr loop ~netsim:net ~local_as ~bgp_id ()
+      Bgp_process.create ?families ?profiler
+        ?inbound_slice:knobs.bgp_inbound_slice
+        ?urgent_threshold:knobs.bgp_urgent_threshold
+        ~lane_ordered:knobs.bgp_lane_ordered
+        ~rib_rebirth_resync:knobs.rib_resync
+        ~redump_on_reestablish:knobs.bgp_redump fndr loop ~netsim:net
+        ~local_as ~bgp_id ()
     in
     let peer_result =
       List.fold_left
@@ -152,6 +175,9 @@ let configure_bgp ?families ?profiler ?(redump = true) fndr loop net cfg =
                        | _ -> None);
                     checking_cache =
                       Config_tree.leaf peer "checking-cache" = Some "true";
+                    deletion_slice =
+                      Option.value knobs.bgp_deletion_slice
+                        ~default:base.Bgp_process.deletion_slice;
                     import_policies;
                     export_policies }
                 in
@@ -174,7 +200,7 @@ let configure_bgp ?families ?profiler ?(redump = true) fndr loop net cfg =
        Bgp_process.start bgp_c;
        Ok (Some bgp_c))
 
-let configure_rip ?families fndr loop cfg =
+let configure_rip ?families ~knobs fndr loop cfg =
   match Config_tree.path cfg [ "protocols"; "rip" ] with
   | None -> Ok None
   | Some rip_cfg ->
@@ -199,7 +225,10 @@ let configure_rip ?families fndr loop cfg =
            | Some v -> float_of_string v
            | None -> base.Rip_process.timeout) }
     in
-    let rip_c = Rip_process.create ?families fndr loop config in
+    let rip_c =
+      Rip_process.create ?families ~rib_rebirth_resync:knobs.rib_resync fndr
+        loop config
+    in
     List.iter
       (fun (route : Config_tree.t) ->
          let metric =
@@ -225,7 +254,7 @@ let configure_rip ?families fndr loop cfg =
           Error [ e ])
      | None -> Ok (Some rip_c))
 
-let configure_ospf ?families fndr loop cfg =
+let configure_ospf ?families ~knobs fndr loop cfg =
   match Config_tree.path cfg [ "protocols"; "ospf" ] with
   | None -> Ok None
   | Some ospf_cfg ->
@@ -272,7 +301,10 @@ let configure_ospf ?families fndr loop cfg =
            | Some v -> float_of_string v
            | None -> base.Ospf_process.dead_interval) }
     in
-    let ospf_c = Ospf_process.create ?families fndr loop config in
+    let ospf_c =
+      Ospf_process.create ?families ~rib_rebirth_resync:knobs.rib_resync fndr
+        loop config
+    in
     Ospf_process.start ospf_c;
     Ok (Some ospf_c)
 
@@ -281,11 +313,21 @@ let configure_ospf ?families fndr loop cfg =
 (* Boot one router's components (FEA, RIB + connected /24s + static
    routes). Factored out of [boot] so [restart_component] can rebuild
    exactly what boot built. *)
-let make_fea ?families ?profiler ~interfaces ~net fndr loop =
-  Fea.create ?families ?profiler:profiler ~interfaces ~netsim:net fndr loop ()
+let make_fea ?families ?profiler ~knobs ~interfaces ~net fndr loop =
+  let dataplane =
+    match knobs.dataplane with
+    | Some graph when interfaces <> [] ->
+      `Graph (graph (List.map fst interfaces))
+    | _ -> `Default
+  in
+  Fea.create ?families ?profiler ~interfaces ~netsim:net ~dataplane fndr loop
+    ()
 
-let make_rib ?families ?profiler ~interfaces ~cfg fndr loop =
-  let rib_c = Rib.create ?families ?profiler fndr loop () in
+let make_rib ?families ?profiler ~knobs ~interfaces ~cfg fndr loop =
+  let rib_c =
+    Rib.create ?families ?profiler
+      ~fea_rebirth_replay:knobs.fea_rebirth_replay fndr loop ()
+  in
   (* Connected routes for each interface's /24. *)
   List.iter
     (fun (_, a) ->
@@ -302,7 +344,7 @@ let make_rib ?families ?profiler ~interfaces ~cfg fndr loop =
     Rib.shutdown rib_c;
     Error e
 
-let boot ?loop ?netsim:net ?finder:fndr ?families ?(bgp_redump = true)
+let boot ?loop ?netsim:net ?finder:fndr ?families ?(knobs = default_knobs)
     ~config () =
   let loop = match loop with Some l -> l | None -> Eventloop.create () in
   let net = match net with Some n -> n | None -> Netsim.create loop in
@@ -330,30 +372,33 @@ let boot ?loop ?netsim:net ?finder:fndr ?families ?(bgp_redump = true)
             | _ -> Telemetry.set_enabled true);
            let interfaces = configure_interfaces cfg in
            let fea_c =
-             make_fea ?families ?profiler:prof ~interfaces ~net fndr loop
+             make_fea ?families ?profiler:prof ~knobs ~interfaces ~net fndr
+               loop
            in
-           match make_rib ?families ?profiler:prof ~interfaces ~cfg fndr loop with
+           match
+             make_rib ?families ?profiler:prof ~knobs ~interfaces ~cfg fndr
+               loop
+           with
            | Error e ->
              Fea.shutdown fea_c;
              Error e
            | Ok rib_c ->
              (match
-                configure_bgp ?families ?profiler:prof ~redump:bgp_redump
-                  fndr loop net cfg
+                configure_bgp ?families ?profiler:prof ~knobs fndr loop net cfg
               with
               | Error e ->
                 Rib.shutdown rib_c;
                 Fea.shutdown fea_c;
                 Error e
               | Ok bgp_c ->
-                (match configure_rip ?families fndr loop cfg with
+                (match configure_rip ?families ~knobs fndr loop cfg with
                  | Error e ->
                    Option.iter Bgp_process.shutdown bgp_c;
                    Rib.shutdown rib_c;
                    Fea.shutdown fea_c;
                    Error e
                  | Ok rip_c ->
-                   (match configure_ospf ?families fndr loop cfg with
+                   (match configure_ospf ?families ~knobs fndr loop cfg with
                     | Error e ->
                       Option.iter Rip_process.shutdown rip_c;
                       Option.iter Bgp_process.shutdown bgp_c;
@@ -368,7 +413,7 @@ let boot ?loop ?netsim:net ?finder:fndr ?families ?(bgp_redump = true)
                       Log.info (fun m -> m "router booted");
                       Ok
                         { loop; net; fndr; prof; tel_r;
-                          families; bgp_redump;
+                          families; knobs;
                           tel_ns = Telemetry.current_namespace ();
                           fea_c = Some fea_c; rib_c = Some rib_c;
                           bgp_c; rip_c; ospf_c; cfg })))))
@@ -388,7 +433,7 @@ let kill_component t (comp : component) =
   | `Ospf -> Option.iter Ospf_process.shutdown t.ospf_c; t.ospf_c <- None
 
 let restart_component t (comp : component) =
-  let families = t.families in
+  let families = t.families and knobs = t.knobs in
   (* Rebuild under the namespace the router booted with, so the new
      generation's metrics land where the old one's did. *)
   Telemetry.with_namespace t.tel_ns (fun () ->
@@ -404,13 +449,13 @@ let restart_component t (comp : component) =
         if t.fea_c = None then
           t.fea_c <-
             Some
-              (make_fea ?families ?profiler:t.prof
+              (make_fea ?families ?profiler:t.prof ~knobs
                  ~interfaces:(configure_interfaces t.cfg) ~net:t.net t.fndr
                  t.loop)
       | `Rib ->
         if t.rib_c = None then begin
           match
-            make_rib ?families ?profiler:t.prof
+            make_rib ?families ?profiler:t.prof ~knobs
               ~interfaces:(configure_interfaces t.cfg) ~cfg:t.cfg t.fndr t.loop
           with
           | Ok rib_c -> t.rib_c <- Some rib_c
@@ -419,21 +464,21 @@ let restart_component t (comp : component) =
       | `Bgp ->
         if t.bgp_c = None then begin
           match
-            configure_bgp ?families ?profiler:t.prof ~redump:t.bgp_redump
-              t.fndr t.loop t.net t.cfg
+            configure_bgp ?families ?profiler:t.prof ~knobs t.fndr t.loop
+              t.net t.cfg
           with
           | Ok c -> t.bgp_c <- c
           | Error _ as e -> warn e
         end
       | `Rip ->
         if t.rip_c = None then begin
-          match configure_rip ?families t.fndr t.loop t.cfg with
+          match configure_rip ?families ~knobs t.fndr t.loop t.cfg with
           | Ok c -> t.rip_c <- c
           | Error _ as e -> warn e
         end
       | `Ospf ->
         if t.ospf_c = None then begin
-          match configure_ospf ?families t.fndr t.loop t.cfg with
+          match configure_ospf ?families ~knobs t.fndr t.loop t.cfg with
           | Ok c -> t.ospf_c <- c
           | Error _ as e -> warn e
         end)

@@ -20,18 +20,52 @@ type t
 
 type component = [ `Fea | `Rib | `Bgp | `Rip | `Ospf ]
 
+val components : component list
+(** Every component, in boot (dependency) order. *)
+
+val component_name : component -> string
+(** ["fea"], ["rib"], ["bgp"], ["rip"] or ["ospf"]. *)
+
+(** Creation-time settings the simulation harness varies; a production
+    router boots with {!default_knobs}. Each [false] below is one of
+    the fuzzer's deliberately broken variants. *)
+type knobs = {
+  fea_rebirth_replay : bool;
+  (** {!Rib.create}'s [fea_rebirth_replay] ([rib-no-replay]). *)
+  rib_resync : bool;
+  (** Every protocol's [rib_rebirth_resync] ([rib-no-resync]). *)
+  bgp_lane_ordered : bool;
+  (** {!Bgp_process.create}'s [lane_ordered] ([lane-reorder]). *)
+  bgp_redump : bool;
+  (** {!Bgp_process.create}'s [redump_on_reestablish]
+      ([mesh-partition-heal]). *)
+  bgp_inbound_slice : int option;
+  bgp_urgent_threshold : int option;
+  (** {!Bgp_process.create}'s [inbound_slice] and [urgent_threshold];
+      [None] keeps the process defaults. *)
+  bgp_deletion_slice : int option;
+  (** Every configured peer's [deletion_slice]; [None] keeps the
+      {!Bgp_process.default_peer_config} value. *)
+  dataplane : (string list -> string) option;
+  (** The FEA's element-graph configuration, given the router's
+      interface names; [None] is the default forwarding path. *)
+}
+
+val default_knobs : knobs
+(** Every recovery path on, process default slices, default data
+    plane. *)
+
 val boot :
   ?loop:Eventloop.t -> ?netsim:Netsim.t -> ?finder:Finder.t ->
-  ?families:Pf.family list -> ?bgp_redump:bool ->
+  ?families:Pf.family list -> ?knobs:knobs ->
   config:string -> unit -> (t, string list) result
 (** Build and start a router. Default loop is a fresh simulated-clock
     loop. On [Error], nothing is left running.
 
     [families] selects the XRL transports of every component the boot
     creates (default: intra-process); the simulation harness passes a
-    per-router chaos-wrapped {!Pf_sim} family. [bgp_redump] (default
-    true) is {!Bgp_process.create}'s [redump_on_reestablish] — [false]
-    is the fuzzer's [mesh-partition-heal] injected bug.
+    per-router chaos-wrapped {!Pf_sim} family. [knobs] (default
+    {!default_knobs}) reaches every component the boot creates.
 
     The ambient {!Telemetry.current_namespace} at boot time is
     captured, so a multi-router process that boots each router under
@@ -63,8 +97,8 @@ val kill_component : t -> component -> unit
 
 val restart_component : t -> component -> unit
 (** Rebuild the component from the booted configuration, exactly as
-    {!boot} did (same XRL families, same telemetry namespace). No-op
-    if it is already running or was never configured. *)
+    {!boot} did (same XRL families, knobs and telemetry namespace).
+    No-op if it is already running or was never configured. *)
 
 val profiler : t -> Profiler.t option
 val telemetry_router : t -> Xrl_router.t

@@ -1,50 +1,40 @@
-(* Topology-parametric simulation world (see simnet.mli).
+(* The simulation engine (see simnet.mli).
 
    Boots one full router stack per topology node — each with its own
    Rtrmgr, Finder, XRL family and telemetry namespace — on one virtual
    clock and one shared Netsim, derives every address from the
-   topology's node/link indices, and checks network-wide invariants:
-   reachability, loop-free cross-router forwarding, per-router table
-   agreement. Everything is a function of the master seed, exactly as
-   in the single-router harness. *)
+   topology's node/link indices, applies scenario ops to the routers
+   and links they name, and checks invariants per router and across
+   the network. Everything is a function of the master seed. *)
 
-let src = Logs.Src.create "xorp.simnet" ~doc:"multi-router simulation"
+type op =
+  | Kill of string * Rtrmgr.component
+  | Restart of string * Rtrmgr.component
+  | Flap of string
+  | Inject of string * int
+  | Surge of string * int
+  | Link_sever of string * string
+  | Link_heal of string * string
+  | Link_flap of string * string
+  | Delay_burst of float
+  | Check
 
-module Log = (val Logs.src_log src : Logs.LOG)
+let op_to_string = function
+  | Kill (r, c) -> Printf.sprintf "kill %s %s" r (Rtrmgr.component_name c)
+  | Restart (r, c) ->
+    Printf.sprintf "restart %s %s" r (Rtrmgr.component_name c)
+  | Flap r -> "flap " ^ r
+  | Inject (r, n) -> Printf.sprintf "inject %s %d" r n
+  | Surge (r, n) -> Printf.sprintf "surge %s %d" r n
+  | Link_sever (a, b) -> Printf.sprintf "sever %s %s" a b
+  | Link_heal (a, b) -> Printf.sprintf "heal %s %s" a b
+  | Link_flap (a, b) -> Printf.sprintf "flap %s %s" a b
+  | Delay_burst d -> Printf.sprintf "delay-burst %g" d
+  | Check -> "check"
 
-type params = {
-  seed : int;
-  dup : float;
-  delay : float;
-  jitter : float;
-  xrl_latency : float;
-  bgp_redump : bool;
-  log_trace : bool;
-}
+type chaos_levels = { dup : float; delay : float; jitter : float }
 
-let default_params =
-  { seed = 0; dup = 0.; delay = 0.; jitter = 0.; xrl_latency = 0.;
-    bgp_redump = true; log_trace = false }
-
-type revent =
-  | E_kill of string * Rtrmgr.component
-  | E_restart of string * Rtrmgr.component
-  | E_sever of string * string
-  | E_heal of string * string
-  | E_flap of string * string
-  | E_delay_burst of float
-
-let component_name = function
-  | `Fea -> "fea" | `Rib -> "rib" | `Bgp -> "bgp"
-  | `Rip -> "rip" | `Ospf -> "ospf"
-
-let revent_to_string = function
-  | E_kill (r, c) -> Printf.sprintf "kill %s %s" r (component_name c)
-  | E_restart (r, c) -> Printf.sprintf "restart %s %s" r (component_name c)
-  | E_sever (a, b) -> Printf.sprintf "sever %s %s" a b
-  | E_heal (a, b) -> Printf.sprintf "heal %s %s" a b
-  | E_flap (a, b) -> Printf.sprintf "flap %s %s" a b
-  | E_delay_burst d -> Printf.sprintf "delay-burst %g" d
+let calm = { dup = 0.; delay = 0.; jitter = 0. }
 
 (* --- config generation ------------------------------------------------- *)
 
@@ -193,14 +183,18 @@ type t = {
   addr_owner : (int, int * Topology.link) Hashtbl.t;
   cuts : (Topology.link, unit) Hashtbl.t;
   chaos_cfg : Pf_chaos.config;
-  background : float * float * float; (* dup, delay, jitter *)
+  background : chaos_levels;
   lat_max : float ref;
-  params : params;
+  feed_rng : Rng.t;
+  injected : (Ipv4net.t, unit) Hashtbl.t;
+  log_trace : bool;
   trace : Buffer.t;
   mutable violations : string list;
   mutable repaired : bool;
 }
 
+(* Decorrelate the sub-streams of one master seed; splitmix behind
+   Rng.create takes care of avalanche. *)
 let substream seed salt = Rng.create ((seed * 0x1F123BB5) lxor salt)
 
 let tr w fmt =
@@ -209,7 +203,7 @@ let tr w fmt =
       let line = Printf.sprintf "%10.3f  %s" (Eventloop.now w.loop) s in
       Buffer.add_string w.trace line;
       Buffer.add_char w.trace '\n';
-      if w.params.log_trace then prerr_endline line)
+      if w.log_trace then prerr_endline line)
     fmt
 
 let violation w fmt =
@@ -219,19 +213,21 @@ let violation w fmt =
       tr w "VIOLATION: %s" s)
     fmt
 
-let spawn (p : params) topo =
+let spawn ?(seed = 0) ?(background = calm) ?(xrl_latency = 0.) ?knobs
+    ?(log_trace = false) topo =
   Telemetry.reset ();
   let loop = Eventloop.create () in
   let netsim = Netsim.create loop in
-  let tb_rng = substream p.seed 0x7E13 in
+  let tb_rng = substream seed 0x7E13 in
   Eventloop.set_tie_break loop (Some (fun n -> Rng.int tb_rng n));
-  let lat_rng = substream p.seed 0x1A7E in
-  let lat_max = ref p.xrl_latency in
+  let lat_rng = substream seed 0x1A7E in
+  let lat_max = ref xrl_latency in
   let latency () =
     if !lat_max <= 0. then 0. else Rng.float lat_rng *. !lat_max
   in
   let chaos_cfg =
-    Pf_chaos.config ~dup_prob:p.dup ~delay:p.delay ~delay_jitter:p.jitter ()
+    Pf_chaos.config ~dup_prob:background.dup ~delay:background.delay
+      ~delay_jitter:background.jitter ()
   in
   let routers =
     Array.of_list
@@ -247,13 +243,12 @@ let spawn (p : params) topo =
                in
                let fam =
                  Pf_chaos.wrap
-                   ~rng:(substream p.seed (0xC4A0 lxor (idx * 0x01000193)))
-                   ~seed:(p.seed + idx) ~config:chaos_cfg sim_fam
+                   ~rng:(substream seed (0xC4A0 lxor (idx * 0x01000193)))
+                   ~seed:(seed + idx) ~config:chaos_cfg sim_fam
                in
-               let finder = Finder.create ~seed:(p.seed lxor (0x3D0 + idx)) () in
+               let finder = Finder.create ~seed:(seed lxor (0x3D0 + idx)) () in
                match
-                 Rtrmgr.boot ~loop ~netsim ~finder ~families:[ fam ]
-                   ~bgp_redump:p.bgp_redump
+                 Rtrmgr.boot ~loop ~netsim ~finder ~families:[ fam ] ?knobs
                    ~config:(gen_config topo idx node) ()
                with
                | Ok mgr ->
@@ -278,9 +273,10 @@ let spawn (p : params) topo =
     topo.Topology.links;
   let w =
     { topo; loop; netsim; routers; by_name; addr_owner;
-      cuts = Hashtbl.create 8; chaos_cfg;
-      background = (p.dup, p.delay, p.jitter); lat_max; params = p;
-      trace = Buffer.create 4096; violations = []; repaired = false }
+      cuts = Hashtbl.create 8; chaos_cfg; background; lat_max;
+      feed_rng = substream seed 0xFEED; injected = Hashtbl.create 64;
+      log_trace; trace = Buffer.create 4096; violations = [];
+      repaired = false }
   in
   Array.iter
     (fun r ->
@@ -292,11 +288,9 @@ let spawn (p : params) topo =
   w
 
 let eventloop w = w.loop
-let size w = Array.length w.routers
-let router_names w = Array.to_list w.routers |> List.map (fun r -> r.r_name)
 
-let mgr w name =
-  Option.map (fun i -> w.routers.(i).r_mgr) (Hashtbl.find_opt w.by_name name)
+let router w name =
+  Option.map (fun i -> w.routers.(i)) (Hashtbl.find_opt w.by_name name)
 
 (* --- events ------------------------------------------------------------ *)
 
@@ -322,20 +316,101 @@ let do_heal w a b =
       (if String.compare a b <= 0 then (a, b) else (b, a));
     Netsim.heal_link w.netsim ~a:a1 ~b:a2
 
-let exec w ev =
-  tr w "event: %s" (revent_to_string ev);
-  match ev with
-  | E_kill (r, c) -> (
-    match mgr w r with
-    | Some m -> Rtrmgr.kill_component m c
-    | None -> tr w "kill: no router %s" r)
-  | E_restart (r, c) -> (
-    match mgr w r with
-    | Some m -> Rtrmgr.restart_component m c
-    | None -> tr w "restart: no router %s" r)
-  | E_sever (a, b) -> do_sever w a b ~reset:false
-  | E_heal (a, b) -> do_heal w a b
-  | E_flap (a, b) ->
+(* A fresh /24 for the feed ops, drawn from the feed stream and never
+   handed out twice in one run. *)
+let fresh_prefix w =
+  let rec draw tries =
+    if tries > 1000 then failwith "simnet: prefix space exhausted";
+    let n =
+      Ipv4net.of_string_exn
+        (Printf.sprintf "130.%d.%d.0/24"
+           (Rng.int w.feed_rng 256) (Rng.int w.feed_rng 256))
+    in
+    if Hashtbl.mem w.injected n then draw (tries + 1)
+    else begin
+      Hashtbl.replace w.injected n ();
+      n
+    end
+  in
+  draw 0
+
+(* Withdraw the router's origin prefix from the protocol that
+   originates it; re-add it 2 s later to whichever instance is then
+   alive. *)
+let flap_origin w r =
+  let m = r.r_mgr and p = Topology.origin_prefix r.r_idx in
+  let bounce get withdraw readd =
+    match get m with
+    | None -> tr w "flap %s: its origin protocol is down" r.r_name
+    | Some c ->
+      tr w "flap %s: withdraw %s" r.r_name (Ipv4net.to_string p);
+      withdraw c p;
+      ignore
+        (Eventloop.after w.loop 2.0 (fun () ->
+             Option.iter (fun c -> readd c p) (get m)))
+  in
+  match origination r.r_protos with
+  | `Bgp -> bounce Rtrmgr.bgp Bgp_process.withdraw Bgp_process.originate
+  | `Rip ->
+    bounce Rtrmgr.rip Rip_process.retract (fun c net ->
+        Rip_process.inject c ~net ())
+  | `Ospf ->
+    bounce Rtrmgr.ospf Ospf_process.remove_stub (fun c net ->
+        Ospf_process.add_stub c net 1)
+  | `None -> tr w "flap %s: originates nothing" r.r_name
+
+let surge w r bgp n =
+  let nets = List.init n (fun _ -> fresh_prefix w) in
+  List.iter (Bgp_process.originate bgp) nets;
+  (* Two loop iterations later — after this router's RibOut has flushed
+     the surge UPDATE, but in the same virtual instant — withdraw the
+     last surged prefix and originate three more. At each receiver the
+     surge is staged; the chaser lands right behind it, so the last add
+     drains with a 4-deep tail (bulk lane) while the withdrawal drains
+     moments later from the nearly empty queue (urgent lane). The
+     §5.1.2 per-prefix guard is what keeps that urgent withdrawal
+     behind the very bulk add it must not overtake. *)
+  match List.rev nets with
+  | last :: _ ->
+    Eventloop.defer w.loop (fun () ->
+        Eventloop.defer w.loop (fun () ->
+            match Rtrmgr.bgp r.r_mgr with
+            | Some bgp ->
+              tr w "surge chaser: withdraw %s +3" (Ipv4net.to_string last);
+              Bgp_process.withdraw bgp last;
+              for _ = 1 to 3 do
+                Bgp_process.originate bgp (fresh_prefix w)
+              done
+            | None -> ()))
+  | [] -> ()
+
+let exec w op =
+  tr w "event: %s" (op_to_string op);
+  let on_router name k =
+    match router w name with
+    | Some r -> k r
+    | None -> tr w "no router %s" name
+  in
+  let on_bgp name k =
+    on_router name (fun r ->
+        match Rtrmgr.bgp r.r_mgr with
+        | Some bgp -> k r bgp
+        | None -> tr w "%s runs no live BGP" name)
+  in
+  match op with
+  | Kill (r, c) -> on_router r (fun r -> Rtrmgr.kill_component r.r_mgr c)
+  | Restart (r, c) ->
+    on_router r (fun r -> Rtrmgr.restart_component r.r_mgr c)
+  | Flap r -> on_router r (flap_origin w)
+  | Inject (r, n) ->
+    on_bgp r (fun _ bgp ->
+        for _ = 1 to n do
+          Bgp_process.originate bgp (fresh_prefix w)
+        done)
+  | Surge (r, n) -> on_bgp r (fun r bgp -> surge w r bgp n)
+  | Link_sever (a, b) -> do_sever w a b ~reset:false
+  | Link_heal (a, b) -> do_heal w a b
+  | Link_flap (a, b) ->
     (* A detectable bounce: interfaces drop (both sides see the reset),
        the wire returns two seconds later. *)
     do_sever w a b ~reset:true;
@@ -343,10 +418,9 @@ let exec w ev =
       (Eventloop.after w.loop 2.0 (fun () ->
            tr w "flap %s %s: link back up" a b;
            do_heal w a b))
-  | E_delay_burst dur ->
+  | Delay_burst dur ->
     w.chaos_cfg.Pf_chaos.delay <- 0.05;
     w.chaos_cfg.Pf_chaos.delay_jitter <- 0.05;
-    let _, bg_delay, bg_jitter = w.background in
     ignore
       (Eventloop.after w.loop dur (fun () ->
            if w.repaired then begin
@@ -354,10 +428,11 @@ let exec w ev =
              w.chaos_cfg.Pf_chaos.delay_jitter <- 0.
            end
            else begin
-             w.chaos_cfg.Pf_chaos.delay <- bg_delay;
-             w.chaos_cfg.Pf_chaos.delay_jitter <- bg_jitter
+             w.chaos_cfg.Pf_chaos.delay <- w.background.delay;
+             w.chaos_cfg.Pf_chaos.delay_jitter <- w.background.jitter
            end;
            tr w "delay burst over"))
+  | Check -> ()
 
 (* --- convergence ------------------------------------------------------- *)
 
@@ -393,12 +468,16 @@ let router_signature r =
 let signature w =
   Array.to_list w.routers |> List.map router_signature |> String.concat " "
 
-(* Same quiescence contract as the single-router harness — counts
-   stable across a window longer than any periodic refresh, nothing in
-   flight — with the sampling step off the protocols' timer grids.
-   Returns whether the network converged and the virtual time of the
-   last observed change, which is what the convergence benchmark
-   measures. *)
+(* Quiescence means: every router's table counts have been stable
+   across a window longer than any periodic refresh and no XRL is
+   unsettled. Bounded, because a diverged network may still be
+   churning. The default step is deliberately not a multiple of the
+   protocols' timer grid: OSPF hellos fire at exact multiples of 5 s,
+   and [run_until_time] dispatches timers due exactly at its target
+   before stopping — sampling at aligned instants would always catch a
+   freshly transmitted hello as an unsettled send. Returns whether the
+   network converged and the virtual time of the last observed change,
+   which is what the convergence benchmark measures. *)
 let converge ?(step = 9.7) ?(needed = 5) ?(max_steps = 90) w =
   let last_change = ref (Eventloop.now w.loop) in
   let rec go n stable last =
@@ -420,9 +499,117 @@ let converge ?(step = 9.7) ?(needed = 5) ?(max_steps = 90) w =
 
 (* --- invariants -------------------------------------------------------- *)
 
-(* Per-router: the same RIB/FIB agreement, stale-survivor, local
-   loop-freedom and per-protocol origin checks the single-router
-   harness runs — against this router's tables only. *)
+(* Forwarding-plane invariant: at a quiescent point, the element graph
+   must agree with [Fib.lookup] packet for packet. Probes are injected
+   through the real ingress path and intercepted at ToNetsim with an
+   absorbing tx hook, so they never reach the shared netsim and cannot
+   disturb the protocol sessions. The scheduler chain drains on
+   deferred events, so [run_until_idle] is enough to flush each probe
+   without advancing the clock. *)
+let check_dataplane w ~fail fea dp =
+  let fail fmt = Printf.ksprintf fail fmt in
+  let fib = Fea.fib fea in
+  let exits = ref [] in
+  Dataplane.set_tx_hook dp
+    (Some
+       (fun pkt ->
+         exits :=
+           (pkt.Packet.out_ifname, pkt.Packet.nexthop, pkt.Packet.ttl)
+           :: !exits;
+         `Absorb));
+  let probe ?(ttl = 64) dst =
+    exits := [];
+    (match
+       Dataplane.inject dp ~ifname:"eth0"
+         (Packet.make ~ttl ~src:(Ipv4.of_string_exn "10.0.0.7") ~dst ())
+     with
+     | Ok () -> ()
+     | Error e -> fail "probe inject failed: %s" e);
+    Eventloop.run_until_idle w.loop;
+    !exits
+  in
+  let probeable (e : Fib.entry) =
+    let dst = Ipv4net.first_addr e.Fib.net in
+    if Ipv4.equal dst Ipv4.zero || Ipv4.is_multicast dst then None
+    else Some dst
+  in
+  let entries = Fib.entries fib in
+  (* One probe per FIB entry would dominate the run on big tables;
+     a bounded deterministic sample catches the same bug classes. *)
+  let sample = List.filteri (fun i _ -> i < 16) entries in
+  List.iter
+    (fun (e : Fib.entry) ->
+      match probeable e with
+      | None -> ()
+      | Some dst -> (
+        match Fib.lookup fib dst with
+        | None ->
+          fail "%s is in the FIB but lookup misses it"
+            (Ipv4net.to_string e.Fib.net)
+        | Some hit -> (
+          match probe dst with
+          | [ (ifname, nexthop, ttl) ] ->
+            let expect_nh =
+              if
+                String.equal hit.Fib.protocol "connected"
+                || Ipv4.equal hit.Fib.nexthop Ipv4.zero
+              then dst
+              else hit.Fib.nexthop
+            in
+            if not (Ipv4.equal nexthop expect_nh) then
+              fail "probe %s exited toward %s, FIB says %s"
+                (Ipv4.to_string dst) (Ipv4.to_string nexthop)
+                (Ipv4.to_string expect_nh);
+            if hit.Fib.ifname <> "" && not (String.equal ifname hit.Fib.ifname)
+            then
+              fail "probe %s exited on %S, FIB says %S" (Ipv4.to_string dst)
+                ifname hit.Fib.ifname;
+            if ttl <> 63 then
+              fail "probe %s exited with TTL %d (expected 63)"
+                (Ipv4.to_string dst) ttl
+          | [] ->
+            fail "probe %s never exited, but the FIB routes it via %s"
+              (Ipv4.to_string dst)
+              (Ipv4.to_string hit.Fib.nexthop)
+          | l ->
+            fail "probe %s exited %d times" (Ipv4.to_string dst)
+              (List.length l))))
+    sample;
+  (* A destination with no route must be dropped, not forwarded. *)
+  let dark = Ipv4.of_string_exn "203.0.113.77" in
+  (match Fib.lookup fib dark with
+   | Some _ -> ()
+   | None ->
+     if probe dark <> [] then
+       fail "probe %s exited despite having no route" (Ipv4.to_string dark));
+  (* TTL death: an expiring packet must be dropped inside the graph and
+     the drop must be visible in the element counters. *)
+  (match List.find_map probeable entries with
+   | None -> ()
+   | Some dst ->
+     let ttl_drops () =
+       List.fold_left
+         (fun acc s ->
+           acc
+           + (match List.assoc_opt "ttl-expired" s.Dataplane.st_drops with
+              | Some n -> n
+              | None -> 0))
+         0 (Dataplane.stats dp)
+     in
+     let before = ttl_drops () in
+     (match probe ~ttl:1 dst with
+      | [] ->
+        if ttl_drops () <> before + 1 then
+          fail "TTL-expired probe for %s dropped but not counted"
+            (Ipv4.to_string dst)
+      | _ ->
+        fail "TTL-expired probe for %s exited the router"
+          (Ipv4.to_string dst)));
+  Dataplane.set_tx_hook dp None
+
+(* Per-router: RIB/FIB agreement, stale survivors, local loop-freedom,
+   per-protocol origin counts, transport telemetry and the data plane
+   — against this router's tables only. *)
 let check_router w ~tag r =
   let m = r.r_mgr in
   let fail fmt =
@@ -451,6 +638,9 @@ let check_router w ~tag r =
      let rib_n = Rib.route_count rib and fib_n = Fib.size fib in
      if rib_n <> fib_n then
        fail "RIB has %d winners but FIB has %d entries" rib_n fib_n;
+     (* The reverse direction, named: a FIB entry with no RIB winner is
+        a stale survivor — the signature of a route withdrawn while the
+        RIB was down that nobody swept after its restart. *)
      let winners = Hashtbl.create 64 in
      Rib.fold_winners rib
        (fun rt () -> Hashtbl.replace winners rt.Rib_route.net ())
@@ -487,11 +677,13 @@ let check_router w ~tag r =
    | _ -> ());
   (match (Rtrmgr.rib_opt m, Rtrmgr.bgp m) with
    | Some rib, Some bgp ->
-     (* BGP's rib branch skips peer-0 winners, so a router's own
-        originated network lives in its BGP tables but never in its
-        own RIB. *)
-     let own = if origination r.r_protos = `Bgp then 1 else 0 in
-     let b = Bgp_process.route_count bgp - own
+     (* BGP's rib branch skips peer-0 winners, so the networks a router
+        originates itself — configured or injected — live in its BGP
+        tables but never in its own RIB. *)
+     let b =
+       Bgp_process.fold_winners bgp
+         (fun rt n -> if rt.Bgp_types.peer_id <> 0 then n + 1 else n)
+         0
      and o =
        Rib.origin_route_count rib "ebgp" + Rib.origin_route_count rib "ibgp"
      in
@@ -526,7 +718,13 @@ let check_router w ~tag r =
   let tx = ns_counter "xrl.sim.requests_tx"
   and rx = ns_counter "xrl.sim.requests_rx" in
   if rx > tx then
-    fail "sim transport dispatched %d requests but sent %d" rx tx
+    fail "sim transport dispatched %d requests but sent %d" rx tx;
+  match Rtrmgr.fea_opt m with
+  | Some fea ->
+    Option.iter
+      (check_dataplane w ~fail:(fun s -> fail "dataplane: %s" s) fea)
+      (Fea.dataplane fea)
+  | None -> ()
 
 (* The routers a protocol's origin prefix must reach. RIP and OSPF
    propagate transitively (full-table updates, LSA flooding), so their
@@ -784,10 +982,7 @@ let repair w =
   let cut = Hashtbl.fold (fun l () acc -> l :: acc) w.cuts [] in
   List.iter (fun (a, b) -> do_heal w a b) (List.sort compare cut);
   Array.iter
-    (fun r ->
-      List.iter
-        (fun c -> Rtrmgr.restart_component r.r_mgr c)
-        [ `Fea; `Rib; `Bgp; `Rip; `Ospf ])
+    (fun r -> List.iter (Rtrmgr.restart_component r.r_mgr) Rtrmgr.components)
     w.routers;
   tr w "repaired: chaos off, links healed, all components up"
 
@@ -795,6 +990,8 @@ let teardown w =
   tr w "teardown";
   Array.iter (fun r -> Rtrmgr.shutdown r.r_mgr) w.routers;
   Eventloop.set_tie_break w.loop None;
+  (* Drain: everything already scheduled must either fire and not
+     re-arm, or have been cancelled by the shutdowns above. *)
   let bail = Eventloop.now w.loop +. 900. in
   let rec drain () =
     if
@@ -815,33 +1012,3 @@ let teardown w =
 
 let violations w = w.violations
 let trace w = Buffer.contents w.trace
-
-type outcome = {
-  o_violations : string list;
-  o_trace : string;
-  o_sim_time : float;
-  o_dispatched : int;
-}
-
-let run (p : params) topo ~events ~checkpoints ~horizon =
-  let w = spawn p topo in
-  List.iter
-    (fun (at, ev) -> ignore (Eventloop.at w.loop at (fun () -> exec w ev)))
-    events;
-  List.iter
-    (fun at ->
-      Eventloop.run_until_time w.loop at;
-      ignore (converge w);
-      check_all w ~tag:(Printf.sprintf "check@%g" at))
-    (List.sort compare checkpoints);
-  let last_event =
-    List.fold_left (fun acc (at, _) -> Float.max acc at) 0. events
-  in
-  Eventloop.run_until_time w.loop (Float.max horizon (last_event +. 10.));
-  repair w;
-  ignore (converge w);
-  check_all w ~tag:"final";
-  teardown w;
-  { o_violations = w.violations; o_trace = Buffer.contents w.trace;
-    o_sim_time = Eventloop.now w.loop;
-    o_dispatched = Eventloop.events_dispatched w.loop }

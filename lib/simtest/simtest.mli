@@ -1,84 +1,54 @@
-(** Deterministic whole-router simulation harness.
+(** Deterministic whole-network simulation scenarios.
 
-    Runs the complete component stack of the paper — BGP, RIP, OSPF,
-    the RIB and the FEA, wired over XRLs — inside one simulated world
-    (one [`Sim] event loop, one {!Netsim}), surrounded by three peer
-    routers (a BGP transit ISP, an OSPF neighbour, a RIP legacy box)
-    booted from configuration by {!Rtrmgr}.
+    A scenario is a seeded fault schedule against a {!Topology.t}: the
+    {!Simnet} engine boots every router of the topology from
+    configuration through {!Rtrmgr} — FEA, RIB and the router's
+    protocols, wired over XRLs on one [`Sim] event loop and one
+    {!Netsim} — and the schedule's ops address those routers and
+    links by name. The default world, {!classic}, is the paper's
+    device under test with its three peers.
 
     One integer seed fully determines an execution:
 
-    - XRL delivery schedules: the device-under-test's components talk
-      over {!Pf_sim} with a seeded virtual-latency model, wrapped in
+    - XRL delivery schedules: every router's components talk over
+      {!Pf_sim} with a seeded virtual-latency model, wrapped in
       {!Pf_chaos} whose reply duplication/delay draws come from the
       same master stream;
     - equal-deadline timer tie-breaks ({!Eventloop.set_tie_break});
-    - the fault schedule (component kills via {!Pf_kill} signals,
-      restarts, route flaps, silent session cuts, injected feed
-      content) — scripted as a {!scenario};
+    - the fault schedule (component kills and restarts, origin and
+      link flaps, silent link cuts, injected feed content);
     - injected route content (prefixes drawn from the feed stream).
 
-    After the scripted events, the harness repairs the world (restarts
-    anything still dead, turns chaos off), runs to quiescence, and
-    checks cross-component invariants: RIB/FIB agreement, per-protocol
-    route-count agreement, no forwarding loops, element-graph
-    forwarding agreement with [Fib.lookup] (probe packets injected
-    through the real data plane must exit toward the nexthop the FIB
-    dictates, and TTL-expired probes must die inside the graph,
-    counted), no unsettled XRLs, no leaked timers or background tasks
-    after teardown, and telemetry consistency. The {!fuzz} driver explores seeds; on a failure it
-    greedily shrinks the fault schedule to a minimal reproducing
-    scenario, printable and re-runnable with {!of_string}/{!run}. *)
+    After the scripted events, the harness repairs the world (heals
+    every link, restarts anything still dead, turns chaos off), runs
+    to quiescence, and checks {!Simnet.check_all}'s invariants on
+    every router and across the network, then tears down and checks
+    for leaked timers and tasks. The {!fuzz} driver explores seeds; on
+    a failure it greedily shrinks the fault schedule and the topology
+    to a minimal reproducing scenario, printable and re-runnable with
+    {!of_string}/{!run}. *)
 
 (** {1 Scenarios} *)
 
-type component = C_fea | C_rib | C_bgp | C_rip | C_ospf
-
-type source = S_bgp | S_rip | S_ospf
-(** Which routing feed a flap perturbs: a BGP network originated by
-    the ISP, a RIP route on the legacy box, an OSPF stub on the
-    neighbour. *)
-
-type op =
-  | Kill of component      (** TERM signal via the kill family; the
-                               component shuts down in place. *)
-  | Restart of component   (** Rebuild and start the component (no-op
-                               if alive). *)
-  | Flap of source         (** Withdraw one route of the feed, re-add
-                               it 2 s later. *)
-  | Inject of int          (** Originate N fresh prefixes at the ISP,
-                               drawn from the seeded feed stream. *)
-  | Surge of int           (** Originate N fresh prefixes at the ISP,
-                               then withdraw the last one in the same
-                               virtual instant (two loop iterations
-                               later), so the withdrawal chases the
-                               surge through the DUT's staged inbound
-                               queue and priority lanes (§5.1.2). *)
-  | Sever                  (** Silently cut the DUT-ISP BGP session
-                               (only hold timers can detect it). *)
-  | Delay_burst of float   (** For the given duration, delay + jitter
-                               XRL replies on the DUT's transport. *)
-  | Check                  (** Converge, then run the invariant
-                               checkers mid-scenario. *)
-  | Kill_in of string * component
-                           (** Topology worlds: kill the component in
-                               the named router. In the fixed world
-                               this is a traced no-op. *)
-  | Restart_in of string * component
+(** The engine's ops, documented at {!Simnet.op}. *)
+type op = Simnet.op =
+  | Kill of string * Rtrmgr.component
+  | Restart of string * Rtrmgr.component
+  | Flap of string
+  | Inject of string * int
+  | Surge of string * int
   | Link_sever of string * string
-                           (** Topology worlds: silently cut the named
-                               link (hold timers must notice). *)
   | Link_heal of string * string
   | Link_flap of string * string
-                           (** Topology worlds: reset-cut the link,
-                               auto-heal 2 s later. *)
+  | Delay_burst of float
+  | Check
 
 type event = { at : float; op : op }
 
-type chaos_levels = {
-  dup : float;    (** probability an XRL reply is delivered twice *)
-  delay : float;  (** fixed reply delay, seconds *)
-  jitter : float; (** extra uniform reply delay, seconds *)
+type chaos_levels = Simnet.chaos_levels = {
+  dup : float;
+  delay : float;
+  jitter : float;
 }
 
 type scenario = {
@@ -87,50 +57,33 @@ type scenario = {
   xrl_latency : float;      (** max virtual latency per XRL transmit *)
   events : event list;      (** sorted by time *)
   horizon : float;          (** when repair + final checks begin *)
-  topology : Topology.t option;
-  (** [None] (default): the fixed 3-peer world around one device under
-      test. [Some t]: {!Simnet} boots one full router stack per
-      topology node instead, and the link/per-router ops above come
-      alive. *)
+  topology : Topology.t;    (** the world the events address *)
 }
 
-val calm : chaos_levels
-(** All zeros. *)
+val classic : Topology.t
+(** The paper's device under test and its three peers as one
+    topology: [dut] (protocols=bgp,rip,ospf) linked to [isp] (bgp),
+    [neighbor] (ospf) and [legacy] (rip). *)
 
-(** {2 Combinators} *)
-
-val kill_at : float -> component -> event
-val restart_at : float -> component -> event
-val flap_at : float -> source -> event
-val inject_routes : float -> int -> event
-val surge_at : float -> int -> event
-val partition : float -> event
-(** Silent cut of the DUT-ISP session at the given time ({!Sever}). *)
-
-val delay_burst_at : float -> dur:float -> event
-val check_at : float -> event
-
-val kill_in_at : float -> string -> component -> event
-val restart_in_at : float -> string -> component -> event
-val sever_link_at : float -> string -> string -> event
-val heal_link_at : float -> string -> string -> event
-val flap_link_at : float -> string -> string -> event
+val at : float -> op -> event
 
 val scenario :
   ?seed:int -> ?background:chaos_levels -> ?xrl_latency:float ->
   ?horizon:float -> ?topology:Topology.t -> event list -> scenario
 (** Events are sorted by time; defaults: seed 0, calm background, no
-    extra latency, horizon 120 s, no topology (the fixed world). *)
+    extra latency, horizon 120 s, the {!classic} topology. *)
 
 (** {2 Replayable text form} *)
 
 val to_string : scenario -> string
 (** A line-oriented form, stable under {!of_string}; this is what the
-    fuzzer prints for a shrunk counterexample. Topology scenarios embed
-    the {!Topology.to_string} lines ([router ...]/[link ...]) directly
-    in the same document. *)
+    fuzzer prints for a shrunk counterexample. The topology's
+    {!Topology.to_string} lines ([router ...]/[link ...]) are embedded
+    directly in the same document. *)
 
 val of_string : string -> (scenario, string) result
+(** A document without [router]/[link]/[topology] lines runs on
+    {!classic}. *)
 
 (** {1 Running} *)
 
@@ -140,16 +93,16 @@ type opts = {
       (held deltas only, no full FIB replay) so the harness can prove
       it catches the divergence. *)
   dataplane_ttl_leak : bool;
-  (** [true] installs the DUT's element graph with [LeakDecTtl] — a
+  (** [true] installs every element graph with [LeakDecTtl] — a
       DecTtl that decrements but forgets to kill expired packets — so
       the harness can prove the forwarding invariant (element graph
       agrees with {!Fib.lookup}; TTL-expired packets die inside the
       graph, visibly) catches the leak. *)
   bgp_lane_unordered : bool;
-  (** [true] creates the DUT's BGP with [lane_ordered:false] — the
+  (** [true] creates every BGP with [lane_ordered:false] — the
       priority lanes lose their per-prefix FIFO guard, so an urgent
       withdrawal can overtake the still-queued bulk add of the same
-      prefix ({!Surge} provokes exactly this race) and BGP and the RIB
+      prefix ([Surge] provokes exactly this race) and BGP and the RIB
       end up disagreeing. The harness must catch the divergence. *)
   rib_resync : bool;
   (** Passed to the protocol processes as [rib_rebirth_resync];
@@ -163,7 +116,7 @@ type opts = {
       injects the mesh-partition-heal bug — after a cut session
       re-establishes, the winners are never re-dumped, so routes
       withdrawn during the partition stay missing on the far side.
-      Only topology scenarios with link events can expose it. *)
+      Only scenarios with link events can expose it. *)
   log_trace : bool;
   (** Also print trace lines to stderr as they happen. *)
 }
@@ -181,15 +134,22 @@ type outcome = {
 }
 
 val run : ?opts:opts -> scenario -> outcome
-(** Build the world, play the scenario, repair, converge, check
-    invariants, tear down, check for leaks. *)
+(** Spawn the world, play the scenario (converging and checking at
+    each [Check]), repair, converge, check invariants, tear down,
+    check for leaks.
+
+    [opts] reach every router as {!Rtrmgr.knobs}, together with tiny
+    BGP slices (inbound 4, urgent threshold 4, per-peer deletion 20)
+    so that even small surges exercise the staged inbound path, both
+    priority lanes and sliced deletion. *)
 
 (** {1 Fuzzing} *)
 
 val generate : seed:int -> scenario
-(** The seed-indexed scenario family the fuzzer explores: 0-4 faults
-    (kills, restarts, flaps, injections, surges, severs, delay bursts)
-    at seeded times, seeded background chaos and latency. *)
+(** The seed-indexed family on {!classic}: 0-4 faults (kills and
+    restarts at [dut], origin flaps at its three peers, injections and
+    surges at [isp], silent [dut]-[isp] severs, delay bursts) at
+    seeded times, seeded background chaos and latency. *)
 
 val generate_topo : seed:int -> scenario
 (** The topology-parametric family: a {!Topology.generate}d network
@@ -212,12 +172,12 @@ val fuzz :
 (** Run [generate]d scenarios for seeds [base .. base+count-1],
     stopping at the first failure and shrinking it. [progress] is
     called with each seed before it runs. [~topo:true] draws from
-    {!generate_topo} instead, fuzzing whole networks. *)
+    {!generate_topo} instead, fuzzing generated networks. *)
 
 val shrink : ?opts:opts -> scenario -> scenario * int
-(** Greedily drop events, then — for topology scenarios — drop routers
-    and links from the topology itself (events orphaned by a removed
-    piece become traced no-ops and are swept by a final event pass),
-    then zero chaos parameters, keeping every mutation that still
-    fails; returns the minimal scenario and how many runs were spent.
-    The input must fail under [opts]. *)
+(** Greedily drop events, then drop routers and links from the
+    topology itself (events orphaned by a removed piece become traced
+    no-ops and are swept by a final event pass), then zero chaos
+    parameters, keeping every mutation that still fails; returns the
+    minimal scenario and how many runs were spent. The input must
+    fail under [opts]. *)

@@ -3,6 +3,8 @@
 
 let check = Alcotest.check
 
+let at = Simtest.at
+
 let assert_green what (o : Simtest.outcome) =
   match o.Simtest.violations with
   | [] -> ()
@@ -10,13 +12,32 @@ let assert_green what (o : Simtest.outcome) =
     Alcotest.failf "%s: %d violation(s), first: %s" what
       (List.length o.Simtest.violations) v
 
+(* Fuzz [count] seeds from 0 under [opts] and demand a failure whose
+   shrunk form has at most 2 events and still fails, both directly and
+   after a print/parse roundtrip. Returns the shrunk scenario. *)
+let fuzz_and_shrink ?topo ~opts ~count what =
+  let r = Simtest.fuzz ~opts ?topo ~base:0 ~count () in
+  match r.Simtest.failed with
+  | None -> Alcotest.failf "fuzzer missed %s in %d seeds" what count
+  | Some (o, minimal) ->
+    check Alcotest.bool "original outcome was red" true
+      (o.Simtest.violations <> []);
+    check Alcotest.bool "shrunk to at most 2 events" true
+      (List.length minimal.Simtest.events <= 2);
+    let fails sc = (Simtest.run ~opts sc).Simtest.violations <> [] in
+    check Alcotest.bool "shrunk scenario still fails" true (fails minimal);
+    (match Simtest.of_string (Simtest.to_string minimal) with
+     | Error e -> Alcotest.failf "counterexample does not reparse: %s" e
+     | Ok sc ->
+       check Alcotest.bool "reparsed counterexample still fails" true
+         (fails sc));
+    minimal
+
 (* A light scenario so each run stays fast: one fault, one mid-run
    checkpoint. *)
 let light =
   Simtest.scenario ~seed:11 ~horizon:100.
-    [ Simtest.inject_routes 20. 5;
-      Simtest.flap_at 40. Simtest.S_bgp;
-      Simtest.check_at 70. ]
+    [ at 20. (Inject ("isp", 5)); at 40. (Flap "isp"); at 70. Check ]
 
 let test_benign_scenario_green () =
   assert_green "benign" (Simtest.run light)
@@ -40,8 +61,7 @@ let test_different_seed_different_trace () =
 let test_kill_restart_recovers () =
   let sc =
     Simtest.scenario ~seed:7 ~horizon:110.
-      [ Simtest.kill_at 30. Simtest.C_fea;
-        Simtest.restart_at 45. Simtest.C_fea ]
+      [ at 30. (Kill ("dut", `Fea)); at 45. (Restart ("dut", `Fea)) ]
   in
   assert_green "kill+restart fea" (Simtest.run sc)
 
@@ -52,24 +72,24 @@ let test_kill_restart_rib_recovers () =
      the reverse FIB->RIB check) hold at the horizon. *)
   let sc =
     Simtest.scenario ~seed:7 ~horizon:110.
-      [ Simtest.inject_routes 15. 8;
-        Simtest.kill_at 40. Simtest.C_rib;
-        Simtest.restart_at 55. Simtest.C_rib ]
+      [ at 15. (Inject ("isp", 8));
+        at 40. (Kill ("dut", `Rib));
+        at 55. (Restart ("dut", `Rib)) ]
   in
   assert_green "kill+restart rib" (Simtest.run sc)
 
 let test_rib_reborn_while_fea_down_recovers () =
   (* Found by the topology fuzzer (seed 32) and reproducible in the
-     fixed world: kill the FEA, then kill and restart the RIB while
+     classic world: kill the FEA, then kill and restart the RIB while
      the FEA is still down.  The reborn RIB must initialise its FEA
      liveness from the Finder (not assume up), hold FIB pushes, and
      replay the full FIB when the end-of-scenario repair finally
      brings the FEA back. *)
   let sc =
     Simtest.scenario ~seed:32 ~horizon:110.
-      [ Simtest.kill_at 30. Simtest.C_fea;
-        Simtest.kill_at 50. Simtest.C_rib;
-        Simtest.restart_at 65. Simtest.C_rib ]
+      [ at 30. (Kill ("dut", `Fea));
+        at 50. (Kill ("dut", `Rib));
+        at 65. (Restart ("dut", `Rib)) ]
   in
   assert_green "rib reborn while fea down" (Simtest.run sc)
 
@@ -78,14 +98,14 @@ let test_text_form_roundtrip () =
     Simtest.scenario ~seed:99
       ~background:{ Simtest.dup = 0.05; delay = 0.001; jitter = 0.002 }
       ~xrl_latency:0.004 ~horizon:90.
-      [ Simtest.kill_at 20. Simtest.C_ospf;
-        Simtest.restart_at 31.5 Simtest.C_ospf;
-        Simtest.flap_at 40.25 Simtest.S_rip;
-        Simtest.inject_routes 50. 12;
-        Simtest.surge_at 55. 9;
-        Simtest.partition 60.;
-        Simtest.delay_burst_at 70. ~dur:3.5;
-        Simtest.check_at 80. ]
+      [ at 20. (Kill ("dut", `Ospf));
+        at 31.5 (Restart ("dut", `Ospf));
+        at 40.25 (Flap "legacy");
+        at 50. (Inject ("isp", 12));
+        at 55. (Surge ("isp", 9));
+        at 60. (Link_sever ("dut", "isp"));
+        at 70. (Delay_burst 3.5);
+        at 80. Check ]
   in
   match Simtest.of_string (Simtest.to_string sc) with
   | Error e -> Alcotest.failf "reparse failed: %s" e
@@ -99,7 +119,7 @@ let test_injected_bug_caught_deterministically () =
      kill+restart scenario red — and only under the bad option. *)
   let sc =
     Simtest.scenario ~seed:3 ~horizon:110.
-      [ Simtest.inject_routes 15. 6; Simtest.kill_at 40. Simtest.C_fea ]
+      [ at 15. (Inject ("isp", 6)); at 40. (Kill ("dut", `Fea)) ]
   in
   assert_green "healthy recovery" (Simtest.run sc);
   let bad = { Simtest.default_opts with Simtest.fea_rebirth_replay = false } in
@@ -108,28 +128,10 @@ let test_injected_bug_caught_deterministically () =
     Alcotest.fail "rib-no-replay bug escaped the invariant checkers"
 
 let test_fuzz_finds_and_shrinks_injected_bug () =
+  (* The essential fault is an FEA kill with no paired restart; repair
+     restarts it without replay. *)
   let bad = { Simtest.default_opts with Simtest.fea_rebirth_replay = false } in
-  let r = Simtest.fuzz ~opts:bad ~base:0 ~count:40 () in
-  match r.Simtest.failed with
-  | None -> Alcotest.fail "fuzzer missed the injected bug in 40 seeds"
-  | Some (o, minimal) ->
-    check Alcotest.bool "original outcome was red" true
-      (o.Simtest.violations <> []);
-    (* The minimal scenario must still fail, and must have been cut
-       down to the essential fault (a kill with no paired restart;
-       repair restarts it without replay). *)
-    let o' = Simtest.run ~opts:bad minimal in
-    check Alcotest.bool "shrunk scenario still fails" true
-      (o'.Simtest.violations <> []);
-    check Alcotest.bool "shrunk to at most 2 events" true
-      (List.length minimal.Simtest.events <= 2);
-    (* And the counterexample replays through its text form. *)
-    (match Simtest.of_string (Simtest.to_string minimal) with
-     | Error e -> Alcotest.failf "counterexample does not reparse: %s" e
-     | Ok sc ->
-       let o'' = Simtest.run ~opts:bad sc in
-       check Alcotest.bool "reparsed counterexample still fails" true
-         (o''.Simtest.violations <> []))
+  ignore (fuzz_and_shrink ~opts:bad ~count:40 "rib-no-replay")
 
 let test_dataplane_ttl_leak_caught () =
   (* Swapping DecTtl for the leaky variant must turn even an eventless
@@ -145,19 +147,13 @@ let test_dataplane_ttl_leak_caught () =
     check Alcotest.bool "violation names the TTL leak" true
       (Astring.String.is_infix ~affix:"TTL-expired" v)
 
-let test_fuzz_shrinks_dataplane_bug () =
+let test_fuzz_shrinks_dataplane_bug ~topo () =
   let bad = { Simtest.default_opts with Simtest.dataplane_ttl_leak = true } in
-  let r = Simtest.fuzz ~opts:bad ~base:0 ~count:3 () in
-  match r.Simtest.failed with
-  | None -> Alcotest.fail "fuzzer missed the dataplane bug"
-  | Some (_, minimal) ->
-    (* The bug is independent of the fault schedule, so shrinking must
-       strip every event and still fail. *)
-    check Alcotest.int "shrunk to an empty schedule" 0
-      (List.length minimal.Simtest.events);
-    let o = Simtest.run ~opts:bad minimal in
-    check Alcotest.bool "shrunk scenario still fails" true
-      (o.Simtest.violations <> [])
+  let minimal = fuzz_and_shrink ~topo ~opts:bad ~count:3 "dataplane-ttl-leak" in
+  (* The bug is independent of the fault schedule, so shrinking must
+     strip every event and still fail. *)
+  check Alcotest.int "shrunk to an empty schedule" 0
+    (List.length minimal.Simtest.events)
 
 let test_lane_reorder_caught () =
   (* A surge staged through BGP's sliced inbound path ends with an
@@ -167,7 +163,9 @@ let test_lane_reorder_caught () =
      with [bgp_lane_unordered] the withdrawal overtakes it, the RIB
      applies delete-then-add, and BGP and the RIB disagree about the
      prefix forever after. *)
-  let sc = Simtest.scenario ~seed:3 ~horizon:60. [ Simtest.surge_at 30. 10 ] in
+  let sc =
+    Simtest.scenario ~seed:3 ~horizon:60. [ at 30. (Surge ("isp", 10)) ]
+  in
   assert_green "ordered lanes" (Simtest.run sc);
   let bad = { Simtest.default_opts with Simtest.bgp_lane_unordered = true } in
   let o = Simtest.run ~opts:bad sc in
@@ -175,33 +173,16 @@ let test_lane_reorder_caught () =
   | [] -> Alcotest.fail "lane-reorder bug escaped the invariant checkers"
   | v :: _ ->
     check Alcotest.bool "violation names the BGP/RIB disagreement" true
-      (Astring.String.is_infix ~affix:"RIB ebgp origin" v)
+      (Astring.String.is_infix ~affix:"RIB ebgp+ibgp origin" v)
 
 let test_fuzz_finds_and_shrinks_lane_reorder () =
   let bad = { Simtest.default_opts with Simtest.bgp_lane_unordered = true } in
-  let r = Simtest.fuzz ~opts:bad ~base:0 ~count:10 () in
-  match r.Simtest.failed with
-  | None -> Alcotest.fail "fuzzer missed the lane-reorder bug in 10 seeds"
-  | Some (o, minimal) ->
-    check Alcotest.bool "original outcome was red" true
-      (o.Simtest.violations <> []);
-    (* Only a surge provokes the race, so shrinking must cut the
-       schedule down to (at least) one. *)
-    check Alcotest.bool "shrunk scenario keeps a surge" true
-      (List.exists
-         (fun e -> match e.Simtest.op with Simtest.Surge _ -> true | _ -> false)
-         minimal.Simtest.events);
-    check Alcotest.bool "shrunk to at most 2 events" true
-      (List.length minimal.Simtest.events <= 2);
-    let o' = Simtest.run ~opts:bad minimal in
-    check Alcotest.bool "shrunk scenario still fails" true
-      (o'.Simtest.violations <> []);
-    (match Simtest.of_string (Simtest.to_string minimal) with
-     | Error e -> Alcotest.failf "counterexample does not reparse: %s" e
-     | Ok sc ->
-       let o'' = Simtest.run ~opts:bad sc in
-       check Alcotest.bool "reparsed counterexample still fails" true
-         (o''.Simtest.violations <> []))
+  let minimal = fuzz_and_shrink ~opts:bad ~count:10 "lane-reorder" in
+  (* Only a surge provokes the race, so shrinking must keep one. *)
+  check Alcotest.bool "shrunk scenario keeps a surge" true
+    (List.exists
+       (fun e -> match e.Simtest.op with Simtest.Surge _ -> true | _ -> false)
+       minimal.Simtest.events)
 
 let test_rib_no_resync_caught () =
   (* Protocols that mark a reborn RIB up but never replay their tables
@@ -211,9 +192,9 @@ let test_rib_no_resync_caught () =
      schedule. *)
   let sc =
     Simtest.scenario ~seed:7 ~horizon:110.
-      [ Simtest.inject_routes 15. 8;
-        Simtest.kill_at 40. Simtest.C_rib;
-        Simtest.restart_at 55. Simtest.C_rib ]
+      [ at 15. (Inject ("isp", 8));
+        at 40. (Kill ("dut", `Rib));
+        at 55. (Restart ("dut", `Rib)) ]
   in
   assert_green "healthy rib rebirth" (Simtest.run sc);
   let bad = { Simtest.default_opts with Simtest.rib_resync = false } in
@@ -226,32 +207,14 @@ let test_rib_no_resync_caught () =
 
 let test_fuzz_finds_and_shrinks_rib_no_resync () =
   let bad = { Simtest.default_opts with Simtest.rib_resync = false } in
-  let r = Simtest.fuzz ~opts:bad ~base:0 ~count:40 () in
-  match r.Simtest.failed with
-  | None -> Alcotest.fail "fuzzer missed the rib-no-resync bug in 40 seeds"
-  | Some (o, minimal) ->
-    check Alcotest.bool "original outcome was red" true
-      (o.Simtest.violations <> []);
-    (* Only a RIB kill provokes this bug, so the counterexample must
-       keep one; everything else should shrink away. *)
-    check Alcotest.bool "shrunk scenario keeps a rib kill" true
-      (List.exists
-         (fun e ->
-           match e.Simtest.op with
-           | Simtest.Kill Simtest.C_rib -> true
-           | _ -> false)
-         minimal.Simtest.events);
-    check Alcotest.bool "shrunk to at most 2 events" true
-      (List.length minimal.Simtest.events <= 2);
-    let o' = Simtest.run ~opts:bad minimal in
-    check Alcotest.bool "shrunk scenario still fails" true
-      (o'.Simtest.violations <> []);
-    (match Simtest.of_string (Simtest.to_string minimal) with
-     | Error e -> Alcotest.failf "counterexample does not reparse: %s" e
-     | Ok sc ->
-       let o'' = Simtest.run ~opts:bad sc in
-       check Alcotest.bool "reparsed counterexample still fails" true
-         (o''.Simtest.violations <> []))
+  let minimal = fuzz_and_shrink ~opts:bad ~count:40 "rib-no-resync" in
+  (* Only a RIB kill provokes this bug, so the counterexample must
+     keep one; everything else should shrink away. *)
+  check Alcotest.bool "shrunk scenario keeps a rib kill" true
+    (List.exists
+       (fun e ->
+         match e.Simtest.op with Simtest.Kill (_, `Rib) -> true | _ -> false)
+       minimal.Simtest.events)
 
 (* --- the topology world ------------------------------------------------ *)
 
@@ -261,9 +224,9 @@ let test_topo_scenario_green () =
   let topo = Topology.mixed 5 in
   let sc =
     Simtest.scenario ~seed:19 ~horizon:110. ~topology:topo
-      [ Simtest.kill_in_at 25. "r2" Simtest.C_bgp;
-        Simtest.restart_in_at 40. "r2" Simtest.C_bgp;
-        Simtest.flap_link_at 60. "r1" "r2" ]
+      [ at 25. (Kill ("r2", `Bgp));
+        at 40. (Restart ("r2", `Bgp));
+        at 60. (Link_flap ("r1", "r2")) ]
   in
   assert_green "topology scenario" (Simtest.run sc)
 
@@ -271,7 +234,7 @@ let test_topo_same_seed_identical_trace () =
   let sc =
     Simtest.scenario ~seed:31 ~horizon:100.
       ~topology:(Topology.ibgp_fullmesh 4)
-      [ Simtest.flap_link_at 30. "r1" "r2"; Simtest.check_at 70. ]
+      [ at 30. (Link_flap ("r1", "r2")); at 70. Check ]
   in
   let a = Simtest.run sc and b = Simtest.run sc in
   assert_green "first topo run" a;
@@ -286,12 +249,12 @@ let test_topo_text_form_roundtrip () =
       ~background:{ Simtest.dup = 0.05; delay = 0.; jitter = 0.01 }
       ~xrl_latency:0.002 ~horizon:90.
       ~topology:(Topology.generate ~seed:5)
-      [ Simtest.kill_in_at 20. "r1" Simtest.C_rib;
-        Simtest.restart_in_at 33.5 "r1" Simtest.C_rib;
-        Simtest.sever_link_at 41. "r1" "r2";
-        Simtest.heal_link_at 55. "r1" "r2";
-        Simtest.flap_link_at 62. "r1" "r2";
-        Simtest.check_at 80. ]
+      [ at 20. (Kill ("r1", `Rib));
+        at 33.5 (Restart ("r1", `Rib));
+        at 41. (Link_sever ("r1", "r2"));
+        at 55. (Link_heal ("r1", "r2"));
+        at 62. (Link_flap ("r1", "r2"));
+        at 80. Check ]
   in
   match Simtest.of_string (Simtest.to_string sc) with
   | Error e -> Alcotest.failf "reparse failed: %s" e
@@ -299,9 +262,7 @@ let test_topo_text_form_roundtrip () =
     check Alcotest.string "print/parse fixpoint" (Simtest.to_string sc)
       (Simtest.to_string sc');
     check Alcotest.bool "topology survived" true
-      (match sc'.Simtest.topology with
-       | Some t -> Topology.equal t (Topology.generate ~seed:5)
-       | None -> false);
+      (Topology.equal sc'.Simtest.topology (Topology.generate ~seed:5));
     check Alcotest.bool "structurally equal" true (sc = sc')
 
 let test_mesh_partition_heal_caught () =
@@ -312,7 +273,7 @@ let test_mesh_partition_heal_caught () =
      schedule. *)
   let sc =
     Simtest.scenario ~seed:1 ~horizon:110. ~topology:(Topology.chain 2)
-      [ Simtest.flap_link_at 30. "r1" "r2" ]
+      [ at 30. (Link_flap ("r1", "r2")) ]
   in
   assert_green "healthy redump" (Simtest.run sc);
   let bad = { Simtest.default_opts with Simtest.bgp_redump = false } in
@@ -325,42 +286,66 @@ let test_mesh_partition_heal_caught () =
 
 let test_topo_fuzz_finds_and_shrinks_mesh_partition_heal () =
   let bad = { Simtest.default_opts with Simtest.bgp_redump = false } in
-  let r = Simtest.fuzz ~opts:bad ~topo:true ~base:0 ~count:60 () in
-  match r.Simtest.failed with
-  | None ->
-    Alcotest.fail "topology fuzzer missed mesh-partition-heal in 60 seeds"
-  | Some (o, minimal) ->
-    check Alcotest.bool "original outcome was red" true
-      (o.Simtest.violations <> []);
-    (* The topology itself must have shrunk: a handful of routers and
-       links, and a schedule stripped to the essential link fault. *)
-    let topo =
-      match minimal.Simtest.topology with
-      | Some t -> t
-      | None -> Alcotest.fail "minimal scenario lost its topology"
-    in
-    check Alcotest.bool "shrunk to at most 3 routers" true
-      (Topology.size topo <= 3);
-    check Alcotest.bool "shrunk to at most 2 links" true
-      (List.length topo.Topology.links <= 2);
-    check Alcotest.bool "shrunk to at most 2 events" true
-      (List.length minimal.Simtest.events <= 2);
-    check Alcotest.bool "a link fault survived shrinking" true
-      (List.exists
-         (fun e ->
-           match e.Simtest.op with
-           | Simtest.Link_flap _ | Simtest.Link_sever _ -> true
+  let minimal =
+    fuzz_and_shrink ~topo:true ~opts:bad ~count:60 "mesh-partition-heal"
+  in
+  (* The topology itself must have shrunk: a handful of routers and
+     links, and a schedule stripped to the essential link fault. *)
+  let topo = minimal.Simtest.topology in
+  check Alcotest.bool "shrunk to at most 3 routers" true
+    (Topology.size topo <= 3);
+  check Alcotest.bool "shrunk to at most 2 links" true
+    (List.length topo.Topology.links <= 2);
+  check Alcotest.bool "a link fault survived shrinking" true
+    (List.exists
+       (fun e ->
+         match e.Simtest.op with
+         | Simtest.Link_flap _ | Simtest.Link_sever _ -> true
+         | _ -> false)
+       minimal.Simtest.events)
+
+(* The injected bugs reach every router the runner boots, so generated
+   networks must catch them too, not just the classic world. *)
+let test_topo_fuzz_finds_and_shrinks_rib_no_replay () =
+  let bad = { Simtest.default_opts with Simtest.fea_rebirth_replay = false } in
+  ignore (fuzz_and_shrink ~topo:true ~opts:bad ~count:10 "rib-no-replay")
+
+(* docs/TESTING.md shows scenario files; every fenced block that opens
+   with a [seed] line must parse, so the documented replay recipe
+   cannot rot. cwd is the test directory under `dune runtest` but the
+   workspace root under `dune exec`. *)
+let test_documented_scenarios_parse () =
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "docs/TESTING.md"; "../docs/TESTING.md"; "../../docs/TESTING.md";
+          "../../../docs/TESTING.md" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "docs/TESTING.md not found"
+  in
+  let ic = open_in_bin path in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* Splitting on the fence leaves block bodies at odd indices, each
+     led by its (here empty) info string. *)
+  let scenarios =
+    Astring.String.cuts ~sep:"```" doc
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+    |> List.filter (fun block ->
+           match String.split_on_char '\n' block with
+           | "" :: first :: _ -> Astring.String.is_prefix ~affix:"seed " first
            | _ -> false)
-         minimal.Simtest.events);
-    let o' = Simtest.run ~opts:bad minimal in
-    check Alcotest.bool "shrunk scenario still fails" true
-      (o'.Simtest.violations <> []);
-    (match Simtest.of_string (Simtest.to_string minimal) with
-     | Error e -> Alcotest.failf "counterexample does not reparse: %s" e
-     | Ok sc ->
-       let o'' = Simtest.run ~opts:bad sc in
-       check Alcotest.bool "reparsed counterexample still fails" true
-         (o''.Simtest.violations <> []))
+  in
+  check Alcotest.bool "docs show at least two scenario files" true
+    (List.length scenarios >= 2);
+  List.iter
+    (fun block ->
+      match Simtest.of_string block with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "documented scenario does not parse: %s\n%s" e block)
+    scenarios
 
 let test_topo_fuzz_batch_green () =
   let r = Simtest.fuzz ~topo:true ~base:0 ~count:15 () in
@@ -403,7 +388,9 @@ let () =
             `Quick test_rib_reborn_while_fea_down_recovers;
         ] );
       ( "text_form",
-        [ Alcotest.test_case "roundtrip" `Quick test_text_form_roundtrip ] );
+        [ Alcotest.test_case "roundtrip" `Quick test_text_form_roundtrip;
+          Alcotest.test_case "documented scenarios parse" `Quick
+            test_documented_scenarios_parse ] );
       ( "fuzz",
         [
           Alcotest.test_case "injected bug caught" `Quick
@@ -413,7 +400,7 @@ let () =
           Alcotest.test_case "dataplane ttl leak caught" `Quick
             test_dataplane_ttl_leak_caught;
           Alcotest.test_case "fuzzer shrinks the dataplane bug" `Quick
-            test_fuzz_shrinks_dataplane_bug;
+            (test_fuzz_shrinks_dataplane_bug ~topo:false);
           Alcotest.test_case "lane reorder caught" `Quick
             test_lane_reorder_caught;
           Alcotest.test_case "fuzzer finds and shrinks lane reorder" `Quick
@@ -436,6 +423,10 @@ let () =
             test_mesh_partition_heal_caught;
           Alcotest.test_case "topology fuzzer finds and shrinks it" `Quick
             test_topo_fuzz_finds_and_shrinks_mesh_partition_heal;
+          Alcotest.test_case "fuzzer shrinks the dataplane bug" `Quick
+            (test_fuzz_shrinks_dataplane_bug ~topo:true);
+          Alcotest.test_case "fuzzer finds rib-no-replay" `Quick
+            test_topo_fuzz_finds_and_shrinks_rib_no_replay;
           Alcotest.test_case "green topology batch" `Quick
             test_topo_fuzz_batch_green;
         ] );
