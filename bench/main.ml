@@ -33,6 +33,10 @@ let experiments =
       emits BENCH_forward.json",
      Forward.run);
     ("memory", "full-table memory footprint (§5.1)", Memory.run);
+    ("soak",
+     "60 kill/restart cycles of FEA, RIB and BGP: watchers, live heap, \
+      events per cycle",
+     Soak.run);
     ("ablation-pipeline", "A1: TCP pipeline window sweep",
      Ablations.run_pipeline);
     ("ablation-stages", "A2: staged vs monolithic processing",

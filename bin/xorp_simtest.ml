@@ -36,7 +36,8 @@ let bugs =
        withdrawal can overtake a queued bulk add",
       fun o -> { o with Simtest.bgp_lane_unordered = true } );
     ( "rib-no-resync",
-      "protocols mark a reborn RIB up without replaying their tables into it",
+      "protocols resume sending to a reborn RIB without replaying their \
+       tables into it",
       fun o -> { o with Simtest.rib_resync = false } );
     ( "mesh-partition-heal",
       "a re-established BGP session is never re-dumped, so routes withdrawn \

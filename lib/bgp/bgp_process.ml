@@ -92,12 +92,6 @@ type t = {
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
   rib_q : (string * Bgp_types.route * Telemetry.Trace.ctx option) Laneq.t;
   mutable rib_flush_scheduled : bool;
-  (* False while no RIB instance is registered: outbound route ops
-     hold in [rib_q] instead of being sent into the void, and a
-     rebirth triggers a full winner replay (the restarted RIB's origin
-     tables are empty). *)
-  mutable rib_up : bool;
-  rib_rebirth_resync : bool;
   redump_on_reestablish : bool;
   (* Redistribution policies this process has subscribed with; the
      RIB's subscriber table dies with it, so these are re-sent on
@@ -126,17 +120,11 @@ let rib_protocol t (route : Bgp_types.route) =
   | Some Bgp_types.Ibgp -> "ibgp"
   | _ -> "ebgp"
 
-(* Route transfers into the RIB are idempotent, so they qualify for
-   bounded retry. [No_such_method] is in the retryable set, which
-   closes the Finder birth gap: a reborn RIB is resolvable one loop
-   turn before its handlers are registered, and without retry a send
-   landing in that window would be lost. *)
-let rib_retry = Xrl_router.default_retry
-
 (* Per-route XRL; also the path a single-entry run takes, so the
    unbatched pipeline (and its profile-point sequence) is exactly what
    it was before bulk transfer — Figures 10-12 flap one route at a
-   time and still measure this path. *)
+   time and still measure this path. Route transfers into the RIB are
+   idempotent, so they are retried. *)
 let send_rib_one t (op, (route : Bgp_types.route), trace) =
   Telemetry.Trace.with_ctx trace @@ fun () ->
   Telemetry.Trace.span_sync ~name:"bgp.rib_send"
@@ -157,7 +145,7 @@ let send_rib_one t (op, (route : Bgp_types.route), trace) =
         [ Xrl_atom.txt "protocol" protocol;
           Xrl_atom.ipv4net "net" route.Bgp_types.net ]
   in
-  Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
       if not (Xrl_error.is_ok err) then
         Log.warn (fun m ->
             m "RIB %s for %s failed: %s" op
@@ -207,7 +195,7 @@ let send_rib_run t entries =
                  (List.map (fun (_, (r : Bgp_types.route), _) -> r.Bgp_types.net)
                     entries)) ]
     in
-    Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m ->
               m "bulk RIB %s (%d routes) failed: %s" op0 n
@@ -219,14 +207,14 @@ let send_rib_run t entries =
    turn is never far away. *)
 let rib_bulk_slice = 128
 
+(* Nothing is held for a dead RIB: a reborn one gets the full replay. *)
 let rec schedule_rib_flush t =
   if not t.rib_flush_scheduled then begin
     t.rib_flush_scheduled <- true;
     Eventloop.defer t.loop (fun () ->
         t.rib_flush_scheduled <- false;
-        (* No live RIB: keep the queue. It goes out — or is superseded
-           by the full winner replay — once an instance is back. *)
-        if t.rib_up then begin
+        if not (Xrl_router.peer_live t.router "rib") then Laneq.clear t.rib_q
+        else begin
           (* Urgent lane first, as per-route XRLs — the method is how
              the lane crosses the XRL boundary: the RIB classifies
              per-route rib/add_route arrivals as urgent and bulk-packed
@@ -272,13 +260,14 @@ let rec schedule_rib_flush t =
    (peer 0) are skipped: the RIB learned them by other means. *)
 let make_rib_branch t : Bgp_table.table =
   let on op (route : Bgp_types.route) =
-    if route.Bgp_types.peer_id <> 0 && t.send_to_rib then begin
+    if route.Bgp_types.peer_id <> 0 && t.send_to_rib
+       && Xrl_router.peer_live t.router "rib" then begin
       profile_net t pp_queued_rib (op ^ " ") route.net;
       Laneq.push t.rib_q
         (Bgp_types.current_lane ())
         ~net:route.Bgp_types.net
         (op, route, Telemetry.Trace.current ());
-      if t.rib_up then schedule_rib_flush t
+      schedule_rib_flush t
     end
   in
   (new Bgp_table.sink ~name:"to-rib"
@@ -301,7 +290,8 @@ let make_resolver t : Bgp_nexthop.resolve_fn =
           ~method_name:"register_interest"
           [ Xrl_atom.txt "client" (instance_name t); Xrl_atom.ipv4 "addr" nh ]
       in
-      Xrl_router.send ~retry:rib_retry t.router xrl (fun err args ->
+      Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl
+        (fun err args ->
           if Xrl_error.is_ok err then begin
             let resolvable = Xrl_atom.get_bool args "resolves" in
             let valid = Xrl_atom.get_ipv4net args "valid" in
@@ -327,17 +317,16 @@ let send_redist_subscribe t policy =
       [ Xrl_atom.txt "target" (instance_name t);
         Xrl_atom.txt "policy" policy ]
   in
-  Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
       if not (Xrl_error.is_ok err) then
         Log.err (fun m ->
             m "redist_subscribe failed: %s" (Xrl_error.to_string err)))
 
-(* A reborn RIB starts from empty origin tables, so deltas queued
-   against the old instance would be wrong; replace them with a full
-   dump of the post-decision winners. The dump rides the bulk lane:
-   fresh urgent changes for other prefixes overtake it, while the
-   Laneq guard keeps a live update to a replayed prefix behind its
-   replay entry (§5.1.2). *)
+(* A reborn RIB starts from empty origin tables: replace whatever was
+   queued since its birth with a full dump of the post-decision
+   winners. The dump rides the bulk lane: fresh urgent changes for
+   other prefixes overtake it, while the Laneq guard keeps a live
+   update to a replayed prefix behind its replay entry (§5.1.2). *)
 let replay_winners t =
   Laneq.clear t.rib_q;
   let n =
@@ -355,50 +344,32 @@ let replay_winners t =
   Log.info (fun m -> m "RIB is back; replaying %d winners" n)
 
 (* Watch the RIB's own lifetime: while no instance is live, outbound
-   route ops hold in [rib_q]; a (re)birth replays the winners and
+   route ops are dropped; a (re)birth replays the winners and
    re-subscribes redistribution, because both the origin tables and
    the redist/register state died with the old instance. Cached
    nexthop resolutions are invalidated wholesale so every nexthop is
    re-queried — which also re-registers the interest the new
-   RegisterTable needs to push future invalidations. The synthetic
-   Birth fired for an already-live RIB at watch time is a no-op
-   because [rib_up] starts true. *)
-let watch_rib_lifecycle t finder =
-  Finder.watch_class finder "rib" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.rib_up && Finder.live_instances finder "rib" = [] then begin
-          t.rib_up <- false;
-          Log.warn (fun m ->
-              m "RIB died; holding route updates until an instance returns")
-        end
-      | Finder.Birth ->
-        if not t.rib_up then begin
-          t.rib_up <- true;
-          (* Deferred: the birth notification fires from inside the new
-             RIB's registration, before it has advertised its methods
-             (the PR 5 race class; retry also covers the gap). *)
-          Eventloop.defer t.loop (fun () ->
-              if t.rib_up then begin
-                if t.rib_rebirth_resync then begin
-                  List.iter (send_redist_subscribe t)
-                    (List.rev t.redist_policies);
-                  if t.send_to_rib then replay_winners t;
-                  if t.nexthop_mode = `Rib then
-                    Hashtbl.iter
-                      (fun _ peer ->
-                         peer.nexthop_tbl#invalidate Ipv4net.default)
-                      t.peers
-                end;
-                (* Faulty variant kept for the simulation harness's
-                   bug-injection mode ("rib-no-resync"): only the
-                   deltas held while the RIB was down flush, so every
-                   route announced before the death is silently missing
-                   from the reborn RIB's origin tables. *)
-                if t.send_to_rib && not (Laneq.is_empty t.rib_q) then
-                  schedule_rib_flush t
-              end)
-        end)
+   RegisterTable needs to push future invalidations. Without [resync]
+   (the simulation harness's injected "rib-no-resync" bug) nothing is
+   re-sent, so every route announced before the death is silently
+   missing from the reborn RIB's origin tables. *)
+let watch_rib_lifecycle ~resync t =
+  let rib_reborn () =
+    List.iter (send_redist_subscribe t) (List.rev t.redist_policies);
+    if t.send_to_rib then replay_winners t;
+    if t.nexthop_mode = `Rib then
+      Hashtbl.iter
+        (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
+        t.peers;
+    if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t
+  in
+  Xrl_router.watch_peer t.router ~cls:"rib"
+    ~on_death:(fun () ->
+        Log.warn (fun m ->
+            m "RIB died; dropping route updates until an instance returns");
+        Laneq.clear t.rib_q)
+    ?on_rebirth:(if resync then Some rib_reborn else None)
+    ()
 
 (* --- session plumbing ------------------------------------------------- *)
 
@@ -899,12 +870,7 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
          listeners = Hashtbl.create 4;
          rib_q = Laneq.create ~ordered:lane_ordered ();
          rib_flush_scheduled = false;
-         (* From live Finder state, not assumed true: a process created
-            while the RIB is down (both killed, BGP restarted first)
-            must hold its queue and treat the RIB's eventual return as
-            a rebirth, or nothing ever replays. *)
-         rib_up = Finder.live_instances finder "rib" <> [];
-         rib_rebirth_resync; redump_on_reestablish;
+         redump_on_reestablish;
          redist_policies = [];
          c_resync_replayed = Telemetry.counter "bgp.rib_resync.replayed";
          started = false;
@@ -930,7 +896,7 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
         kind = Bgp_types.Ebgp; peer_bgp_id = Ipv4.zero }
     rib_branch;
   add_xrl_handlers t;
-  watch_rib_lifecycle t finder;
+  watch_rib_lifecycle ~resync:rib_rebirth_resync t;
   t
 
 let ensure_listener t local_addr =

@@ -89,14 +89,13 @@ val create :
     [lane_ordered:false] is the deliberately broken variant the
     simulation fuzzer must catch.
 
-    [rib_rebirth_resync] (default true) makes the process watch the
-    ["rib"] Finder class: while no RIB instance is live, outbound
-    route operations are held, and when one is (re)born the process
-    re-subscribes its redistribution policies and replays the full
-    post-decision winner set on the bulk lane. [false] is the
-    deliberately broken variant behind the fuzzer's
-    [rib-no-resync] injected bug: the reborn RIB is marked up but
-    only deltas held during the outage are flushed.
+    While no RIB instance is live, outbound route operations are
+    dropped. [rib_rebirth_resync] (default true) makes a (re)born RIB
+    trigger a re-subscription of the redistribution policies and a
+    replay of the full post-decision winner set on the bulk lane.
+    [false] is the deliberately broken variant behind the fuzzer's
+    [rib-no-resync] injected bug: nothing is re-sent to the reborn
+    RIB.
 
     [redump_on_reestablish] (default true) re-dumps the full winners
     table to a peer whose session re-reaches Established after going

@@ -33,7 +33,6 @@ type t = {
      the withdrawal is simply gone. On RIB rebirth every FIB entry is
      marked stale; (re)installs unmark; whatever is still marked when
      the hold timer fires was not re-announced and is swept. *)
-  mutable rib_up : bool;
   stale : (Ipv4net.t, unit) Hashtbl.t;
   mutable sweep_timer : Eventloop.timer option;
   swept : Telemetry.counter;
@@ -198,37 +197,39 @@ let deliver_to_client t sock ~src:srcaddr ~sport payload =
             m "udp relay delivery to %s failed: %s" sock.client_target
               (Xrl_error.to_string err)))
 
+(* Client targets are instance names ("rip-3"). *)
+let client_class client_target =
+  match String.rindex_opt client_target '-' with
+  | Some i -> String.sub client_target 0 i
+  | None -> client_target
+
 (* Close a dead client's relay sockets (§6.2 lifetime notification):
    the address/port stays bound by the old instance otherwise, so a
-   restarted RIP/OSPF could never re-open it. Client targets are
-   instance names ("rip-3"); we watch their class. *)
+   restarted RIP/OSPF could never re-open it. We watch the client's
+   class; once none of it is live, every socket it opened is stale. *)
 let watch_relay_client t client_target =
-  let class_name =
-    match String.rindex_opt client_target '-' with
-    | Some i -> String.sub client_target 0 i
-    | None -> client_target
-  in
+  let class_name = client_class client_target in
   if not (Hashtbl.mem t.client_watches class_name) then begin
     Hashtbl.replace t.client_watches class_name ();
-    Finder.watch_class (Xrl_router.finder t.router) class_name
-      (fun event instance ->
-         match event with
-         | Finder.Birth -> ()
-         | Finder.Death ->
-           let stale =
-             Hashtbl.fold
-               (fun id s acc ->
-                  if String.equal s.client_target instance then (id, s) :: acc
-                  else acc)
-               t.sockets []
-           in
-           List.iter
-             (fun (id, s) ->
-                Log.info (fun m ->
-                    m "closing relay socket %d of dead client %s" id instance);
-                Netsim.Dgram.close s.dgram;
-                Hashtbl.remove t.sockets id)
-             stale)
+    Xrl_router.watch_peer t.router ~cls:class_name
+      ~on_death:(fun () ->
+          let stale =
+            Hashtbl.fold
+              (fun id s acc ->
+                 if String.equal (client_class s.client_target) class_name then
+                   (id, s) :: acc
+                 else acc)
+              t.sockets []
+          in
+          List.iter
+            (fun (id, s) ->
+               Log.info (fun m ->
+                   m "closing relay socket %d of dead client %s" id
+                     s.client_target);
+               Netsim.Dgram.close s.dgram;
+               Hashtbl.remove t.sockets id)
+            stale)
+      ()
   end
 
 let add_udp_handlers t =
@@ -435,42 +436,36 @@ let add_dataplane_handlers t =
    still exist; this is the other half: routes that stopped existing
    while the RIB was down would survive in the FIB forever, because no
    live component remembers them. Snapshot the FIB as "stale" when the
-   new RIB registers; everything it re-installs within the hold is
-   unmarked; the remainder is swept. *)
-let watch_rib_lifecycle t =
-  let loop = Xrl_router.eventloop t.router in
-  Finder.watch_class (Xrl_router.finder t.router) "rib" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.rib_up
-        && Finder.live_instances (Xrl_router.finder t.router) "rib" = []
-        then t.rib_up <- false
-      | Finder.Birth ->
-        if not t.rib_up then begin
-          t.rib_up <- true;
-          Hashtbl.reset t.stale;
-          List.iter
-            (fun (e : Fib.entry) -> Hashtbl.replace t.stale e.Fib.net ())
-            (Fib.entries t.fib);
-          Option.iter Eventloop.cancel t.sweep_timer;
-          t.sweep_timer <-
-            Some
-              (Eventloop.after loop rib_sweep_hold (fun () ->
-                   t.sweep_timer <- None;
-                   let n =
-                     Hashtbl.fold
-                       (fun net () n ->
-                          if Fib.delete t.fib net then n + 1 else n)
-                       t.stale 0
-                   in
-                   Hashtbl.reset t.stale;
-                   if n > 0 then begin
-                     Telemetry.add t.swept n;
-                     Log.info (fun m ->
-                         m "RIB restart sweep: %d unconfirmed FIB entries \
-                            removed" n)
-                   end))
-        end)
+   new RIB registers — the rebirth turn comes before any install the
+   newborn sends, since deferred callbacks run in FIFO order; everything
+   it re-installs within the hold is unmarked; the remainder is swept.
+   An FEA born before the RIB (the boot order) snapshots nothing and
+   arms no timer. *)
+let rib_reborn t =
+  Hashtbl.reset t.stale;
+  List.iter
+    (fun (e : Fib.entry) -> Hashtbl.replace t.stale e.Fib.net ())
+    (Fib.entries t.fib);
+  Option.iter Eventloop.cancel t.sweep_timer;
+  t.sweep_timer <- None;
+  if Hashtbl.length t.stale > 0 then
+    t.sweep_timer <-
+      Some
+        (Eventloop.after (Xrl_router.eventloop t.router) rib_sweep_hold
+           (fun () ->
+              t.sweep_timer <- None;
+              let n =
+                Hashtbl.fold
+                  (fun net () n -> if Fib.delete t.fib net then n + 1 else n)
+                  t.stale 0
+              in
+              Hashtbl.reset t.stale;
+              if n > 0 then begin
+                Telemetry.add t.swept n;
+                Log.info (fun m ->
+                    m "RIB restart sweep: %d unconfirmed FIB entries removed"
+                      n)
+              end))
 
 let create ?families ?profiler ?(interfaces = []) ?netsim
     ?(dataplane = `Default) finder loop () =
@@ -484,7 +479,7 @@ let create ?families ?profiler ?(interfaces = []) ?netsim
     { router; fib = Fib.create (); profiler; ifaces = interfaces; netsim;
       sockets = Hashtbl.create 8; client_watches = Hashtbl.create 4;
       next_sockid = 0; installed = 0; dataplane = None; dp_socks = [];
-      rib_up = true; stale = Hashtbl.create 64; sweep_timer = None;
+      stale = Hashtbl.create 64; sweep_timer = None;
       swept = Telemetry.counter "fea.rib_sweep.removed";
       lookups_control = Telemetry.counter "fea.lookups.control";
       lookups_dataplane = Telemetry.counter "fea.lookups.dataplane" }
@@ -497,7 +492,8 @@ let create ?families ?profiler ?(interfaces = []) ?netsim
   add_fib_handlers t;
   add_udp_handlers t;
   add_dataplane_handlers t;
-  watch_rib_lifecycle t;
+  Xrl_router.watch_peer router ~cls:"rib" ~on_rebirth:(fun () -> rib_reborn t)
+    ();
   (match (netsim, dataplane) with
    | Some net, `Default when interfaces <> [] ->
      setup_dataplane t net

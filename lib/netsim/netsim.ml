@@ -101,14 +101,24 @@ let compact_streams t =
   t.streams <- List.filter (fun ep -> ep.ep_open) t.streams;
   t.n_streams <- t.open_streams
 
-(* The one place an endpoint stops being open. *)
+(* The one place an endpoint stops being open. A closed endpoint keeps
+   no callbacks: its peer, and the registry until the next compaction,
+   still reach it, and must not keep its dead owner alive. *)
 let shut ep =
   if ep.ep_open then begin
     ep.ep_open <- false;
+    ep.recv_cb <- (fun _ -> ());
+    ep.close_cb <- (fun () -> ());
     let t = ep.net in
     t.open_streams <- t.open_streams - 1;
     if t.n_streams > (2 * t.open_streams) + stream_slack then compact_streams t
   end
+
+(* Shut [ep], then run the close callback it had. *)
+let shut_notify ep =
+  let close_cb = ep.close_cb in
+  shut ep;
+  close_cb ()
 
 module Stream = struct
   type endpoint = stream_endpoint
@@ -178,11 +188,7 @@ module Stream = struct
       (Eventloop.after net.loop latency (fun () ->
            match Queue.take_opt peer.inflight with
            | Some (Seg_data d) -> if peer.ep_open then peer.recv_cb d
-           | Some Seg_close ->
-             if peer.ep_open then begin
-               shut peer;
-               peer.close_cb ()
-             end
+           | Some Seg_close -> if peer.ep_open then shut_notify peer
            | None -> ()))
 
   let send ep data =
@@ -191,8 +197,9 @@ module Stream = struct
       | Some peer -> transmit ep.net peer ep.latency (Seg_data data)
       | None -> ()
 
-  let on_receive ep cb = ep.recv_cb <- cb
-  let on_close ep cb = ep.close_cb <- cb
+  (* A closed endpoint never calls back, so it takes no callbacks. *)
+  let on_receive ep cb = if ep.ep_open then ep.recv_cb <- cb
+  let on_close ep cb = if ep.ep_open then ep.close_cb <- cb
 
   (* The close notification rides the stream behind any data still in
      flight, like a FIN. *)
@@ -234,14 +241,12 @@ let cut_link ?(reset = false) t ~a ~b =
              if the interface went down under the socket. *)
           (match ep.peer with
           | Some peer when peer.ep_open ->
-            shut peer;
             Queue.clear peer.inflight;
-            peer.close_cb ()
+            shut_notify peer
           | _ -> ());
           if ep.ep_open then begin
-            shut ep;
             Queue.clear ep.inflight;
-            ep.close_cb ()
+            shut_notify ep
           end
         end
         else Stream.sever ep)

@@ -45,12 +45,6 @@ type t = {
   mutable spf_pending : bool;
   mutable spf_count : int;
   mutable started : bool;
-  mutable fea_up : bool;
-  (* False while no RIB instance is registered: route announcements are
-     suppressed (the reborn RIB starts empty, so skipped deletes are
-     moot) and a rebirth triggers a full replay of [installed]. *)
-  mutable rib_up : bool;
-  rib_rebirth_resync : bool;
   c_resync_replayed : Telemetry.counter;
   (* prefix -> (cost, nexthop) currently installed in the RIB *)
   installed : (Ipv4net.t, int * Ipv4.t) Hashtbl.t;
@@ -101,15 +95,13 @@ let flood t ?except lsas =
 
 (* --- RIB interaction ----------------------------------------------------- *)
 
-(* Route transfers into the RIB are idempotent, so they qualify for
-   bounded retry. [No_such_method] is in the retryable set, which
-   closes the Finder birth gap: a reborn RIB is resolvable one loop
-   turn before its handlers are registered. *)
-let rib_retry = Xrl_router.default_retry
-
+(* While no RIB is live, announcements are dropped: the reborn RIB
+   starts empty, so skipped deletes are moot, and the rebirth replays
+   [installed]. Route transfers into the RIB are idempotent, so they
+   are retried. *)
 let rib_update t method_name args =
-  if t.cfg.send_to_rib && t.rib_up then
-    Xrl_router.send ~retry:rib_retry t.router
+  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
+    Xrl_router.send ~retry:Xrl_router.default_retry t.router
       (Xrl.make ~target:"rib" ~interface:"rib" ~method_name args)
       (fun err _ ->
          if not (Xrl_error.is_ok err) then
@@ -392,26 +384,6 @@ let open_iface_socket t iface =
               (Ipv4.to_string iface.o_addr)
               (Xrl_error.to_string err)))
 
-(* A restarted FEA holds none of our relay sockets; re-open on rebirth
-   so hellos flow again and adjacencies can re-form. *)
-let watch_fea_lifecycle t finder =
-  Finder.watch_class finder "fea" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.fea_up && Finder.live_instances finder "fea" = [] then begin
-          t.fea_up <- false;
-          Hashtbl.reset t.socks
-        end
-      | Finder.Birth ->
-        if not t.fea_up then begin
-          t.fea_up <- true;
-          (* Deferred: the birth notification fires from inside the new
-             FEA's registration, before it has advertised its methods. *)
-          Eventloop.defer t.loop (fun () ->
-              if t.started && t.fea_up then
-                List.iter (open_iface_socket t) t.cfg.ifaces)
-        end)
-
 (* [installed] is exactly what this process believes the RIB holds for
    protocol "ospf" — replaying it rebuilds the reborn RIB's (empty)
    origin table verbatim, with no SPF re-run needed. *)
@@ -426,25 +398,6 @@ let replay_rib t =
   Telemetry.add t.c_resync_replayed n;
   Log.info (fun m -> m "RIB is back; replaying %d routes" n)
 
-(* A restarted RIB has empty origin tables: everything we installed
-   died with it. Replay on rebirth (mirrors [watch_fea_lifecycle]
-   above and the RIB's own FIB replay toward a reborn FEA). *)
-let watch_rib_lifecycle t finder =
-  Finder.watch_class finder "rib" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.rib_up && Finder.live_instances finder "rib" = [] then
-          t.rib_up <- false
-      | Finder.Birth ->
-        if not t.rib_up then begin
-          t.rib_up <- true;
-          (* Deferred: the birth notification fires from inside the new
-             RIB's registration, before it has advertised its methods. *)
-          Eventloop.defer t.loop (fun () ->
-              if t.rib_up && t.rib_rebirth_resync && t.cfg.send_to_rib then
-                replay_rib t)
-        end)
-
 let create ?families ?profiler ?(rib_rebirth_resync = true) finder loop cfg =
   ignore profiler;
   let router = Xrl_router.create ?families finder loop ~class_name:"ospf" () in
@@ -454,12 +407,6 @@ let create ?families ?profiler ?(rib_rebirth_resync = true) finder loop cfg =
       socks = Hashtbl.create 4; lsdb = Hashtbl.create 32;
       my_seq = 0; stubs = cfg.stub_prefixes;
       spf_pending = false; spf_count = 0; started = false;
-      (* Both from live Finder state, not assumed true: a process created
-         while its FEA or RIB is down must still treat that component's
-         eventual birth as a rebirth (reopen sockets, resync). *)
-      fea_up = Finder.live_instances finder "fea" <> [];
-      rib_up = Finder.live_instances finder "rib" <> [];
-      rib_rebirth_resync;
       c_resync_replayed = Telemetry.counter "ospf.rib_resync.replayed";
       installed = Hashtbl.create 64 }
   in
@@ -476,8 +423,19 @@ let create ?families ?profiler ?(rib_rebirth_resync = true) finder loop cfg =
          iface.o_neighbors)
     cfg.ifaces;
   add_handlers t;
-  watch_fea_lifecycle t finder;
-  watch_rib_lifecycle t finder;
+  (* A restarted FEA holds none of our relay sockets; re-open on rebirth
+     so hellos flow again and adjacencies can re-form. *)
+  Xrl_router.watch_peer router ~cls:"fea"
+    ~on_death:(fun () -> Hashtbl.reset t.socks)
+    ~on_rebirth:(fun () ->
+        if t.started then List.iter (open_iface_socket t) cfg.ifaces)
+    ();
+  (* A restarted RIB has empty origin tables: everything we installed
+     died with it. Replay on rebirth (as the RIB replays the FIB into
+     a reborn FEA). *)
+  if rib_rebirth_resync && cfg.send_to_rib then
+    Xrl_router.watch_peer router ~cls:"rib"
+      ~on_rebirth:(fun () -> replay_rib t) ();
   t
 
 let start t =

@@ -31,10 +31,6 @@ type t = {
   g_fea_depth : Telemetry.gauge;
   g_fea_urgent : Telemetry.gauge;
   g_fea_bulk : Telemetry.gauge;
-  (* False while no FEA instance is registered: updates queue instead
-     of being sent into the void, and a rebirth triggers a full-FIB
-     replay (the restarted FEA has an empty FIB). *)
-  mutable fea_up : bool;
 }
 
 let set_fea_gauges t =
@@ -63,11 +59,6 @@ let op_net (op : fea_op) = match op with `Add r | `Delete r -> r.Rib_route.net
 let op_verb (op : fea_op) = match op with `Add _ -> "add " | `Delete _ -> "delete "
 let op_is_add (op : fea_op) = match op with `Add _ -> true | `Delete _ -> false
 
-(* FIB updates are idempotent, so they qualify for bounded retry:
-   a chaos-dropped or transiently failed update is re-sent (after
-   re-resolving, so it also finds a restarted FEA) rather than lost. *)
-let fea_retry = Xrl_router.default_retry
-
 (* Legacy per-route XRL; also the path taken when a flush holds a
    single route, so the unbatched pipeline (and its profile-point
    sequence) is byte-for-byte what it was before bulk transfer. *)
@@ -91,7 +82,8 @@ let send_one t (op : fea_op) ctx =
         ~method_name:"delete_route4"
         [ Xrl_atom.ipv4net "net" r.Rib_route.net ]
   in
-  Xrl_router.send ~retry:fea_retry t.router xrl (fun err _ ->
+  (* FIB updates are idempotent, so a failed one is retried. *)
+  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
       if not (Xrl_error.is_ok err) then
         Log.warn (fun m ->
             m "FEA update for %s failed: %s" netstr
@@ -137,7 +129,7 @@ let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
       Xrl.make ~target:"fea" ~interface:"fea" ~method_name
         [ Xrl_atom.binary "routes" packed ]
     in
-    Xrl_router.send ~retry:fea_retry t.router xrl (fun err _ ->
+    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m ->
               m "bulk FEA update (%d routes) failed: %s" n
@@ -149,11 +141,15 @@ let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
    full-table load already queued here. *)
 let fea_bulk_slice = 1024
 
+(* Nothing is held for a dead FEA: a reborn one gets the full replay. *)
+let drop_fea_q t =
+  Laneq.clear t.fea_q;
+  set_fea_gauges t
+
 let rec flush_fea t =
   t.fea_flush_armed <- false;
-  (* No live FEA: keep the queue. It goes out — or is superseded by the
-     full replay — once an instance is back. *)
-  if t.fea_up then begin
+  if not (Xrl_router.peer_live t.router "fea") then drop_fea_q t
+  else begin
     (* One slice: the urgent lane drained dry (flap-sized), then a
        bounded bulk batch. Per-prefix order across lanes is preserved
        by the Laneq demotion guard. *)
@@ -207,8 +203,8 @@ let rec flush_fea t =
   end
 
 let send_fea t (op : fea_op) =
-  profile_net t pp_queued_fea (op_verb op) (op_net op);
-  if t.send_to_fea then begin
+  if t.send_to_fea && Xrl_router.peer_live t.router "fea" then begin
+    profile_net t pp_queued_fea (op_verb op) (op_net op);
     (* Queue-then-send: the actual XRL goes out on the next loop
        iteration, like a real outbound transmit queue — and everything
        queued within this turn flushes together (one bulk XRL per
@@ -217,7 +213,7 @@ let send_fea t (op : fea_op) =
     Laneq.push t.fea_q t.fea_lane ~net:(op_net op)
       (op, Telemetry.Trace.current ());
     set_fea_gauges t;
-    if t.fea_up && not t.fea_flush_armed then begin
+    if not t.fea_flush_armed then begin
       t.fea_flush_armed <- true;
       Eventloop.defer t.loop (fun () -> flush_fea t)
     end
@@ -536,22 +532,18 @@ let add_xrl_handlers t =
 (* Watch protocol component classes; when the last instance of a class
    dies, flush its origin tables in the background (§6.2's lifetime
    notification put to use). *)
-let watch_protocol_deaths t finder =
-  let watch class_name protos =
-    Finder.watch_class finder class_name (fun event _instance ->
-        match event with
-        | Finder.Birth -> ()
-        | Finder.Death ->
-          if Finder.live_instances finder class_name = [] then
-            List.iter (fun p -> flush_protocol t p) protos)
+let watch_protocol_deaths t =
+  let watch cls protos =
+    Xrl_router.watch_peer t.router ~cls
+      ~on_death:(fun () -> List.iter (flush_protocol t) protos)
+      ()
   in
   watch "rip" [ "rip" ];
   watch "bgp" [ "ebgp"; "ibgp" ];
   watch "ospf" [ "ospf" ]
 
-(* A reborn FEA starts from an empty FIB, so incremental deltas queued
-   against the old instance would be wrong; replace them with a full
-   dump of the current winners. *)
+(* A reborn FEA starts from an empty FIB: replace whatever was queued
+   since its birth with a full dump of the current winners. *)
 let replay_fib t =
   Laneq.clear t.fea_q;
   (* A full-FIB dump is the definition of bulk work: fresh urgent
@@ -572,33 +564,18 @@ let replay_fib t =
   end
 
 (* Watch the FEA's own lifetime: while no instance is live, FIB
-   updates accumulate in the queue instead of failing into the void;
-   a (re)birth triggers the full replay above. The synthetic Birth
-   fired for an already-live FEA at watch time is a no-op because
-   [fea_up] was initialised from the same live-instance query. *)
-let watch_fea_lifecycle ?(rebirth_replay = true) t finder =
-  Finder.watch_class finder "fea" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.fea_up && Finder.live_instances finder "fea" = [] then begin
-          t.fea_up <- false;
-          Log.warn (fun m ->
-              m "FEA died; holding FIB updates until an instance returns")
-        end
-      | Finder.Birth ->
-        if not t.fea_up then begin
-          t.fea_up <- true;
-          if rebirth_replay then replay_fib t
-          else if (not t.fea_flush_armed) && not (Laneq.is_empty t.fea_q)
-          then begin
-            (* Faulty variant kept for the simulation harness's
-               bug-injection mode: only the deltas held while the FEA
-               was down are flushed, so every route installed before
-               the death is silently missing from the reborn FIB. *)
-            t.fea_flush_armed <- true;
-            Eventloop.defer t.loop (fun () -> flush_fea t)
-          end
-        end)
+   updates are dropped; a (re)birth triggers the full replay above.
+   Without [rebirth_replay] (the simulation harness's injected bug)
+   nothing is re-sent, so every route installed before the death is
+   silently missing from the reborn FIB. *)
+let watch_fea_lifecycle ~rebirth_replay t =
+  Xrl_router.watch_peer t.router ~cls:"fea"
+    ~on_death:(fun () ->
+        Log.warn (fun m ->
+            m "FEA died; dropping FIB updates until an instance returns");
+        drop_fea_q t)
+    ?on_rebirth:(if rebirth_replay then Some (fun () -> replay_fib t) else None)
+    ()
 
 let create ?families ?batching ?profiler ?(send_to_fea = true)
     ?(bulk_fea = true) ?(fea_rebirth_replay = true) finder loop () =
@@ -619,14 +596,7 @@ let create ?families ?batching ?profiler ?(send_to_fea = true)
       fea_lane = Laneq.Urgent;
       g_fea_depth = Telemetry.gauge "rib.fea_q.depth";
       g_fea_urgent = Telemetry.gauge "rib.fea_q.urgent";
-      g_fea_bulk = Telemetry.gauge "rib.fea_q.bulk";
-      (* Not assumed true: a RIB created (or reborn) while the FEA is
-         down must treat the FEA's eventual return as a rebirth and
-         replay the FIB, exactly as the protocols treat a reborn RIB.
-         Without the watcher there is no Birth to flip it, so it
-         starts true. *)
-      fea_up =
-        (not send_to_fea) || Finder.live_instances finder "fea" <> [] }
+      g_fea_bulk = Telemetry.gauge "rib.fea_q.bulk" }
   in
   t_ref := Some router;
   (match profiler with
@@ -642,9 +612,8 @@ let create ?families ?batching ?profiler ?(send_to_fea = true)
   in
   Rib_table.plumb redist sink;
   add_xrl_handlers t;
-  watch_protocol_deaths t finder;
-  if send_to_fea then
-    watch_fea_lifecycle ~rebirth_replay:fea_rebirth_replay t finder;
+  watch_protocol_deaths t;
+  if send_to_fea then watch_fea_lifecycle ~rebirth_replay:fea_rebirth_replay t;
   t
 
 let shutdown t = Xrl_router.shutdown t.router

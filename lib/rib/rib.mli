@@ -46,12 +46,12 @@ val create :
     and gradually flushes their origin tables when the last instance
     dies (Finder lifetime notification, §6.2).
 
+    While no FEA is live, FIB updates are dropped, not held.
     [fea_rebirth_replay] (default true) controls recovery after an FEA
     restart: when true, a reborn FEA receives a full dump of the
-    current winners; when false, only the deltas held during the
-    outage are flushed — a deliberately faulty mode the simulation
-    harness injects to prove its fuzzer catches the resulting
-    RIB/FIB divergence. *)
+    current winners; when false, nothing is re-sent — a deliberately
+    faulty mode the simulation harness injects to prove its fuzzer
+    catches the resulting RIB/FIB divergence. *)
 
 (** {1 Direct API} (same operations the XRLs expose; examples/tests) *)
 

@@ -43,12 +43,6 @@ type t = {
   socks : (int, int) Hashtbl.t;
   mutable started : bool;
   mutable trigger_pending : bool;
-  mutable fea_up : bool;
-  (* False while no RIB instance is registered: route announcements are
-     suppressed (the reborn RIB starts empty, so skipped deletes are
-     moot) and a rebirth triggers a full replay of the learned table. *)
-  mutable rib_up : bool;
-  rib_rebirth_resync : bool;
   (* Redistribution policies this process has subscribed with; the
      RIB's subscriber table dies with it, so these are re-sent on
      rebirth. *)
@@ -92,14 +86,12 @@ let iter_neighbors t f =
 
 (* --- RIB interaction --------------------------------------------------- *)
 
-(* Route transfers into the RIB are idempotent, so they qualify for
-   bounded retry. [No_such_method] is in the retryable set, which
-   closes the Finder birth gap: a reborn RIB is resolvable one loop
-   turn before its handlers are registered. *)
-let rib_retry = Xrl_router.default_retry
-
+(* While no RIB is live, announcements are dropped: the reborn RIB
+   starts empty, so skipped deletes are moot, and the rebirth replays
+   the learned table. Route transfers into the RIB are idempotent, so
+   they are retried. *)
 let rib_add t (r : rip_route) =
-  if t.cfg.send_to_rib && t.rib_up then
+  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
     let xrl =
       Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
         [ Xrl_atom.txt "protocol" "rip";
@@ -107,17 +99,17 @@ let rib_add t (r : rip_route) =
           Xrl_atom.ipv4 "nexthop" r.rnexthop;
           Xrl_atom.u32 "metric" r.rmetric ]
     in
-    Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m -> m "rib add failed: %s" (Xrl_error.to_string err)))
 
 let rib_delete t (r : rip_route) =
-  if t.cfg.send_to_rib && t.rib_up then
+  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
     let xrl =
       Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"delete_route"
         [ Xrl_atom.txt "protocol" "rip"; Xrl_atom.ipv4net "net" r.rnet ]
     in
-    Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.debug (fun m -> m "rib delete failed: %s" (Xrl_error.to_string err)))
 
@@ -400,34 +392,13 @@ let open_iface_socket t iface =
               (Ipv4.to_string iface.if_addr)
               (Xrl_error.to_string err)))
 
-(* A restarted FEA has no relay sockets: our sockids are stale and
-   every send would fail into the void. Re-open on rebirth (mirrors
-   the RIB's FIB replay-on-rebirth). *)
-let watch_fea_lifecycle t finder =
-  Finder.watch_class finder "fea" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.fea_up && Finder.live_instances finder "fea" = [] then begin
-          t.fea_up <- false;
-          Hashtbl.reset t.socks
-        end
-      | Finder.Birth ->
-        if not t.fea_up then begin
-          t.fea_up <- true;
-          (* Deferred: the birth notification fires from inside the new
-             FEA's registration, before it has advertised its methods. *)
-          Eventloop.defer t.loop (fun () ->
-              if t.started && t.fea_up then
-                List.iter (open_iface_socket t) t.cfg.ifaces)
-        end)
-
 let send_redist_subscribe t policy =
   let xrl =
     Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"redist_subscribe"
       [ Xrl_atom.txt "target" (instance_name t);
         Xrl_atom.txt "policy" policy ]
   in
-  Xrl_router.send ~retry:rib_retry t.router xrl (fun err _ ->
+  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
       if not (Xrl_error.is_ok err) then
         Log.err (fun m ->
             m "redist_subscribe failed: %s" (Xrl_error.to_string err)))
@@ -450,29 +421,6 @@ let replay_rib t =
   Telemetry.add t.c_resync_replayed n;
   Log.info (fun m -> m "RIB is back; replaying %d routes" n)
 
-(* A restarted RIB has empty origin tables and an empty redistribution
-   subscriber list: everything we ever announced — and our interest in
-   connected/static redistribution — died with it. Re-subscribe and
-   replay on rebirth (mirrors [watch_fea_lifecycle] above and the
-   RIB's own FIB replay toward a reborn FEA). *)
-let watch_rib_lifecycle t finder =
-  Finder.watch_class finder "rib" (fun event _instance ->
-      match event with
-      | Finder.Death ->
-        if t.rib_up && Finder.live_instances finder "rib" = [] then
-          t.rib_up <- false
-      | Finder.Birth ->
-        if not t.rib_up then begin
-          t.rib_up <- true;
-          (* Deferred: the birth notification fires from inside the new
-             RIB's registration, before it has advertised its methods. *)
-          Eventloop.defer t.loop (fun () ->
-              if t.rib_up && t.rib_rebirth_resync then begin
-                List.iter (send_redist_subscribe t) (List.rev t.redist_policies);
-                if t.cfg.send_to_rib then replay_rib t
-              end)
-        end)
-
 let create ?families ?profiler ?(seed = 17) ?(rib_rebirth_resync = true) finder
     loop cfg =
   ignore profiler;
@@ -482,13 +430,7 @@ let create ?families ?profiler ?(seed = 17) ?(rib_rebirth_resync = true) finder
       db = Ptree.create ();
       neighbor_iface = Hashtbl.create 8;
       socks = Hashtbl.create 4;
-      started = false; trigger_pending = false;
-      (* Both from live Finder state, not assumed true: a process created
-         while its FEA or RIB is down must still treat that component's
-         eventual birth as a rebirth (reopen sockets, resync). *)
-      fea_up = Finder.live_instances finder "fea" <> [];
-      rib_up = Finder.live_instances finder "rib" <> [];
-      rib_rebirth_resync; redist_policies = [];
+      started = false; trigger_pending = false; redist_policies = [];
       c_resync_replayed = Telemetry.counter "rip.rib_resync.replayed";
       tx_updates = 0; rx_updates = 0; tx_triggered = 0; expired = 0 }
   in
@@ -500,8 +442,23 @@ let create ?families ?profiler ?(seed = 17) ?(rib_rebirth_resync = true) finder
          iface.if_neighbors)
     cfg.ifaces;
   add_handlers t;
-  watch_fea_lifecycle t finder;
-  watch_rib_lifecycle t finder;
+  (* A restarted FEA has no relay sockets: our sockids are stale and
+     every send would fail into the void. Re-open on rebirth. *)
+  Xrl_router.watch_peer router ~cls:"fea"
+    ~on_death:(fun () -> Hashtbl.reset t.socks)
+    ~on_rebirth:(fun () ->
+        if t.started then List.iter (open_iface_socket t) cfg.ifaces)
+    ();
+  (* A restarted RIB has empty origin tables and an empty redistribution
+     subscriber list: everything we ever announced — and our interest in
+     connected/static redistribution — died with it. Re-subscribe and
+     replay on rebirth (as the RIB replays the FIB into a reborn FEA). *)
+  if rib_rebirth_resync then
+    Xrl_router.watch_peer router ~cls:"rib"
+      ~on_rebirth:(fun () ->
+          List.iter (send_redist_subscribe t) (List.rev t.redist_policies);
+          if cfg.send_to_rib then replay_rib t)
+      ();
   t
 
 let periodic_update t =

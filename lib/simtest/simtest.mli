@@ -90,7 +90,7 @@ val of_string : string -> (scenario, string) result
 type opts = {
   fea_rebirth_replay : bool;
   (** Passed to {!Rib.create}; [false] injects the known-bad recovery
-      (held deltas only, no full FIB replay) so the harness can prove
+      (no full FIB replay into a reborn FEA) so the harness can prove
       it catches the divergence. *)
   dataplane_ttl_leak : bool;
   (** [true] installs every element graph with [LeakDecTtl] — a

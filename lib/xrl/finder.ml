@@ -17,7 +17,8 @@ type t = {
   rng : Rng.t;
   targets : (string, target) Hashtbl.t; (* instance -> target *)
   classes : (string, target list ref) Hashtbl.t; (* oldest first *)
-  watchers : (string, (lifetime_event -> string -> unit) list ref) Hashtbl.t;
+  watchers :
+    (string, (lifetime_event -> string -> unit) ref list ref) Hashtbl.t;
   invalidate_hooks : (string -> unit) list ref;
   acls : (string, (string * string) list) Hashtbl.t;
   (* caller class -> allowed (target class, interface); absence = all *)
@@ -48,7 +49,7 @@ let class_list t cls =
 let notify t cls event instance =
   match Hashtbl.find_opt t.watchers cls with
   | None -> ()
-  | Some cbs -> List.iter (fun cb -> cb event instance) !cbs
+  | Some ws -> List.iter (fun w -> !w event instance) !ws
 
 let invalidate t cls =
   List.iter (fun hook -> hook cls) !(t.invalidate_hooks)
@@ -83,10 +84,11 @@ let unregister_target t target =
     Log.info (fun m -> m "unregistered %s" target.instance)
   end
 
+(* 16 random bytes in lowercase hex ([Digest.to_hex] encodes any 16
+   bytes): the same draws, in the same order, as "%02x" per byte. *)
 let register_method t target ~method_id =
   let key =
-    String.concat ""
-      (List.init 16 (fun _ -> Printf.sprintf "%02x" (Rng.int t.rng 256)))
+    Digest.to_hex (String.init 16 (fun _ -> Char.chr (Rng.int t.rng 256)))
   in
   Hashtbl.replace target.methods method_id key;
   key
@@ -182,8 +184,8 @@ let resolve t ?(family_pref = []) ?caller (xrl : Xrl.t) =
 
 let resolve_count t = t.resolves
 
-let watch_class t cls cb =
-  let cbs =
+let watch_class t cls on_event =
+  let ws =
     match Hashtbl.find_opt t.watchers cls with
     | Some r -> r
     | None ->
@@ -191,9 +193,18 @@ let watch_class t cls cb =
       Hashtbl.replace t.watchers cls r;
       r
   in
-  cbs := !cbs @ [ cb ];
+  (* A fresh box per watch: the remover takes out exactly this one, and
+     silences it for the rest of a notification already under way. *)
+  let w = ref on_event in
+  ws := !ws @ [ w ];
   (* Synthetic births for already-live instances. *)
-  List.iter (fun target -> cb Birth target.instance) !(class_list t cls)
+  List.iter (fun target -> on_event Birth target.instance) !(class_list t cls);
+  fun () ->
+    w := (fun _ _ -> ());
+    ws := List.filter (fun x -> x != w) !ws
+
+let watcher_count t =
+  Hashtbl.fold (fun _ ws n -> n + List.length !ws) t.watchers 0
 
 let on_invalidate t hook =
   t.invalidate_hooks := !(t.invalidate_hooks) @ [ hook ];
@@ -203,6 +214,12 @@ let on_invalidate t hook =
     t.invalidate_hooks := List.filter (fun h -> h != hook) !(t.invalidate_hooks)
 
 let invalidate_hook_count t = List.length !(t.invalidate_hooks)
+
+(* [find], not [find_opt]: per-route callers must not allocate. *)
+let is_live t cls =
+  match Hashtbl.find t.classes cls with
+  | live -> !live <> []
+  | exception Not_found -> false
 
 let live_instances t cls =
   List.map (fun target -> target.instance) !(class_list t cls)

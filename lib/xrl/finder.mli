@@ -92,11 +92,16 @@ val is_allowed :
 val resolve_count : t -> int
 (** Number of [resolve] calls served (benchmarks). *)
 
-val watch_class : t -> string -> (lifetime_event -> string -> unit) -> unit
+val watch_class :
+  t -> string -> (lifetime_event -> string -> unit) -> unit -> unit
 (** [watch_class t cls cb]: [cb event instance] fires on every birth or
     death of an instance of [cls]. Registering a watch on a class that
     already has live instances fires a synthetic [Birth] per instance,
-    so watchers need no separate bootstrap query. *)
+    so watchers need no separate bootstrap query. Returns an idempotent
+    remover; until it runs, the Finder keeps [cb] and all it reaches. *)
+
+val watcher_count : t -> int
+(** Currently registered lifetime watchers (leak tests). *)
 
 val on_invalidate : t -> (string -> unit) -> unit -> unit
 (** Hook called with a class name whenever resolutions for that class
@@ -107,6 +112,9 @@ val on_invalidate : t -> (string -> unit) -> unit -> unit
 
 val invalidate_hook_count : t -> int
 (** Currently registered invalidation hooks (leak tests). *)
+
+val is_live : t -> string -> bool
+(** Does the class have a live instance? Allocates nothing. *)
 
 val live_instances : t -> string -> string list
 (** Instance names currently registered for a class. *)

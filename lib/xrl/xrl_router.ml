@@ -68,6 +68,7 @@ type t = {
   rcache : (string, Finder.resolved) Hashtbl.t; (* target ^ "|" ^ method_id *)
   inflight : (int, Xrl_error.t -> unit) Hashtbl.t; (* call id -> fail *)
   watched : (string, unit) Hashtbl.t; (* classes with a death watch *)
+  mutable unwatch : (unit -> unit) list; (* removers of our Finder watches *)
   mutable next_call : int;
   mutable pending : int;
   mutable live : bool;
@@ -210,7 +211,8 @@ let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
          rng = Rng.create 0xB0FF; target; methods = Hashtbl.create 32;
          listeners; senders = Hashtbl.create 8; rcache = Hashtbl.create 64;
          inflight = Hashtbl.create 32; watched = Hashtbl.create 4;
-         next_call = 0; pending = 0; live = true; unhook = (fun () -> ()) })
+         unwatch = []; next_call = 0; pending = 0; live = true;
+         unhook = (fun () -> ()) })
   in
   let t = Lazy.force t in
   t.unhook <- Finder.on_invalidate fndr (fun cls -> invalidate_class t cls);
@@ -220,6 +222,44 @@ let add_handler t ~interface ?(version = "1.0") ~method_name handler =
   let mid = method_id_of ~interface ~version ~name:method_name in
   let key = Finder.register_method t.fndr t.target ~method_id:mid in
   Hashtbl.replace t.methods mid { key; handler }
+
+(* Every Finder watch this router holds goes through here, so
+   [shutdown] can remove them all; a shut router takes no new ones (a
+   late request can still reach a handler over a simulated stream). *)
+let watch t cls on_event =
+  if t.live then
+    t.unwatch <- Finder.watch_class t.fndr cls on_event :: t.unwatch
+
+let peer_live t cls = Finder.is_live t.fndr cls
+
+(* [up] is what the watcher was last told, starting from the Finder's
+   state, so the callbacks alternate. [deaths] counts last-instance
+   deaths; [due] is the count a pending rebirth was scheduled at, and
+   the rebirth runs only if no death came in between. It waits a turn
+   because the birth fires from inside the newborn's registration,
+   before it has advertised its methods. *)
+let watch_peer t ~cls ?(on_death = ignore) ?on_rebirth () =
+  let up = ref (peer_live t cls) and deaths = ref 0 and due = ref (-1) in
+  watch t cls (fun event _instance ->
+      match (event, on_rebirth) with
+      | Finder.Death, _ ->
+        if not (peer_live t cls) then begin
+          incr deaths;
+          if !up then begin
+            up := false;
+            on_death ()
+          end
+        end
+      | Finder.Birth, _ when !up || !due = !deaths -> ()
+      | Finder.Birth, None -> up := true
+      | Finder.Birth, Some on_rebirth ->
+        let d = !deaths in
+        due := d;
+        Eventloop.defer t.loop (fun () ->
+            if t.live && !deaths = d then begin
+              up := true;
+              on_rebirth ()
+            end))
 
 (* An instance of [cls] died: evict every sender whose transport
    address no longer belongs to a live instance of the class, failing
@@ -283,16 +323,12 @@ let sender_for t ?watch_cls (resolved : Finder.resolved) =
        in
        Hashtbl.replace t.senders skey entry;
        (* First sender towards this class: subscribe to its lifetime
-          notifications (§6.5) so a death cleans us up. The Finder has
-          no unwatch, so the callback self-disables once the router is
-          shut down. *)
+          notifications (§6.5) so a death cleans us up. *)
        (match watch_cls with
         | Some cls when not (Hashtbl.mem t.watched cls) ->
           Hashtbl.replace t.watched cls ();
-          Finder.watch_class t.fndr cls (fun ev _inst ->
-              match ev with
-              | Finder.Death when t.live -> handle_death t cls
-              | Finder.Death | Finder.Birth -> ())
+          watch t cls (fun ev _inst ->
+              if ev = Finder.Death then handle_death t cls)
         | _ -> ());
        entry)
 
@@ -522,10 +558,13 @@ let pending_sends t = t.pending
 let shutdown t =
   if t.live then begin
     t.live <- false;
-    (* Remove our invalidation hook first: past this point the Finder
-       must not keep the dead router — or its caches — alive. *)
+    (* Remove our invalidation hook and lifetime watches first: past
+       this point the Finder must not keep the dead router — or the
+       component its callbacks reach — alive. *)
     t.unhook ();
     t.unhook <- (fun () -> ());
+    List.iter (fun unwatch -> unwatch ()) t.unwatch;
+    t.unwatch <- [];
     Finder.unregister_target t.fndr t.target;
     List.iter (fun (l : Pf.listener) -> l.shutdown ()) t.listeners;
     Hashtbl.iter

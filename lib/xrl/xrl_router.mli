@@ -17,7 +17,8 @@
     has a sender towards: when a peer dies, that peer's queued and
     in-flight calls fail promptly (or retry against the restarted
     instance), and the stale sender is evicted so a rebirth at a new
-    address is re-resolved. *)
+    address is re-resolved. Components follow the lifetime of the
+    peers they depend on with {!watch_peer}, and nothing else. *)
 
 type t
 
@@ -41,9 +42,12 @@ type retry = {
 (** Bounded retry with exponential backoff, for {e idempotent} calls
     only — a retried call may execute twice on the peer. Retried
     errors: [Resolve_failed] (peer not yet / no longer registered),
-    [Send_failed] (transport failure), and attempt-level [Timed_out].
-    Each retry re-resolves through the Finder, so a peer that restarts
-    at a new address is found. Retries are counted in [xrl.retries]. *)
+    [Send_failed] (transport failure), [No_such_method] (a newborn
+    instance is registered at the Finder before it has advertised its
+    methods, so a call made in reaction to its birth can land in that
+    gap), and attempt-level [Timed_out]. Each retry re-resolves
+    through the Finder, so a peer that restarts at a new address is
+    found. Retries are counted in [xrl.retries]. *)
 
 val default_retry : retry
 (** 4 attempts; 50 ms base backoff doubling to a 2 s cap, 25% jitter;
@@ -84,6 +88,23 @@ val send :
     [?retry] enables bounded retry with backoff for transient errors;
     see {!retry}. The deadline spans all attempts. *)
 
+val watch_peer :
+  t -> cls:string -> ?on_death:(unit -> unit) -> ?on_rebirth:(unit -> unit) ->
+  unit -> unit
+(** Follow the lifetime of component class [cls] (§6.5). [on_death]
+    runs when the last live instance dies. [on_rebirth] runs one loop
+    turn after an instance is born while none was live, including the
+    first birth of a class that was down when the watch began; it is
+    skipped if [cls] died again by then or this router shut down, and
+    without it no turn is deferred. The two alternate, starting from
+    the Finder's state: a watch begun while [cls] is live waits for a
+    death, and a birth and a death within one turn call neither.
+    {!shutdown} removes the watch. *)
+
+val peer_live : t -> string -> bool
+(** Is an instance of the class live? Read from the Finder, without
+    allocating, so per-route paths need no flag of their own. *)
+
 val call_blocking :
   ?deadline:float -> ?retry:retry -> t -> Xrl.t ->
   Xrl_error.t * Xrl_atom.t list
@@ -116,5 +137,6 @@ val pending_sends : t -> int
 
 val shutdown : t -> unit
 (** Unregister from the Finder (including this router's resolution-
-    invalidation hook), close listeners and senders, and settle every
-    unsettled call with [Send_failed] in send order. Idempotent. *)
+    invalidation hook and every lifetime watch it holds), close
+    listeners and senders, and settle every unsettled call with
+    [Send_failed] in send order. Idempotent. *)

@@ -433,6 +433,44 @@ let test_cut_link_spares_others () =
   Eventloop.run loop;
   check Alcotest.int "unrelated pair unaffected" 1 !got
 
+(* Attach callbacks that are the only holders of a fresh block, and
+   return a weak pointer to it. Not inlined, so no stack slot of the
+   caller keeps the block. *)
+let[@inline never] attach_captured ep =
+  let captured = Bytes.create 64 in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some captured);
+  Netsim.Stream.on_receive ep (fun _ -> ignore (Sys.opaque_identity captured));
+  Netsim.Stream.on_close ep (fun () -> ignore (Sys.opaque_identity captured));
+  w
+
+let test_closed_stream_keeps_no_callbacks () =
+  (* A closed endpoint stays reachable — from its peer, from the
+     registry until compaction, here from the test itself — so its
+     callbacks must not keep what they captured (a dead BGP process
+     and its Adj-RIB-In) alive. *)
+  let loop, net = setup () in
+  let server = ref None and client = ref None in
+  ignore
+    (Netsim.Stream.listen net ~addr:(addr "10.0.0.2") ~port:179 (fun ep ->
+         server := Some ep));
+  Netsim.Stream.connect net ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2")
+    ~port:179 (fun ep -> client := ep);
+  Eventloop.run loop;
+  let client = Option.get !client and server = Option.get !server in
+  let wc = attach_captured client and ws = attach_captured server in
+  Netsim.Stream.close client;
+  Eventloop.run loop;
+  check Alcotest.bool "both ends closed" false
+    (Netsim.Stream.is_open client || Netsim.Stream.is_open server);
+  Gc.full_major ();
+  check Alcotest.bool "client's callbacks freed" false (Weak.check wc 0);
+  check Alcotest.bool "server's callbacks freed" false (Weak.check ws 0);
+  (* A closed endpoint takes no new callbacks either. *)
+  let wl = attach_captured client in
+  Gc.full_major ();
+  check Alcotest.bool "late callbacks not kept" false (Weak.check wl 0)
+
 let test_determinism () =
   (* Two identical runs produce identical event timings. *)
   let run () =
@@ -478,6 +516,8 @@ let () =
           Alcotest.test_case "unlisten frees port" `Quick
             test_unlisten_frees_port;
           Alcotest.test_case "endpoint addresses" `Quick test_addresses;
+          Alcotest.test_case "closed endpoint keeps no callbacks" `Quick
+            test_closed_stream_keeps_no_callbacks;
         ] );
       ( "dgram",
         [

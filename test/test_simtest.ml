@@ -185,8 +185,8 @@ let test_fuzz_finds_and_shrinks_lane_reorder () =
        minimal.Simtest.events)
 
 let test_rib_no_resync_caught () =
-  (* Protocols that mark a reborn RIB up but never replay their tables
-     into it leave the new RIB empty while BGP/RIP/OSPF still hold
+  (* Protocols that never replay their tables into a reborn RIB
+     leave the new RIB empty while BGP/RIP/OSPF still hold
      routes.  The per-protocol origin-count invariant must name the
      disagreement; the healthy default must stay green on the same
      schedule. *)

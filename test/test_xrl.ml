@@ -357,10 +357,13 @@ let test_finder_lifetime_events () =
          ~addresses:[ ("x-intra", "intra:1") ] ())
   in
   (* watcher registered after t1: still gets a synthetic birth *)
-  Finder.watch_class f "bgp" (fun ev inst ->
-      events :=
-        ((match ev with Finder.Birth -> "birth" | Finder.Death -> "death"), inst)
-        :: !events);
+  let unwatch =
+    Finder.watch_class f "bgp" (fun ev inst ->
+        events :=
+          ((match ev with Finder.Birth -> "birth" | Finder.Death -> "death"),
+           inst)
+          :: !events)
+  in
   let t2 =
     Result.get_ok
       (Finder.register_target f ~class_name:"bgp"
@@ -376,7 +379,15 @@ let test_finder_lifetime_events () =
     [ ("birth", i1); ("birth", i2); ("death", i1); ("death", i2) ]
     (List.rev !events);
   check (Alcotest.list Alcotest.string) "no instances left" []
-    (Finder.live_instances f "bgp")
+    (Finder.live_instances f "bgp");
+  check Alcotest.int "one watcher" 1 (Finder.watcher_count f);
+  unwatch ();
+  unwatch (); (* idempotent *)
+  check Alcotest.int "remover unwatches" 0 (Finder.watcher_count f);
+  ignore
+    (Finder.register_target f ~class_name:"bgp"
+       ~addresses:[ ("x-intra", "intra:3") ] ());
+  check Alcotest.int "removed watcher not called" 4 (List.length !events)
 
 let test_finder_family_preference () =
   let f = Finder.create () in
@@ -444,6 +455,136 @@ let run_adder_scenario ~families ~pref ~mode () =
    | e -> Alcotest.failf "expected Bad_args, got %s" (Xrl_error.to_string e));
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
+
+(* --- watch_peer: the one lifecycle primitive ----------------------- *)
+
+(* A watcher router, and instances of class "peer" that come and go at
+   the Finder. *)
+let peer_world () =
+  let loop = Eventloop.create () in
+  let f = Finder.create () in
+  let born () =
+    Result.get_ok
+      (Finder.register_target f ~class_name:"peer" ~addresses:[] ())
+  in
+  (loop, f, born)
+
+let watch_log r =
+  let log = ref [] in
+  Xrl_router.watch_peer r ~cls:"peer"
+    ~on_death:(fun () -> log := "death" :: !log)
+    ~on_rebirth:(fun () -> log := "rebirth" :: !log)
+    ();
+  fun () -> List.rev !log
+
+let strings = Alcotest.(list string)
+
+let test_watch_peer_begun_live () =
+  let loop, f, born = peer_world () in
+  ignore (born ());
+  let r = Xrl_router.create f loop ~class_name:"watcher" () in
+  let log = watch_log r in
+  ignore (born ());
+  Eventloop.run_until_idle loop;
+  check strings "a live peer's births call nothing" [] (log ());
+  check Alcotest.bool "live" true (Xrl_router.peer_live r "peer")
+
+let test_watch_peer_begun_down () =
+  let loop, f, born = peer_world () in
+  let r = Xrl_router.create f loop ~class_name:"watcher" () in
+  let log = watch_log r in
+  check Alcotest.bool "down" false (Xrl_router.peer_live r "peer");
+  let p = born () in
+  check strings "not synchronous" [] (log ());
+  check Alcotest.bool "live from the birth on" true
+    (Xrl_router.peer_live r "peer");
+  ignore (Eventloop.run_once loop);
+  check strings "one turn after the birth" [ "rebirth" ] (log ());
+  Eventloop.run_until_idle loop;
+  check strings "once" [ "rebirth" ] (log ());
+  Finder.unregister_target f p;
+  check strings "then the death" [ "rebirth"; "death" ] (log ())
+
+let test_watch_peer_last_death () =
+  let loop, f, born = peer_world () in
+  let p1 = born () and p2 = born () in
+  let r = Xrl_router.create f loop ~class_name:"watcher" () in
+  let log = watch_log r in
+  Finder.unregister_target f p1;
+  check strings "one of two dies: nothing" [] (log ());
+  Finder.unregister_target f p2;
+  Finder.unregister_target f p2;
+  check strings "the last dies: one death" [ "death" ] (log ());
+  ignore (born ());
+  ignore (born ());
+  Eventloop.run_until_idle loop;
+  check strings "two births: one rebirth" [ "death"; "rebirth" ] (log ())
+
+let test_watch_peer_same_turn () =
+  let loop, f, born = peer_world () in
+  let r = Xrl_router.create f loop ~class_name:"watcher" () in
+  let log = watch_log r in
+  Finder.unregister_target f (born ());
+  Eventloop.run_until_idle loop;
+  check strings "birth then death in one turn: nothing" [] (log ());
+  Finder.unregister_target f (born ());
+  let p = born () in
+  Eventloop.run_until_idle loop;
+  check strings "birth, death, birth: one rebirth" [ "rebirth" ] (log ());
+  Finder.unregister_target f p;
+  check strings "and its death" [ "rebirth"; "death" ] (log ())
+
+let test_watch_peer_shutdown () =
+  let loop, f, born = peer_world () in
+  let before = Finder.watcher_count f in
+  let adder = make_adder f loop in
+  let r1 = Xrl_router.create f loop ~class_name:"watcher" () in
+  let r2 = Xrl_router.create f loop ~class_name:"watcher" () in
+  (* A sender towards a class adds the router's own eviction watch. *)
+  let err, _ = Xrl_router.call_blocking r2 (add_xrl 1 2) in
+  check Alcotest.bool "call ok" true (Xrl_error.is_ok err);
+  let log1 = watch_log r1 in
+  let p = born () in
+  let log2 = watch_log r2 in
+  Xrl_router.shutdown r1;
+  Xrl_router.shutdown r2;
+  Eventloop.run_until_idle loop;
+  check strings "shutdown before the rebirth turn: nothing" [] (log1 ());
+  Finder.unregister_target f p;
+  check strings "no death after shutdown" [] (log2 ());
+  Xrl_router.shutdown adder;
+  check Alcotest.int "every watch removed" before (Finder.watcher_count f)
+
+let test_peer_live_allocates_nothing () =
+  let loop, f, born = peer_world () in
+  let r = Xrl_router.create f loop ~class_name:"watcher" () in
+  ignore (born ());
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Xrl_router.peer_live r "peer"));
+    ignore (Sys.opaque_identity (Xrl_router.peer_live r "absent"))
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words for 20,000 reads" words)
+    true (words < 100.)
+
+let test_finder_keys_match_printf () =
+  (* The keys are the same 16 draws the "%02x" formula formatted, so
+     every seeded schedule is unchanged. *)
+  let f = Finder.create ~seed:42 () in
+  let target =
+    Result.get_ok (Finder.register_target f ~class_name:"k" ~addresses:[] ())
+  in
+  let rng = Rng.create 42 in
+  for i = 1 to 500 do
+    let expected =
+      String.concat ""
+        (List.init 16 (fun _ -> Printf.sprintf "%02x" (Rng.int rng 256)))
+    in
+    check Alcotest.string "key" expected
+      (Finder.register_method f target ~method_id:(string_of_int i))
+  done
 
 let test_intra_call () =
   run_adder_scenario ~families:[ Pf_intra.family ] ~pref:[ "x-intra" ]
@@ -710,6 +851,23 @@ let () =
             test_finder_lifetime_events;
           Alcotest.test_case "family preference" `Quick
             test_finder_family_preference;
+          Alcotest.test_case "keys match the printf formula" `Quick
+            test_finder_keys_match_printf;
+        ] );
+      ( "watch_peer",
+        [
+          Alcotest.test_case "begun while live calls nothing" `Quick
+            test_watch_peer_begun_live;
+          Alcotest.test_case "begun while down: rebirth one turn later"
+            `Quick test_watch_peer_begun_down;
+          Alcotest.test_case "death only when the last instance dies" `Quick
+            test_watch_peer_last_death;
+          Alcotest.test_case "birth and death in one turn call nothing"
+            `Quick test_watch_peer_same_turn;
+          Alcotest.test_case "shutdown removes every watch" `Quick
+            test_watch_peer_shutdown;
+          Alcotest.test_case "peer_live allocates nothing" `Quick
+            test_peer_live_allocates_nothing;
         ] );
       ( "calls",
         [

@@ -365,9 +365,10 @@ let test_fea_kill_restart_converges () =
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "restarted FEA converged to the no-fault FIB" expected faulted
 
-let test_fea_death_holds_updates () =
-  (* Without chaos: updates made while no FEA is live are held, not
-     lost — and the rebirth replay installs the full FIB. *)
+let test_fea_death_drops_updates () =
+  (* Without chaos: updates made while no FEA is live are dropped, not
+     held — the RIB's FEA queue stays empty — and the rebirth replay
+     installs the full FIB. *)
   let loop = Eventloop.create () in
   let finder = Finder.create () in
   let fea = Fea.create finder loop () in
@@ -387,13 +388,100 @@ let test_fea_death_holds_updates () =
    with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
+  check Alcotest.int "nothing queued for a dead FEA" 0
+    (Rib.fea_queue_length rib);
   Eventloop.run_until_time loop (Eventloop.now loop +. 30.0);
+  check Alcotest.int "nothing held while no FEA is live" 0
+    (Rib.fea_queue_length rib);
   let fea2 = Fea.create finder loop () in
   Eventloop.run_until_time loop (Eventloop.now loop +. 30.0);
   check Alcotest.int "replay installed the full FIB" 2
     (Fib.size (Fea.fib fea2));
   Rib.shutdown rib;
   Fea.shutdown fea2
+
+(* --- component lifecycle: kill/restart cycles free what they kill ---- *)
+
+(* Router A originates [routes] /24s to router B over eBGP; both are
+   full Rtrmgr stacks on one loop and one simulated network. *)
+let ebgp_pair ~routes =
+  let networks =
+    String.concat ""
+      (List.init routes (fun i ->
+           Printf.sprintf "network 10.%d.%d.0/24 { }\n" (i / 256) (i mod 256)))
+  in
+  let config ~me ~peer ~local_as ~peer_as ~networks =
+    Printf.sprintf
+      {|interfaces { interface eth0 { address: %s } }
+protocols {
+  bgp {
+    local-as: %d
+    bgp-id: %s
+    %s
+    peer %s { as: %d local-ip: %s }
+  }
+}|}
+      me local_as me networks peer peer_as me
+  in
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let boot config =
+    match Rtrmgr.boot ~loop ~netsim ~config () with
+    | Ok r -> r
+    | Error problems -> Alcotest.fail (String.concat "; " problems)
+  in
+  let a =
+    boot
+      (config ~me:"10.255.0.1" ~peer:"10.255.0.2" ~local_as:65001
+         ~peer_as:65002 ~networks)
+  in
+  let b =
+    boot
+      (config ~me:"10.255.0.2" ~peer:"10.255.0.1" ~local_as:65002
+         ~peer_as:65001 ~networks:"")
+  in
+  (loop, a, b)
+
+(* A weak pointer to [x], as "is it still alive?". Not inlined, so no
+   stack slot of the caller keeps [x]. *)
+let[@inline never] still_alive x =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some x);
+  fun () -> Weak.check w 0
+
+let test_restart_cycles_free_killed () =
+  let routes = 50 in
+  let loop, a, b = ebgp_pair ~routes in
+  let run_for d = Eventloop.run_until_time loop (Eventloop.now loop +. d) in
+  run_for 30.0;
+  let fib_size () = Fib.size (Fea.fib (Rtrmgr.fea b)) in
+  let booted = fib_size () in
+  check Alcotest.bool "B learned A's routes" true (booted > routes);
+  let finder = Rtrmgr.finder b in
+  let watchers = Finder.watcher_count finder in
+  let killed = ref [] in
+  for _ = 1 to 10 do
+    List.iter
+      (fun comp ->
+         (match comp with
+          | `Rib -> killed := still_alive (Rtrmgr.rib b) :: !killed
+          | `Bgp ->
+            killed := still_alive (Option.get (Rtrmgr.bgp b)) :: !killed
+          | _ -> ());
+         Rtrmgr.kill_component b comp;
+         run_for 5.0;
+         Rtrmgr.restart_component b comp;
+         run_for 60.0)
+      [ `Fea; `Rib; `Bgp ]
+  done;
+  check Alcotest.int "B's FIB recovered" booted (fib_size ());
+  check Alcotest.int "watcher count unchanged" watchers
+    (Finder.watcher_count finder);
+  Gc.full_major ();
+  let alive = List.length (List.filter (fun alive -> alive ()) !killed) in
+  check Alcotest.int "killed RIBs and BGPs collected" 0 alive;
+  Rtrmgr.shutdown a;
+  Rtrmgr.shutdown b
 
 let () =
   Alcotest.run "xrl_reliability"
@@ -421,7 +509,10 @@ let () =
           Alcotest.test_case "drops recovered by retry" `Quick
             test_chaos_drops_recovered_by_retry ] );
       ( "fea-lifecycle",
-        [ Alcotest.test_case "death holds updates, rebirth replays" `Quick
-            test_fea_death_holds_updates;
+        [ Alcotest.test_case "death drops updates, rebirth replays" `Quick
+            test_fea_death_drops_updates;
           Alcotest.test_case "kill/restart converges under chaos" `Quick
-            test_fea_kill_restart_converges ] ) ]
+            test_fea_kill_restart_converges ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "restart cycles free what they kill" `Quick
+            test_restart_cycles_free_killed ] ) ]
