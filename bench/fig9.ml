@@ -10,13 +10,12 @@
    loopback sockets on a real select loop; intra-process is a direct
    call.
 
-   On top of the paper's three series this adds:
-   - a "tcp+batch" series: the same transaction with sender-side
-     request batching on (sends made in one event-loop turn coalesce
-     into one frame), quantifying what the fast path buys;
+   Every XRL is its own frame, as in the paper. On top of the paper's
+   three series this adds:
    - a RIB-to-FEA route-install benchmark comparing per-route XRLs
-     against the bulk add_routes4 transfer;
-   - machine-readable output in BENCH_xrl.json. *)
+     against the bulk add_routes4 transfer, the one place calls are
+     coalesced (a run of route changes packed into one XRL);
+   - machine-readable output in BENCH_xrl.json (full run only). *)
 
 open Bench_util
 
@@ -68,17 +67,14 @@ let family_of = function
   | "udp" -> (Pf_udp.family, "sudp")
   | f -> invalid_arg f
 
-(* [batching] defaults to off so the three classic series measure the
-   paper's frame-per-request path unchanged; the "tcp+batch" series
-   turns it on. *)
-let measure_family ?(batching = false) ?size fam_name nargs_list =
+let measure_family ?size fam_name nargs_list =
   let fam, pref = family_of fam_name in
   let loop = Eventloop.create ~mode:`Real () in
   let finder = Finder.create () in
   let target = make_target finder loop [ fam ] in
   let caller =
-    Xrl_router.create ~families:[ fam ] ~family_pref:[ pref ] ~batching
-      finder loop ~class_name:"benchcaller" ()
+    Xrl_router.create ~families:[ fam ] ~family_pref:[ pref ] finder loop
+      ~class_name:"benchcaller" ()
   in
   (* UDP has no pipelining: its sender serializes, so the effective
      window is 1 no matter what we submit; submit with the standard
@@ -97,16 +93,15 @@ let measure_family ?(batching = false) ?size fam_name nargs_list =
 (* --- RIB -> FEA route install --------------------------------------- *)
 
 (* Originate [n] statics into a RIB wired to a FEA over TCP and time
-   until they are all in the FIB. [bulk] selects the fast path (route
-   coalescing + add_routes4 + frame batching) vs the legacy one XRL
+   until they are all in the FIB. [bulk] selects the fast path (runs of
+   route changes packed into add_routes4 XRLs) vs the legacy one XRL
    per route. *)
 let measure_rib_fea ~bulk n =
   let loop = Eventloop.create ~mode:`Real () in
   let finder = Finder.create () in
   let fea = Fea.create ~families:[ Pf_tcp.family ] finder loop () in
   let rib =
-    Rib.create ~families:[ Pf_tcp.family ] ~batching:bulk ~bulk_fea:bulk
-      finder loop ()
+    Rib.create ~families:[ Pf_tcp.family ] ~bulk_fea:bulk finder loop ()
   in
   (* Originate first (identical pipeline cost in both modes, all
      updates land in the RIB's outbound FEA queue), then time the
@@ -144,7 +139,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* series: (family, batching, (nargs, rate) list) list
+(* series: (family, (nargs, rate) list) list
    install: (mode, routes, rate) list *)
 let emit_json ~path ~size ~window series install =
   let buf = Buffer.create 2048 in
@@ -153,12 +148,11 @@ let emit_json ~path ~size ~window series install =
        "{\n  \"transaction_size\": %d,\n  \"window\": %d,\n  \"series\": [\n"
        size window);
   List.iteri
-    (fun i (fam, batching, points) ->
+    (fun i (fam, points) ->
        if i > 0 then Buffer.add_string buf ",\n";
        Buffer.add_string buf
-         (Printf.sprintf
-            "    {\"family\": \"%s\", \"batching\": %b, \"points\": ["
-            (json_escape fam) batching);
+         (Printf.sprintf "    {\"family\": \"%s\", \"points\": ["
+            (json_escape fam));
        List.iteri
          (fun j (nargs, rate) ->
             if j > 0 then Buffer.add_string buf ", ";
@@ -198,15 +192,11 @@ let run () =
       (fun fam -> (fam, measure_family fam points))
       [ "intra"; "tcp"; "udp" ]
   in
-  let tcp_batch = measure_family ~batching:true "tcp" points in
-  pf "\n%-6s %12s %12s %12s %12s  (XRLs/second)\n" "#args" "Intra" "TCP"
-    "TCP+batch" "UDP";
+  pf "\n%-6s %12s %12s %12s  (XRLs/second)\n" "#args" "Intra" "TCP" "UDP";
   List.iter
     (fun nargs ->
        let rate fam = List.assoc nargs (List.assoc fam all) in
-       pf "%-6d %12.0f %12.0f %12.0f %12.0f\n" nargs (rate "intra")
-         (rate "tcp")
-         (List.assoc nargs tcp_batch)
+       pf "%-6d %12.0f %12.0f %12.0f\n" nargs (rate "intra") (rate "tcp")
          (rate "udp"))
     points;
   (* Shape checks, mirroring the paper's qualitative claims. *)
@@ -217,8 +207,6 @@ let run () =
     (r "intra" 25 /. r "tcp" 25);
   pf "shape: tcp/udp ratio at 0 args:    %.2fx (paper: >>1, pipelining wins)\n"
     (r "tcp" 0 /. r "udp" 0);
-  pf "shape: batch/tcp ratio at 0 args:  %.2fx (batching amortizes frames)\n"
-    (List.assoc 0 tcp_batch /. r "tcp" 0);
   let n_routes = 20_000 in
   pf "\nRIB -> FEA install, %d routes over TCP:\n" n_routes;
   let per_route = measure_rib_fea ~bulk:false n_routes in
@@ -226,34 +214,24 @@ let run () =
   pf "  per-route XRLs:   %10.0f routes/s\n" per_route;
   pf "  bulk add_routes4: %10.0f routes/s\n" bulk;
   pf "  speedup:          %10.2fx (target: >= 3x)\n" (bulk /. per_route);
-  emit_json ~path:"BENCH_xrl.json" ~size:transaction_size ~window
-    (List.map (fun (fam, pts) -> (fam, false, pts)) all
-     @ [ ("tcp", true, tcp_batch) ])
+  emit_json ~path:"BENCH_xrl.json" ~size:transaction_size ~window all
     [ ("per_route", n_routes, per_route); ("bulk", n_routes, bulk) ]
 
-(* Short CI variant: one TCP transaction each way plus a small bulk
-   install, with sanity bounds loose enough for shared runners. *)
+(* Short CI variant: one TCP transaction plus a small install each way,
+   with sanity bounds loose enough for shared runners. It writes no
+   JSON, so the committed BENCH_xrl.json stays a full run. *)
 let smoke () =
-  header "Smoke: short fig9 transaction + batched transports";
+  header "Smoke: short fig9 TCP transaction + bulk route install";
   let size = 2_000 in
   let points = [ 0; 10 ] in
   let tcp = measure_family ~size "tcp" points in
-  let tcp_batch = measure_family ~size ~batching:true "tcp" points in
-  pf "%-6s %12s %12s  (XRLs/second, %d-XRL transaction)\n" "#args" "TCP"
-    "TCP+batch" size;
-  List.iter
-    (fun nargs ->
-       pf "%-6d %12.0f %12.0f\n" nargs (List.assoc nargs tcp)
-         (List.assoc nargs tcp_batch))
-    points;
+  pf "%-6s %12s  (XRLs/second, %d-XRL transaction)\n" "#args" "TCP" size;
+  List.iter (fun (nargs, rate) -> pf "%-6d %12.0f\n" nargs rate) tcp;
   let n_routes = 5_000 in
   let per_route = measure_rib_fea ~bulk:false n_routes in
   let bulk = measure_rib_fea ~bulk:true n_routes in
   pf "RIB -> FEA, %d routes: per-route %.0f/s, bulk %.0f/s (%.2fx)\n"
     n_routes per_route bulk (bulk /. per_route);
-  emit_json ~path:"BENCH_xrl.json" ~size ~window
-    [ ("tcp", false, tcp); ("tcp", true, tcp_batch) ]
-    [ ("per_route", n_routes, per_route); ("bulk", n_routes, bulk) ];
   if bulk < per_route then
     failwith "smoke: bulk route install slower than per-route XRLs";
   pf "smoke ok\n%!"

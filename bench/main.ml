@@ -46,7 +46,9 @@ let experiments =
     ("telemetry", "telemetry on/off overhead through the BGP pipeline",
      Telemetry_overhead.run);
     ("micro", "Bechamel micro-benchmarks of hot primitives", Micro.run);
-    ("smoke", "CI smoke: short fig9 transaction + batched transports",
+    ("smoke",
+     "CI smoke: short fig9 TCP transaction + bulk vs per-route RIB->FEA \
+      install",
      Fig9.smoke) ]
 
 let list_them () =

@@ -420,17 +420,18 @@ let adjust_backlog t delta =
   t.inbound_backlog <- t.inbound_backlog + delta;
   Telemetry.set_gauge t.g_inbound (float_of_int t.inbound_backlog)
 
-let apply_inbound peer (op : inbound_op) =
-  match op.i_action with
+(* Hand one UPDATE prefix to the peer's Adj-RIB-In: the one place a
+   received prefix becomes a route, for the synchronous fast path and
+   the staged drain alike. *)
+let apply_inbound peer action net =
+  match action with
   | `Withdraw ->
     peer.ribin#delete_route
-      { Bgp_types.net = op.i_net;
-        attrs = Bgp_types.default_attrs ~nexthop:Ipv4.zero;
+      { Bgp_types.net; attrs = Bgp_types.default_attrs ~nexthop:Ipv4.zero;
         peer_id = peer.info.peer_id; igp_metric = None }
   | `Add attrs ->
     peer.ribin#add_route
-      { Bgp_types.net = op.i_net; attrs; peer_id = peer.info.peer_id;
-        igp_metric = None }
+      { Bgp_types.net; attrs; peer_id = peer.info.peer_id; igp_metric = None }
 
 (* The per-peer drain task: one staged prefix per slice,
    [t.inbound_slice] slices per event-loop turn, so a bulk table load
@@ -456,7 +457,7 @@ let ensure_inbound_task t peer =
         in
         Bgp_types.with_lane lane (fun () ->
             Telemetry.Trace.with_ctx op.i_trace (fun () ->
-                apply_inbound peer op));
+                apply_inbound peer op.i_action op.i_net));
         `Continue
     in
     peer.inbound_task <-
@@ -524,21 +525,9 @@ let handle_update t peer (msg : Bgp_packet.msg) =
          what it was before inbound slicing, and a flap arriving during
          another peer's bulk load enters the urgent lane right here. *)
       Bgp_types.with_lane Laneq.Urgent (fun () ->
-          List.iter
-            (fun net ->
-               peer.ribin#delete_route
-                 { Bgp_types.net;
-                   attrs = Bgp_types.default_attrs ~nexthop:Ipv4.zero;
-                   peer_id = peer.info.peer_id; igp_metric = None })
-            withdrawn;
+          List.iter (apply_inbound peer `Withdraw) withdrawn;
           match nlri_attrs with
-          | Some a ->
-            List.iter
-              (fun net ->
-                 peer.ribin#add_route
-                   { Bgp_types.net; attrs = a;
-                     peer_id = peer.info.peer_id; igp_metric = None })
-              nlri
+          | Some a -> List.iter (apply_inbound peer (`Add a)) nlri
           | None -> ())
     else begin
       (* Bulk path: stage every prefix (withdrawals first, as they

@@ -38,7 +38,7 @@ let add_bgp stack ~local_as ~bgp_id ?(peers = []) () =
 
 let add_rip stack config =
   let rip =
-    Rip_process.create ?profiler:stack.profiler stack.finder stack.loop config
+    Rip_process.create stack.finder stack.loop config
   in
   Rip_process.start rip;
   stack.rip <- Some rip;

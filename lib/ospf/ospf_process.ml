@@ -398,8 +398,7 @@ let replay_rib t =
   Telemetry.add t.c_resync_replayed n;
   Log.info (fun m -> m "RIB is back; replaying %d routes" n)
 
-let create ?families ?profiler ?(rib_rebirth_resync = true) finder loop cfg =
-  ignore profiler;
+let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"ospf" () in
   let t =
     { router; loop; cfg;

@@ -48,7 +48,6 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?profiler:Profiler.t ->
   ?rib_rebirth_resync:bool ->
   Finder.t -> Eventloop.t -> config -> t
 (** Registers component class ["ospf"]. [families] selects the XRL

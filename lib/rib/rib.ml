@@ -577,14 +577,13 @@ let watch_fea_lifecycle ~rebirth_replay t =
     ?on_rebirth:(if rebirth_replay then Some (fun () -> replay_fib t) else None)
     ()
 
-let create ?families ?batching ?profiler ?(send_to_fea = true)
-    ?(bulk_fea = true) ?(fea_rebirth_replay = true) finder loop () =
+let create ?families ?profiler ?(send_to_fea = true) ?(bulk_fea = true)
+    ?(fea_rebirth_replay = true) finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted RIB does not inherit the dead instance's counts. *)
   Telemetry.reset_prefix "rib.";
   let router =
-    Xrl_router.create ?families ?batching finder loop ~class_name:"rib"
-      ~sole:true ()
+    Xrl_router.create ?families finder loop ~class_name:"rib" ~sole:true ()
   in
   let t_ref = ref None in
   let origins, register, redist =

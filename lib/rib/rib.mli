@@ -29,7 +29,7 @@
 type t
 
 val create :
-  ?families:Pf.family list -> ?batching:bool ->
+  ?families:Pf.family list ->
   ?profiler:Profiler.t -> ?send_to_fea:bool -> ?bulk_fea:bool ->
   ?fea_rebirth_replay:bool ->
   Finder.t -> Eventloop.t -> unit -> t
@@ -40,8 +40,7 @@ val create :
     the bulk [rib/add_routes4] XRLs) that flushes in bounded deferred
     slices, and, with [bulk_fea] (default true), each consecutive
     same-kind run of two or more leaves as one bulk [add_routes4] /
-    [delete_routes4] XRL (single routes keep the per-route XRL).
-    [batching] is passed to the underlying {!Xrl_router.create}. The
+    [delete_routes4] XRL (single routes keep the per-route XRL). The
     RIB watches the ["bgp"], ["rip"] and ["ospf"] component classes
     and gradually flushes their origin tables when the last instance
     dies (Finder lifetime notification, §6.2).

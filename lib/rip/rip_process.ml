@@ -421,12 +421,10 @@ let replay_rib t =
   Telemetry.add t.c_resync_replayed n;
   Log.info (fun m -> m "RIB is back; replaying %d routes" n)
 
-let create ?families ?profiler ?(seed = 17) ?(rib_rebirth_resync = true) finder
-    loop cfg =
-  ignore profiler;
+let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"rip" () in
   let t =
-    { router; loop; cfg; rng = Rng.create seed;
+    { router; loop; cfg; rng = Rng.create 17 (* update jitter *);
       db = Ptree.create ();
       neighbor_iface = Hashtbl.create 8;
       socks = Hashtbl.create 4;

@@ -36,13 +36,12 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?profiler:Profiler.t -> ?seed:int ->
   ?rib_rebirth_resync:bool ->
   Finder.t -> Eventloop.t -> config -> t
 (** Registers component class ["rip"]. [families] selects the XRL
     transports of the component's endpoint (default: intra-process; the
-    simulation harness passes a chaos-wrapped family). [seed] controls
-    update jitter.
+    simulation harness passes a chaos-wrapped family). Update jitter
+    is drawn from a fixed seed, so schedules are deterministic.
 
     FEA socket opens are retried with backoff, and re-issued when a
     restarted FEA registers (its relay sockets — and our sockids — die

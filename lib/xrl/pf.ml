@@ -4,11 +4,6 @@ type reply_cb = Xrl_error.t -> Xrl_atom.t list -> unit
 
 type sender = {
   send_req : Xrl.t -> reply_cb -> unit;
-  send_batch : ((Xrl.t * reply_cb) list -> unit) option;
-  (* Transport-level request coalescing: send many requests as one
-     frame, each with its own sequence number and reply callback.
-     [None] for families where a frame boundary is free (intra-process
-     direct calls) or that deliberately do not pipeline (UDP). *)
   close_sender : unit -> unit;
   family_of_sender : string;
 }

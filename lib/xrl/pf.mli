@@ -13,15 +13,9 @@ type reply_cb = Xrl_error.t -> Xrl_atom.t list -> unit
 
 type sender = {
   send_req : Xrl.t -> reply_cb -> unit;
-  send_batch : ((Xrl.t * reply_cb) list -> unit) option;
-  (** Transport-level coalescing: send many requests as one
-      {!Xrl_wire.Batch} frame. Each request keeps its own sequence
-      number and callback — replies and errors stay per-request, and
-      FIFO order within the batch is preserved. [None] for families
-      where frame boundaries are free (intra-process) or that
-      deliberately do not pipeline (UDP, the paper's early prototype).
-      {!Xrl_router} coalesces same-destination sends within one
-      event-loop turn onto this path when present. *)
+  (** Send one request, one frame per request on the networked
+      families; the callback settles with its own reply or error.
+      Requests to one destination are sent in call order. *)
   close_sender : unit -> unit;
   family_of_sender : string;
 }

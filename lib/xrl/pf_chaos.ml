@@ -72,8 +72,6 @@ let wrap ?rng ~seed ~config:cfg (inner : Pf.family) : Pf.family =
       else sender.Pf.send_req xrl (deliver cb)
     in
     { Pf.send_req;
-      (* No batch path: every request must roll its own dice. *)
-      send_batch = None;
       close_sender = sender.Pf.close_sender;
       family_of_sender = sender.Pf.family_of_sender }
   in

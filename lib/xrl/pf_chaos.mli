@@ -35,8 +35,8 @@ val config :
 val wrap : ?rng:Rng.t -> seed:int -> config:config -> Pf.family -> Pf.family
 (** [wrap ~seed ~config fam] returns a family identical to [fam] except
     that every sender injects faults per [config], driven by a
-    deterministic per-destination RNG derived from [seed]. Batching is
-    disabled on wrapped senders so each request rolls independently.
+    deterministic per-destination RNG derived from [seed]. Each
+    request rolls independently.
 
     [?rng] overrides the per-destination derivation: all senders then
     draw from that single shared generator. The simulation harness uses

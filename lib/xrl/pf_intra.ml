@@ -28,11 +28,7 @@ let make_sender _loop address : Pf.sender =
     | Some dispatch -> dispatch xrl cb
     | None -> cb (Xrl_error.Send_failed ("intra target gone: " ^ address)) []
   in
-  (* No send_batch: calls are direct function invocations, so there is
-     no frame boundary to amortize — and deferring them would break the
-     family's synchronous dispatch. *)
-  { send_req; send_batch = None; close_sender = (fun () -> ());
-    family_of_sender = "x-intra" }
+  { send_req; close_sender = (fun () -> ()); family_of_sender = "x-intra" }
 
 let family : Pf.family =
   { family_name = "x-intra"; make_listener; make_sender }

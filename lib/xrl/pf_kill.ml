@@ -52,7 +52,7 @@ let family : Pf.family =
                  | Some dispatch -> dispatch xrl cb
                  | None -> cb (Xrl_error.Send_failed "kill target gone") [])
          in
-         { Pf.send_req; send_batch = None; close_sender = (fun () -> ());
+         { Pf.send_req; close_sender = (fun () -> ());
            family_of_sender = "kill" });
   }
 

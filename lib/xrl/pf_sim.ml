@@ -29,9 +29,6 @@ let make_listener ~requests_rx netsim ~local_addr _loop
                   if Netsim.Stream.is_open ep then
                     Netsim.Stream.send ep
                       (Xrl_wire.encode (Xrl_wire.Reply { seq; error; args })))
-            | Ok (Xrl_wire.Batch _) ->
-              (* Sim senders never batch (send_batch = None). *)
-              Log.warn (fun m -> m "unexpected batched frame")
             | Ok (Xrl_wire.Reply _) ->
               Log.warn (fun m -> m "listener got a stray reply")
             | Error msg -> Log.warn (fun m -> m "undecodable request: %s" msg)))
@@ -107,8 +104,6 @@ let make_sender ~requests_tx ?latency netsim ~local_addr loop address :
          Hashtbl.remove st.outstanding seq;
          cb error args
        | None -> Log.warn (fun m -> m "reply for unknown seq %d" seq))
-    | Ok (Xrl_wire.Batch _) ->
-      Log.warn (fun m -> m "unexpected batched reply")
     | Ok (Xrl_wire.Request _) -> Log.warn (fun m -> m "sender got a request")
     | Error msg -> Log.warn (fun m -> m "undecodable reply: %s" msg)
   in
@@ -143,7 +138,7 @@ let make_sender ~requests_tx ?latency netsim ~local_addr loop address :
     st.ep <- None;
     fail_all "sender closed"
   in
-  { send_req; send_batch = None; close_sender; family_of_sender = "sim" }
+  { send_req; close_sender; family_of_sender = "sim" }
 
 let family ?latency netsim ~local_addr : Pf.family =
   (* Resolve the counters when the family is created, not per listener

@@ -10,12 +10,9 @@ let c_bytes_rx = Telemetry.counter "xrl.tcp.bytes_rx"
 let c_bytes_tx = Telemetry.counter "xrl.tcp.bytes_tx"
 let c_requests_rx = Telemetry.counter "xrl.tcp.requests_rx"
 let c_requests_tx = Telemetry.counter "xrl.tcp.requests_tx"
-let c_batches_rx = Telemetry.counter "xrl.tcp.batches_rx"
-let c_batches_tx = Telemetry.counter "xrl.tcp.batches_tx"
 
 let count_bytes c n = if Telemetry.is_enabled () then Telemetry.add c n
 let count c = if Telemetry.is_enabled () then Telemetry.incr c
-let count_n c n = if Telemetry.is_enabled () then Telemetry.add c n
 
 let require_real loop what =
   if Eventloop.mode loop <> `Real then
@@ -53,52 +50,16 @@ let make_listener loop (dispatch : Pf.dispatch) : Pf.listener =
     | _ -> assert false
   in
   let conns : Sockbuf.t list ref = ref [] in
-  let reply_out conn_ref msg =
-    match !conn_ref with
-    | Some conn when Sockbuf.is_open conn -> frame_out conn msg
-    | _ -> ()
-  in
-  let serve_request conn_ref ?gather seq xrl =
-    count c_requests_rx;
-    dispatch xrl (fun error args ->
-        let reply = Xrl_wire.Reply { seq; error; args } in
-        match gather with
-        | Some acc when !acc <> None ->
-          (* Still inside the batch's dispatch loop: coalesce this
-             reply into the batched response frame. *)
-          acc := Some (reply :: Option.get !acc)
-        | _ -> reply_out conn_ref reply)
-  in
   let serve_conn conn_ref frame =
     count_bytes c_bytes_rx (String.length frame);
     match Xrl_wire.decode frame with
-    | Ok (Xrl_wire.Request { seq; xrl }) -> serve_request conn_ref seq xrl
-    | Ok (Xrl_wire.Batch msgs) ->
-      count c_batches_rx;
-      (* Dispatch in order. Replies completing synchronously are
-         gathered and flushed as a single batched frame (in request
-         order); handlers that reply asynchronously fall back to a
-         frame per reply once the gather window closes. One failing
-         request does not affect its neighbours. *)
-      let acc = ref (Some []) in
-      List.iter
-        (fun m ->
-           match m with
-           | Xrl_wire.Request { seq; xrl } ->
-             serve_request conn_ref ~gather:acc seq xrl
-           | Xrl_wire.Reply _ | Xrl_wire.Batch _ ->
-             Log.warn (fun m -> m "non-request inside a batch; dropping"))
-        msgs;
-      (match !acc with
-       | Some gathered ->
-         acc := None;
-         (match List.rev gathered with
-          | [] -> ()
-          | [ one ] -> reply_out conn_ref one
-          | many ->
-            count c_batches_tx;
-            reply_out conn_ref (Xrl_wire.Batch many))
-       | None -> ())
+    | Ok (Xrl_wire.Request { seq; xrl }) ->
+      count c_requests_rx;
+      dispatch xrl (fun error args ->
+          match !conn_ref with
+          | Some conn when Sockbuf.is_open conn ->
+            frame_out conn (Xrl_wire.Reply { seq; error; args })
+          | _ -> ())
     | Ok (Xrl_wire.Reply _) ->
       Log.warn (fun m -> m "listener got a stray reply; dropping")
     | Error msg -> Log.warn (fun m -> m "undecodable request: %s" msg)
@@ -162,25 +123,15 @@ let make_sender loop address : Pf.sender =
     Hashtbl.reset st.outstanding;
     List.iter (fun (_, cb) -> cb (Xrl_error.Send_failed reason) []) cbs
   in
-  let handle_reply seq error args =
-    match Hashtbl.find_opt st.outstanding seq with
-    | Some cb ->
-      Hashtbl.remove st.outstanding seq;
-      cb error args
-    | None -> Log.warn (fun m -> m "reply for unknown seq %d" seq)
-  in
   let on_frame frame =
     count_bytes c_bytes_rx (String.length frame);
     match Xrl_wire.decode frame with
-    | Ok (Xrl_wire.Reply { seq; error; args }) -> handle_reply seq error args
-    | Ok (Xrl_wire.Batch msgs) ->
-      List.iter
-        (fun m ->
-           match m with
-           | Xrl_wire.Reply { seq; error; args } -> handle_reply seq error args
-           | Xrl_wire.Request _ | Xrl_wire.Batch _ ->
-             Log.warn (fun m -> m "non-reply inside a batch; dropping"))
-        msgs
+    | Ok (Xrl_wire.Reply { seq; error; args }) ->
+      (match Hashtbl.find_opt st.outstanding seq with
+       | Some cb ->
+         Hashtbl.remove st.outstanding seq;
+         cb error args
+       | None -> Log.warn (fun m -> m "reply for unknown seq %d" seq))
     | Ok (Xrl_wire.Request _) ->
       Log.warn (fun m -> m "sender got a request; dropping")
     | Error msg -> Log.warn (fun m -> m "undecodable reply: %s" msg)
@@ -200,67 +151,24 @@ let make_sender loop address : Pf.sender =
              st.conn <- None;
              fail_all "connection closed"))
   in
-  (* Returns the live connection, connecting on demand; [fail] is
-     invoked (and [None] returned) when no connection can be made. *)
-  let ensure_conn fail =
-    (match st.conn with
-     | Some conn when Sockbuf.is_open conn -> ()
-     | _ ->
-       (match connect () with
-        | () -> ()
-        | exception Unix.Unix_error (err, _, _) ->
-          fail (Unix.error_message err)));
+  (* The live connection, connecting on demand. *)
+  let ensure_conn () =
     match st.conn with
-    | Some conn -> Some conn
-    | None -> None
-  in
-  let next_seq () =
-    st.seq <- st.seq + 1;
-    st.seq
+    | Some conn when Sockbuf.is_open conn -> Ok conn
+    | _ ->
+      (match connect () with
+       | () -> Option.to_result ~none:"not connected" st.conn
+       | exception Unix.Unix_error (err, _, _) ->
+         Error (Unix.error_message err))
   in
   let send_req xrl cb =
-    let failed = ref false in
-    match
-      ensure_conn (fun msg ->
-          failed := true;
-          cb (Xrl_error.Send_failed msg) [])
-    with
-    | None ->
-      if not !failed then cb (Xrl_error.Send_failed "not connected") []
-    | Some conn ->
-      let seq = next_seq () in
-      Hashtbl.replace st.outstanding seq cb;
+    match ensure_conn () with
+    | Error msg -> cb (Xrl_error.Send_failed msg) []
+    | Ok conn ->
+      st.seq <- st.seq + 1;
+      Hashtbl.replace st.outstanding st.seq cb;
       count c_requests_tx;
-      frame_out conn (Xrl_wire.Request { seq; xrl })
-  in
-  let send_batch items =
-    let failed = ref false in
-    match
-      ensure_conn (fun msg ->
-          failed := true;
-          List.iter
-            (fun (_, cb) -> cb (Xrl_error.Send_failed msg) [])
-            items)
-    with
-    | None -> if not !failed then
-        List.iter
-          (fun (_, cb) -> cb (Xrl_error.Send_failed "not connected") [])
-          items
-    | Some conn ->
-      let msgs =
-        List.map
-          (fun (xrl, cb) ->
-             let seq = next_seq () in
-             Hashtbl.replace st.outstanding seq cb;
-             Xrl_wire.Request { seq; xrl })
-          items
-      in
-      count_n c_requests_tx (List.length msgs);
-      (match msgs with
-       | [ one ] -> frame_out conn one
-       | many ->
-         count c_batches_tx;
-         frame_out conn (Xrl_wire.Batch many))
+      frame_out conn (Xrl_wire.Request { seq = st.seq; xrl })
   in
   let close_sender () =
     (match st.conn with
@@ -269,7 +177,6 @@ let make_sender loop address : Pf.sender =
     st.conn <- None;
     fail_all "sender closed"
   in
-  { send_req; send_batch = Some send_batch; close_sender;
-    family_of_sender = "stcp" }
+  { send_req; close_sender; family_of_sender = "stcp" }
 
 let family : Pf.family = { family_name = "stcp"; make_listener; make_sender }

@@ -38,42 +38,16 @@ let make_listener loop (dispatch : Pf.dispatch) : Pf.listener =
            peer)
     with Unix.Unix_error _ -> ()
   in
-  let serve_request peer ?gather seq xrl =
-    count c_requests_rx;
-    dispatch xrl (fun error args ->
-        let reply = Xrl_wire.Reply { seq; error; args } in
-        match gather with
-        | Some acc when !acc <> None -> acc := Some (reply :: Option.get !acc)
-        | _ -> send_to peer reply)
-  in
   let readable () =
     let rec drain () =
       match Unix.recvfrom fd buf 0 max_dgram [] with
       | n, peer ->
         count_bytes c_bytes_rx n;
         (match Xrl_wire.decode (Bytes.sub_string buf 0 n) with
-         | Ok (Xrl_wire.Request { seq; xrl }) -> serve_request peer seq xrl
-         | Ok (Xrl_wire.Batch msgs) ->
-           (* Batched requests are answered in one datagram where the
-              replies complete synchronously; late replies fall back to
-              a datagram each. Errors stay per-request. *)
-           let acc = ref (Some []) in
-           List.iter
-             (fun m ->
-                match m with
-                | Xrl_wire.Request { seq; xrl } ->
-                  serve_request peer ~gather:acc seq xrl
-                | Xrl_wire.Reply _ | Xrl_wire.Batch _ ->
-                  Log.warn (fun m -> m "non-request inside a batch"))
-             msgs;
-           (match !acc with
-            | Some gathered ->
-              acc := None;
-              (match List.rev gathered with
-               | [] -> ()
-               | [ one ] -> send_to peer one
-               | many -> send_to peer (Xrl_wire.Batch many))
-            | None -> ())
+         | Ok (Xrl_wire.Request { seq; xrl }) ->
+           count c_requests_rx;
+           dispatch xrl (fun error args ->
+               send_to peer (Xrl_wire.Reply { seq; error; args }))
          | Ok (Xrl_wire.Reply _) ->
            Log.warn (fun m -> m "listener got a stray reply")
          | Error msg -> Log.warn (fun m -> m "undecodable request: %s" msg));
@@ -163,10 +137,6 @@ let make_sender loop address : Pf.sender =
               f.if_cb error args;
               send_next ()
             | _ -> Log.warn (fun m -> m "reply for unknown seq %d" rseq))
-         | Ok (Xrl_wire.Batch _) ->
-           (* This sender never batches (window 1, the paper's early
-              prototype), so a batched reply cannot match anything. *)
-           Log.warn (fun m -> m "unexpected batched reply")
          | Ok (Xrl_wire.Request _) ->
            Log.warn (fun m -> m "sender got a request")
          | Error msg -> Log.warn (fun m -> m "undecodable reply: %s" msg));
@@ -199,8 +169,6 @@ let make_sender loop address : Pf.sender =
       Queue.clear queue
     end
   in
-  (* Deliberately no send_batch: UDP is kept as the paper's
-     unpipelined early prototype to preserve the fig9 comparison. *)
-  { send_req; send_batch = None; close_sender; family_of_sender = "sudp" }
+  { send_req; close_sender; family_of_sender = "sudp" }
 
 let family : Pf.family = { family_name = "sudp"; make_listener; make_sender }

@@ -39,9 +39,7 @@ let retryable = function
   | _ -> false
 
 (* One per (family, address) destination. Telemetry handles are
-   resolved once here instead of per reply, and the batch queue
-   collects sends made within one event-loop turn so transports that
-   support it (TCP) can ship them as a single frame. *)
+   resolved once here instead of per reply. *)
 type sender_entry = {
   sender : Pf.sender;
   s_family : string;
@@ -49,8 +47,6 @@ type sender_entry = {
   mutable dest_class : string; (* "" when only resolved XRLs used it *)
   calls : Telemetry.counter;
   rtt : Telemetry.Histogram.t;
-  batchq : (Xrl.t * Pf.reply_cb) Queue.t;
-  mutable flush_armed : bool;
 }
 
 type t = {
@@ -59,7 +55,6 @@ type t = {
   cls : string;
   families : Pf.family list;
   family_pref : string list;
-  batching : bool;
   rng : Rng.t; (* backoff jitter; fixed seed keeps tests deterministic *)
   target : Finder.target;
   methods : (string, method_entry) Hashtbl.t; (* method_id -> entry *)
@@ -76,10 +71,6 @@ type t = {
 }
 
 let default_pref = [ "x-intra"; "stcp"; "sudp" ]
-
-(* Xrl_wire caps a batch's element count at a u16; stay well under it
-   so a pathological turn still produces sane frame sizes. *)
-let max_batch_chunk = 4096
 
 let split_keyed_method name =
   match String.rindex_opt name '@' with
@@ -184,7 +175,7 @@ let invalidate_class t cls =
   end
 
 let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
-    ?(batching = true) fndr loop ~class_name ?(sole = false) () =
+    fndr loop ~class_name ?(sole = false) () =
   let rec t =
     lazy
       (let listeners =
@@ -207,7 +198,7 @@ let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
            List.iter (fun (l : Pf.listener) -> l.shutdown ()) listeners;
            failwith ("Xrl_router.create: " ^ msg)
        in
-       { loop; fndr; cls = class_name; families; family_pref; batching;
+       { loop; fndr; cls = class_name; families; family_pref;
          rng = Rng.create 0xB0FF; target; methods = Hashtbl.create 32;
          listeners; senders = Hashtbl.create 8; rcache = Hashtbl.create 64;
          inflight = Hashtbl.create 32; watched = Hashtbl.create 4;
@@ -263,11 +254,10 @@ let watch_peer t ~cls ?(on_death = ignore) ?on_rebirth () =
 
 (* An instance of [cls] died: evict every sender whose transport
    address no longer belongs to a live instance of the class, failing
-   its queued calls in FIFO order and its in-flight calls via the
-   transport's close (ascending-seq order). Calls sent with a retry
-   policy re-resolve from scratch and so find a restarted instance at
-   its new address; calls without one fail promptly instead of waiting
-   on a dead connection. *)
+   its in-flight calls via the transport's close (ascending-seq order).
+   Calls sent with a retry policy re-resolve from scratch and so find a
+   restarted instance at its new address; calls without one fail
+   promptly instead of waiting on a dead connection. *)
 let handle_death t cls =
   let alive = Finder.live_addresses t.fndr cls in
   let stale =
@@ -288,11 +278,6 @@ let handle_death t cls =
        Log.info (fun m ->
            m "peer %s died; evicting sender %s" cls e.s_address);
        Hashtbl.remove t.senders skey;
-       Queue.iter
-         (fun (_, cb) ->
-            cb (Xrl_error.Send_failed ("peer " ^ cls ^ " died")) [])
-         e.batchq;
-       Queue.clear e.batchq;
        e.sender.Pf.close_sender ())
     stale
 
@@ -317,9 +302,7 @@ let sender_for t ?watch_cls (resolved : Finder.resolved) =
          { sender; s_family = resolved.family; s_address = resolved.address;
            dest_class = Option.value watch_cls ~default:"";
            calls = Telemetry.counter ("xrl." ^ resolved.family ^ ".calls");
-           rtt = Telemetry.histogram ("xrl." ^ resolved.family ^ ".rtt_us");
-           batchq = Queue.create ();
-           flush_armed = false }
+           rtt = Telemetry.histogram ("xrl." ^ resolved.family ^ ".rtt_us") }
        in
        Hashtbl.replace t.senders skey entry;
        (* First sender towards this class: subscribe to its lifetime
@@ -331,35 +314,6 @@ let sender_for t ?watch_cls (resolved : Finder.resolved) =
               if ev = Finder.Death then handle_death t cls)
         | _ -> ());
        entry)
-
-(* Ship everything queued for one destination. A single queued call
-   goes out on the ordinary path (identical wire bytes to an unbatched
-   sender); two or more become one batched frame, chunked to respect
-   the wire format's element-count cap. FIFO order is the queue's. *)
-let flush_entry t entry =
-  entry.flush_armed <- false;
-  if t.live then
-    match entry.sender.Pf.send_batch with
-    | None ->
-      Queue.iter (fun (xrl, cb) -> entry.sender.Pf.send_req xrl cb)
-        entry.batchq;
-      Queue.clear entry.batchq
-    | Some send_batch ->
-      let rec drain () =
-        match Queue.length entry.batchq with
-        | 0 -> ()
-        | 1 ->
-          let xrl, cb = Queue.pop entry.batchq in
-          entry.sender.Pf.send_req xrl cb
-        | n ->
-          let take = min n max_batch_chunk in
-          let items =
-            List.init take (fun _ -> Queue.pop entry.batchq)
-          in
-          send_batch items;
-          drain ()
-      in
-      drain ()
 
 let resolve_for_send t (xrl : Xrl.t) =
   if Xrl.is_resolved xrl then
@@ -499,16 +453,7 @@ let send ?deadline ?retry t (xrl : Xrl.t) cb =
                  else fail_attempt n err
                end
              in
-             if t.batching && entry.sender.Pf.send_batch <> None then begin
-               (* Coalesce: everything queued for this destination within
-                  the current event-loop turn leaves as one frame. *)
-               Queue.push (wire_xrl, on_reply) entry.batchq;
-               if not entry.flush_armed then begin
-                 entry.flush_armed <- true;
-                 Eventloop.defer t.loop (fun () -> flush_entry t entry)
-               end
-             end
-             else entry.sender.Pf.send_req wire_xrl on_reply
+             entry.sender.Pf.send_req wire_xrl on_reply
            | exception Invalid_argument msg ->
              fail_attempt n (Xrl_error.Send_failed msg))
       end
@@ -567,16 +512,7 @@ let shutdown t =
     t.unwatch <- [];
     Finder.unregister_target t.fndr t.target;
     List.iter (fun (l : Pf.listener) -> l.shutdown ()) t.listeners;
-    Hashtbl.iter
-      (fun _ (e : sender_entry) ->
-         (* Queued-but-unflushed sends get an explicit failure in FIFO
-            order; their deferred flush will find [live = false] and do
-            nothing. *)
-         Queue.iter
-           (fun (_, cb) -> cb (Xrl_error.Send_failed "router shut down") [])
-           e.batchq;
-         Queue.clear e.batchq;
-         e.sender.Pf.close_sender ())
+    Hashtbl.iter (fun _ (e : sender_entry) -> e.sender.Pf.close_sender ())
       t.senders;
     Hashtbl.reset t.senders;
     Hashtbl.reset t.rcache;

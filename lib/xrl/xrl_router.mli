@@ -54,18 +54,15 @@ val default_retry : retry
     2 s per-attempt timeout. *)
 
 val create :
-  ?families:Pf.family list -> ?family_pref:string list -> ?batching:bool ->
+  ?families:Pf.family list -> ?family_pref:string list ->
   Finder.t -> Eventloop.t -> class_name:string -> ?sole:bool -> unit -> t
 (** Create a component endpoint of class [class_name]. [families]
     (default: intra-process only) selects which transport listeners to
     instantiate; TCP/UDP families require a [`Real]-mode loop.
     [family_pref] (default intra, then TCP, then UDP) orders transport
-    choice when sending. [batching] (default [true]) coalesces sends
-    to the same destination made within one event-loop turn into a
-    single batched frame, on transports that support it (TCP); each
-    request in a batch keeps its own reply and error, and per-
-    destination FIFO order is preserved. Pass [false] to force a frame
-    per request (e.g. for latency measurements of the unbatched path).
+    choice when sending. Each call leaves as its own request, in call
+    order per destination; callers that move many routes coalesce them
+    into one XRL's arguments ({!Route_pack}).
     @raise Failure if [sole] is set and the class is already live. *)
 
 val add_handler :

@@ -1,15 +1,12 @@
 type message =
   | Request of { seq : int; xrl : Xrl.t }
   | Reply of { seq : int; error : Xrl_error.t; args : Xrl_atom.t list }
-  | Batch of message list
 
 let magic0 = Char.code 'X'
 let magic1 = Char.code 'O'
 let version = 1
 let kind_request = 0
 let kind_reply = 1
-let kind_batch = 2
-let max_batch = 0xFFFF
 
 let put_str w s =
   if String.length s > 0xFFFF then invalid_arg "Xrl_wire: string too long";
@@ -99,10 +96,11 @@ let decode_atoms r =
       let value = decode_value r in
       Xrl_atom.make name value)
 
-(* A sub-message body: kind byte, sequence number, kind-specific
-   payload. Top-level Request/Reply frames and the elements of a Batch
-   frame share this layout. *)
-let encode_body w = function
+let encode_into w msg =
+  Wire.W.u8 w magic0;
+  Wire.W.u8 w magic1;
+  Wire.W.u8 w version;
+  match msg with
   | Request { seq; xrl } ->
     Wire.W.u8 w kind_request;
     Wire.W.u32 w seq;
@@ -123,20 +121,6 @@ let encode_body w = function
        | Command_failed s | Send_failed s | Reply_timed_out s
        | Internal_error s | Timed_out s -> s);
     encode_atoms w args
-  | Batch _ -> invalid_arg "Xrl_wire: batches do not nest"
-
-let encode_into w msg =
-  Wire.W.u8 w magic0;
-  Wire.W.u8 w magic1;
-  Wire.W.u8 w version;
-  match msg with
-  | Batch msgs ->
-    let n = List.length msgs in
-    if n > max_batch then invalid_arg "Xrl_wire: batch too long";
-    Wire.W.u8 w kind_batch;
-    Wire.W.u16 w n;
-    List.iter (encode_body w) msgs
-  | (Request _ | Reply _) as m -> encode_body w m
 
 let encode msg =
   let w = Wire.W.create ~initial:128 () in
@@ -172,18 +156,7 @@ let decode s =
     if Wire.R.u8 r <> magic0 || Wire.R.u8 r <> magic1 then
       Error "bad magic"
     else if Wire.R.u8 r <> version then Error "unsupported version"
-    else begin
-      let kind = Wire.R.u8 r in
-      if kind = kind_batch then begin
-        let n = Wire.R.u16 r in
-        Ok
-          (Batch
-             (List.init n (fun _ ->
-                  let kind = Wire.R.u8 r in
-                  decode_body r kind)))
-      end
-      else Ok (decode_body r kind)
-    end
+    else Ok (decode_body r (Wire.R.u8 r))
   with
   | Wire.Truncated -> Error "truncated message"
   | Failure msg -> Error msg

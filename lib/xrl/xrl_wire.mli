@@ -9,10 +9,10 @@
 
     Layout: 2-byte magic ["XO"], 1-byte version, 1-byte kind, then a
     kind-specific payload with 16-bit length-prefixed strings and typed
-    atoms. Requests and replies carry a 4-byte sequence number. A
-    {!Batch} frame carries a 16-bit count followed by that many
-    request/reply bodies — the transport-level coalescing of §8.1's
-    "one marshalled call per route" cost; batches do not nest. *)
+    atoms. Requests (kind 0) and replies (kind 1) carry a 4-byte
+    sequence number. Every frame holds exactly one message, as in the
+    paper; bulk work rides in one XRL's arguments instead (the RIB's
+    [add_routes4] / [delete_routes4], see {!Route_pack}). *)
 
 type message =
   | Request of { seq : int; xrl : Xrl.t }
@@ -21,10 +21,6 @@ type message =
       error : Xrl_error.t;
       args : Xrl_atom.t list;
     }
-  | Batch of message list
-      (** Many requests and/or replies in one frame. Each element keeps
-          its own sequence number, so replies (and errors) stay
-          per-request. *)
 
 val encode : message -> string
 
@@ -32,14 +28,11 @@ val encode_into : Wire.W.t -> message -> unit
 (** Encode directly into an existing writer — used with
     {!Sockbuf.send_frame_into} to build header and payload in one
     buffer with no intermediate string.
-    @raise Invalid_argument on a nested or over-long batch. *)
-
-val max_batch : int
-(** Maximum number of sub-messages in one batch frame (65535). *)
+    @raise Invalid_argument on a string field longer than 65535 bytes. *)
 
 val decode : string -> (message, string) result
 (** Decodes one complete message; [Error] on malformed or truncated
-    input, or on an unsupported version. *)
+    input, an unsupported version, or an unknown kind. *)
 
 val encode_atoms : Wire.W.t -> Xrl_atom.t list -> unit
 (** Exposed for tests and for protocol families that embed atom lists

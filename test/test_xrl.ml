@@ -190,9 +190,9 @@ let prop_wire_reply_roundtrip =
          && List.for_all2 Xrl_atom.equal args atoms
        | _ -> false)
 
-(* --- batch frames ---------------------------------------------------- *)
+(* --- frames and truncation ------------------------------------------ *)
 
-let rec msg_equal (a : Xrl_wire.message) (b : Xrl_wire.message) =
+let msg_equal (a : Xrl_wire.message) (b : Xrl_wire.message) =
   match a, b with
   | Xrl_wire.Request { seq = s1; xrl = x1 },
     Xrl_wire.Request { seq = s2; xrl = x2 } -> s1 = s2 && Xrl.equal x1 x2
@@ -201,8 +201,6 @@ let rec msg_equal (a : Xrl_wire.message) (b : Xrl_wire.message) =
     s1 = s2 && e1 = e2
     && List.length a1 = List.length a2
     && List.for_all2 Xrl_atom.equal a1 a2
-  | Xrl_wire.Batch l1, Xrl_wire.Batch l2 ->
-    List.length l1 = List.length l2 && List.for_all2 msg_equal l1 l2
   | _ -> false
 
 let gen_message =
@@ -228,18 +226,14 @@ let gen_message =
       (fun seq err atoms -> Xrl_wire.Reply { seq; error = err; args = atoms })
       (int_bound 0xFFFFFF) gen_err gen_atoms
   in
-  let gen_elem = oneof [ gen_req; gen_rep ] in
-  oneof
-    [ gen_elem;
-      map (fun l -> Xrl_wire.Batch l) (list_size (int_bound 6) gen_elem) ]
+  oneof [ gen_req; gen_rep ]
 
-(* Satellite of the batching work: any message — batched or not — must
-   round-trip exactly, and EVERY strict prefix of its encoding must
-   decode to an Error (no prefix may parse as a shorter valid
-   message). All wire structures carry declared lengths, so decoding a
-   cut never succeeds by accident. *)
-let prop_wire_batch_roundtrip_and_truncation =
-  QCheck.Test.make ~name:"batch roundtrip + every-prefix truncation" ~count:60
+(* Any message must round-trip exactly, and EVERY strict prefix of its
+   encoding must decode to an Error (no prefix may parse as a shorter
+   valid message). All wire structures carry declared lengths, so
+   decoding a cut never succeeds by accident. *)
+let prop_wire_roundtrip_and_truncation =
+  QCheck.Test.make ~name:"roundtrip + every-prefix truncation" ~count:60
     (QCheck.make gen_message)
     (fun msg ->
        let s = Xrl_wire.encode msg in
@@ -256,30 +250,28 @@ let prop_wire_batch_roundtrip_and_truncation =
        done;
        roundtrips && !every_prefix_errors)
 
-let test_wire_batch_no_nesting () =
+(* A well-formed frame of kind 2: a u16 count of 1, then [inner]'s
+   body, the layout of an older encoder's batch frame. Only kinds 0
+   (request) and 1 (reply) exist, so a peer sending one must get an
+   Error, never a dispatch. *)
+let kind2_frame inner =
+  let body = Xrl_wire.encode inner in
+  let w = Wire.W.create () in
+  Wire.W.bytes w "XO\x01\x02";
+  Wire.W.u16 w 1;
+  Wire.W.bytes w (String.sub body 3 (String.length body - 3));
+  Wire.W.contents w
+
+let test_wire_kind2_rejected () =
   let req =
     Xrl_wire.Request
       { seq = 1;
         xrl =
           Xrl.make ~protocol:"stcp" ~target:"127.0.0.1:1" ~interface:"i"
-            ~method_name:"m" [] }
+            ~method_name:"m" [ Xrl_atom.u32 "a" 1 ] }
   in
-  (try
-     ignore (Xrl_wire.encode (Xrl_wire.Batch [ Xrl_wire.Batch [ req ] ]));
-     Alcotest.fail "nested batch encoded"
-   with Invalid_argument _ -> ());
-  (* A hand-built frame claiming a batch element of kind 2 (batch)
-     must be rejected by the decoder, not recursed into. *)
-  let w = Wire.W.create () in
-  Wire.W.u8 w (Char.code 'X');
-  Wire.W.u8 w (Char.code 'O');
-  Wire.W.u8 w 1 (* version *);
-  Wire.W.u8 w 2 (* kind: batch *);
-  Wire.W.u16 w 1 (* one element *);
-  Wire.W.u8 w 2 (* element kind: batch — illegal *);
-  Wire.W.u32 w 0;
-  match Xrl_wire.decode (Wire.W.contents w) with
-  | Ok _ -> Alcotest.fail "nested batch decoded"
+  match Xrl_wire.decode (kind2_frame req) with
+  | Ok _ -> Alcotest.fail "kind-2 frame decoded"
   | Error _ -> ()
 
 let test_wire_garbage () =
@@ -627,9 +619,9 @@ let test_tcp_pipelining () =
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
 
-(* --- sender-side batching over TCP ---------------------------------- *)
+(* --- per-request order and errors over TCP ---------------------------- *)
 
-let tcp_batch_rig ?(batching = true) () =
+let tcp_rig () =
   let loop = Eventloop.create ~mode:`Real () in
   let finder = Finder.create () in
   let order = ref [] in
@@ -646,37 +638,14 @@ let tcp_batch_rig ?(batching = true) () =
     (fun _ reply -> reply (Xrl_error.Command_failed "deliberate") []);
   let caller =
     Xrl_router.create ~families:[ Pf_tcp.family ] ~family_pref:[ "stcp" ]
-      ~batching finder loop ~class_name:"caller" ()
+      finder loop ~class_name:"caller" ()
   in
   (loop, adder, caller, order)
 
-let test_tcp_batching_coalesces () =
-  (* N sends issued within one event-loop turn must leave as batched
-     frames, and every reply must still arrive, correct, exactly once. *)
-  Telemetry.reset ();
-  let loop, adder, caller, _ = tcp_batch_rig () in
-  let batches_tx = Telemetry.counter "xrl.tcp.batches_tx" in
-  let n = 50 in
-  let got = ref 0 in
-  let wrong = ref 0 in
-  for i = 1 to n do
-    Xrl_router.send caller (add_xrl i i) (fun err args ->
-        incr got;
-        if (not (Xrl_error.is_ok err)) || Xrl_atom.get_u32 args "sum" <> 2 * i
-        then incr wrong)
-  done;
-  Eventloop.run ~until:(fun () -> !got >= n) loop;
-  check Alcotest.int "all replies" n !got;
-  check Alcotest.int "all correct" 0 !wrong;
-  check Alcotest.bool "at least one batched frame went out" true
-    (Telemetry.counter_value batches_tx > 0);
-  Xrl_router.shutdown adder;
-  Xrl_router.shutdown caller
-
-let test_tcp_batching_fifo_order () =
-  (* The handler must observe requests in send order even when they
-     cross in one batched frame. *)
-  let loop, adder, caller, order = tcp_batch_rig () in
+let test_tcp_fifo_order () =
+  (* The handler must observe requests in send order, many of them
+     outstanding on one connection at once. *)
+  let loop, adder, caller, order = tcp_rig () in
   let n = 40 in
   let got = ref 0 in
   for i = 1 to n do
@@ -691,10 +660,10 @@ let test_tcp_batching_fifo_order () =
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
 
-let test_tcp_batching_per_request_errors () =
-  (* A failing request inside a batch fails alone; its neighbours
-     succeed. *)
-  let loop, adder, caller, _ = tcp_batch_rig () in
+let test_tcp_per_request_errors () =
+  (* A failing request among pipelined ones fails alone; its
+     neighbours succeed. *)
+  let loop, adder, caller, _ = tcp_rig () in
   let results = Hashtbl.create 8 in
   let got = ref 0 in
   let expect = ref 0 in
@@ -723,18 +692,45 @@ let test_tcp_batching_per_request_errors () =
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
 
-let test_tcp_batching_off_sends_single_frames () =
-  Telemetry.reset ();
-  let loop, adder, caller, _ = tcp_batch_rig ~batching:false () in
-  let batches_tx = Telemetry.counter "xrl.tcp.batches_tx" in
-  let n = 20 in
-  let got = ref 0 in
-  for i = 1 to n do
-    Xrl_router.send caller (add_xrl i i) (fun _ _ -> incr got)
-  done;
-  Eventloop.run ~until:(fun () -> !got >= n) loop;
-  check Alcotest.int "all replies" n !got;
-  check Alcotest.int "no batched frames" 0 (Telemetry.counter_value batches_tx);
+let test_tcp_listener_drops_kind2 () =
+  (* A client outside this program writes, over one raw connection, a
+     kind-2 frame holding a valid keyed request and then a valid keyed
+     request of its own. The listener drops the first frame and answers
+     the second, so the handler runs once. *)
+  let loop, adder, caller, order = tcp_rig () in
+  let r =
+    Result.get_ok
+      (Finder.resolve (Xrl_router.finder adder) ~family_pref:[ "stcp" ]
+         (add_xrl 0 0))
+  in
+  let keyed a =
+    Xrl.make ~protocol:r.Finder.family ~target:r.Finder.address
+      ~interface:"math" ~method_name:r.Finder.keyed_method
+      [ Xrl_atom.u32 "a" a; Xrl_atom.u32 "b" 0 ]
+  in
+  let port = Scanf.sscanf r.Finder.address "127.0.0.1:%d" Fun.id in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let replies = ref [] in
+  let conn =
+    Sockbuf.attach loop fd
+      ~on_frame:(fun f -> replies := Xrl_wire.decode f :: !replies)
+      ~on_close:ignore
+  in
+  Sockbuf.send_frame conn
+    (kind2_frame (Xrl_wire.Request { seq = 1; xrl = keyed 1 }));
+  Sockbuf.send_frame conn
+    (Xrl_wire.encode (Xrl_wire.Request { seq = 2; xrl = keyed 2 }));
+  let expired = ref false in
+  let guard = Eventloop.after loop 5.0 (fun () -> expired := true) in
+  Eventloop.run ~until:(fun () -> !replies <> [] || !expired) loop;
+  Eventloop.cancel guard;
+  check Alcotest.(list int) "handler ran for the valid request only" [ 2 ]
+    !order;
+  (match !replies with
+   | [ Ok (Xrl_wire.Reply { seq = 2; error = Xrl_error.Ok_xrl; _ }) ] -> ()
+   | _ -> Alcotest.fail "expected one Ok reply, to seq 2");
+  Sockbuf.close conn;
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
 
@@ -834,12 +830,12 @@ let () =
         ] );
       ( "wire",
         Alcotest.test_case "rejects garbage" `Quick test_wire_garbage
-        :: Alcotest.test_case "batches do not nest" `Quick
-             test_wire_batch_no_nesting
+        :: Alcotest.test_case "kind-2 frame decodes to Error" `Quick
+             test_wire_kind2_rejected
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_atom_text_roundtrip; prop_xrl_text_roundtrip_with_args;
                prop_wire_request_roundtrip; prop_wire_reply_roundtrip;
-               prop_wire_batch_roundtrip_and_truncation ] );
+               prop_wire_roundtrip_and_truncation ] );
       ( "finder",
         [
           Alcotest.test_case "register and resolve" `Quick
@@ -875,14 +871,12 @@ let () =
           Alcotest.test_case "tcp" `Quick test_tcp_call;
           Alcotest.test_case "udp" `Quick test_udp_call;
           Alcotest.test_case "tcp pipelining" `Quick test_tcp_pipelining;
-          Alcotest.test_case "tcp batching coalesces" `Quick
-            test_tcp_batching_coalesces;
-          Alcotest.test_case "tcp batching keeps fifo order" `Quick
-            test_tcp_batching_fifo_order;
-          Alcotest.test_case "tcp batching per-request errors" `Quick
-            test_tcp_batching_per_request_errors;
-          Alcotest.test_case "batching off sends single frames" `Quick
-            test_tcp_batching_off_sends_single_frames;
+          Alcotest.test_case "tcp keeps fifo order" `Quick
+            test_tcp_fifo_order;
+          Alcotest.test_case "tcp per-request errors" `Quick
+            test_tcp_per_request_errors;
+          Alcotest.test_case "tcp listener drops a kind-2 frame" `Quick
+            test_tcp_listener_drops_kind2;
           Alcotest.test_case "resolve failure surfaces" `Quick
             test_resolve_failure_surfaces;
           Alcotest.test_case "forged key rejected" `Quick test_key_enforcement;

@@ -391,7 +391,7 @@ let test_kill_family_is_restrictive () =
   | Xrl_error.Bad_args _ -> ()
   | e -> Alcotest.failf "kill family leaked data: %s" (Xrl_error.to_string e)
 
-(* --- Batch wire roundtrip (property) ------------------------------------ *)
+(* --- Wire re-encode stability (property) -------------------------------- *)
 
 (* Arbitrary atoms: names from the unreserved lowercase alphabet (the
    constructors reject [:=&?,/%]), values over every constructor with
@@ -448,15 +448,12 @@ let gen_message =
       (pair nat (int_bound 9))
       (pair (small_string ~gen:printable) atoms)
   in
-  let element = oneof [ request; reply ] in
-  oneof
-    [ element;
-      map (fun ms -> Xrl_wire.Batch ms) (list_size (int_bound 8) element) ]
+  oneof [ request; reply ]
 
 (* Decoding may normalise (e.g. error notes, argument canonical forms),
    so the invariant is re-encode stability, not structural equality:
    encode . decode is the identity on encoder output. *)
-let prop_batch_wire_roundtrip =
+let prop_wire_reencode_stable =
   QCheck.Test.make ~name:"wire encode/decode/encode is stable" ~count:500
     (QCheck.make gen_message)
     (fun msg ->
@@ -502,5 +499,5 @@ let () =
           Alcotest.test_case "restrictive transport" `Quick
             test_kill_family_is_restrictive;
         ] );
-      ("wire_batch", List.map Seeded.qcheck [ prop_batch_wire_roundtrip ]);
+      ("wire", List.map Seeded.qcheck [ prop_wire_reencode_stable ]);
     ]

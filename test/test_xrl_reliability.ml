@@ -134,39 +134,6 @@ let test_shutdown_unhooks_and_is_idempotent () =
   check Alcotest.int "all hooks removed" baseline
     (Finder.invalidate_hook_count finder)
 
-let test_shutdown_fails_queued_batch_fifo () =
-  (* Calls still sitting in the per-destination batch queue at shutdown
-     must fail in send (FIFO) order. *)
-  let loop = Eventloop.create ~mode:`Real () in
-  let finder = Finder.create () in
-  let target =
-    Xrl_router.create ~families:[ Pf_tcp.family ] finder loop
-      ~class_name:"adder" ()
-  in
-  Xrl_router.add_handler target ~interface:"math" ~method_name:"add"
-    (fun args reply ->
-       reply Xrl_error.Ok_xrl
-         [ Xrl_atom.u32 "sum" (2 * Xrl_atom.get_u32 args "a") ]);
-  let caller =
-    Xrl_router.create ~families:[ Pf_tcp.family ] ~family_pref:[ "stcp" ]
-      ~batching:true finder loop ~class_name:"caller" ()
-  in
-  let order = ref [] in
-  for i = 1 to 5 do
-    Xrl_router.send caller (add_xrl i i) (fun err _ ->
-        match err with
-        | Xrl_error.Send_failed _ -> order := i :: !order
-        | e -> Alcotest.failf "call %d: expected Send_failed, got %s" i
-                 (Xrl_error.to_string e))
-  done;
-  (* The batch flush is deferred to the next loop turn, which never
-     comes: shutdown first. *)
-  Xrl_router.shutdown caller;
-  check (Alcotest.list Alcotest.int) "failed in send order" [ 1; 2; 3; 4; 5 ]
-    (List.rev !order);
-  check Alcotest.int "pending back to zero" 0 (Xrl_router.pending_sends caller);
-  Xrl_router.shutdown target
-
 let test_tcp_fail_all_seq_order () =
   (* Satellite bug: pf_tcp failed outstanding calls in Hashtbl.fold
      order. Close a sender with 10 requests in flight; errors must
@@ -181,12 +148,12 @@ let test_tcp_fail_all_seq_order () =
     (fun _args _reply -> () (* hold every reply *));
   let caller =
     Xrl_router.create ~families:[ Pf_tcp.family ] ~family_pref:[ "stcp" ]
-      ~batching:false finder loop ~class_name:"caller" ()
+      finder loop ~class_name:"caller" ()
   in
   let order = ref [] in
   for i = 1 to 10 do
-    (* batching off: each send transmits immediately and registers its
-       seq in the transport's outstanding table. *)
+    (* Each send transmits immediately and registers its seq in the
+       transport's outstanding table. *)
     Xrl_router.send caller (add_xrl i i) (fun err _ ->
         match err with
         | Xrl_error.Send_failed _ -> order := i :: !order
@@ -196,6 +163,7 @@ let test_tcp_fail_all_seq_order () =
   Xrl_router.shutdown caller;
   check (Alcotest.list Alcotest.int) "failed in seq order"
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (List.rev !order);
+  check Alcotest.int "pending back to zero" 0 (Xrl_router.pending_sends caller);
   Xrl_router.shutdown target
 
 (* --- deferred kill dispatch ----------------------------------------- *)
@@ -496,8 +464,6 @@ let () =
       ( "shutdown",
         [ Alcotest.test_case "unhooks finder, idempotent" `Quick
             test_shutdown_unhooks_and_is_idempotent;
-          Alcotest.test_case "queued batch fails FIFO" `Quick
-            test_shutdown_fails_queued_batch_fifo;
           Alcotest.test_case "tcp fail_all in seq order" `Quick
             test_tcp_fail_all_seq_order ] );
       ( "kill",
