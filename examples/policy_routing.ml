@@ -6,7 +6,9 @@
    and RIP routes flow into RIP advertisements via the stack-language
    filter, with a metric override, while a denied block stays private.
 
-     dune exec examples/policy_routing.exe *)
+     dune exec examples/policy_routing.exe
+
+   Exits 1 if any lookup at B names another protocol than expected. *)
 
 let addr = Ipv4.of_string_exn
 let net = Ipv4net.of_string_exn
@@ -62,23 +64,29 @@ let () =
   Printf.printf "router A's RIB:\n%s\n" (Rtrmgr.show_routes ra);
   Printf.printf "router B learned over RIP:\n%s\n" (Rtrmgr.show_rip rb);
 
-  let check what a expected =
+  let failed = ref false in
+  let check a expected why =
     let got =
       match Rib.lookup_best (Rtrmgr.rib rb) (addr a) with
       | Some r -> r.Rib_route.protocol
       | None -> "unroutable"
     in
-    Printf.printf "  %-14s at B: %-12s (expected %s)\n" what got expected
+    if got <> expected then failed := true;
+    Printf.printf "  %-14s at B: %-12s (expected %s%s)\n" a got expected why
   in
-  check "172.16.5.5" "172.16.5.5" "rip";
-  check "198.18.5.5" "198.18.5.5" "rip";
-  check "192.168.1.1" "192.168.1.1" "unroutable (kept private)";
+  check "172.16.5.5" "rip" "";
+  check "198.18.5.5" "rip" "";
+  check "192.168.1.1" "unroutable" " (kept private)";
 
   (* The deleted static route is retracted from RIP as well. *)
   Printf.printf "\nwithdrawing 198.18.0.0/15 at A...\n";
   Result.get_ok
     (Rib.delete_route (Rtrmgr.rib ra) ~protocol:"static" ~net:(net "198.18.0.0/15"));
   Eventloop.run_until_time loop (Eventloop.now loop +. 10.0);
-  check "198.18.5.5" "198.18.5.5" "unroutable (withdrawn)";
+  check "198.18.5.5" "unroutable" " (withdrawn)";
   Rtrmgr.shutdown ra;
-  Rtrmgr.shutdown rb
+  Rtrmgr.shutdown rb;
+  if !failed then begin
+    prerr_endline "policy_routing: a lookup at B did not match its expectation";
+    exit 1
+  end

@@ -90,14 +90,10 @@ type t = {
   fanout : Bgp_fanout.fanout_table;
   local_ribin : Bgp_ribin.rib_in;
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
+  rib : Rib_client.t;
   rib_q : (string * Bgp_types.route * Telemetry.Trace.ctx option) Laneq.t;
   mutable rib_flush_scheduled : bool;
   redump_on_reestablish : bool;
-  (* Redistribution policies this process has subscribed with; the
-     RIB's subscriber table dies with it, so these are re-sent on
-     rebirth. *)
-  mutable redist_policies : string list;
-  c_resync_replayed : Telemetry.counter;
   mutable started : bool;
 }
 
@@ -123,34 +119,20 @@ let rib_protocol t (route : Bgp_types.route) =
 (* Per-route XRL; also the path a single-entry run takes, so the
    unbatched pipeline (and its profile-point sequence) is exactly what
    it was before bulk transfer — Figures 10-12 flap one route at a
-   time and still measure this path. Route transfers into the RIB are
-   idempotent, so they are retried. *)
+   time and still measure this path. *)
 let send_rib_one t (op, (route : Bgp_types.route), trace) =
   Telemetry.Trace.with_ctx trace @@ fun () ->
   Telemetry.Trace.span_sync ~name:"bgp.rib_send"
     ~clock:(fun () -> Eventloop.now t.loop)
   @@ fun () ->
-  profile_net t pp_sent_rib (op ^ " ") route.Bgp_types.net;
+  let net = route.Bgp_types.net in
+  profile_net t pp_sent_rib (op ^ " ") net;
   let protocol = rib_protocol t route in
-  let xrl =
-    if op = "add" then
-      Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
-        [ Xrl_atom.txt "protocol" protocol;
-          Xrl_atom.ipv4net "net" route.Bgp_types.net;
-          Xrl_atom.ipv4 "nexthop" route.Bgp_types.attrs.nexthop;
-          Xrl_atom.u32 "metric"
-            (Option.value route.Bgp_types.attrs.med ~default:0) ]
-    else
-      Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"delete_route"
-        [ Xrl_atom.txt "protocol" protocol;
-          Xrl_atom.ipv4net "net" route.Bgp_types.net ]
-  in
-  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-      if not (Xrl_error.is_ok err) then
-        Log.warn (fun m ->
-            m "RIB %s for %s failed: %s" op
-              (Ipv4net.to_string route.Bgp_types.net)
-              (Xrl_error.to_string err)))
+  if op = "add" then
+    Rib_client.add_route t.rib ~protocol ~net
+      ~nexthop:route.Bgp_types.attrs.nexthop
+      ~metric:(Option.value route.Bgp_types.attrs.med ~default:0)
+  else Rib_client.delete_route t.rib ~protocol ~net
 
 (* A run of queued updates with the same operation and protocol leaves
    as one rib/add_routes4 or rib/delete_routes4 XRL carrying a
@@ -215,43 +197,31 @@ let rec schedule_rib_flush t =
         t.rib_flush_scheduled <- false;
         if not (Xrl_router.peer_live t.router "rib") then Laneq.clear t.rib_q
         else begin
+          let urgent, bulk = Laneq.drain t.rib_q ~bulk_slice:rib_bulk_slice in
           (* Urgent lane first, as per-route XRLs — the method is how
              the lane crosses the XRL boundary: the RIB classifies
              per-route rib/add_route arrivals as urgent and bulk-packed
-             rib/add_routes4 arrivals as bulk. Per-prefix order across
-             lanes is the Laneq guard's job. *)
-          let rec urgent () =
-            match Laneq.pop_urgent t.rib_q with
-            | Some (_, entry) ->
-              send_rib_one t entry;
-              urgent ()
-            | None -> ()
-          in
-          urgent ();
+             rib/add_routes4 arrivals as bulk. *)
+          List.iter (send_rib_one t) urgent;
           (* Group consecutive same-op, same-protocol bulk entries into
              runs, preserving overall order: an add/delete alternation
-             for the same prefix must reach the RIB in sequence. Bounded
-             per flush; leftovers re-defer so timers and fresh I/O get
-             the loop in between. *)
-          let budget = ref rib_bulk_slice in
-          let rec drain run =
-            if !budget = 0 then send_rib_run t (List.rev run)
-            else
-              match Laneq.pop_bulk t.rib_q with
-              | None -> send_rib_run t (List.rev run)
-              | Some (_, ((op, route, _) as entry)) -> (
-                decr budget;
-                match run with
-                | [] -> drain [ entry ]
-                | (prev_op, prev_route, _) :: _
-                  when prev_op = op
-                       && rib_protocol t prev_route = rib_protocol t route ->
-                  drain (entry :: run)
-                | _ ->
-                  send_rib_run t (List.rev run);
-                  drain [ entry ])
+             for the same prefix must reach the RIB in sequence.
+             Leftovers re-defer so timers and fresh I/O get the loop in
+             between. *)
+          let run =
+            List.fold_left
+              (fun run ((op, route, _) as entry) ->
+                 match run with
+                 | (prev_op, prev_route, _) :: _
+                   when prev_op = op
+                        && rib_protocol t prev_route = rib_protocol t route ->
+                   entry :: run
+                 | _ ->
+                   send_rib_run t (List.rev run);
+                   [ entry ])
+              [] bulk
           in
-          drain [];
+          send_rib_run t (List.rev run);
           if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t
         end)
   end
@@ -311,65 +281,41 @@ let make_resolver t : Bgp_nexthop.resolve_fn =
 
 (* --- RIB rebirth resync (the mirror of Rib.watch_fea_lifecycle) ------- *)
 
-let send_redist_subscribe t policy =
-  let xrl =
-    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"redist_subscribe"
-      [ Xrl_atom.txt "target" (instance_name t);
-        Xrl_atom.txt "policy" policy ]
-  in
-  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-      if not (Xrl_error.is_ok err) then
-        Log.err (fun m ->
-            m "redist_subscribe failed: %s" (Xrl_error.to_string err)))
-
-(* A reborn RIB starts from empty origin tables: replace whatever was
-   queued since its birth with a full dump of the post-decision
-   winners. The dump rides the bulk lane: fresh urgent changes for
-   other prefixes overtake it, while the Laneq guard keeps a live
-   update to a replayed prefix behind its replay entry (§5.1.2). *)
-let replay_winners t =
+(* [Rib_client]'s replay. A reborn RIB starts from empty origin tables:
+   replace whatever was queued since its birth with a full dump of the
+   post-decision winners. The dump rides the bulk lane: fresh urgent
+   changes for other prefixes overtake it, while the Laneq guard keeps
+   a live update to a replayed prefix behind its replay entry
+   (§5.1.2). Cached nexthop resolutions are invalidated wholesale so
+   every nexthop is re-queried — which also re-registers the interest
+   the new RegisterTable needs to push future invalidations. *)
+let replay_rib t =
   Laneq.clear t.rib_q;
   let n =
-    t.decision#fold_winners
-      (fun (route : Bgp_types.route) n ->
-         if route.Bgp_types.peer_id <> 0 then begin
-           Laneq.push t.rib_q Laneq.Bulk ~net:route.Bgp_types.net
-             ("add", route, None);
-           n + 1
-         end
-         else n)
-      0
+    if not t.send_to_rib then 0
+    else
+      t.decision#fold_winners
+        (fun (route : Bgp_types.route) n ->
+           if route.Bgp_types.peer_id <> 0 then begin
+             Laneq.push t.rib_q Laneq.Bulk ~net:route.Bgp_types.net
+               ("add", route, None);
+             n + 1
+           end
+           else n)
+        0
   in
-  Telemetry.add t.c_resync_replayed n;
-  Log.info (fun m -> m "RIB is back; replaying %d winners" n)
+  if t.nexthop_mode = `Rib then
+    Hashtbl.iter
+      (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
+      t.peers;
+  if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t;
+  n
 
-(* Watch the RIB's own lifetime: while no instance is live, outbound
-   route ops are dropped; a (re)birth replays the winners and
-   re-subscribes redistribution, because both the origin tables and
-   the redist/register state died with the old instance. Cached
-   nexthop resolutions are invalidated wholesale so every nexthop is
-   re-queried — which also re-registers the interest the new
-   RegisterTable needs to push future invalidations. Without [resync]
-   (the simulation harness's injected "rib-no-resync" bug) nothing is
-   re-sent, so every route announced before the death is silently
-   missing from the reborn RIB's origin tables. *)
-let watch_rib_lifecycle ~resync t =
-  let rib_reborn () =
-    List.iter (send_redist_subscribe t) (List.rev t.redist_policies);
-    if t.send_to_rib then replay_winners t;
-    if t.nexthop_mode = `Rib then
-      Hashtbl.iter
-        (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
-        t.peers;
-    if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t
-  in
-  Xrl_router.watch_peer t.router ~cls:"rib"
-    ~on_death:(fun () ->
-        Log.warn (fun m ->
-            m "RIB died; dropping route updates until an instance returns");
-        Laneq.clear t.rib_q)
-    ?on_rebirth:(if resync then Some rib_reborn else None)
-    ()
+(* Nothing is held for a dead RIB: a reborn one gets the full replay. *)
+let rib_died t =
+  Log.warn (fun m ->
+      m "RIB died; dropping route updates until an instance returns");
+  Laneq.clear t.rib_q
 
 (* --- session plumbing ------------------------------------------------- *)
 
@@ -761,6 +707,20 @@ let withdraw t net =
       attrs = Bgp_types.default_attrs ~nexthop:t.bgp_id;
       peer_id = 0; igp_metric = Some 0 }
 
+(* Redistribution INTO BGP (§3): the RIB's redist stage can feed us
+   IGP routes, which we originate with INCOMPLETE origin, as real
+   routers mark redistributed routes. *)
+let redistributed t : Rib_client.redist -> unit = function
+  | Add { net; metric; _ } ->
+    t.local_ribin#add_route
+      { Bgp_types.net;
+        attrs =
+          { (Bgp_types.default_attrs ~nexthop:t.bgp_id) with
+            Bgp_types.origin = Bgp_types.INCOMPLETE;
+            med = (if metric = 0 then None else Some metric) };
+        peer_id = 0; igp_metric = Some 0 }
+  | Delete net -> withdraw t net
+
 let add_xrl_handlers t =
   let ok = Xrl_error.Ok_xrl in
   let r = t.router in
@@ -770,25 +730,6 @@ let add_xrl_handlers t =
         Hashtbl.iter
           (fun _ peer -> peer.nexthop_tbl#invalidate valid)
           t.peers;
-        reply ok []);
-  (* Redistribution INTO BGP (§3): the RIB's redist stage can feed us
-     IGP routes, which we originate with INCOMPLETE origin, as real
-     routers mark redistributed routes. *)
-  Xrl_router.add_handler r ~interface:"redist_client" ~method_name:"add_route"
-    (fun args reply ->
-       let net = Xrl_atom.get_ipv4net args "net" in
-       let med = Xrl_atom.get_u32 args "metric" in
-       t.local_ribin#add_route
-         { Bgp_types.net;
-           attrs =
-             { (Bgp_types.default_attrs ~nexthop:t.bgp_id) with
-               Bgp_types.origin = Bgp_types.INCOMPLETE;
-               med = (if med = 0 then None else Some med) };
-           peer_id = 0; igp_metric = Some 0 };
-       reply ok []);
-  Xrl_router.add_handler r ~interface:"redist_client"
-    ~method_name:"delete_route" (fun args reply ->
-        withdraw t (Xrl_atom.get_ipv4net args "net");
         reply ok []);
   Xrl_router.add_handler r ~interface:"bgp" ~method_name:"originate_route"
     (fun args reply ->
@@ -835,7 +776,7 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
   Telemetry.reset_prefix "bgp.";
   let router = Xrl_router.create ?families finder loop ~class_name:"bgp" () in
   let decision = new Bgp_decision.decision_table ~name:"decision" () in
-  let t =
+  let rec t =
     lazy
       (let fanout =
          (* The bulk-lane batch scales with the inbound slice so the
@@ -857,11 +798,15 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
          decision; fanout;
          local_ribin = new Bgp_ribin.rib_in ~name:"local" ~peer_id:0 loop;
          listeners = Hashtbl.create 4;
+         rib =
+           Rib_client.create router ~resync:rib_rebirth_resync
+             ~on_death:(fun () -> rib_died (Lazy.force t))
+             ~redist:(fun r -> redistributed (Lazy.force t) r)
+             ~replay:(fun () -> replay_rib (Lazy.force t))
+             ();
          rib_q = Laneq.create ~ordered:lane_ordered ();
          rib_flush_scheduled = false;
          redump_on_reestablish;
-         redist_policies = [];
-         c_resync_replayed = Telemetry.counter "bgp.rib_resync.replayed";
          started = false;
        })
   in
@@ -885,7 +830,6 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
         kind = Bgp_types.Ebgp; peer_bgp_id = Ipv4.zero }
     rib_branch;
   add_xrl_handlers t;
-  watch_rib_lifecycle ~resync:rib_rebirth_resync t;
   t
 
 let ensure_listener t local_addr =
@@ -953,10 +897,7 @@ let remove_peer t addr =
     Hashtbl.remove t.peers (peer_key addr)
 
 let subscribe_rib_redistribution t ~policy =
-  (* Remembered so the subscription survives a RIB restart: the RIB's
-     subscriber table dies with the instance. *)
-  t.redist_policies <- policy :: t.redist_policies;
-  send_redist_subscribe t policy
+  Rib_client.subscribe_redistribution t.rib ~policy
 
 let peer_state t addr = Option.map (fun p -> Peer_fsm.state p.fsm) (find_peer t addr)
 
@@ -1004,7 +945,6 @@ let sever_session t addr =
   | _ -> false
 
 let fanout_queue_length t = t.fanout#queue_length
-let fanout_peak_queue_length t = t.fanout#peak_queue_length
 
 let shutdown t =
   Hashtbl.iter

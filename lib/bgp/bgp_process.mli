@@ -8,7 +8,9 @@
     {v Fanout reader → export filters → [checking cache] → PeerOut →
        session v}
     plus a RIB branch on the fanout that pushes winning routes to the
-    ["rib"] component over XRLs (protocol ["ebgp"] or ["ibgp"]).
+    ["rib"] component over XRLs (protocol ["ebgp"] or ["ibgp"]): single
+    routes through {!Rib_client}, runs as packed [rib/1.0/add_routes4]
+    and [delete_routes4] calls.
 
     Sessions run real RFC 4271 messages over {!Netsim} streams. Peering
     loss hands the PeerIn's table to a dynamic deletion stage
@@ -90,12 +92,14 @@ val create :
     simulation fuzzer must catch.
 
     While no RIB instance is live, outbound route operations are
-    dropped. [rib_rebirth_resync] (default true) makes a (re)born RIB
-    trigger a re-subscription of the redistribution policies and a
-    replay of the full post-decision winner set on the bulk lane.
-    [false] is the deliberately broken variant behind the fuzzer's
-    [rib-no-resync] injected bug: nothing is re-sent to the reborn
-    RIB.
+    dropped. [rib_rebirth_resync] (default true) is
+    {!Rib_client.create}'s [resync]: a (re)born RIB gets the
+    redistribution subscriptions again and a replay of the full
+    post-decision winner set on the bulk lane, counted in
+    [bgp.rib_resync.replayed], and every cached nexthop resolution is
+    re-queried. [false] is the deliberately broken variant behind the
+    fuzzer's [rib-no-resync] injected bug: nothing is re-sent to the
+    reborn RIB.
 
     [redump_on_reestablish] (default true) re-dumps the full winners
     table to a peer whose session re-reaches Established after going
@@ -123,9 +127,8 @@ val originate : t -> Ipv4net.t -> unit
 
 val subscribe_rib_redistribution : t -> policy:string -> unit
 (** Ask the RIB to redistribute matching routes into BGP
-    ([rib/1.0/redist_subscribe] targeting this component); they are
-    advertised with INCOMPLETE origin. The policy is stack-language
-    source. *)
+    ({!Rib_client.subscribe_redistribution}); they are advertised with
+    INCOMPLETE origin. The policy is stack-language source. *)
 
 val withdraw : t -> Ipv4net.t -> unit
 
@@ -158,7 +161,6 @@ val sever_session : t -> Ipv4.t -> bool
     there is no live endpoint. *)
 
 val fanout_queue_length : t -> int
-val fanout_peak_queue_length : t -> int
 
 val inbound_backlog : t -> int
 (** Route operations staged across all peers' inbound queues, waiting

@@ -111,37 +111,19 @@ class rib_out ~name ~(info : Bgp_types.peer_info) ~(local_as : int)
       (* One slice: the urgent lane drained dry, then a bounded bulk
          batch. Leftover bulk re-defers, so one peer's huge output
          backlog cannot monopolise a loop turn. *)
-      let drained = ref [] in
-      let rec take_urgent () =
-        match Laneq.pop_urgent pending with
-        | Some (_, ch) ->
-          drained := ch :: !drained;
-          take_urgent ()
-        | None -> ()
-      in
-      take_urgent ();
-      let budget = ref bulk_flush_slice in
-      let rec take_bulk () =
-        if !budget > 0 then
-          match Laneq.pop_bulk pending with
-          | Some (_, ch) ->
-            decr budget;
-            drained := ch :: !drained;
-            take_bulk ()
-          | None -> ()
-      in
-      take_bulk ();
+      let urgent, bulk = Laneq.drain pending ~bulk_slice:bulk_flush_slice in
       (* Net effect per prefix within the slice: the last change wins.
          Safe across lanes because the Laneq guard preserves per-prefix
          push order, so "last in the slice" is "latest". *)
       let final : (Ipv4net.t, change) Hashtbl.t = Hashtbl.create 64 in
       let order = ref [] in
-      List.iter
-        (fun ch ->
-           let net = change_net ch in
-           if not (Hashtbl.mem final net) then order := net :: !order;
-           Hashtbl.replace final net ch)
-        (List.rev !drained);
+      let note ch =
+        let net = change_net ch in
+        if not (Hashtbl.mem final net) then order := net :: !order;
+        Hashtbl.replace final net ch
+      in
+      List.iter note urgent;
+      List.iter note bulk;
       if not (Laneq.is_empty pending) then self#schedule_flush;
       let withdrawals = ref [] in
       let announces = ref [] in (* (attrs, nets ref) groups *)

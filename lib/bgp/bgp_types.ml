@@ -2,11 +2,6 @@ type origin = IGP | EGP | INCOMPLETE
 
 let origin_rank = function IGP -> 0 | EGP -> 1 | INCOMPLETE -> 2
 
-let origin_to_string = function
-  | IGP -> "igp"
-  | EGP -> "egp"
-  | INCOMPLETE -> "incomplete"
-
 type attrs = {
   origin : origin;
   aspath : Aspath.t;

@@ -7,8 +7,6 @@ type origin = IGP | EGP | INCOMPLETE
 val origin_rank : origin -> int
 (** IGP 0 < EGP 1 < INCOMPLETE 2 (lower preferred). *)
 
-val origin_to_string : origin -> string
-
 type attrs = {
   origin : origin;
   aspath : Aspath.t;

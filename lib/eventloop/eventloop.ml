@@ -206,8 +206,6 @@ let add_task t ?(weight = 1) slice =
   t.live_tasks <- t.live_tasks + 1;
   task
 
-let task_live task = task.live
-
 (* Retirement is the single place the counter goes down, guarded so a
    task removed and then reaped (or removed twice) decrements exactly
    once: [live_tasks] is always the number of tasks that still have

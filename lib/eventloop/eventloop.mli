@@ -89,8 +89,6 @@ val remove_task : task -> unit
     [live_tasks]/[quiescent] never count removed-but-not-yet-swept
     tasks — though its queue slot is reclaimed lazily. *)
 
-val task_live : task -> bool
-
 (** {1 File descriptors ([`Real] mode)} *)
 
 val add_reader : t -> Unix.file_descr -> (unit -> unit) -> unit

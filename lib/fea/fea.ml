@@ -96,6 +96,7 @@ let add_fib_handlers t =
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_route4"
     (fun args reply ->
        let net = Xrl_atom.get_ipv4net args "net" in
+       profile_net t pp_arrived "delete " net;
        let existed =
          Telemetry.Trace.span_sync ~name:"fea.uninstall"
            ~note:(Ipv4net.to_string net)

@@ -198,8 +198,3 @@ let entries t =
     done
   done;
   List.rev_append !shorts !acc
-
-let clear t =
-  Array.fill t.dir 0 256 no_blocks;
-  Ptree.clear t.short;
-  t.long <- 0

@@ -60,4 +60,3 @@ val entries : t -> entry list
 (** Every entry, ordered by (network, length) as {!Ipv4net.compare}
     orders prefixes. *)
 
-val clear : t -> unit

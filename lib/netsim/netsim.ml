@@ -84,7 +84,6 @@ let create ?(default_latency = 0.001) loop =
     ephemeral = 49152;
   }
 
-let eventloop t = t.loop
 let set_loss_seed t seed = t.loss_rng <- Rng.create seed
 
 let addr_pair a b =

@@ -16,8 +16,6 @@ val create : ?default_latency:float -> Eventloop.t -> t
 (** [default_latency] (seconds, default 0.001) applies to paths that
     don't specify their own. *)
 
-val eventloop : t -> Eventloop.t
-
 (** Reliable ordered byte-stream channels (TCP stand-in).
 
     The simulator keeps a registry of stream endpoints so a link cut

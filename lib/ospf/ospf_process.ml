@@ -14,12 +14,11 @@ type config = {
   hello_interval : float;
   dead_interval : float;
   refresh_interval : float;
-  send_to_rib : bool;
 }
 
 let default_config ~router_id ~ifaces ?(stub_prefixes = []) () =
   { router_id; ifaces; stub_prefixes; hello_interval = 5.0;
-    dead_interval = 20.0; refresh_interval = 60.0; send_to_rib = true }
+    dead_interval = 20.0; refresh_interval = 60.0 }
 
 type adjacency = {
   a_cfg : neighbor_config;
@@ -38,19 +37,18 @@ type t = {
   adjacencies : (int, adjacency) Hashtbl.t;
   (* neighbour interface address -> adjacency (for packet demux) *)
   by_addr : (int, adjacency) Hashtbl.t;
-  socks : (int, int) Hashtbl.t; (* ifaddr -> FEA sockid *)
+  relay : Fea_relay.t;
+  rib : Rib_client.t;
   lsdb : (int, Ospf_packet.lsa * float ref) Hashtbl.t; (* origin -> lsa, stamp *)
   mutable my_seq : int;
   mutable stubs : (Ipv4net.t * int) list;
   mutable spf_pending : bool;
   mutable spf_count : int;
   mutable started : bool;
-  c_resync_replayed : Telemetry.counter;
   (* prefix -> (cost, nexthop) currently installed in the RIB *)
   installed : (Ipv4net.t, int * Ipv4.t) Hashtbl.t;
 }
 
-let instance_name t = Xrl_router.instance_name t.router
 let lsdb_size t = Hashtbl.length t.lsdb
 let spf_runs t = t.spf_count
 
@@ -62,21 +60,7 @@ let adjacency_up t id =
 (* --- I/O through the FEA relay ----------------------------------------- *)
 
 let send_packet t ~ifaddr ~dst pkt =
-  match Hashtbl.find_opt t.socks (Ipv4.to_int ifaddr) with
-  | None -> ()
-  | Some sockid ->
-    let xrl =
-      Xrl.make ~target:"fea" ~interface:"fea_udp" ~method_name:"udp_send"
-        [ Xrl_atom.u32 "sockid" sockid;
-          Xrl_atom.ipv4 "dst" dst;
-          Xrl_atom.u32 "dport" ospf_port;
-          Xrl_atom.binary "payload" (Ospf_packet.encode pkt) ]
-    in
-    Xrl_router.send t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.warn (fun m ->
-              m "udp_send to %s failed: %s" (Ipv4.to_string dst)
-                (Xrl_error.to_string err)))
+  Fea_relay.send t.relay ~ifaddr ~dst (Ospf_packet.encode pkt)
 
 let iter_up_adjacencies t f =
   Hashtbl.iter (fun _ a -> if a.a_up then f a) t.adjacencies
@@ -95,29 +79,10 @@ let flood t ?except lsas =
 
 (* --- RIB interaction ----------------------------------------------------- *)
 
-(* While no RIB is live, announcements are dropped: the reborn RIB
-   starts empty, so skipped deletes are moot, and the rebirth replays
-   [installed]. Route transfers into the RIB are idempotent, so they
-   are retried. *)
-let rib_update t method_name args =
-  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
-    Xrl_router.send ~retry:Xrl_router.default_retry t.router
-      (Xrl.make ~target:"rib" ~interface:"rib" ~method_name args)
-      (fun err _ ->
-         if not (Xrl_error.is_ok err) then
-           Log.debug (fun m ->
-               m "rib %s failed: %s" method_name (Xrl_error.to_string err)))
-
 let rib_add t net cost nexthop =
-  rib_update t "add_route"
-    [ Xrl_atom.txt "protocol" "ospf";
-      Xrl_atom.ipv4net "net" net;
-      Xrl_atom.ipv4 "nexthop" nexthop;
-      Xrl_atom.u32 "metric" cost ]
+  Rib_client.add_route t.rib ~protocol:"ospf" ~net ~nexthop ~metric:cost
 
-let rib_delete t net =
-  rib_update t "delete_route"
-    [ Xrl_atom.txt "protocol" "ospf"; Xrl_atom.ipv4net "net" net ]
+let rib_delete t net = Rib_client.delete_route t.rib ~protocol:"ospf" ~net
 
 (* --- SPF ------------------------------------------------------------------- *)
 
@@ -320,20 +285,17 @@ let add_stub t net cost =
   t.stubs <- (net, cost) :: List.remove_assoc net t.stubs;
   if t.started then originate t
 
+let recv t ~src:srcaddr payload =
+  match Ospf_packet.decode payload with
+  | Ok (Ospf_packet.Hello { router_id; heard }) ->
+    handle_hello t ~src:srcaddr (router_id, heard)
+  | Ok (Ospf_packet.Ls_update lsas) -> handle_lsupdate t ~src:srcaddr lsas
+  | Error msg ->
+    Log.warn (fun m ->
+        m "undecodable packet from %s: %s" (Ipv4.to_string srcaddr) msg)
+
 let add_handlers t =
   let ok = Xrl_error.Ok_xrl in
-  Xrl_router.add_handler t.router ~interface:"fea_client" ~method_name:"recv"
-    (fun args reply ->
-       let srcaddr = Xrl_atom.get_ipv4 args "src" in
-       let payload = Xrl_atom.get_binary args "payload" in
-       (match Ospf_packet.decode payload with
-        | Ok (Ospf_packet.Hello { router_id; heard }) ->
-          handle_hello t ~src:srcaddr (router_id, heard)
-        | Ok (Ospf_packet.Ls_update lsas) -> handle_lsupdate t ~src:srcaddr lsas
-        | Error msg ->
-          Log.warn (fun m ->
-              m "undecodable packet from %s: %s" (Ipv4.to_string srcaddr) msg));
-       reply ok []);
   Xrl_router.add_handler t.router ~interface:"ospf" ~method_name:"get_lsdb_size"
     (fun _ reply -> reply ok [ Xrl_atom.u32 "size" (lsdb_size t) ]);
   Xrl_router.add_handler t.router ~interface:"ospf"
@@ -356,59 +318,38 @@ let remove_stub t net =
 
 (* --- lifecycle ------------------------------------------------------------------------ *)
 
-(* Bounded retry on the FEA relay open: the FEA may register after us,
-   and on a chaotic transport the open itself can be black-holed —
-   without retry one lost [udp_open] silences the interface forever. *)
-let open_retry =
-  { Xrl_router.default_retry with
-    max_attempts = 10; base_delay = 0.25; max_delay = 2.0;
-    attempt_timeout = Some 2.0 }
-
-let open_iface_socket t iface =
-  let xrl =
-    Xrl.make ~target:"fea" ~interface:"fea_udp" ~method_name:"udp_open"
-      [ Xrl_atom.txt "client_target" (instance_name t);
-        Xrl_atom.ipv4 "addr" iface.o_addr;
-        Xrl_atom.u32 "port" ospf_port ]
-  in
-  Xrl_router.send ~retry:open_retry t.router xrl (fun err args ->
-      if Xrl_error.is_ok err then begin
-        Hashtbl.replace t.socks
-          (Ipv4.to_int iface.o_addr)
-          (Xrl_atom.get_u32 args "sockid");
-        send_hellos t
-      end
-      else
-        Log.err (fun m ->
-            m "udp_open on %s failed: %s"
-              (Ipv4.to_string iface.o_addr)
-              (Xrl_error.to_string err)))
-
 (* [installed] is exactly what this process believes the RIB holds for
    protocol "ospf" — replaying it rebuilds the reborn RIB's (empty)
    origin table verbatim, with no SPF re-run needed. *)
 let replay_rib t =
-  let n =
-    Hashtbl.fold
-      (fun net (cost, nexthop) n ->
-         rib_add t net cost nexthop;
-         n + 1)
-      t.installed 0
-  in
-  Telemetry.add t.c_resync_replayed n;
-  Log.info (fun m -> m "RIB is back; replaying %d routes" n)
+  Hashtbl.fold
+    (fun net (cost, nexthop) n ->
+       rib_add t net cost nexthop;
+       n + 1)
+    t.installed 0
 
 let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"ospf" () in
-  let t =
-    { router; loop; cfg;
-      adjacencies = Hashtbl.create 8; by_addr = Hashtbl.create 8;
-      socks = Hashtbl.create 4; lsdb = Hashtbl.create 32;
-      my_seq = 0; stubs = cfg.stub_prefixes;
-      spf_pending = false; spf_count = 0; started = false;
-      c_resync_replayed = Telemetry.counter "ospf.rib_resync.replayed";
-      installed = Hashtbl.create 64 }
+  let rec t =
+    lazy
+      { router; loop; cfg;
+        adjacencies = Hashtbl.create 8; by_addr = Hashtbl.create 8;
+        (* Every opened socket, re-opens included, says hello at once. *)
+        relay =
+          Fea_relay.create router ~port:ospf_port
+            ~addrs:(List.map (fun iface -> iface.o_addr) cfg.ifaces)
+            ~on_open:(fun _ -> send_hellos (Lazy.force t))
+            ~recv:(fun ~src ~sport:_ payload -> recv (Lazy.force t) ~src payload);
+        rib =
+          Rib_client.create router ~resync:rib_rebirth_resync
+            ~replay:(fun () -> replay_rib (Lazy.force t))
+            ();
+        lsdb = Hashtbl.create 32;
+        my_seq = 0; stubs = cfg.stub_prefixes;
+        spf_pending = false; spf_count = 0; started = false;
+        installed = Hashtbl.create 64 }
   in
+  let t = Lazy.force t in
   List.iter
     (fun iface ->
        List.iter
@@ -422,25 +363,12 @@ let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
          iface.o_neighbors)
     cfg.ifaces;
   add_handlers t;
-  (* A restarted FEA holds none of our relay sockets; re-open on rebirth
-     so hellos flow again and adjacencies can re-form. *)
-  Xrl_router.watch_peer router ~cls:"fea"
-    ~on_death:(fun () -> Hashtbl.reset t.socks)
-    ~on_rebirth:(fun () ->
-        if t.started then List.iter (open_iface_socket t) cfg.ifaces)
-    ();
-  (* A restarted RIB has empty origin tables: everything we installed
-     died with it. Replay on rebirth (as the RIB replays the FIB into
-     a reborn FEA). *)
-  if rib_rebirth_resync && cfg.send_to_rib then
-    Xrl_router.watch_peer router ~cls:"rib"
-      ~on_rebirth:(fun () -> replay_rib t) ();
   t
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    List.iter (open_iface_socket t) t.cfg.ifaces;
+    Fea_relay.start t.relay;
     originate t;
     ignore
       (Eventloop.periodic t.loop t.cfg.hello_interval (fun () ->

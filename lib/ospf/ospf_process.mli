@@ -15,7 +15,8 @@
       (administrative distance 110).
 
     Like RIP, all datagrams travel through the FEA's UDP relay
-    ([fea_udp/1.0]), so the process remains sandboxable (§7).
+    ({!Fea_relay}), so the process remains sandboxable (§7), and every
+    exchange with the RIB goes through {!Rib_client}.
     Simplifications versus RFC 2328: no areas, no DR/BDR election, no
     LSAck (reliability by refresh), no aging-based checksum. *)
 
@@ -37,7 +38,6 @@ type config = {
   hello_interval : float;          (** Default 5 s. *)
   dead_interval : float;           (** Default 20 s. *)
   refresh_interval : float;        (** LSA re-origination, default 60 s. *)
-  send_to_rib : bool;
 }
 
 val default_config :
@@ -54,14 +54,15 @@ val create :
     transports of the component's endpoint (default: intra-process; the
     simulation harness passes a chaos-wrapped family).
 
-    FEA socket opens are retried with backoff, and re-issued when a
-    restarted FEA registers (its relay sockets die with it).
+    The relay sockets follow the FEA's lifetime as {!Fea_relay}
+    describes; each (re)opened socket sends hellos at once.
 
-    [rib_rebirth_resync] (default true) makes the process watch the
-    ["rib"] Finder class and, when a restarted RIB registers, replay
-    its installed SPF routes into the reborn (empty) origin table.
-    [false] is the deliberately broken variant behind the simulation
-    fuzzer's [rib-no-resync] injected bug. *)
+    [rib_rebirth_resync] (default true) is {!Rib_client.create}'s
+    [resync]: on a RIB rebirth the installed SPF routes are replayed
+    into the reborn (empty) origin table, counted in
+    [ospf.rib_resync.replayed]. [false] is the deliberately broken
+    variant behind the simulation fuzzer's [rib-no-resync] injected
+    bug. *)
 
 val start : t -> unit
 
@@ -80,7 +81,6 @@ val route_table : t -> (Ipv4net.t * int * Ipv4.t) list
 (** Current SPF result: (prefix, cost, nexthop interface address);
     excludes our own stubs. *)
 
-val instance_name : t -> string
 val shutdown : t -> unit
 
 val xrl_router : t -> Xrl_router.t

@@ -153,27 +153,8 @@ let rec flush_fea t =
     (* One slice: the urgent lane drained dry (flap-sized), then a
        bounded bulk batch. Per-prefix order across lanes is preserved
        by the Laneq demotion guard. *)
-    let drained = ref [] in
-    let rec take_urgent () =
-      match Laneq.pop_urgent t.fea_q with
-      | Some (_, item) ->
-        drained := item :: !drained;
-        take_urgent ()
-      | None -> ()
-    in
-    take_urgent ();
-    let budget = ref fea_bulk_slice in
-    let rec take_bulk () =
-      if !budget > 0 then
-        match Laneq.pop_bulk t.fea_q with
-        | Some (_, item) ->
-          decr budget;
-          drained := item :: !drained;
-          take_bulk ()
-        | None -> ()
-    in
-    take_bulk ();
-    let items = List.rev !drained in
+    let urgent, bulk = Laneq.drain t.fea_q ~bulk_slice:fea_bulk_slice in
+    let items = urgent @ bulk in
     if t.bulk_fea then begin
       (* Group consecutive same-kind ops into runs, preserving overall
          order (an add/delete alternation must reach the FIB in
@@ -326,9 +307,6 @@ let subscribe_redist t ~name ~policy ~on_add ~on_delete =
     ()
 
 let unsubscribe_redist t ~name = t.redist#unsubscribe name
-
-let protocols t =
-  List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.origins [])
 
 let origin_route_count t protocol =
   match origin_of t protocol with

@@ -82,9 +82,6 @@ val unsubscribe_redist : t -> name:string -> unit
 
 val fold_winners : t -> (Rib_route.t -> 'acc -> 'acc) -> 'acc -> 'acc
 
-val protocols : t -> string list
-(** Origin tables present. *)
-
 val origin_route_count : t -> string -> int
 (** Routes currently held by one protocol's origin table. *)
 

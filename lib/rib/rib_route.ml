@@ -39,5 +39,3 @@ let to_string r =
     (match r.tags with
      | [] -> ""
      | tags -> " tags " ^ String.concat "," (List.map string_of_int tags))
-
-let pp fmt r = Format.pp_print_string fmt (to_string r)

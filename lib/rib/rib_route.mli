@@ -26,4 +26,3 @@ val default_admin_distance : string -> int option
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

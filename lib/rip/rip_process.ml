@@ -13,12 +13,11 @@ type config = {
   timeout : float;
   gc_time : float;
   triggered_delay : float;
-  send_to_rib : bool;
 }
 
 let default_config ~ifaces =
   { ifaces; update_interval = 30.0; timeout = 180.0; gc_time = 120.0;
-    triggered_delay = 1.0; send_to_rib = true }
+    triggered_delay = 1.0 }
 
 type rip_route = {
   rnet : Ipv4net.t;
@@ -39,42 +38,20 @@ type t = {
   db : rip_route Ptree.t;
   (* neighbor address -> local interface address *)
   neighbor_iface : (int, Ipv4.t) Hashtbl.t;
-  (* local interface address -> FEA socket id *)
-  socks : (int, int) Hashtbl.t;
+  relay : Fea_relay.t;
+  rib : Rib_client.t;
   mutable started : bool;
   mutable trigger_pending : bool;
-  (* Redistribution policies this process has subscribed with; the
-     RIB's subscriber table dies with it, so these are re-sent on
-     rebirth. *)
-  mutable redist_policies : string list;
-  c_resync_replayed : Telemetry.counter;
   mutable tx_updates : int;
   mutable rx_updates : int;
   mutable tx_triggered : int;
   mutable expired : int;
 }
 
-let instance_name t = Xrl_router.instance_name t.router
-
 (* --- FEA I/O ---------------------------------------------------------- *)
 
 let send_packet t ~ifaddr ~dst packet =
-  match Hashtbl.find_opt t.socks (Ipv4.to_int ifaddr) with
-  | None ->
-    Log.warn (fun m -> m "no socket for interface %s" (Ipv4.to_string ifaddr))
-  | Some sockid ->
-    let xrl =
-      Xrl.make ~target:"fea" ~interface:"fea_udp" ~method_name:"udp_send"
-        [ Xrl_atom.u32 "sockid" sockid;
-          Xrl_atom.ipv4 "dst" dst;
-          Xrl_atom.u32 "dport" rip_port;
-          Xrl_atom.binary "payload" (Rip_packet.encode packet) ]
-    in
-    Xrl_router.send t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.warn (fun m ->
-              m "udp_send to %s failed: %s" (Ipv4.to_string dst)
-                (Xrl_error.to_string err)))
+  Fea_relay.send t.relay ~ifaddr ~dst (Rip_packet.encode packet)
 
 let send_to_neighbor t ~dst packets =
   match Hashtbl.find_opt t.neighbor_iface (Ipv4.to_int dst) with
@@ -86,32 +63,12 @@ let iter_neighbors t f =
 
 (* --- RIB interaction --------------------------------------------------- *)
 
-(* While no RIB is live, announcements are dropped: the reborn RIB
-   starts empty, so skipped deletes are moot, and the rebirth replays
-   the learned table. Route transfers into the RIB are idempotent, so
-   they are retried. *)
 let rib_add t (r : rip_route) =
-  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
-    let xrl =
-      Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
-        [ Xrl_atom.txt "protocol" "rip";
-          Xrl_atom.ipv4net "net" r.rnet;
-          Xrl_atom.ipv4 "nexthop" r.rnexthop;
-          Xrl_atom.u32 "metric" r.rmetric ]
-    in
-    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.warn (fun m -> m "rib add failed: %s" (Xrl_error.to_string err)))
+  Rib_client.add_route t.rib ~protocol:"rip" ~net:r.rnet ~nexthop:r.rnexthop
+    ~metric:r.rmetric
 
 let rib_delete t (r : rip_route) =
-  if t.cfg.send_to_rib && Xrl_router.peer_live t.router "rib" then
-    let xrl =
-      Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"delete_route"
-        [ Xrl_atom.txt "protocol" "rip"; Xrl_atom.ipv4net "net" r.rnet ]
-    in
-    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.debug (fun m -> m "rib delete failed: %s" (Xrl_error.to_string err)))
+  Rib_client.delete_route t.rib ~protocol:"rip" ~net:r.rnet
 
 (* --- update generation -------------------------------------------------- *)
 
@@ -304,38 +261,24 @@ let retract t net =
 
 (* --- XRL interface ---------------------------------------------------------- *)
 
+let recv t ~src:srcaddr ~sport payload =
+  match Rip_packet.decode payload with
+  | Ok pkt ->
+    (match pkt.Rip_packet.command with
+     | Rip_packet.Response ->
+       if sport = rip_port then handle_response t ~src:srcaddr pkt
+       else Log.debug (fun m -> m "response from non-520 port %d ignored" sport)
+     | Rip_packet.Request -> handle_request t ~src:srcaddr ~sport pkt)
+  | Error msg ->
+    Log.warn (fun m ->
+        m "undecodable RIP packet from %s: %s" (Ipv4.to_string srcaddr) msg)
+
+let redistributed t : Rib_client.redist -> unit = function
+  | Add { net; metric; tag } -> inject t ~net ~metric:(max 1 metric) ~tag ()
+  | Delete net -> retract t net
+
 let add_handlers t =
   let ok = Xrl_error.Ok_xrl in
-  Xrl_router.add_handler t.router ~interface:"fea_client" ~method_name:"recv"
-    (fun args reply ->
-       let srcaddr = Xrl_atom.get_ipv4 args "src" in
-       let sport = Xrl_atom.get_u32 args "sport" in
-       let payload = Xrl_atom.get_binary args "payload" in
-       (match Rip_packet.decode payload with
-        | Ok pkt ->
-          (match pkt.Rip_packet.command with
-           | Rip_packet.Response ->
-             if sport = rip_port then handle_response t ~src:srcaddr pkt
-             else
-               Log.debug (fun m ->
-                   m "response from non-520 port %d ignored" sport)
-           | Rip_packet.Request -> handle_request t ~src:srcaddr ~sport pkt)
-        | Error msg ->
-          Log.warn (fun m ->
-              m "undecodable RIP packet from %s: %s" (Ipv4.to_string srcaddr)
-                msg));
-       reply ok []);
-  Xrl_router.add_handler t.router ~interface:"redist_client"
-    ~method_name:"add_route" (fun args reply ->
-        let net = Xrl_atom.get_ipv4net args "net" in
-        let metric = Xrl_atom.get_u32 args "metric" in
-        let tag = Xrl_atom.get_u32 args "tag" in
-        inject t ~net ~metric:(max 1 metric) ~tag ();
-        reply ok []);
-  Xrl_router.add_handler t.router ~interface:"redist_client"
-    ~method_name:"delete_route" (fun args reply ->
-        retract t (Xrl_atom.get_ipv4net args "net");
-        reply ok []);
   Xrl_router.add_handler t.router ~interface:"rip"
     ~method_name:"add_static_route" (fun args reply ->
         let net = Xrl_atom.get_ipv4net args "net" in
@@ -357,81 +300,53 @@ let add_handlers t =
 
 (* --- lifecycle ----------------------------------------------------------------- *)
 
-(* The FEA relay socket is opened with a bounded retry: at process
-   start the FEA may not be registered yet, and on a chaotic transport
-   the open request itself can be black-holed — without retry a single
-   lost [udp_open] would wedge the interface forever (a gap found by
-   the simulation harness's schedule fuzzing). *)
-let open_retry =
-  { Xrl_router.default_retry with
-    max_attempts = 10; base_delay = 0.25; max_delay = 2.0;
-    attempt_timeout = Some 2.0 }
-
-let open_iface_socket t iface =
-  let xrl =
-    Xrl.make ~target:"fea" ~interface:"fea_udp" ~method_name:"udp_open"
-      [ Xrl_atom.txt "client_target" (instance_name t);
-        Xrl_atom.ipv4 "addr" iface.if_addr;
-        Xrl_atom.u32 "port" rip_port ]
-  in
-  Xrl_router.send ~retry:open_retry t.router xrl (fun err args ->
-      if Xrl_error.is_ok err then begin
-        Hashtbl.replace t.socks
-          (Ipv4.to_int iface.if_addr)
-          (Xrl_atom.get_u32 args "sockid");
-        (* Solicit full tables from the neighbours on this interface. *)
-        List.iter
-          (fun n ->
-             send_packet t ~ifaddr:iface.if_addr ~dst:n
-               Rip_packet.whole_table_request)
-          iface.if_neighbors
-      end
-      else
-        Log.err (fun m ->
-            m "udp_open on %s failed: %s"
-              (Ipv4.to_string iface.if_addr)
-              (Xrl_error.to_string err)))
-
-let send_redist_subscribe t policy =
-  let xrl =
-    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"redist_subscribe"
-      [ Xrl_atom.txt "target" (instance_name t);
-        Xrl_atom.txt "policy" policy ]
-  in
-  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-      if not (Xrl_error.is_ok err) then
-        Log.err (fun m ->
-            m "redist_subscribe failed: %s" (Xrl_error.to_string err)))
+(* A relay socket opened (or re-opened on an FEA rebirth): solicit
+   full tables from the neighbours on that interface. *)
+let solicit t ifaddr =
+  List.iter
+    (fun iface ->
+       if Ipv4.equal iface.if_addr ifaddr then
+         List.iter
+           (fun n -> send_packet t ~ifaddr ~dst:n Rip_packet.whole_table_request)
+           iface.if_neighbors)
+    t.cfg.ifaces
 
 (* Only LEARNED routes are re-announced: locally originated and
    redistributed entries ([rsrc] = zero) never went through [rib_add]
    in the first place — the RIB learned them from their true origin
    protocol — so replaying them would double-count. *)
 let replay_rib t =
-  let n =
-    Ptree.fold
-      (fun _ r n ->
-         if r.rmetric < infinity && not (Ipv4.equal r.rsrc Ipv4.zero) then begin
-           rib_add t r;
-           n + 1
-         end
-         else n)
-      t.db 0
-  in
-  Telemetry.add t.c_resync_replayed n;
-  Log.info (fun m -> m "RIB is back; replaying %d routes" n)
+  Ptree.fold
+    (fun _ r n ->
+       if r.rmetric < infinity && not (Ipv4.equal r.rsrc Ipv4.zero) then begin
+         rib_add t r;
+         n + 1
+       end
+       else n)
+    t.db 0
 
 let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"rip" () in
-  let t =
-    { router; loop; cfg; rng = Rng.create 17 (* update jitter *);
-      db = Ptree.create ();
-      neighbor_iface = Hashtbl.create 8;
-      socks = Hashtbl.create 4;
-      started = false; trigger_pending = false; redist_policies = [];
-      c_resync_replayed = Telemetry.counter "rip.rib_resync.replayed";
-      tx_updates = 0; rx_updates = 0; tx_triggered = 0; expired = 0 }
+  let rec t =
+    lazy
+      { router; loop; cfg; rng = Rng.create 17 (* update jitter *);
+        db = Ptree.create ();
+        neighbor_iface = Hashtbl.create 8;
+        relay =
+          Fea_relay.create router ~port:rip_port
+            ~addrs:(List.map (fun iface -> iface.if_addr) cfg.ifaces)
+            ~on_open:(fun ifaddr -> solicit (Lazy.force t) ifaddr)
+            ~recv:(fun ~src ~sport payload ->
+                recv (Lazy.force t) ~src ~sport payload);
+        rib =
+          Rib_client.create router ~resync:rib_rebirth_resync
+            ~redist:(fun r -> redistributed (Lazy.force t) r)
+            ~replay:(fun () -> replay_rib (Lazy.force t))
+            ();
+        started = false; trigger_pending = false;
+        tx_updates = 0; rx_updates = 0; tx_triggered = 0; expired = 0 }
   in
+  let t = Lazy.force t in
   List.iter
     (fun iface ->
        List.iter
@@ -440,23 +355,6 @@ let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
          iface.if_neighbors)
     cfg.ifaces;
   add_handlers t;
-  (* A restarted FEA has no relay sockets: our sockids are stale and
-     every send would fail into the void. Re-open on rebirth. *)
-  Xrl_router.watch_peer router ~cls:"fea"
-    ~on_death:(fun () -> Hashtbl.reset t.socks)
-    ~on_rebirth:(fun () ->
-        if t.started then List.iter (open_iface_socket t) cfg.ifaces)
-    ();
-  (* A restarted RIB has empty origin tables and an empty redistribution
-     subscriber list: everything we ever announced — and our interest in
-     connected/static redistribution — died with it. Re-subscribe and
-     replay on rebirth (as the RIB replays the FIB into a reborn FEA). *)
-  if rib_rebirth_resync then
-    Xrl_router.watch_peer router ~cls:"rib"
-      ~on_rebirth:(fun () ->
-          List.iter (send_redist_subscribe t) (List.rev t.redist_policies);
-          if cfg.send_to_rib then replay_rib t)
-      ();
   t
 
 let periodic_update t =
@@ -466,7 +364,7 @@ let periodic_update t =
 let start t =
   if not t.started then begin
     t.started <- true;
-    List.iter (open_iface_socket t) t.cfg.ifaces;
+    Fea_relay.start t.relay;
     (* Jittered periodic updates: interval ±17%, re-jittered per round
        via a chained timer. *)
     let rec arm () =
@@ -484,10 +382,7 @@ let start t =
   end
 
 let subscribe_rib_redistribution t ~policy =
-  (* Remembered so the subscription survives a RIB restart: the RIB's
-     subscriber table dies with the instance. *)
-  t.redist_policies <- policy :: t.redist_policies;
-  send_redist_subscribe t policy
+  Rib_client.subscribe_redistribution t.rib ~policy
 
 (* --- inspection -------------------------------------------------------------------- *)
 

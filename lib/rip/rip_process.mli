@@ -1,17 +1,15 @@
 (** The RIP component: RIPv2 (RFC 2453) over the FEA's UDP relay.
 
     Faithful to the paper's sandboxing story (§7): RIP never touches
-    the network directly — datagrams go through
-    [fea_udp/1.0/udp_open]/[udp_send] XRLs and arrive back via the
-    [fea_client/1.0/recv] callback, so the process could run fully
-    sandboxed.
+    the network directly — its datagrams go through the FEA relay
+    ({!Fea_relay}), so the process could run fully sandboxed.
 
     Implements periodic full updates (jittered), route timeout and
     garbage-collection timers, split horizon with poisoned reverse,
     triggered updates with suppression, whole-table and specific
-    requests, and route redistribution {e into} RIP via the RIB's
-    [redist_client/1.0] interface. Learned routes are offered to the
-    RIB (protocol ["rip"]).
+    requests, and route redistribution {e into} RIP from the RIB.
+    Learned routes are offered to the RIB (protocol ["rip"]); every
+    exchange with the RIB goes through {!Rib_client}.
 
     Neighbors are configured explicitly per interface (RIPv2 unicast
     mode): the simulated network has no multicast. *)
@@ -27,7 +25,6 @@ type config = {
   timeout : float;           (** Route expiry, default 180 s. *)
   gc_time : float;           (** Garbage collection, default 120 s. *)
   triggered_delay : float;   (** Triggered-update suppression, default 1 s. *)
-  send_to_rib : bool;
 }
 
 val default_config : ifaces:iface list -> config
@@ -43,16 +40,15 @@ val create :
     simulation harness passes a chaos-wrapped family). Update jitter
     is drawn from a fixed seed, so schedules are deterministic.
 
-    FEA socket opens are retried with backoff, and re-issued when a
-    restarted FEA registers (its relay sockets — and our sockids — die
-    with it).
+    The relay sockets follow the FEA's lifetime as {!Fea_relay}
+    describes; each (re)opened socket solicits its neighbours' tables.
 
-    [rib_rebirth_resync] (default true) makes the process watch the
-    ["rib"] Finder class and, when a restarted RIB registers, re-send
-    its redistribution subscriptions and replay every live learned
-    route into the reborn (empty) origin table. [false] is the
-    deliberately broken variant behind the simulation fuzzer's
-    [rib-no-resync] injected bug. *)
+    [rib_rebirth_resync] (default true) is {!Rib_client.create}'s
+    [resync]: on a RIB rebirth the redistribution subscriptions are
+    re-sent and every live learned route is replayed, counted in
+    [rip.rib_resync.replayed]. [false] is the deliberately broken
+    variant behind the simulation fuzzer's [rib-no-resync] injected
+    bug. *)
 
 val start : t -> unit
 (** Open FEA sockets, solicit neighbours' tables, start the periodic
@@ -67,7 +63,7 @@ val retract : t -> Ipv4net.t -> unit
 
 val subscribe_rib_redistribution : t -> policy:string -> unit
 (** Ask the RIB to redistribute matching routes into RIP
-    ([rib/1.0/redist_subscribe] with this component as the target). *)
+    ({!Rib_client.subscribe_redistribution}). *)
 
 val route_count : t -> int
 (** Live (metric < 16) routes in the RIP database. *)
@@ -83,7 +79,6 @@ val updates_received : t -> int
 val triggered_updates_sent : t -> int
 val routes_expired : t -> int
 
-val instance_name : t -> string
 val shutdown : t -> unit
 
 val xrl_router : t -> Xrl_router.t

@@ -309,8 +309,6 @@ let established_count t =
        if Peer_fsm.state p.s_fsm = Peer_fsm.Established then acc + 1 else acc)
     t.peers 0
 
-let peer_state t addr = Option.map (fun p -> Peer_fsm.state p.s_fsm) (find_peer t addr)
-
 let shutdown t =
   t.started <- false;
   Hashtbl.iter

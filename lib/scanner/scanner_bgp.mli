@@ -35,5 +35,4 @@ val route_count : t -> int
 
 val scans_performed : t -> int
 val established_count : t -> int
-val peer_state : t -> Ipv4.t -> Peer_fsm.state option
 val shutdown : t -> unit

@@ -80,12 +80,6 @@ let link_index t ab =
   in
   go 0 t.links
 
-let neighbors t name =
-  List.filter_map
-    (fun (a, b) ->
-      if a = name then Some b else if b = name then Some a else None)
-    t.links
-
 let drop_node t name =
   { nodes = List.filter (fun n -> n.name <> name) t.nodes;
     links = List.filter (fun (a, b) -> a <> name && b <> name) t.links }

@@ -49,7 +49,6 @@ val node_index : t -> string -> int option
 
 val has_link : t -> link -> bool
 val link_index : t -> link -> int option
-val neighbors : t -> string -> string list
 
 val drop_node : t -> string -> t
 (** Remove a router and every link touching it (shrinking). *)

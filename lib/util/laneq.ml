@@ -10,12 +10,12 @@
    the older work for its own prefix. Cross-prefix reordering is exactly
    the point; same-prefix reordering is never allowed.
 
-   The contract the guard relies on: within any one drain turn the
-   consumer pops the urgent lane dry before touching the bulk lane
-   (see [pop_urgent]/[pop_bulk]). Given that, for any prefix p the
-   queue preserves push order: older-urgent-then-newer-bulk drains in
-   order because urgent goes first, and older-bulk-then-newer-urgent is
-   demoted into the bulk lane behind the older entry.
+   The contract the guard relies on: every drain takes the urgent lane
+   dry before touching the bulk lane, which [drain] does by
+   construction. Given that, for any prefix p the queue preserves push
+   order: older-urgent-then-newer-bulk drains in order because urgent
+   goes first, and older-bulk-then-newer-urgent is demoted into the
+   bulk lane behind the older entry.
 
    [ordered:false] disables the guard — the deliberately broken variant
    the simulation fuzzer must catch (see Simtest). *)
@@ -75,22 +75,20 @@ let push t lane ~net v =
   let len = length t in
   if len > t.peak then t.peak <- len
 
-let pop_urgent t =
-  match Queue.take_opt t.urgent with
-  | None -> None
-  | Some (net, v) -> Some (net, v)
-
-let pop_bulk t =
-  match Queue.take_opt t.bulk with
-  | None -> None
-  | Some (net, v) ->
-    bulk_decr t net;
-    Some (net, v)
-
-let pop t =
-  match pop_urgent t with
-  | Some _ as r -> r
-  | None -> pop_bulk t
+let drain t ~bulk_slice =
+  let urgent = Queue.fold (fun acc (_, v) -> v :: acc) [] t.urgent in
+  Queue.clear t.urgent;
+  let rec take n acc =
+    if n = 0 then acc
+    else
+      match Queue.take_opt t.bulk with
+      | None -> acc
+      | Some (net, v) ->
+        bulk_decr t net;
+        take (n - 1) (v :: acc)
+  in
+  let bulk = take bulk_slice [] in
+  (List.rev urgent, List.rev bulk)
 
 let clear t =
   Queue.clear t.urgent;

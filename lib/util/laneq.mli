@@ -7,10 +7,10 @@
     paper's §5.1.2 deletion-vs-re-add discipline, enforced across
     lanes.
 
-    Consumer contract: within one drain turn, pop the urgent lane dry
-    ({!pop_urgent}, or plain {!pop}) before popping the bulk lane.
-    Under that discipline, per-prefix push order is preserved while
-    urgent entries for {e other} prefixes bypass the bulk backlog. *)
+    The guard holds only if every drain takes the urgent lane dry
+    before any bulk entry, so that is the one way out: {!drain}. Under
+    it, per-prefix push order is preserved while urgent entries for
+    {e other} prefixes bypass the bulk backlog. *)
 
 type lane = Urgent | Bulk
 
@@ -29,11 +29,10 @@ val push : 'a t -> lane -> net:Ipv4net.t -> 'a -> unit
     [Bulk] when [net] has entries pending in the bulk lane (and the
     queue is [ordered]). *)
 
-val pop : 'a t -> (Ipv4net.t * 'a) option
-(** Urgent lane first, then bulk. *)
-
-val pop_urgent : 'a t -> (Ipv4net.t * 'a) option
-val pop_bulk : 'a t -> (Ipv4net.t * 'a) option
+val drain : 'a t -> bulk_slice:int -> 'a list * 'a list
+(** [(urgent, bulk)]: the whole urgent lane, then at most [bulk_slice]
+    bulk entries, each list in push order. Send [urgent] before
+    [bulk]. *)
 
 val length : 'a t -> int
 val urgent_length : 'a t -> int

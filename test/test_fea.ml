@@ -327,13 +327,19 @@ let test_profile_points () =
        (fea_xrl "add_route4"
           [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8");
             Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]));
-  let points = List.map (fun r -> r.Profiler.point) (Profiler.all_records profiler) in
-  check (Alcotest.list Alcotest.string) "arrived then kernel"
-    [ Fea.pp_arrived; Fea.pp_kernel ] points;
-  (match Profiler.all_records profiler with
-   | { payload = "add 10.0.0.0/8"; _ } :: _ -> ()
-   | r :: _ -> Alcotest.failf "payload %S" r.Profiler.payload
-   | [] -> Alcotest.fail "no records")
+  (* The per-route delete records both points too, like the bulk
+     handlers do. *)
+  ignore
+    (call caller
+       (fea_xrl "delete_route4" [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8") ]));
+  let records = Profiler.all_records profiler in
+  check (Alcotest.list Alcotest.string) "arrived then kernel, per route"
+    [ Fea.pp_arrived; Fea.pp_kernel; Fea.pp_arrived; Fea.pp_kernel ]
+    (List.map (fun r -> r.Profiler.point) records);
+  check (Alcotest.list Alcotest.string) "payloads"
+    [ "add 10.0.0.0/8"; "add 10.0.0.0/8"; "delete 10.0.0.0/8";
+      "delete 10.0.0.0/8" ]
+    (List.map (fun r -> r.Profiler.payload) records)
 
 let test_profile_disabled_is_noop () =
   let loop = Eventloop.create () in

@@ -577,7 +577,7 @@ let arb_laneq_ops =
 let prop_laneq_per_prefix_fifo =
   QCheck.Test.make ~name:"laneq: per-prefix FIFO across lanes" ~count:300
     arb_laneq_ops (fun ops ->
-        let q : int Laneq.t = Laneq.create () in
+        let q : (int * int) Laneq.t = Laneq.create () in
         let nets =
           Array.init 4 (fun i -> Ipv4net.make (Ipv4.of_octets 10 i 0 0) 16)
         in
@@ -594,19 +594,10 @@ let prop_laneq_per_prefix_fifo =
           in
           l := v :: !l
         in
-        let net_index n = Ipv4.to_int (Ipv4net.network n) lsr 16 land 0xff in
         let turn () =
-          let rec urgent () =
-            match Laneq.pop_urgent q with
-            | Some (n, v) -> note (net_index n) v; urgent ()
-            | None -> ()
-          in
-          urgent ();
-          for _ = 1 to 3 do
-            match Laneq.pop_bulk q with
-            | Some (n, v) -> note (net_index n) v
-            | None -> ()
-          done
+          let urgent, bulk = Laneq.drain q ~bulk_slice:3 in
+          List.iter (fun (i, v) -> note i v) urgent;
+          List.iter (fun (i, v) -> note i v) bulk
         in
         List.iter
           (function
@@ -614,7 +605,7 @@ let prop_laneq_per_prefix_fifo =
               incr seq;
               Laneq.push q
                 (if bulk then Laneq.Bulk else Laneq.Urgent)
-                ~net:nets.(i) !seq
+                ~net:nets.(i) (i, !seq)
             | L_turn -> turn ())
           ops;
         while not (Laneq.is_empty q) do turn () done;

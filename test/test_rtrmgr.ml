@@ -325,6 +325,105 @@ protocols {
   Rtrmgr.shutdown ra;
   Rtrmgr.shutdown rb
 
+(* Every protocol reaches the RIB through one Rib_client, whose rebirth
+   replay is counted in <class>.rib_resync.replayed. Router a learns
+   two BGP routes, one RIP route and one OSPF route from b; a kill and
+   restart of a's RIB must raise each of a's counters by exactly the
+   routes that protocol holds, and the reborn RIB must hold them. *)
+let test_rib_rebirth_resync_counters () =
+  let mk ~me ~peer ~as_ ~peer_as ~id ~peer_id extra_bgp extra_rip extra_ospf =
+    Printf.sprintf {|
+interfaces {
+    interface eth0 { address: %s }
+}
+protocols {
+    bgp {
+        local-as: %d
+        bgp-id: %s
+%s
+        peer %s {
+            as: %d
+            local-ip: %s
+        }
+    }
+    rip {
+        interface %s { neighbor: %s }
+%s
+    }
+    ospf {
+        router-id: %s
+        interface %s {
+            neighbor %s { router-id: %s }
+        }
+%s
+    }
+}
+|} me as_ id extra_bgp peer peer_as me me peer extra_rip id me peer peer_id
+      extra_ospf
+  in
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let boot ns config =
+    Telemetry.with_namespace ns (fun () ->
+        match Rtrmgr.boot ~loop ~netsim ~config () with
+        | Ok r -> r
+        | Error problems -> Alcotest.fail (String.concat "; " problems))
+  in
+  let ra =
+    boot "a."
+      (mk ~me:"10.0.0.1" ~peer:"10.0.0.2" ~as_:65001 ~peer_as:65002
+         ~id:"1.1.1.1" ~peer_id:"2.2.2.2" "" "" "")
+  in
+  let rb =
+    boot "b."
+      (mk ~me:"10.0.0.2" ~peer:"10.0.0.1" ~as_:65002 ~peer_as:65001
+         ~id:"2.2.2.2" ~peer_id:"1.1.1.1"
+         "        network 128.16.0.0/16 { }\n        network 128.17.0.0/16 { }"
+         "        route 203.0.113.0/24 { metric: 2 }"
+         "        stub 198.51.100.0/24 { }")
+  in
+  Eventloop.run_until_time loop 60.0;
+  let bgp = Option.get (Rtrmgr.bgp ra)
+  and rip = Option.get (Rtrmgr.rip ra)
+  and ospf = Option.get (Rtrmgr.ospf ra) in
+  (* What each protocol re-announces: BGP its peer-learned winners,
+     RIP its learned routes, OSPF its installed SPF routes. *)
+  let held =
+    [ ( "bgp", "ebgp",
+        Bgp_process.fold_winners bgp
+          (fun r n -> if r.Bgp_types.peer_id <> 0 then n + 1 else n)
+          0 );
+      ( "rip", "rip",
+        List.length
+          (List.filter
+             (fun (_, _, nh) -> not (Ipv4.equal nh Ipv4.zero))
+             (Rip_process.routes rip)) );
+      ("ospf", "ospf", List.length (Ospf_process.route_table ospf)) ]
+  in
+  List.iter2
+    (fun (cls, _, n) expected ->
+       check Alcotest.int (cls ^ " routes learned from b") expected n)
+    held [ 2; 1; 1 ];
+  let replayed cls =
+    match Telemetry.find_metric ("a." ^ cls ^ ".rib_resync.replayed") with
+    | Some (Telemetry.Counter c) -> Telemetry.counter_value c
+    | _ -> Alcotest.failf "no %s.rib_resync.replayed counter" cls
+  in
+  let before = List.map (fun (cls, _, _) -> replayed cls) held in
+  Rtrmgr.kill_component ra `Rib;
+  Eventloop.run_until_time loop 65.0;
+  Rtrmgr.restart_component ra `Rib;
+  Eventloop.run_until_time loop 90.0;
+  List.iter2
+    (fun (cls, protocol, n) b ->
+       check Alcotest.int (cls ^ " counter rose by its replay") n
+         (replayed cls - b);
+       check Alcotest.int (protocol ^ " routes in the reborn RIB") n
+         (Rib.origin_route_count (Rtrmgr.rib ra) protocol))
+    held before;
+  Rtrmgr.shutdown ra;
+  Rtrmgr.shutdown rb
+
 let test_config_text_roundtrip () =
   let cfg_a, _ = bgp_pair_configs in
   let loop = Eventloop.create () in
@@ -364,6 +463,8 @@ let () =
             test_boot_bgp_pair_from_config;
           Alcotest.test_case "rip pair from config" `Quick
             test_boot_rip_pair_from_config;
+          Alcotest.test_case "rib rebirth resync counters" `Quick
+            test_rib_rebirth_resync_counters;
           Alcotest.test_case "config text roundtrip" `Quick
             test_config_text_roundtrip;
         ] );

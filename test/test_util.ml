@@ -102,26 +102,6 @@ let test_net_overlaps () =
   check Alcotest.bool "self" true
     (Ipv4net.overlaps (net "10.0.0.0/8") (net "10.0.0.0/8"))
 
-(* --- Asn ------------------------------------------------------------ *)
-
-let test_asn () =
-  check Alcotest.int "roundtrip" 65001 (Asn.to_int (Asn.of_int 65001));
-  check Alcotest.int "as_trans" 23456 (Asn.to_int Asn.as_trans);
-  check Alcotest.bool "4-byte" true (Asn.is_4byte (Asn.of_int 70000));
-  check Alcotest.bool "2-byte" false (Asn.is_4byte (Asn.of_int 65535));
-  check Alcotest.bool "private 16-bit" true (Asn.is_private (Asn.of_int 64512));
-  check Alcotest.bool "private 32-bit" true
-    (Asn.is_private (Asn.of_int 4200000000));
-  check Alcotest.bool "public" false (Asn.is_private (Asn.of_int 3356));
-  check Alcotest.bool "of_string ok" true (Asn.of_string "1777" <> None);
-  check Alcotest.bool "of_string range" true (Asn.of_string "4294967296" = None);
-  check Alcotest.bool "of_string junk" true (Asn.of_string "banana" = None);
-  (try
-     ignore (Asn.of_int (-1));
-     Alcotest.fail "negative accepted"
-   with Invalid_argument _ -> ());
-  check Alcotest.string "to_string" "70000" (Asn.to_string (Asn.of_int 70000))
-
 (* --- Wire ----------------------------------------------------------- *)
 
 let test_wire_roundtrip () =
@@ -398,17 +378,23 @@ let test_laneq_basics () =
   check Alcotest.int "urgent" 2 (Laneq.urgent_length q);
   check Alcotest.int "bulk" 1 (Laneq.bulk_length q);
   check Alcotest.int "peak" 3 (Laneq.peak_length q);
-  (* pop serves urgent before bulk *)
-  (match Laneq.pop q with
-   | Some (_, 1) -> ()
-   | _ -> Alcotest.fail "expected urgent 1 first");
-  (match Laneq.pop q with
-   | Some (_, 3) -> ()
-   | _ -> Alcotest.fail "expected urgent 3 before bulk");
-  (match Laneq.pop q with
-   | Some (_, 2) -> ()
-   | _ -> Alcotest.fail "expected bulk 2 last");
-  Alcotest.(check bool) "drained" true (Laneq.is_empty q)
+  (* drain hands over the whole urgent lane and the bulk lane, each in
+     push order *)
+  let urgent, bulk = Laneq.drain q ~bulk_slice:10 in
+  check Alcotest.(list int) "urgent in push order" [ 1; 3 ] urgent;
+  check Alcotest.(list int) "bulk" [ 2 ] bulk;
+  Alcotest.(check bool) "drained" true (Laneq.is_empty q);
+  (* the bulk slice bounds one drain; the urgent lane is never cut *)
+  List.iter (fun i -> Laneq.push q Laneq.Bulk ~net:(lq_net i) i) [ 4; 5; 6 ];
+  Laneq.push q Laneq.Urgent ~net:(lq_net 7) 7;
+  Laneq.push q Laneq.Urgent ~net:(lq_net 8) 8;
+  let urgent, bulk = Laneq.drain q ~bulk_slice:2 in
+  check Alcotest.(list int) "whole urgent lane" [ 7; 8 ] urgent;
+  check Alcotest.(list int) "bulk slice" [ 4; 5 ] bulk;
+  check Alcotest.int "bulk left over" 1 (Laneq.bulk_length q);
+  let urgent, bulk = Laneq.drain q ~bulk_slice:2 in
+  check Alcotest.(list int) "no urgent left" [] urgent;
+  check Alcotest.(list int) "rest of bulk" [ 6 ] bulk
 
 let test_laneq_demotion_guard () =
   let q : int Laneq.t = Laneq.create () in
@@ -419,15 +405,9 @@ let test_laneq_demotion_guard () =
   Laneq.push q Laneq.Urgent ~net:(lq_net 2) 3;
   check Alcotest.int "demoted" 1 (Laneq.demoted q);
   check Alcotest.int "urgent holds only net2" 1 (Laneq.urgent_length q);
-  (match Laneq.pop_urgent q with
-   | Some (_, 3) -> ()
-   | _ -> Alcotest.fail "urgent lane should hold 3");
-  (match Laneq.pop_bulk q with
-   | Some (_, 1) -> ()
-   | _ -> Alcotest.fail "bulk order broken");
-  (match Laneq.pop_bulk q with
-   | Some (_, 2) -> ()
-   | _ -> Alcotest.fail "demoted entry must follow its blocker");
+  let urgent, bulk = Laneq.drain q ~bulk_slice:10 in
+  check Alcotest.(list int) "urgent lane holds 3" [ 3 ] urgent;
+  check Alcotest.(list int) "demoted entry follows its blocker" [ 1; 2 ] bulk;
   (* Once the prefix's bulk entries drained, urgent pushes stay
      urgent again. *)
   Laneq.push q Laneq.Urgent ~net:(lq_net 1) 4;
@@ -441,9 +421,8 @@ let test_laneq_unordered_variant () =
   Laneq.push q Laneq.Bulk ~net:(lq_net 1) 1;
   Laneq.push q Laneq.Urgent ~net:(lq_net 1) 2;
   check Alcotest.int "nothing demoted" 0 (Laneq.demoted q);
-  match Laneq.pop q with
-  | Some (_, 2) -> ()
-  | _ -> Alcotest.fail "unordered variant should reorder"
+  let urgent, bulk = Laneq.drain q ~bulk_slice:10 in
+  check Alcotest.(list int) "unordered variant reorders" [ 2; 1 ] (urgent @ bulk)
 
 let test_laneq_clear () =
   let q : int Laneq.t = Laneq.create () in
@@ -475,7 +454,6 @@ let () =
           Alcotest.test_case "last addr" `Quick test_net_last_addr;
           Alcotest.test_case "overlaps" `Quick test_net_overlaps;
         ] );
-      ("asn", [ Alcotest.test_case "basics" `Quick test_asn ]);
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
@@ -506,7 +484,7 @@ let () =
         ] );
       ( "laneq",
         [
-          Alcotest.test_case "push/pop across lanes" `Quick test_laneq_basics;
+          Alcotest.test_case "push/drain across lanes" `Quick test_laneq_basics;
           Alcotest.test_case "per-prefix demotion guard" `Quick
             test_laneq_demotion_guard;
           Alcotest.test_case "unordered variant reorders" `Quick
