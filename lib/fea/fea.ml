@@ -317,12 +317,7 @@ let dp_tx t ~ifname ~dst payload =
 let setup_dataplane t net ~config =
   let lookup addr =
     Telemetry.incr t.lookups_dataplane;
-    match Fib.lookup t.fib addr with
-    | None -> None
-    | Some e ->
-      Some
-        { Dataplane.lr_nexthop = e.Fib.nexthop; lr_ifname = e.Fib.ifname;
-          lr_connected = String.equal e.Fib.protocol "connected" }
+    Fib.forward t.fib addr
   in
   let dp =
     Dataplane.create

@@ -500,7 +500,8 @@ let converge ?(step = 9.7) ?(needed = 5) ?(max_steps = 90) w =
 (* --- invariants -------------------------------------------------------- *)
 
 (* Forwarding-plane invariant: at a quiescent point, the element graph
-   must agree with [Fib.lookup] packet for packet. Probes are injected
+   must agree with [Fib.lookup] packet for packet, and so must the data
+   plane's own [Fib.forward] on each probed address. Probes are injected
    through the real ingress path and intercepted at ToNetsim with an
    absorbing tx hook, so they never reach the shared netsim and cannot
    disturb the protocol sessions. The scheduler chain drains on
@@ -528,6 +529,19 @@ let check_dataplane w ~fail fea dp =
     Eventloop.run_until_idle w.loop;
     !exits
   in
+  let forward_agrees dst =
+    let same =
+      match Fib.lookup fib dst, Fib.forward fib dst with
+      | None, None -> true
+      | Some hit, Some r ->
+        Ipv4.equal r.Dataplane.lr_nexthop hit.Fib.nexthop
+        && String.equal r.Dataplane.lr_ifname hit.Fib.ifname
+        && r.Dataplane.lr_connected = String.equal hit.Fib.protocol "connected"
+      | _ -> false
+    in
+    if not same then
+      fail "Fib.forward and Fib.lookup disagree on %s" (Ipv4.to_string dst)
+  in
   let probeable (e : Fib.entry) =
     let dst = Ipv4net.first_addr e.Fib.net in
     if Ipv4.equal dst Ipv4.zero || Ipv4.is_multicast dst then None
@@ -542,6 +556,7 @@ let check_dataplane w ~fail fea dp =
       match probeable e with
       | None -> ()
       | Some dst -> (
+        forward_agrees dst;
         match Fib.lookup fib dst with
         | None ->
           fail "%s is in the FIB but lookup misses it"
@@ -577,6 +592,7 @@ let check_dataplane w ~fail fea dp =
     sample;
   (* A destination with no route must be dropped, not forwarded. *)
   let dark = Ipv4.of_string_exn "203.0.113.77" in
+  forward_agrees dark;
   (match Fib.lookup fib dark with
    | Some _ -> ()
    | None ->

@@ -50,7 +50,8 @@ module Histogram = struct
     end
 
   let observe_unguarded t v =
-    t.h_counts.(bucket_index v) <- t.h_counts.(bucket_index v) + 1;
+    let i = bucket_index v in
+    t.h_counts.(i) <- t.h_counts.(i) + 1;
     t.h_count <- t.h_count + 1;
     t.h_sum <- t.h_sum +. v;
     if v > t.h_max then t.h_max <- v

@@ -186,15 +186,7 @@ let mk_dp ?(ifaces = [ "eth0"; "eth1" ]) () =
   let fib = Fib.create () in
   let sent = ref [] in
   let dp =
-    Dataplane.create ~loop
-      ~lookup:(fun a ->
-        match Fib.lookup fib a with
-        | None -> None
-        | Some e ->
-          Some
-            { Dataplane.lr_nexthop = e.Fib.nexthop;
-              lr_ifname = e.Fib.ifname;
-              lr_connected = String.equal e.Fib.protocol "connected" })
+    Dataplane.create ~loop ~lookup:(Fib.forward fib)
       ~tx:(fun ~ifname ~dst payload -> sent := (ifname, dst, payload) :: !sent)
       ~ifaces ()
   in

@@ -92,15 +92,30 @@ let show_entry (e : Fib.entry) =
 
 let show_match = function Some e -> show_entry e | None -> "miss"
 
+(* Entries are rebuilt from the FIB's keys, so compare every field. *)
 let same_match a b =
   match a, b with
-  | Some x, Some y -> x == y
+  | Some (x : Fib.entry), Some (y : Fib.entry) ->
+    Ipv4net.equal x.Fib.net y.Fib.net
+    && Ipv4.equal x.Fib.nexthop y.Fib.nexthop
+    && String.equal x.Fib.ifname y.Fib.ifname
+    && String.equal x.Fib.protocol y.Fib.protocol
+  | None, None -> true
+  | _ -> false
+
+(* Does the data plane's answer [got] say what the entry [e] says? *)
+let same_forward got e =
+  match got, e with
+  | Some r, Some (e : Fib.entry) ->
+    Ipv4.equal r.Dataplane.lr_nexthop e.Fib.nexthop
+    && String.equal r.Dataplane.lr_ifname e.Fib.ifname
+    && r.Dataplane.lr_connected = String.equal e.Fib.protocol "connected"
   | None, None -> true
   | _ -> false
 
 (* Everything the FIB answers, compared with a Ptree holding the same
-   entries: lookup of each probe address, get of each candidate prefix,
-   size, and entries in (network, length) order. *)
+   entries: lookup and forward of each probe address, get of each
+   candidate prefix, size, and entries in (network, length) order. *)
 let agree ~what fib reference ~probes ~nets =
   List.iter
     (fun a ->
@@ -108,7 +123,10 @@ let agree ~what fib reference ~probes ~nets =
        let got = Fib.lookup fib a in
        if not (same_match got want) then
          Alcotest.failf "%s: lookup %s gave %s, expected %s" what
-           (Ipv4.to_string a) (show_match got) (show_match want))
+           (Ipv4.to_string a) (show_match got) (show_match want);
+       if not (same_forward (Fib.forward fib a) want) then
+         Alcotest.failf "%s: forward %s disagrees with %s" what
+           (Ipv4.to_string a) (show_match want))
     probes;
   List.iter
     (fun n ->
@@ -175,7 +193,10 @@ let prop_fib_matches_trie =
         List.iter
           (function
             | Add (i, tag) ->
-              let e = entry_of pool.(i) tag in
+              let e =
+                { (entry_of pool.(i) tag) with
+                  Fib.protocol = (if tag mod 3 = 0 then "connected" else "static") }
+              in
               Fib.add fib e;
               ignore (Ptree.insert reference pool.(i) e)
             | Del i ->
@@ -191,6 +212,13 @@ let prop_fib_matches_trie =
         in
         agree ~what:"random ops" fib reference ~nets
           ~probes:(List.concat_map edges nets @ List.map Ipv4.of_int strays);
+        (* Emptied, the FIB is as small as a fresh one: no next-hop
+           slot outlives the last prefix naming it. *)
+        Array.iter (fun n -> ignore (Fib.delete fib n)) pool;
+        check Alcotest.int "emptied: size" 0 (Fib.size fib);
+        let words fib = Obj.reachable_words (Obj.repr fib) in
+        check Alcotest.int "emptied: words of a fresh FIB"
+          (words (Fib.create ())) (words fib);
         true)
 
 (* One /16 as full as a real table gets: the /16 itself, all sixteen
@@ -266,6 +294,28 @@ let test_footprint () =
   let small = words fib in
   if small >= 2_759 then
     Alcotest.failf "79-route FIB takes %d words (trie: 2,759)" small
+
+(* The data plane's lookup allocates nothing on a /16-or-longer hit. *)
+let test_forward_allocates_nothing () =
+  let fib = Fib.create () in
+  List.iter
+    (fun (n, ifname) ->
+       Fib.add fib
+         { Fib.net = net n; nexthop = addr "10.0.0.2"; ifname; protocol = "bgp" })
+    [ ("10.1.0.0/16", "eth0"); ("10.1.2.0/24", "eth1"); ("10.1.2.3/32", "eth0");
+      ("172.16.0.0/16", "eth1"); ("0.0.0.0/0", "eth0") ];
+  let probes =
+    Array.map addr [| "10.1.9.9"; "10.1.2.9"; "10.1.2.3"; "172.16.5.5" |]
+  in
+  Array.iter
+    (fun a -> check Alcotest.bool "hit" true (Fib.forward fib a <> None))
+    probes;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Fib.forward fib probes.(i land 3)))
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "words for 10,000 forwards" 0 (int_of_float words)
 
 (* --- XRL interface --------------------------------------------------- *)
 
@@ -513,6 +563,8 @@ let () =
           Seeded.qcheck prop_fib_matches_trie;
           Alcotest.test_case "dense block" `Quick test_dense_block;
           Alcotest.test_case "footprint" `Quick test_footprint;
+          Alcotest.test_case "forward allocates nothing" `Quick
+            test_forward_allocates_nothing;
           Alcotest.test_case "lookups counted per consumer" `Quick
             test_lookup_counted_per_consumer;
         ] );
