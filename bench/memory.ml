@@ -7,9 +7,18 @@
    We measure the live-heap growth attributable to BGP's stage network
    (PeerIn store + resolver store + decision winners + Adj-RIB-Out) and
    to the RIB's stages when loaded with the synthetic 146,515-route
-   feed. *)
+   feed.
+
+   The run fails (exit 1) when either side grows past its ceiling. The
+   figures repeat exactly from run to run: 78.8 MB for BGP and 40.0 MB
+   for the RIB with immediate prefix keys and option-free trie nodes.
+   Each ceiling sits about 15% above its figure, so the boxed-key
+   layout before them (116.3 / 74.2 MB) fails both. *)
 
 open Bench_util
+
+let bgp_ceiling_mb = 90.0
+let rib_ceiling_mb = 46.0
 
 let live_mb () =
   Gc.full_major ();
@@ -67,4 +76,17 @@ let run () =
   pf "per route (BGP):      %.0f bytes\n"
     (bgp_mb *. 1024.0 *. 1024.0 /. float_of_int Feed.paper_table_size);
   Bgp_process.shutdown bgp;
-  Rib.shutdown rib
+  Rib.shutdown rib;
+  let over =
+    List.filter
+      (fun (_, mb, ceiling) -> mb > ceiling)
+      [ ("BGP", bgp_mb, bgp_ceiling_mb); ("RIB", rib_mb, rib_ceiling_mb) ]
+  in
+  List.iter
+    (fun (side, mb, ceiling) ->
+       Printf.eprintf "memory: GATE FAILED: %s stage network %.1f MB above %.0f MB\n"
+         side mb ceiling)
+    over;
+  if over <> [] then exit 1;
+  pf "gates passed:         BGP under %.0f MB, RIB under %.0f MB\n%!"
+    bgp_ceiling_mb rib_ceiling_mb

@@ -10,7 +10,16 @@
 
     Traversal order is pre-order on the binary trie, i.e. lexicographic
     by (network address, prefix length): a prefix is visited before the
-    more-specific prefixes nested inside it. *)
+    more-specific prefixes nested inside it.
+
+    Layout: a node is one six-field record holding its key as the
+    immediate {!Ipv4net.t} int, its value (an option: glue nodes and
+    emptied pinned nodes hold none), its two children, its parent and
+    its pin count. A missing child or parent is not an option but the
+    tree's own [nil] sentinel node, which is never written. Equality,
+    containment, the branch bit and the common prefix are integer
+    arithmetic on the packed keys, so a walk down the tree makes no
+    cross-module call. *)
 
 type 'a t
 
@@ -66,6 +75,9 @@ val iter : (Ipv4net.t -> 'a -> unit) -> 'a t -> unit
 val fold : (Ipv4net.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val to_list : 'a t -> (Ipv4net.t * 'a) list
 val clear : 'a t -> unit
+(** Remove every binding, as {!remove} of each would: a node a
+    {!Safe_iter} iterator pins stays, emptied, until the iterator
+    leaves it, so the iterator yields no cleared binding. *)
 
 (** Iterators that remain valid across arbitrary tree mutation (§5.3).
 

@@ -4,7 +4,14 @@
     stored in canonical form (host bits zeroed), so structural equality
     coincides with semantic equality. *)
 
-type t
+type t = private int
+(** An immediate int packing [network lsl 6 lor length]: bits 6..37
+    hold the canonical network address and bits 0..5 the prefix length
+    (0..32). Integer order on the packed value is therefore (network,
+    length) order, the same order as {!compare}, and a prefix costs no
+    allocation. Code that needs the packed bits (the prefix trie walks
+    on them) reads them with [(n :> int)]; {!make} is the only
+    constructor, so every value is canonical. Needs 64-bit ints. *)
 
 val make : Ipv4.t -> int -> t
 (** [make addr len] canonicalizes [addr] to [len] bits.
@@ -24,7 +31,9 @@ val host : Ipv4.t -> t
 (** [/32] prefix covering exactly one address. *)
 
 val of_string : string -> t option
-(** Parse ["a.b.c.d/len"]. A bare address parses as a /32. *)
+(** Parse ["a.b.c.d/len"], where [len] is one or two ASCII digits with
+    a value of 0..32 (no sign, radix prefix or underscore). A bare
+    address parses as a /32. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)
@@ -54,8 +63,8 @@ val parent : t -> t option
 
 val compare : t -> t -> int
 (** Orders by network address, then by prefix length (shorter first),
-    so a sorted list groups nested prefixes together. *)
+    so a sorted list groups nested prefixes together. This is integer
+    order on the packed representation. *)
 
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

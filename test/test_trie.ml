@@ -357,6 +357,112 @@ let prop_iterator_vs_snapshot =
         no_dup sorted
         && (match Ptree.check_invariants t with Ok _ -> true | Error _ -> false))
 
+(* Random interleavings of insert, remove and clear, with a safe
+   iterator advanced now and then and otherwise left pinned mid-walk.
+   After every step each query is checked against a linear scan of an
+   association-list model, then the structure is self-checked; every
+   binding the iterator yields must be live at that moment. Keys come
+   from a small nested pool so splices, glue nodes and one-child
+   prunes are frequent. *)
+type op = Insert of int | Remove of int | Clear | Advance
+
+let pool_size = 12
+
+let arb_interleaving =
+  let open QCheck.Gen in
+  let base = oneofl [ 0x0A00_0000; 0x0A80_0000; 0xC0A8_0000; 0x0A01_0200 ] in
+  let key =
+    map3
+      (fun b bits len -> Ipv4net.make (Ipv4.of_int (b lxor bits)) len)
+      base (int_bound 0xFFFF) (frequency [ (1, oneofl [ 0; 32 ]); (6, int_range 6 26) ])
+  in
+  let op =
+    frequency
+      [ (6, map (fun i -> Insert i) (int_bound (pool_size - 1)));
+        (4, map (fun i -> Remove i) (int_bound (pool_size - 1)));
+        (1, return Clear); (3, return Advance) ]
+  in
+  QCheck.make
+    (pair (array_size (return pool_size) key) (list_size (int_range 1 80) op))
+    ~print:(fun (pool, ops) ->
+        String.concat " "
+          (List.map
+             (function
+               | Insert i -> "+" ^ Ipv4net.to_string pool.(i)
+               | Remove i -> "-" ^ Ipv4net.to_string pool.(i)
+               | Clear -> "clear"
+               | Advance -> "next")
+             ops))
+
+let prop_interleaved_model =
+  QCheck.Test.make ~name:"interleaved insert/remove/clear agree with a model"
+    ~count:300 arb_interleaving (fun (pool, ops) ->
+        let t = Ptree.create () in
+        let model = ref [] in (* (key, value), any order *)
+        let it = ref None in
+        let fail fmt = QCheck.Test.fail_reportf fmt in
+        let sorted l = List.sort (fun (a, _) (b, _) -> Ipv4net.compare a b) l in
+        let verify step =
+          let m = !model in
+          Array.iter
+            (fun q ->
+               let find = List.assoc_opt q m in
+               let outer = List.filter (fun (k, _) -> Ipv4net.contains k q) m in
+               let by_len (a, _) (b, _) =
+                 Int.compare (Ipv4net.prefix_len a) (Ipv4net.prefix_len b) in
+               let containing = List.sort by_len outer in
+               let longest = match List.rev containing with b :: _ -> Some b | [] -> None in
+               let within = sorted (List.filter (fun (k, _) -> Ipv4net.contains q k) m) in
+               let inside = List.exists (fun (k, _) -> not (Ipv4net.equal k q)) within in
+               let folded =
+                 List.rev (Ptree.fold_within t q (fun k v acc -> (k, v) :: acc) [])
+               in
+               if Ptree.find t q <> find then fail "step %d: find %a" step Ipv4net.pp q;
+               if Ptree.longest_match_net t q <> longest then
+                 fail "step %d: longest_match_net %a" step Ipv4net.pp q;
+               if Ptree.containing t q <> containing then
+                 fail "step %d: containing %a" step Ipv4net.pp q;
+               if folded <> within then fail "step %d: fold_within %a" step Ipv4net.pp q;
+               if Ptree.has_strictly_inside t q <> inside then
+                 fail "step %d: has_strictly_inside %a" step Ipv4net.pp q)
+            pool;
+          if Ptree.size t <> List.length m then fail "step %d: size" step;
+          match Ptree.check_invariants t with
+          | Ok _ -> ()
+          | Error e -> fail "step %d: %s" step e
+        in
+        List.iteri
+          (fun step op ->
+             (match op with
+              | Insert i ->
+                let k = pool.(i) in
+                if Ptree.insert t k step <> List.assoc_opt k !model then
+                  fail "step %d: insert's old binding" step;
+                model := (k, step) :: List.remove_assoc k !model
+              | Remove i ->
+                let k = pool.(i) in
+                if Ptree.remove t k <> List.assoc_opt k !model then
+                  fail "step %d: remove's old binding" step;
+                model := List.remove_assoc k !model
+              | Clear ->
+                Ptree.clear t;
+                model := []
+              | Advance ->
+                let i = match !it with Some i -> i | None -> Ptree.Safe_iter.start t in
+                (match Ptree.Safe_iter.next i with
+                 | None -> it := None
+                 | Some (k, v) ->
+                   it := Some i;
+                   if List.assoc_opt k !model <> Some v then
+                     fail "step %d: iterator yielded dead binding %a" step Ipv4net.pp k;
+                   if Ptree.Safe_iter.pinned i <> Some k then
+                     fail "step %d: iterator pins another key" step));
+             verify step)
+          ops;
+        Option.iter Ptree.Safe_iter.stop !it;
+        verify (List.length ops);
+        Ptree.to_list t = sorted !model)
+
 let () =
   Alcotest.run "xorp_trie"
     [
@@ -401,5 +507,6 @@ let () =
             prop_remove_all_empties;
             prop_les_is_hole;
             prop_iterator_vs_snapshot;
+            prop_interleaved_model;
           ] );
     ]

@@ -102,6 +102,24 @@ let test_net_overlaps () =
   check Alcotest.bool "self" true
     (Ipv4net.overlaps (net "10.0.0.0/8") (net "10.0.0.0/8"))
 
+let test_net_parse_strict () =
+  check ipv4net "/0" Ipv4net.default (net "0.0.0.0/0");
+  check ipv4net "two digits" (Ipv4net.make (Ipv4.of_octets 10 1 0 0) 16)
+    (net "10.1.0.0/16");
+  check Alcotest.int "/32" 32 (Ipv4net.prefix_len (net "255.255.255.255/32"));
+  (* The length is one or two ASCII digits with a value of 0..32:
+     nothing int_of_string would also take (radix, sign, underscore). *)
+  let bad = [ "10.0.0.0/0x10"; "10.0.0.0/0b11000"; "10.0.0.0/0o10";
+              "10.0.0.0/+8"; "10.0.0.0/1_6"; "10.0.0.0/-0"; "10.0.0.0/";
+              "10.0.0.0/33"; "10.0.0.0/99"; "10.0.0.0/008"; "10.0.0.0/ 8";
+              "10.0.0.0/8 "; "10.0.0.0/8/8"; "10.0.0.0//8"; "/8"; "10.0.0/8";
+              "10.0.0.0/a" ] in
+  List.iter
+    (fun s ->
+       check Alcotest.bool (Printf.sprintf "reject %S" s) true
+         (Ipv4net.of_string s = None))
+    bad
+
 (* --- Wire ----------------------------------------------------------- *)
 
 let test_wire_roundtrip () =
@@ -355,6 +373,86 @@ let prop_split_partitions =
          && (not (Ipv4net.overlaps l r))
          && Ipv4.equal (Ipv4.succ (Ipv4net.last_addr l)) (Ipv4net.first_addr r))
 
+(* A reference model of Ipv4net: a prefix is a plain (network, length)
+   pair and every operation is spelled out bit by bit. *)
+module Ref_net = struct
+  let mask l =
+    let rec go i acc = if i = l then acc else go (i + 1) (acc lor (1 lsl (31 - i))) in
+    go 0 0
+
+  let make a l = (a land mask l, l)
+  let contains_addr (n, l) a = a land mask l = n
+  let contains (n1, l1) (n2, l2) = l1 <= l2 && contains_addr (n1, l1) n2
+  let last (n, l) = n lor (0xFFFF_FFFF lxor mask l)
+
+  let split (n, l) =
+    if l = 32 then None else Some ((n, l + 1), (n lor (1 lsl (31 - l)), l + 1))
+
+  let parent (n, l) = if l = 0 then None else Some (make n (l - 1))
+  let of_net n = (Ipv4.to_int (Ipv4net.network n), Ipv4net.prefix_len n)
+end
+
+(* Addresses and lengths weighted toward the edges (/0, /32, all-zero
+   and all-one addresses); the second prefix and the probe address are
+   often near the first, so nesting and equality come up. *)
+let arb_net_case =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (1, oneofl [ 0; 0xFFFF_FFFF; 0x8000_0000; 0x7FFF_FFFF; 1 ]);
+        (6, map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF)) ]
+  in
+  let len = frequency [ (1, oneofl [ 0; 32; 1; 31 ]); (4, int_bound 32) ] in
+  let near a = frequency [ (1, addr); (2, map (fun b -> a lxor (1 lsl b)) (int_bound 31));
+                           (1, return a) ] in
+  let random =
+    addr >>= fun a1 ->
+    near a1 >>= fun a2 ->
+    near a1 >>= fun x ->
+    map2 (fun l1 l2 -> (a1, l1, a2, l2, x)) len len
+  in
+  (* 0.0.0.0/0 and 255.255.255.255/32 against each other and the
+     opposite corners. *)
+  let corners = [ (0, 0); (0xFFFF_FFFF, 32); (0, 32); (0xFFFF_FFFF, 0) ] in
+  let edges =
+    List.concat_map
+      (fun (a1, l1) -> List.map (fun (a2, l2) -> (a1, l1, a2, l2, a2)) corners)
+      corners
+  in
+  let gen = frequency [ (1, oneofl edges); (9, random) ] in
+  QCheck.make gen ~print:(fun (a1, l1, a2, l2, x) ->
+      Printf.sprintf "%s/%d %s/%d probe %s"
+        (Ipv4.to_string (Ipv4.of_int a1)) l1 (Ipv4.to_string (Ipv4.of_int a2)) l2
+        (Ipv4.to_string (Ipv4.of_int x)))
+
+let prop_net_reference_model =
+  QCheck.Test.make ~name:"ipv4net agrees with a (network, length) model" ~count:2000
+    arb_net_case (fun (a1, l1, a2, l2, x) ->
+        let n1 = Ipv4net.make (Ipv4.of_int a1) l1
+        and n2 = Ipv4net.make (Ipv4.of_int a2) l2 in
+        let r1 = Ref_net.make a1 l1 and r2 = Ref_net.make a2 l2 in
+        let same_pair n r = Ref_net.of_net n = r in
+        let sign c = Int.compare c 0 in
+        same_pair n1 r1 && same_pair n2 r2
+        && Ipv4.to_int (Ipv4net.netmask n1) = Ref_net.mask l1
+        && sign (Ipv4net.compare n1 n2) = sign (compare r1 r2)
+        && Ipv4net.equal n1 n2 = (r1 = r2)
+        && Ipv4net.contains n1 n2 = Ref_net.contains r1 r2
+        && Ipv4net.contains n2 n1 = Ref_net.contains r2 r1
+        && Ipv4net.overlaps n1 n2 = (Ref_net.contains r1 r2 || Ref_net.contains r2 r1)
+        && Ipv4net.contains_addr n1 (Ipv4.of_int x) = Ref_net.contains_addr r1 x
+        && Ipv4.to_int (Ipv4net.first_addr n1) = fst r1
+        && Ipv4.to_int (Ipv4net.last_addr n1) = Ref_net.last r1
+        && (match Ipv4net.split n1, Ref_net.split r1 with
+            | None, None -> true
+            | Some (l, r), Some (rl, rr) -> same_pair l rl && same_pair r rr
+            | _ -> false)
+        && (match Ipv4net.parent n1, Ref_net.parent r1 with
+            | None, None -> true
+            | Some p, Some rp -> same_pair p rp
+            | _ -> false)
+        && Ipv4net.of_string (Ipv4net.to_string n1) = Some n1)
+
 let prop_mask_len =
   QCheck.Test.make ~name:"netmask has prefix_len leading ones" ~count:100
     QCheck.(int_bound 32)
@@ -453,6 +551,7 @@ let () =
           Alcotest.test_case "split and parent" `Quick test_net_split_parent;
           Alcotest.test_case "last addr" `Quick test_net_last_addr;
           Alcotest.test_case "overlaps" `Quick test_net_overlaps;
+          Alcotest.test_case "strict length parse" `Quick test_net_parse_strict;
         ] );
       ( "wire",
         [
@@ -498,6 +597,7 @@ let () =
             prop_net_roundtrip;
             prop_net_contains_first_last;
             prop_split_partitions;
+            prop_net_reference_model;
             prop_mask_len;
           ] );
     ]
