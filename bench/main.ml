@@ -43,7 +43,9 @@ let experiments =
      Ablations.run_stages);
     ("ablation-slices", "A3: deletion slice size vs event latency",
      Ablations.run_slices);
-    ("telemetry", "telemetry on/off overhead through the BGP pipeline",
+    ("telemetry",
+     "telemetry on/off overhead through the BGP pipeline and a traced XRL \
+      round trip",
      Telemetry_overhead.run);
     ("micro", "Bechamel micro-benchmarks of hot primitives", Micro.run);
     ("smoke",

@@ -152,8 +152,7 @@ let send_rib_run t entries =
              profile_net t pp_sent_rib (op ^ " ") route.Bgp_types.net))
       entries;
     Telemetry.Trace.with_ctx first_trace @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"bgp.rib_send"
-      ~note:(string_of_int n ^ " routes")
+    Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~note:(Routes n)
       ~clock:(fun () -> Eventloop.now t.loop)
     @@ fun () ->
     let xrl =
@@ -428,9 +427,8 @@ let handle_update t peer (msg : Bgp_packet.msg) =
        handlers) links back to it through the captured contexts. *)
     Telemetry.Trace.span_sync ~name:"bgp.update"
       ~note:
-        (Printf.sprintf "%s +%d -%d"
-           (Ipv4.to_string peer.cfg.peer_addr)
-           (List.length nlri) (List.length withdrawn))
+        (Update
+           (peer.cfg.peer_addr, List.length nlri, List.length withdrawn))
       ~clock:(fun () -> Eventloop.now t.loop)
     @@ fun () ->
     (* One record per prefix, so per-route latency can be traced

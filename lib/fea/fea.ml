@@ -82,8 +82,7 @@ let add_fib_handlers t =
          | _ -> "unknown"
        in
        profile_net t pp_arrived "add " net;
-       Telemetry.Trace.span_sync ~name:"fea.install"
-         ~note:(Ipv4net.to_string net)
+       Telemetry.Trace.span_sync ~name:"fea.install" ~note:(Net net)
          ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
          (fun () ->
             Telemetry.time install_hist
@@ -98,8 +97,7 @@ let add_fib_handlers t =
        let net = Xrl_atom.get_ipv4net args "net" in
        profile_net t pp_arrived "delete " net;
        let existed =
-         Telemetry.Trace.span_sync ~name:"fea.uninstall"
-           ~note:(Ipv4net.to_string net)
+         Telemetry.Trace.span_sync ~name:"fea.uninstall" ~note:(Net net)
            ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
            (fun () ->
               Telemetry.time install_hist
@@ -124,8 +122,7 @@ let add_fib_handlers t =
        | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
        | Ok adds ->
          let n = List.length adds in
-         Telemetry.Trace.span_sync ~name:"fea.install_bulk"
-           ~note:(string_of_int n ^ " routes")
+         Telemetry.Trace.span_sync ~name:"fea.install_bulk" ~note:(Routes n)
            ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
            (fun () ->
               List.iter
@@ -144,8 +141,7 @@ let add_fib_handlers t =
        | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
        | Ok nets ->
          let n = List.length nets in
-         Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk"
-           ~note:(string_of_int n ^ " routes")
+         Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk" ~note:(Routes n)
            ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
            (fun () ->
               List.iter

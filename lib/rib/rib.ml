@@ -63,9 +63,8 @@ let op_is_add (op : fea_op) = match op with `Add _ -> true | `Delete _ -> false
    single route, so the unbatched pipeline (and its profile-point
    sequence) is byte-for-byte what it was before bulk transfer. *)
 let send_one t (op : fea_op) ctx =
-  let netstr = Ipv4net.to_string (op_net op) in
   Telemetry.Trace.with_ctx ctx @@ fun () ->
-  Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:netstr
+  Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Net (op_net op))
     ~clock:(fun () -> Eventloop.now t.loop)
   @@ fun () ->
   profile_net t pp_sent_fea (op_verb op) (op_net op);
@@ -86,7 +85,7 @@ let send_one t (op : fea_op) ctx =
   Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
       if not (Xrl_error.is_ok err) then
         Log.warn (fun m ->
-            m "FEA update for %s failed: %s" netstr
+            m "FEA update for %s failed: %s" (Ipv4net.to_string (op_net op))
               (Xrl_error.to_string err)))
 
 (* A run of consecutive same-kind ops leaves as one bulk XRL carrying
@@ -105,8 +104,7 @@ let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
              profile_net t pp_sent_fea (op_verb op) (op_net op)))
       ops;
     Telemetry.Trace.with_ctx first_ctx @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"rib.fea_send"
-      ~note:(string_of_int n ^ " routes")
+    Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Routes n)
       ~clock:(fun () -> Eventloop.now t.loop)
     @@ fun () ->
     let packed, method_name =
@@ -342,8 +340,7 @@ let add_xrl_handlers t =
        in
        profile_net t pp_arrived "add " net;
        match
-         Telemetry.Trace.span_sync ~name:"rib.route_add"
-           ~note:(Ipv4net.to_string net)
+         Telemetry.Trace.span_sync ~name:"rib.route_add" ~note:(Net net)
            ~clock:(fun () -> Eventloop.now t.loop)
            (fun () -> add_route t ~protocol ~net ~nexthop ~metric ())
        with
@@ -355,8 +352,7 @@ let add_xrl_handlers t =
        let net = Xrl_atom.get_ipv4net args "net" in
        profile_net t pp_arrived "delete " net;
        match
-         Telemetry.Trace.span_sync ~name:"rib.route_delete"
-           ~note:(Ipv4net.to_string net)
+         Telemetry.Trace.span_sync ~name:"rib.route_delete" ~note:(Net net)
            ~clock:(fun () -> Eventloop.now t.loop)
            (fun () -> delete_route t ~protocol ~net)
        with
@@ -374,8 +370,7 @@ let add_xrl_handlers t =
        | Ok adds ->
          let n = List.length adds in
          let failed = ref 0 in
-         Telemetry.Trace.span_sync ~name:"rib.route_add_bulk"
-           ~note:(string_of_int n ^ " routes")
+         Telemetry.Trace.span_sync ~name:"rib.route_add_bulk" ~note:(Routes n)
            ~clock:(fun () -> Eventloop.now t.loop)
            (fun () ->
               (* A bulk transfer is a table load in flight: its FIB
@@ -409,7 +404,7 @@ let add_xrl_handlers t =
          let n = List.length nets in
          let failed = ref 0 in
          Telemetry.Trace.span_sync ~name:"rib.route_delete_bulk"
-           ~note:(string_of_int n ^ " routes")
+           ~note:(Routes n)
            ~clock:(fun () -> Eventloop.now t.loop)
            (fun () ->
               with_fea_lane t Laneq.Bulk @@ fun () ->

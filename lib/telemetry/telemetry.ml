@@ -92,25 +92,153 @@ type metric =
 module Trace_defs = struct
   type ctx = { trace_id : int; span_id : int }
 
+  type note =
+    | Net of Ipv4net.t
+    | Routes of int
+    | Update of Ipv4.t * int * int
+    | Text of string
+
   type span = {
     sp_trace : int;
     sp_span : int;
     sp_parent : int option;
     sp_name : string;
     sp_start : float;
-    mutable sp_stop : float;
-    mutable sp_note : string;
+    sp_stop : float;
+    sp_note : string;
   }
+end
+
+(* Finished spans, struct-of-arrays: slot [i] keeps its ids and note
+   payload at [ints.(i * int_stride + k)], its name and text note at
+   [strs.(i * 2 + k)] and its start and stop times at
+   [times.(i * 2 + k)]. Recording a span writes immediates (and two
+   strings the caller already holds) into these arrays, so it allocates
+   nothing and hands the GC nothing to promote. A note is turned into
+   text only by the readers below. The slots start at 64 on the first
+   push and double up to [cap]; until then nothing wraps, so the live
+   entries are [0, len) and [head = len]. *)
+module Span_store = struct
+  (* int slot layout. The note kind is 0 for no note, 1 for [Net]
+     (a: network, b: length), 2 for [Routes] (a: count), 3 for
+     [Update] (a: peer, b: NLRI count, c: withdrawn count) and 4 for
+     [Text], whose string sits in the slot's second string. *)
+  let f_trace = 0
+  let f_span = 1
+  let f_parent = 2 (* 0 for a root span *)
+  let f_kind = 3
+  let f_a = 4
+  let f_b = 5
+  let f_c = 6
+  let int_stride = 7
+
+  type t = {
+    cap : int;
+    mutable size : int; (* slots allocated: 0, then 64 doubling to cap *)
+    mutable head : int; (* next slot written *)
+    mutable len : int; (* live slots *)
+    mutable pushed : int;
+    mutable ints : int array;
+    mutable strs : string array;
+    mutable times : Float.Array.t;
+  }
+
+  let create ~capacity =
+    if capacity < 1 then invalid_arg "Telemetry: span capacity < 1";
+    { cap = capacity; size = 0; head = 0; len = 0; pushed = 0; ints = [||];
+      strs = [||]; times = Float.Array.create 0 }
+
+  let grow t =
+    let size = min t.cap (max 64 (2 * t.size)) in
+    let ints = Array.make (size * int_stride) 0
+    and strs = Array.make (size * 2) ""
+    and times = Float.Array.make (size * 2) 0. in
+    Array.blit t.ints 0 ints 0 (t.len * int_stride);
+    Array.blit t.strs 0 strs 0 (t.len * 2);
+    Float.Array.blit t.times 0 times 0 (t.len * 2);
+    t.ints <- ints;
+    t.strs <- strs;
+    t.times <- times;
+    t.size <- size
+
+  let push t ~trace ~span ~parent ~name ~start ~stop
+      (note : Trace_defs.note option) =
+    if t.len = t.size && t.size < t.cap then grow t;
+    let i = t.head in
+    let o = i * int_stride in
+    let ints = t.ints in
+    ints.(o + f_trace) <- trace;
+    ints.(o + f_span) <- span;
+    ints.(o + f_parent) <- parent;
+    t.strs.(2 * i) <- name;
+    let kind =
+      match note with
+      | None -> 0
+      | Some (Net n) ->
+        ints.(o + f_a) <- Ipv4.to_int (Ipv4net.network n);
+        ints.(o + f_b) <- Ipv4net.prefix_len n;
+        1
+      | Some (Routes n) ->
+        ints.(o + f_a) <- n;
+        2
+      | Some (Update (peer, nlri, withdrawn)) ->
+        ints.(o + f_a) <- Ipv4.to_int peer;
+        ints.(o + f_b) <- nlri;
+        ints.(o + f_c) <- withdrawn;
+        3
+      | Some (Text _) -> 4
+    in
+    ints.(o + f_kind) <- kind;
+    t.strs.((2 * i) + 1) <-
+      (match note with Some (Text s) -> s | _ -> "");
+    Float.Array.set t.times (2 * i) start;
+    Float.Array.set t.times (2 * i + 1) stop;
+    t.head <- (if i + 1 = t.cap then 0 else i + 1);
+    if t.len < t.cap then t.len <- t.len + 1;
+    t.pushed <- t.pushed + 1
+
+  let clear t =
+    t.head <- 0;
+    t.len <- 0
+
+  (* A slot's note as text: the one place notes are formatted. *)
+  let note_text t i =
+    let o = i * int_stride in
+    let a = t.ints.(o + f_a) in
+    match t.ints.(o + f_kind) with
+    | 1 -> Ipv4net.to_string (Ipv4net.make (Ipv4.of_int a) t.ints.(o + f_b))
+    | 2 -> string_of_int a ^ " routes"
+    | 3 ->
+      Printf.sprintf "%s +%d -%d" (Ipv4.to_string (Ipv4.of_int a))
+        t.ints.(o + f_b) t.ints.(o + f_c)
+    | 4 -> t.strs.((2 * i) + 1)
+    | _ -> ""
+
+  let span t i : Trace_defs.span =
+    let o = i * int_stride in
+    let parent = t.ints.(o + f_parent) in
+    { sp_trace = t.ints.(o + f_trace);
+      sp_span = t.ints.(o + f_span);
+      sp_parent = (if parent = 0 then None else Some parent);
+      sp_name = t.strs.(2 * i);
+      sp_start = Float.Array.get t.times (2 * i);
+      sp_stop = Float.Array.get t.times ((2 * i) + 1);
+      sp_note = note_text t i }
+
+  (* Live spans, oldest first. *)
+  let to_list t =
+    let first = (t.head - t.len + t.size) mod max 1 t.size in
+    List.init t.len (fun k -> span t ((first + k) mod t.size))
 end
 
 type registry = {
   metrics : (string, metric) Hashtbl.t;
-  span_ring : Trace_defs.span Telemetry_ring.t;
+  spans : Span_store.t;
 }
 
 let create_registry ?(span_capacity = 8192) () =
   { metrics = Hashtbl.create 64;
-    span_ring = Telemetry_ring.create ~capacity:span_capacity }
+    spans = Span_store.create ~capacity:span_capacity }
 
 let global = create_registry ()
 
@@ -200,7 +328,7 @@ let zero_metric = function
 
 let reset ?(registry = global) () =
   Hashtbl.iter (fun _ m -> zero_metric m) registry.metrics;
-  Telemetry_ring.clear registry.span_ring
+  Span_store.clear registry.spans
 
 let reset_prefix ?(registry = global) prefix =
   let prefix = qualify prefix in
@@ -214,69 +342,66 @@ let reset_prefix ?(registry = global) prefix =
 module Trace = struct
   include Trace_defs
 
-  (* Ids are process-unique; trace ids and span ids draw from separate
-     sequences so a wire context is unambiguous even across traces. *)
+  (* Ids are process-unique and positive; trace ids and span ids draw
+     from separate sequences so a wire context is unambiguous even
+     across traces. *)
   let next_trace = ref 0
   let next_span = ref 0
   let fresh r = Stdlib.incr r; !r
 
-  let ambient : ctx option ref = ref None
-  let current () = !ambient
+  (* The ambient context as two immediates; trace 0 means none. *)
+  let amb_trace = ref 0
+  let amb_span = ref 0
+
+  let current () =
+    if !amb_trace = 0 then None
+    else Some { trace_id = !amb_trace; span_id = !amb_span }
+
+  let with_ids ~trace ~span f =
+    let saved_trace = !amb_trace and saved_span = !amb_span in
+    amb_trace := trace;
+    amb_span := if trace = 0 then 0 else span;
+    match f () with
+    | v -> amb_trace := saved_trace; amb_span := saved_span; v
+    | exception e -> amb_trace := saved_trace; amb_span := saved_span; raise e
 
   let with_ctx ctx f =
-    let saved = !ambient in
-    ambient := ctx;
-    match f () with
-    | v -> ambient := saved; v
-    | exception e -> ambient := saved; raise e
+    match ctx with
+    | Some c -> with_ids ~trace:c.trace_id ~span:c.span_id f
+    | None -> with_ids ~trace:0 ~span:0 f
 
-  let start ?registry:_ ?parent ~name ~now () =
-    let parent = match parent with Some _ as p -> p | None -> !ambient in
-    let trace_id, parent_span =
-      match parent with
-      | Some c -> (c.trace_id, Some c.span_id)
-      | None -> (fresh next_trace, None)
-    in
-    { sp_trace = trace_id;
-      sp_span = fresh next_span;
-      sp_parent = parent_span;
-      sp_name = name;
-      sp_start = now;
-      sp_stop = now;
-      sp_note = "" }
-
-  let finish ?(registry = global) ?note ~now span =
-    span.sp_stop <- now;
-    (match note with Some n -> span.sp_note <- n | None -> ());
-    if !enabled then Telemetry_ring.push registry.span_ring span
-
-  let ctx span = { trace_id = span.sp_trace; span_id = span.sp_span }
+  (* Close a span: give the ambient context back to its parent, then
+     record the span. *)
+  let close registry ~parent_trace ~parent ~trace ~span ~name ~start ~clock
+      note =
+    amb_trace := parent_trace;
+    amb_span := parent;
+    if !enabled then
+      Span_store.push registry.spans ~trace ~span ~parent ~name ~start
+        ~stop:(clock ()) note
 
   let span_sync ?(registry = global) ?note ~name ~clock f =
     if not !enabled then f ()
     else begin
-      let span = start ~name ~now:(clock ()) () in
-      let fin () = finish ~registry ?note ~now:(clock ()) span in
-      match with_ctx (Some (ctx span)) f with
-      | v -> fin (); v
-      | exception e -> fin (); raise e
+      let parent_trace = !amb_trace and parent = !amb_span in
+      let start = clock () in
+      let trace = if parent_trace = 0 then fresh next_trace else parent_trace in
+      let span = fresh next_span in
+      amb_trace := trace;
+      amb_span := span;
+      match f () with
+      | v ->
+        close registry ~parent_trace ~parent ~trace ~span ~name ~start ~clock
+          note;
+        v
+      | exception e ->
+        close registry ~parent_trace ~parent ~trace ~span ~name ~start ~clock
+          note;
+        raise e
     end
 
-  let spans ?(registry = global) () = Telemetry_ring.to_list registry.span_ring
-  let spans_recorded ?(registry = global) () =
-    Telemetry_ring.total_pushed registry.span_ring
-
-  let ctx_to_string c = Printf.sprintf "%d.%d" c.trace_id c.span_id
-
-  let ctx_of_string s =
-    match String.index_opt s '.' with
-    | None -> None
-    | Some i -> (
-        let t = String.sub s 0 i
-        and sp = String.sub s (i + 1) (String.length s - i - 1) in
-        match (int_of_string_opt t, int_of_string_opt sp) with
-        | Some trace_id, Some span_id -> Some { trace_id; span_id }
-        | _ -> None)
+  let spans ?(registry = global) () = Span_store.to_list registry.spans
+  let spans_recorded ?(registry = global) () = registry.spans.Span_store.pushed
 
   let trace_atom_name = "_xorp_trace"
 end
@@ -337,8 +462,7 @@ let snapshot_json ?(registry = global) () =
     |> String.concat ","
   in
   let spans =
-    Telemetry_ring.to_list registry.span_ring
-    |> List.map span_json |> String.concat ","
+    Span_store.to_list registry.spans |> List.map span_json |> String.concat ","
   in
   Printf.sprintf {|{"metrics":{%s},"spans":[%s]}|} metrics spans
 
@@ -390,6 +514,5 @@ let render_table ?(registry = global) () =
   end;
   Buffer.add_string b
     (Printf.sprintf "Spans: %d live, %d recorded\n"
-       (Telemetry_ring.length registry.span_ring)
-       (Telemetry_ring.total_pushed registry.span_ring));
+       registry.spans.Span_store.len registry.spans.Span_store.pushed);
   Buffer.contents b

@@ -11,7 +11,7 @@
       [xrl.tcp.bytes_tx]);
     - {b tracing}: trace contexts (trace id + span id) carried across
       XRL calls as an extra argument, with completed spans recorded in
-      a bounded ring ({!Telemetry_ring});
+      a bounded ring of flat slots;
     - {b exposure}: a JSON snapshot and a rendered table, served over
       the [telemetry/0.1] XRL interface (see [Telemetry_xrl]) and by
       [xorpsh]'s [show telemetry] / the [xorp_top] binary.
@@ -21,7 +21,11 @@
     components-in-one-process substitution for XORP's processes.
     Recording is guarded by one global {!set_enabled} flag so
     instrumentation can stay in production code (the same contract as
-    profile points); the disabled cost is a single [ref] read. *)
+    profile points); the disabled cost is a single [ref] read. Enabled,
+    a counter bump is an add, a {!time}d stage two clock reads and a
+    bucket update, and a span two clock reads and a few int writes
+    into the ring: no span record is allocated and no note is
+    formatted until something reads the spans. *)
 
 val set_enabled : bool -> unit
 (** Default [true]. When disabled, counters, histograms, and spans
@@ -142,6 +146,23 @@ val reset_prefix : ?registry:registry -> string -> unit
 
 module Trace : sig
   type ctx = { trace_id : int; span_id : int }
+  (** Ids are positive; every span gets a fresh span id, and a root
+      span a fresh trace id. *)
+
+  (** What a span notes about its work. Recording keeps a note as
+      immediates (and a [Text] string as given); it is formatted only
+      when a reader asks: {!spans}, {!snapshot_json} and, through them,
+      [telemetry/0.1/spans] and [xorp_top]. The text is
+      - [Net n]: the prefix, ["10.9.9.0/24"];
+      - [Routes n]: ["<n> routes"];
+      - [Update (peer, nlri, withdrawn)]: ["<peer> +<nlri> -<withdrawn>"];
+      - [Text s]: [s];
+      and a span without a note reads [""]. *)
+  type note =
+    | Net of Ipv4net.t
+    | Routes of int
+    | Update of Ipv4.t * int * int
+    | Text of string
 
   type span = {
     sp_trace : int;
@@ -149,9 +170,10 @@ module Trace : sig
     sp_parent : int option; (* parent span id within the same trace *)
     sp_name : string;
     sp_start : float;
-    mutable sp_stop : float;
-    mutable sp_note : string;
+    sp_stop : float;
+    sp_note : string; (* the note, formatted *)
   }
+  (** A finished span as readers see it. *)
 
   val current : unit -> ctx option
   (** The ambient context of the code currently running, if any. *)
@@ -160,43 +182,35 @@ module Trace : sig
   (** Run the thunk with the given ambient context; always restores
       the previous context (also on exceptions). *)
 
-  val start :
-    ?registry:registry -> ?parent:ctx -> name:string -> now:float -> unit ->
-    span
-  (** Open a span. The parent defaults to {!current}; a span without a
-      parent roots a fresh trace, otherwise it joins the parent's
-      trace. Timestamps are supplied by the caller (event-loop clock,
-      so simulated time works). *)
-
-  val finish : ?registry:registry -> ?note:string -> now:float -> span -> unit
-  (** Close the span and record it in the registry's span ring. *)
-
-  val ctx : span -> ctx
+  val with_ids : trace:int -> span:int -> (unit -> 'a) -> 'a
+  (** {!with_ctx} for a context held as two ints, as it arrives off
+      the wire; [trace = 0] (whatever [span]) runs the thunk with no
+      ambient context. *)
 
   val span_sync :
-    ?registry:registry -> ?note:string -> name:string ->
+    ?registry:registry -> ?note:note -> name:string ->
     clock:(unit -> float) -> (unit -> 'a) -> 'a
-  (** Wrap a synchronous computation in a span: parent from ambient,
-      ambient set to the new span inside the thunk, finished on return
-      (and on exceptions). When telemetry is disabled this is just the
-      call. *)
+  (** Wrap a synchronous computation in a span, the one way to record
+      one: the parent is the ambient context (none roots a fresh
+      trace), the span is ambient inside the thunk, and it is recorded
+      on return (and on exceptions) with start and stop times read
+      from [clock] (event-loop clock, so simulated time works).
+      Recording writes ints, floats and the caller's strings into
+      preallocated slots: it allocates no record and formats nothing.
+      When telemetry is disabled this is just the call. *)
 
   val spans : ?registry:registry -> unit -> span list
-  (** Recorded (finished) spans, oldest first. *)
+  (** Recorded spans, oldest first, notes formatted. At most the
+      registry's span capacity are kept; older ones fall off. *)
 
   val spans_recorded : ?registry:registry -> unit -> int
   (** Lifetime count, including spans that fell off the ring. *)
 
-  val ctx_to_string : ctx -> string
-  (** Wire form ["<trace>.<span>"], used as the value of the
-      {!trace_atom_name} XRL argument. *)
-
-  val ctx_of_string : string -> ctx option
-
   val trace_atom_name : string
   (** The reserved XRL argument name carrying a trace context
-      ([_xorp_trace]); injected by senders and stripped before
-      dispatch, so method handlers never see it. *)
+      ([_xorp_trace]) as a list of two u64s, trace id then span id;
+      injected by senders and stripped before dispatch, so method
+      handlers never see it. *)
 end
 
 (** {1 Export} *)

@@ -1,5 +1,6 @@
-(** Bounded ring buffer: the storage discipline for every kind of
-    telemetry record (profile records, trace spans).
+(** Bounded ring buffer of boxed records, used for profile records.
+    Trace spans keep the same discipline in flat int and float slots
+    inside {!Telemetry}, so recording one allocates nothing.
 
     A ring never grows: once [capacity] entries are live, each push
     overwrites the oldest entry. Pushing is O(1) with no allocation

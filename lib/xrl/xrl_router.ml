@@ -79,23 +79,49 @@ let split_keyed_method name =
     ( String.sub name 0 i,
       Some (String.sub name (i + 1) (String.length name - i - 1)) )
 
-(* The trace context rides in a reserved argument (appended by [send]
-   below). Peel it off before the handler — and before any IDL arg
-   checking — sees the call, and make it the ambient context for the
-   handler's duration so spans opened inside join the caller's trace.
-   The common case (no trace arg) must not allocate: check with
-   [List.exists] before partitioning. *)
+(* The trace context rides in a reserved argument, which [send] below
+   puts first, as [List [U64 trace; U64 span]]. Peel it off before the
+   handler — and before any IDL arg checking — sees the call, and make
+   it the ambient context for the handler's duration so spans opened
+   inside join the caller's trace. Only that one shape with positive
+   ids is a context; anything else under the reserved name (another
+   type or arity, a non-positive or out-of-range id, a second trace
+   atom) is stripped and ignored. Returns the trace and span ids, 0
+   for none. Neither the common untraced call nor a well-formed traced
+   one copies the argument list. *)
+let is_trace_atom (a : Xrl_atom.t) =
+  a.Xrl_atom.name = Telemetry.Trace.trace_atom_name
+
+let trace_id_of = function
+  | Xrl_atom.U64 v
+    when Int64.compare v 0L > 0 && Int64.compare v (Int64.of_int max_int) <= 0
+    ->
+    Int64.to_int v
+  | _ -> 0
+
+let trace_ids = function
+  | Xrl_atom.List [ tr; sp ] ->
+    let trace = trace_id_of tr and span = trace_id_of sp in
+    if trace > 0 && span > 0 then (trace, span) else (0, 0)
+  | _ -> (0, 0)
+
 let split_trace_arg args =
-  let tname = Telemetry.Trace.trace_atom_name in
-  if not (List.exists (fun (a : Xrl_atom.t) -> a.Xrl_atom.name = tname) args)
-  then (None, args)
-  else
-    match
-      List.partition (fun (a : Xrl_atom.t) -> a.Xrl_atom.name = tname) args
-    with
-    | [ { Xrl_atom.value = Xrl_atom.Txt s; _ } ], rest ->
-      (Telemetry.Trace.ctx_of_string s, rest)
-    | _, rest -> (None, rest)
+  match args with
+  | a :: rest when is_trace_atom a && not (List.exists is_trace_atom rest) ->
+    let trace, span = trace_ids a.Xrl_atom.value in
+    (trace, span, rest)
+  | _ when not (List.exists is_trace_atom args) -> (0, 0, args)
+  | _ -> (
+      match List.partition is_trace_atom args with
+      | [ a ], rest ->
+        let trace, span = trace_ids a.Xrl_atom.value in
+        (trace, span, rest)
+      | _, rest -> (0, 0, rest))
+
+let trace_atom (c : Telemetry.Trace.ctx) : Xrl_atom.t =
+  { name = Telemetry.Trace.trace_atom_name;
+    value =
+      List [ U64 (Int64.of_int c.trace_id); U64 (Int64.of_int c.span_id) ] }
 
 let method_id_of ~interface ~version ~name =
   interface ^ "/" ^ version ^ "/" ^ name
@@ -116,9 +142,10 @@ let dispatch_of t : Pf.dispatch =
            (mid ^ " (bad or missing dispatch key; resolve via the Finder)"))
         []
     else begin
-      let trace_ctx, args = split_trace_arg xrl.Xrl.args in
+      let trace, span, args = split_trace_arg xrl.Xrl.args in
       match
-        Telemetry.Trace.with_ctx trace_ctx (fun () -> entry.handler args reply)
+        Telemetry.Trace.with_ids ~trace ~span (fun () ->
+            entry.handler args reply)
       with
       | () -> ()
       | exception Xrl_atom.Bad_args msg -> reply (Xrl_error.Bad_args msg) []
@@ -420,10 +447,7 @@ let send ?deadline ?retry t (xrl : Xrl.t) cb =
           let wire_args =
             if Telemetry.is_enabled () then
               match ctx with
-              | Some c ->
-                xrl.Xrl.args
-                @ [ Xrl_atom.txt Telemetry.Trace.trace_atom_name
-                      (Telemetry.Trace.ctx_to_string c) ]
+              | Some c -> trace_atom c :: xrl.Xrl.args
               | None -> xrl.Xrl.args
             else xrl.Xrl.args
           in

@@ -1,9 +1,12 @@
 (* Tests for the xorp_telemetry subsystem: the bounded ring, histogram
    bucketing and quantiles (property-checked against a sorted
-   reference), metric registries, ambient trace contexts, trace
-   propagation across real XRL transports (intra and TCP), the
-   telemetry/0.1 XRL service, and the end-to-end route_add trace chain
-   RIB -> FEA on a booted router. Also covers the profiler's ring
+   reference), metric registries, ambient trace contexts, the span
+   ring (growth, wrap, no record allocated per span), trace
+   propagation across real XRL transports (intra and TCP) and the
+   rejection of malformed trace atoms, the telemetry/0.1 XRL service
+   and the text every reader shows for span notes, and the end-to-end
+   span chains (per-route, bulk, and from a BGP UPDATE) across BGP,
+   RIB and FEA on booted routers. Also covers the profiler's ring
    backend and its microsecond rounding carry. *)
 
 let check = Alcotest.check
@@ -255,48 +258,118 @@ let test_trace_ambient () =
   check Alcotest.bool "restored after exception" true
     (Telemetry.Trace.current () = None)
 
+(* A clock that reads 1.0, 2.0, 3.0, ... on successive calls. *)
+let scripted_clock () =
+  let now = ref 0.0 in
+  fun () ->
+    now := !now +. 1.0;
+    !now
+
 let test_trace_spans_and_ring () =
   Telemetry.set_enabled true;
   let reg = Telemetry.create_registry ~span_capacity:2 () in
-  let root = Telemetry.Trace.start ~registry:reg ~name:"root" ~now:1.0 () in
-  check Alcotest.bool "root has no parent" true (root.sp_parent = None);
-  let child =
-    Telemetry.Trace.with_ctx
-      (Some (Telemetry.Trace.ctx root))
-      (fun () -> Telemetry.Trace.start ~registry:reg ~name:"child" ~now:2.0 ())
+  let clock = scripted_clock () in
+  let span ?note name f =
+    Telemetry.Trace.span_sync ~registry:reg ?note ~name ~clock f
   in
-  check Alcotest.bool "child joins the trace" true
-    (child.sp_trace = root.sp_trace
-     && child.sp_parent = Some root.sp_span);
-  Telemetry.Trace.finish ~registry:reg ~now:3.0 child;
-  Telemetry.Trace.finish ~registry:reg ~note:"done" ~now:4.0 root;
+  let inside = ref None in
+  span ~note:(Text "done") "root" (fun () ->
+      inside := Telemetry.Trace.current ();
+      span "child" (fun () -> ()));
+  check Alcotest.bool "ambient restored" true (Telemetry.Trace.current () = None);
   (match Telemetry.Trace.spans ~registry:reg () with
-   | [ a; b ] ->
-     check Alcotest.string "oldest first" "child" a.Telemetry.Trace.sp_name;
-     check Alcotest.string "note recorded" "done" b.Telemetry.Trace.sp_note
+   | [ child; root ] ->
+     check Alcotest.string "oldest first" "child" child.sp_name;
+     check Alcotest.bool "root has no parent" true (root.sp_parent = None);
+     check Alcotest.bool "root was ambient inside" true
+       (!inside
+        = Some { Telemetry.Trace.trace_id = root.sp_trace;
+                 span_id = root.sp_span });
+     check Alcotest.bool "child joins the trace" true
+       (child.sp_trace = root.sp_trace && child.sp_parent = Some root.sp_span);
+     check Alcotest.string "note recorded" "done" root.sp_note;
+     check Alcotest.string "no note reads empty" "" child.sp_note;
+     check
+       (Alcotest.list (Alcotest.float 0.0))
+       "start and stop from the clock" [ 1.0; 4.0; 2.0; 3.0 ]
+       [ root.sp_start; root.sp_stop; child.sp_start; child.sp_stop ]
    | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l));
   (* a third finished span wraps the capacity-2 ring *)
-  let extra = Telemetry.Trace.start ~registry:reg ~name:"extra" ~now:5.0 () in
-  Telemetry.Trace.finish ~registry:reg ~now:6.0 extra;
+  span "extra" (fun () -> ());
   check Alcotest.int "ring capped" 2
     (List.length (Telemetry.Trace.spans ~registry:reg ()));
   check Alcotest.int "lifetime count" 3
     (Telemetry.Trace.spans_recorded ~registry:reg ());
-  check Alcotest.bool "oldest fell off" true
-    (List.for_all
-       (fun s -> s.Telemetry.Trace.sp_name <> "child")
-       (Telemetry.Trace.spans ~registry:reg ()))
+  check
+    (Alcotest.list Alcotest.string)
+    "oldest fell off" [ "root"; "extra" ]
+    (List.map
+       (fun (s : Telemetry.Trace.span) -> s.sp_name)
+       (Telemetry.Trace.spans ~registry:reg ()));
+  (* an exception still closes the span *)
+  (try span "raises" (fun () -> failwith "boom") with Failure _ -> ());
+  check Alcotest.bool "span recorded on exception" true
+    (List.exists
+       (fun (s : Telemetry.Trace.span) -> s.sp_name = "raises")
+       (Telemetry.Trace.spans ~registry:reg ()));
+  check Alcotest.bool "ambient restored after exception" true
+    (Telemetry.Trace.current () = None)
 
-let test_ctx_wire () =
-  let c = { Telemetry.Trace.trace_id = 12; span_id = 34 } in
-  check Alcotest.string "to_string" "12.34" (Telemetry.Trace.ctx_to_string c);
-  check Alcotest.bool "round trip" true
-    (Telemetry.Trace.ctx_of_string "12.34" = Some c);
-  List.iter
-    (fun s ->
-       if Telemetry.Trace.ctx_of_string s <> None then
-         Alcotest.failf "parsed garbage %S" s)
-    [ ""; "12"; "a.b"; "1.2.3" ]
+(* The span ring grows its slots on demand up to its capacity, then
+   wraps: whatever the capacity and however many spans were recorded
+   (with a reset somewhere in between), it holds the newest ones,
+   oldest first, each with its own name, times and note. *)
+let prop_span_ring_keeps_newest =
+  QCheck.Test.make ~name:"span ring keeps the newest spans" ~count:200
+    QCheck.(triple (int_range 1 300) (int_range 0 700) (int_range 0 700))
+    (fun (capacity, before_reset, after_reset) ->
+       Telemetry.set_enabled true;
+       let registry = Telemetry.create_registry ~span_capacity:capacity () in
+       let record i =
+         Telemetry.Trace.span_sync ~registry ~note:(Routes i)
+           ~name:(string_of_int i)
+           ~clock:(fun () -> float_of_int i)
+           (fun () -> ())
+       in
+       for i = 1 to before_reset do record i done;
+       Telemetry.reset ~registry ();
+       for i = 1 to after_reset do record i done;
+       let first = max 1 (after_reset - capacity + 1) in
+       let expected = List.init (after_reset - first + 1) (fun k -> first + k) in
+       Telemetry.Trace.spans_recorded ~registry () = before_reset + after_reset
+       && List.map
+            (fun (s : Telemetry.Trace.span) ->
+               (s.sp_name, s.sp_start, s.sp_stop, s.sp_note))
+            (Telemetry.Trace.spans ~registry ())
+          = List.map
+              (fun i ->
+                 ( string_of_int i, float_of_int i, float_of_int i,
+                   string_of_int i ^ " routes" ))
+              expected)
+
+(* Recording a span writes immediates into preallocated slots: once the
+   ring has grown to its capacity, a call allocates only the [Some] box
+   of its optional [?note] (2 words). *)
+let test_span_sync_allocates_no_record () =
+  Telemetry.set_enabled true;
+  let registry = Some (Telemetry.create_registry ()) in
+  let note = Telemetry.Trace.Net (Ipv4net.of_string_exn "10.9.9.0/24") in
+  let clock () = 1.5 in
+  let thunk () = () in
+  let record () =
+    Telemetry.Trace.span_sync ?registry ~note ~name:"rib.route_add" ~clock
+      thunk
+  in
+  Telemetry.Trace.with_ctx
+    (Some { Telemetry.Trace.trace_id = 1; span_id = 1 })
+    (fun () ->
+       (* Fill the default 8,192-span ring so its slots are full size. *)
+       for _ = 1 to 10_000 do record () done;
+       let before = Gc.minor_words () in
+       for _ = 1 to 10_000 do record () done;
+       let words = int_of_float (Gc.minor_words () -. before) in
+       if words > 2 * 10_000 then
+         Alcotest.failf "%d words for 10,000 spans (at most 20,000)" words)
 
 let test_span_wire () =
   let s =
@@ -341,23 +414,25 @@ let run_propagation_scenario ~families ~pref ~mode () =
     Xrl_router.create ~families ~family_pref:pref finder loop
       ~class_name:"caller" ()
   in
-  let root = Telemetry.Trace.start ~name:"client" ~now:0.0 () in
-  let root_ctx = Telemetry.Trace.ctx root in
+  let root_ctx = ref None in
   let reply_ctx = ref None in
   let got = ref false in
-  Telemetry.Trace.with_ctx (Some root_ctx) (fun () ->
-      Xrl_router.send caller
-        (Xrl.make ~target:"probe" ~interface:"probe" ~method_name:"ctx" [])
-        (fun err _ ->
-           check Alcotest.bool "call ok" true (Xrl_error.is_ok err);
-           reply_ctx := Telemetry.Trace.current ();
-           got := true));
+  Telemetry.Trace.span_sync ~name:"client" ~clock:(scripted_clock ())
+    (fun () ->
+       root_ctx := Telemetry.Trace.current ();
+       Xrl_router.send caller
+         (Xrl.make ~target:"probe" ~interface:"probe" ~method_name:"ctx" [])
+         (fun err _ ->
+            check Alcotest.bool "call ok" true (Xrl_error.is_ok err);
+            reply_ctx := Telemetry.Trace.current ();
+            got := true));
   Eventloop.run ~until:(fun () -> !got) loop;
-  Telemetry.Trace.finish ~now:1.0 root;
+  let root_ctx = !root_ctx in
+  check Alcotest.bool "caller had a context" true (root_ctx <> None);
   check Alcotest.bool "handler saw the caller's context" true
-    (!seen = Some root_ctx);
+    (!seen = root_ctx);
   check Alcotest.bool "reply ran under the caller's context" true
-    (!reply_ctx = Some root_ctx);
+    (!reply_ctx = root_ctx);
   Xrl_router.shutdown caller;
   Xrl_router.shutdown target
 
@@ -367,6 +442,83 @@ let test_propagation_intra () =
 
 let test_propagation_tcp () =
   run_propagation_scenario ~families:[ Pf_tcp.family ] ~pref:[ "stcp" ]
+    ~mode:`Real ()
+
+(* A trace context arrives from the wire as [_xorp_trace:list] of two
+   positive u64s. Every other atom under the reserved name — the old
+   text form, another type or arity, a non-positive or out-of-range id,
+   a second trace atom — is stripped before dispatch and ignored: the
+   handler sees only its own arguments and no ambient context. *)
+let run_forged_trace_scenario ~families ~pref ~mode () =
+  Telemetry.set_enabled true;
+  let loop = Eventloop.create ~mode () in
+  let finder = Finder.create () in
+  let target =
+    Xrl_router.create ~families finder loop ~class_name:"probe" ()
+  in
+  let seen = ref (None, []) in
+  Xrl_router.add_handler target ~interface:"probe" ~method_name:"ctx"
+    (fun args reply ->
+       seen := (Telemetry.Trace.current (), args);
+       reply ok []);
+  let caller =
+    Xrl_router.create ~families ~family_pref:pref finder loop
+      ~class_name:"caller" ()
+  in
+  let own = Xrl_atom.u32 "x" 7 in
+  let trace v = Xrl_atom.make Telemetry.Trace.trace_atom_name v in
+  let ids a b = Xrl_atom.List [ U64 a; U64 b ] in
+  let call_with args =
+    let got = ref false in
+    Xrl_router.send caller
+      (Xrl.make ~target:"probe" ~interface:"probe" ~method_name:"ctx" args)
+      (fun err _ ->
+         check Alcotest.bool "call ok" true (Xrl_error.is_ok err);
+         got := true);
+    Eventloop.run ~until:(fun () -> !got) loop;
+    let ctx, args = !seen in
+    check Alcotest.bool "handler sees only its own argument" true
+      (List.length args = 1 && Xrl_atom.equal (List.hd args) own);
+    ctx
+  in
+  (* Senders put the trace atom first; a peer may put it anywhere. *)
+  let call extra =
+    let first = call_with (extra @ [ own ]) in
+    check Alcotest.bool "same context wherever the atom sits" true
+      (call_with (own :: extra) = first);
+    first
+  in
+  check Alcotest.bool "two positive u64s are a context" true
+    (call [ trace (ids 12L 34L) ]
+     = Some { Telemetry.Trace.trace_id = 12; span_id = 34 });
+  check Alcotest.bool "the largest id is a context" true
+    (call [ trace (ids (Int64.of_int max_int) 1L) ]
+     = Some { Telemetry.Trace.trace_id = max_int; span_id = 1 });
+  List.iter
+    (fun (what, extra) ->
+       check Alcotest.bool (what ^ " is ignored") true (call extra = None))
+    [ ("the old text form", [ trace (Txt "12.34") ]);
+      ("hex and signed text", [ trace (Txt "0x10.-3") ]);
+      ("one id", [ trace (List [ U64 12L ]) ]);
+      ("three ids", [ trace (List [ U64 12L; U64 34L; U64 56L ]) ]);
+      ("u32 ids", [ trace (List [ U32 12; U32 34 ]) ]);
+      ("i32 ids", [ trace (List [ I32 12; I32 34 ]) ]);
+      ("txt ids", [ trace (List [ Txt "12"; Txt "34" ]) ]);
+      ("a bare u64", [ trace (U64 12L) ]);
+      ("a zero trace id", [ trace (ids 0L 34L) ]);
+      ("a zero span id", [ trace (ids 12L 0L) ]);
+      ("a negative id", [ trace (ids 12L (-3L)) ]);
+      ("an id past max_int", [ trace (ids (Int64.succ (Int64.of_int max_int)) 1L) ]);
+      ("a second trace atom", [ trace (ids 12L 34L); trace (ids 56L 78L) ]) ];
+  Xrl_router.shutdown caller;
+  Xrl_router.shutdown target
+
+let test_forged_trace_intra () =
+  run_forged_trace_scenario ~families:[ Pf_intra.family ]
+    ~pref:[ "x-intra" ] ~mode:`Sim ()
+
+let test_forged_trace_tcp () =
+  run_forged_trace_scenario ~families:[ Pf_tcp.family ] ~pref:[ "stcp" ]
     ~mode:`Real ()
 
 (* --- the telemetry/0.1 XRL service -------------------------------------- *)
@@ -385,8 +537,8 @@ let test_telemetry_xrl_service () =
   Telemetry.incr c;
   Telemetry.incr c;
   Telemetry.observe (Telemetry.histogram "svc.test.hist") 5.0;
-  let sp = Telemetry.Trace.start ~name:"svc.test.span" ~now:1.0 () in
-  Telemetry.Trace.finish ~note:"n" ~now:2.0 sp;
+  Telemetry.Trace.span_sync ~note:(Text "n") ~name:"svc.test.span"
+    ~clock:(scripted_clock ()) (fun () -> ());
   let call xrl = Xrl_router.call_blocking caller xrl in
   (* list *)
   let err, reply = call (telemetry_xrl "list" []) in
@@ -445,68 +597,179 @@ let test_telemetry_xrl_service () =
   Xrl_router.shutdown caller;
   Xrl_router.shutdown service
 
-(* --- end-to-end: one route_add, >= 3 causally linked spans -------------- *)
-
-let test_route_add_trace_chain () =
-  let config =
-    "interfaces { interface eth0 { address: 10.0.0.1 } }\n"
+(* Each kind of note is kept as immediates and formatted only when read;
+   every reader must show the text these notes have always had. *)
+let test_notes_render_when_read () =
+  Telemetry.set_enabled true;
+  let loop = Eventloop.create () in
+  let finder = Finder.create () in
+  let service = Telemetry_xrl.expose finder loop in
+  let caller = Xrl_router.create finder loop ~class_name:"caller" () in
+  Telemetry.reset ();
+  let notes =
+    [ (Some (Telemetry.Trace.Net (Ipv4net.of_string_exn "10.9.9.0/24")),
+       "10.9.9.0/24");
+      (Some (Routes 3), "3 routes");
+      (Some (Update (Ipv4.of_string_exn "192.0.2.1", 5, 2)), "192.0.2.1 +5 -2");
+      (Some (Text "free text"), "free text");
+      (None, "") ]
   in
-  match Rtrmgr.boot ~config () with
-  | Error e -> Alcotest.failf "boot failed: %s" (String.concat "; " e)
-  | Ok router ->
-    let loop = Rtrmgr.eventloop router in
-    let caller = Rib.xrl_router (Rtrmgr.rib router) in
-    Eventloop.run_until_time loop 1.0;
-    (* Drop boot-time noise so the chain below is unambiguous. *)
-    let err, _ =
-      Xrl_router.call_blocking caller (telemetry_xrl "reset" [])
-    in
-    check Alcotest.bool "reset ok" true (Xrl_error.is_ok err);
-    let err, _ =
-      Xrl_router.call_blocking caller
-        (Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
-           [ Xrl_atom.txt "protocol" "static";
-             Xrl_atom.ipv4net "net" (Ipv4net.of_string_exn "10.9.9.0/24");
-             Xrl_atom.ipv4 "nexthop" (Ipv4.of_string_exn "10.0.0.254") ])
-    in
-    check Alcotest.bool "add_route ok" true (Xrl_error.is_ok err);
-    (* The RIB->FEA send is deferred; let it happen. *)
-    Eventloop.run_until_time loop (Eventloop.now loop +. 1.0);
-    let err, reply =
-      Xrl_router.call_blocking caller (telemetry_xrl "spans" [])
-    in
-    check Alcotest.bool "spans ok" true (Xrl_error.is_ok err);
-    let spans =
-      Xrl_atom.get_list reply "spans"
-      |> List.filter_map (function
-        | Xrl_atom.Txt s -> Telemetry_xrl.span_of_string s
-        | _ -> None)
-    in
-    let find name parent =
+  List.iter
+    (fun (note, _) ->
+       Telemetry.Trace.span_sync ?note ~name:"note.test" ~clock:(fun () -> 0.5)
+         (fun () -> ()))
+    notes;
+  let expected = List.map snd notes in
+  let spans = Telemetry.Trace.spans () in
+  check (Alcotest.list Alcotest.string) "Trace.spans" expected
+    (List.map (fun (s : Telemetry.Trace.span) -> s.sp_note) spans);
+  let json = Telemetry.snapshot_json () in
+  List.iter
+    (fun (s : Telemetry.Trace.span) ->
+       let entry =
+         Printf.sprintf
+           {|{"trace":%d,"span":%d,"parent":null,"name":"note.test","start":0.5,"stop":0.5,"note":"%s"}|}
+           s.sp_trace s.sp_span s.sp_note
+       in
+       check Alcotest.bool ("snapshot_json has " ^ entry) true
+         (Astring.String.is_infix ~affix:entry json))
+    spans;
+  (* render_table shows only span totals; the lifetime count outlives
+     the reset. *)
+  check Alcotest.bool "render_table totals" true
+    (Astring.String.is_infix
+       ~affix:
+         (Printf.sprintf "Spans: 5 live, %d recorded\n"
+            (Telemetry.Trace.spans_recorded ()))
+       (Telemetry.render_table ()));
+  let err, reply =
+    Xrl_router.call_blocking caller (telemetry_xrl "spans" [])
+  in
+  check Alcotest.bool "spans ok" true (Xrl_error.is_ok err);
+  check
+    (Alcotest.list Alcotest.string)
+    "telemetry/0.1/spans"
+    (List.map
+       (fun (s : Telemetry.Trace.span) ->
+          Printf.sprintf "%d|%d||note.test|0.500000|0.500000|%s" s.sp_trace
+            s.sp_span s.sp_note)
+       spans)
+    (List.filter_map
+       (function Xrl_atom.Txt s -> Some s | _ -> None)
+       (Xrl_atom.get_list reply "spans"));
+  Xrl_router.shutdown caller;
+  Xrl_router.shutdown service
+
+(* --- end-to-end: causally linked spans across BGP, RIB and FEA ------- *)
+
+(* Router [a] (10.0.0.1) takes XRLs from the test; router [b]
+   (10.0.0.2) is its eBGP peer. Three chains must show up in a's spans,
+   each note formatted as it always was: a per-route add
+   (rib.route_add -> rib.fea_send -> fea.install, noting the prefix), a
+   bulk add (rib.route_add_bulk -> rib.fea_send -> fea.install_bulk,
+   noting "3 routes"), and an UPDATE from b (bgp.update, noting the peer
+   and its counts, down through the RIB to fea.install). *)
+let test_route_add_trace_chain () =
+  let config_a =
+    {|
+interfaces { interface eth0 { address: 10.0.0.1 } }
+protocols { bgp { local-as: 65001 bgp-id: 1.1.1.1
+  peer 10.0.0.2 { as: 65002 local-ip: 10.0.0.1 } } }
+|}
+  and config_b =
+    {|
+interfaces { interface eth0 { address: 10.0.0.2 } }
+protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
+  peer 10.0.0.1 { as: 65001 local-ip: 10.0.0.2 } } }
+|}
+  in
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let boot config =
+    match Rtrmgr.boot ~loop ~netsim ~config () with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "boot failed: %s" (String.concat "; " e)
+  in
+  let ra = boot config_a and rb = boot config_b in
+  let caller = Rib.xrl_router (Rtrmgr.rib ra) in
+  let call xrl =
+    let err, reply = Xrl_router.call_blocking caller xrl in
+    check Alcotest.bool (Xrl.method_id xrl ^ " ok") true (Xrl_error.is_ok err);
+    reply
+  in
+  let settle () = Eventloop.run_until_time loop (Eventloop.now loop +. 2.0) in
+  Eventloop.run_until_time loop 10.0;
+  (* Drop boot-time noise so the chains below are unambiguous. *)
+  ignore (call (telemetry_xrl "reset" []));
+  let rib_xrl method_name args =
+    Xrl.make ~target:"rib" ~interface:"rib" ~method_name args
+  in
+  ignore
+    (call
+       (rib_xrl "add_route"
+          [ Xrl_atom.txt "protocol" "static";
+            Xrl_atom.ipv4net "net" (Ipv4net.of_string_exn "10.9.9.0/24");
+            Xrl_atom.ipv4 "nexthop" (Ipv4.of_string_exn "10.0.0.254") ]));
+  (* The RIB->FEA send is deferred; let it happen. *)
+  settle ();
+  let bulk =
+    List.map
+      (fun n ->
+         { Route_pack.net = Ipv4net.of_string_exn n;
+           nexthop = Ipv4.of_string_exn "10.0.0.254"; ifname = "";
+           protocol = "static"; metric = 0 })
+      [ "10.7.1.0/24"; "10.7.2.0/24"; "10.7.3.0/24" ]
+  in
+  ignore
+    (call
+       (rib_xrl "add_routes4"
+          [ Xrl_atom.binary "routes" (Route_pack.pack_adds bulk) ]));
+  settle ();
+  Bgp_process.originate (Option.get (Rtrmgr.bgp rb))
+    (Ipv4net.of_string_exn "128.16.0.0/16");
+  settle ();
+  let spans =
+    Xrl_atom.get_list (call (telemetry_xrl "spans" [])) "spans"
+    |> List.filter_map (function
+      | Xrl_atom.Txt s -> Telemetry_xrl.span_of_string s
+      | _ -> None)
+  in
+  (* The span named [name] under [parent] (a root when [None]); checks
+     its note. *)
+  let find ?note name parent =
+    match
       List.find_opt
         (fun (s : Telemetry.Trace.span) ->
            s.sp_name = name
+           && Option.fold ~none:true ~some:(( = ) s.sp_note) note
            &&
            match parent with
            | None -> s.sp_parent = None
            | Some (p : Telemetry.Trace.span) ->
              s.sp_trace = p.sp_trace && s.sp_parent = Some p.sp_span)
         spans
-    in
-    (match find "rib.route_add" None with
-     | None -> Alcotest.fail "no rib.route_add root span"
-     | Some root ->
-       check Alcotest.string "root span notes the prefix" "10.9.9.0/24"
-         root.Telemetry.Trace.sp_note;
-       (match find "rib.fea_send" (Some root) with
-        | None -> Alcotest.fail "no rib.fea_send child span"
-        | Some send ->
-          (match find "fea.install" (Some send) with
-           | None -> Alcotest.fail "no fea.install grandchild span"
-           | Some install ->
-             check Alcotest.string "install notes the prefix" "10.9.9.0/24"
-               install.Telemetry.Trace.sp_note)));
-    Rtrmgr.shutdown router
+    with
+    | Some s -> s
+    | None ->
+      Alcotest.failf "no %s span%s %s" name
+        (match note with Some n -> " noting " ^ n | None -> "")
+        (match parent with
+         | Some p -> "under " ^ p.Telemetry.Trace.sp_name
+         | None -> "at the root")
+  in
+  let root = find ~note:"10.9.9.0/24" "rib.route_add" None in
+  let send = find ~note:"10.9.9.0/24" "rib.fea_send" (Some root) in
+  ignore (find ~note:"10.9.9.0/24" "fea.install" (Some send));
+  let root = find ~note:"3 routes" "rib.route_add_bulk" None in
+  let send = find ~note:"3 routes" "rib.fea_send" (Some root) in
+  ignore (find ~note:"3 routes" "fea.install_bulk" (Some send));
+  let update = find ~note:"10.0.0.2 +1 -0" "bgp.update" None in
+  let send = find ~note:"" "bgp.rib_send" (Some update) in
+  let add = find ~note:"128.16.0.0/16" "rib.route_add" (Some send) in
+  let send = find ~note:"128.16.0.0/16" "rib.fea_send" (Some add) in
+  ignore (find ~note:"128.16.0.0/16" "fea.install" (Some send));
+  Rtrmgr.shutdown ra;
+  Rtrmgr.shutdown rb
 
 (* --- profiler ring backend ---------------------------------------------- *)
 
@@ -554,14 +817,22 @@ let () =
       ("tracing",
        [ Alcotest.test_case "ambient context" `Quick test_trace_ambient;
          Alcotest.test_case "spans and ring" `Quick test_trace_spans_and_ring;
-         Alcotest.test_case "ctx wire form" `Quick test_ctx_wire;
+         QCheck_alcotest.to_alcotest prop_span_ring_keeps_newest;
+         Alcotest.test_case "recording a span allocates no record" `Quick
+           test_span_sync_allocates_no_record;
          Alcotest.test_case "span wire form" `Quick test_span_wire ]);
       ("propagation",
        [ Alcotest.test_case "across pf_intra" `Quick test_propagation_intra;
-         Alcotest.test_case "across pf_tcp" `Quick test_propagation_tcp ]);
+         Alcotest.test_case "across pf_tcp" `Quick test_propagation_tcp;
+         Alcotest.test_case "malformed trace atoms ignored on pf_intra" `Quick
+           test_forged_trace_intra;
+         Alcotest.test_case "malformed trace atoms ignored on pf_tcp" `Quick
+           test_forged_trace_tcp ]);
       ("xrl-service",
        [ Alcotest.test_case "telemetry/0.1 round trip" `Quick
-           test_telemetry_xrl_service ]);
+           test_telemetry_xrl_service;
+         Alcotest.test_case "notes render as text when read" `Quick
+           test_notes_render_when_read ]);
       ("end-to-end",
        [ Alcotest.test_case "route_add trace chain" `Quick
            test_route_add_trace_chain ]);
