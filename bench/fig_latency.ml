@@ -70,7 +70,6 @@ let pstats_of deltas =
 
 type setup = {
   loop : Eventloop.t;
-  profiler : Profiler.t;
   fea : Fea.t;
   rib : Rib.t;
   bgp : Bgp_process.t;
@@ -78,8 +77,7 @@ type setup = {
   test_peer : Injector.t;
   feed : Feed.entry array;
   (* Monotonically increasing test-route number, so every measurement
-     phase on a shared stack uses fresh prefixes (and fresh profile
-     payload tags). *)
+     phase on a shared stack uses fresh prefixes. *)
   mutable next_test : int;
 }
 
@@ -93,15 +91,14 @@ let build () =
   let loop = Eventloop.create ~mode:`Real () in
   let netsim = Netsim.create ~default_latency:0.0005 loop in
   let finder = Finder.create () in
-  let profiler = Profiler.create loop in
-  let fea = Fea.create ~profiler finder loop () in
-  let rib = Rib.create ~profiler finder loop () in
+  let fea = Fea.create finder loop () in
+  let rib = Rib.create finder loop () in
   (* The peering LAN is reachable: BGP nexthops resolve. *)
   Result.get_ok
     (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.0.0/24")
        ~nexthop:Ipv4.zero ());
   let bgp =
-    Bgp_process.create ~profiler finder loop ~netsim ~local_as:65000
+    Bgp_process.create finder loop ~netsim ~local_as:65000
       ~bgp_id:(addr "10.0.0.1") ()
   in
   let add_peer peer_addr =
@@ -131,7 +128,7 @@ let build () =
   Injector.announce test_peer ~nexthop:(addr "10.0.0.11")
     [ net "250.0.2.0/24" ];
   let s =
-    { loop; profiler; fea; rib; bgp; feed_peer; test_peer;
+    { loop; fea; rib; bgp; feed_peer; test_peer;
       feed = Feed.generate Feed.paper_table_size; next_test = 0 }
   in
   run_real_until loop
@@ -178,28 +175,30 @@ let teardown s =
 
 (* --- tracing test routes through the profile points ------------------ *)
 
-(* Incremental record consumption: the profiler's ring is drained into
-   a hash index as the measurement runs, so bulk phases (during-load,
+(* Incremental record consumption: the point ring is drained into a
+   hash index as the measurement runs, so bulk phases (during-load,
    churn) can log millions of feed records without evicting the test
    routes' — and extraction is O(records), not O(routes x records) as
-   a per-route scan over the ring would be. *)
+   a per-route scan over the ring would be. Test routes are matched by
+   prefix, so no record's text is ever formatted. *)
 type tracer = {
-  expected : (string, unit) Hashtbl.t; (* payload tags of test routes *)
-  times : (string * string, float) Hashtbl.t; (* (tag, point) -> first time *)
+  expected : (Ipv4net.t, unit) Hashtbl.t; (* the test routes *)
+  times : (Ipv4net.t * string, float) Hashtbl.t; (* (net, point) -> time *)
 }
 
 let make_tracer ~base ~n =
   let expected = Hashtbl.create (2 * n) in
   for i = base + 1 to base + n do
-    Hashtbl.replace expected ("add " ^ Ipv4net.to_string (test_net i)) ()
+    Hashtbl.replace expected (test_net i) ()
   done;
   { expected; times = Hashtbl.create (16 * n) }
 
+(* Announcements only: the figures time a route's arrival. *)
 let absorb tr records =
   List.iter
-    (fun (r : Profiler.record) ->
-       if Hashtbl.mem tr.expected r.payload then begin
-         let key = (r.payload, r.point) in
+    (fun (r : Telemetry.Profile.record) ->
+       if r.verb = Add && Hashtbl.mem tr.expected r.net then begin
+         let key = (r.net, r.point) in
          if not (Hashtbl.mem tr.times key) then
            Hashtbl.add tr.times key r.time
        end)
@@ -210,7 +209,7 @@ let extract tr ~base ~n =
   let per_point = Hashtbl.create 16 in
   let traced = ref 0 in
   for i = base + 1 to base + n do
-    let tag = "add " ^ Ipv4net.to_string (test_net i) in
+    let tag = test_net i in
     match Hashtbl.find_opt tr.times (tag, Bgp_process.pp_entering) with
     | None -> ()
     | Some t0 ->
@@ -313,19 +312,19 @@ let flap_routes s ~peer ~n ?churn ?(keep_going = fun () -> false) () =
   let cap = n + 2000 in
   s.next_test <- s.next_test + cap;
   let tr = make_tracer ~base ~n:cap in
-  ignore (Profiler.drain s.profiler);
-  Profiler.enable_all s.profiler;
+  ignore (Telemetry.Profile.drain ());
+  Telemetry.Profile.enable_all ();
   let flapped = ref 0 in
   let flap_one i =
     let net = test_net i in
     (match churn with Some c -> churn_step c | None -> ());
     Injector.announce peer ~nexthop:(addr "10.0.0.11") [ net ];
     wall_sleep s.loop 0.035;
-    absorb tr (Profiler.drain s.profiler);
+    absorb tr (Telemetry.Profile.drain ());
     (match churn with Some c -> churn_step c | None -> ());
     Injector.withdraw peer [ net ];
     wall_sleep s.loop 0.015;
-    absorb tr (Profiler.drain s.profiler);
+    absorb tr (Telemetry.Profile.drain ());
     incr flapped
   in
   let i = ref 1 in
@@ -334,8 +333,8 @@ let flap_routes s ~peer ~n ?churn ?(keep_going = fun () -> false) () =
     incr i
   done;
   wall_sleep s.loop 0.3;
-  absorb tr (Profiler.drain s.profiler);
-  Profiler.disable_all s.profiler;
+  absorb tr (Telemetry.Profile.drain ());
+  Telemetry.Profile.disable_all ();
   (match churn with Some c -> churn_finish c | None -> ());
   let traced, rows = extract tr ~base ~n:!flapped in
   (!flapped, traced, rows)

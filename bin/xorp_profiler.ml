@@ -1,9 +1,9 @@
 (* xorp_profiler: drive the profiling mechanism of §8.2.
 
-   Boots a router (the configuration should set [profiling { enabled:
-   true }]), enables the requested profiling points (or all of them),
-   runs for a while, and dumps the timestamped records in the paper's
-   textual format:
+   Boots a router in-process, switches on the requested profile points
+   (or all of them; naming a point no component registered is an
+   error), runs the simulated clock for a while, and dumps the
+   timestamped records in the paper's textual format:
 
      route_ribin 1097173928 664085 add 10.0.1.0/24
 
@@ -28,26 +28,24 @@ let run config_file run_seconds points =
     List.iter (fun p -> prerr_endline ("  " ^ p)) problems;
     exit 1
   | Ok router ->
-    (match Rtrmgr.profiler router with
-     | None ->
-       prerr_endline
-         "no profiler: add `profiling { enabled: true }` to the configuration";
-       Rtrmgr.shutdown router;
-       exit 1
-     | Some profiler ->
-       (match points with
-        | [] -> Profiler.enable_all profiler
-        | points -> List.iter (Profiler.enable profiler) points);
-       Eventloop.run_until_time (Rtrmgr.eventloop router) run_seconds;
-       Printf.printf "# profiling points:\n";
-       List.iter
-         (fun (name, on, count) ->
-            Printf.printf "#   %-16s %-8s %d records\n" name
-              (if on then "enabled" else "disabled")
-              count)
-         (Profiler.list_points profiler);
-       List.iter print_endline (Profiler.to_strings profiler);
-       Rtrmgr.shutdown router)
+    (match points with
+     | [] -> Telemetry.Profile.enable_all ()
+     | points -> (
+         try List.iter Telemetry.Profile.enable points
+         with Invalid_argument e ->
+           prerr_endline ("xorp_profiler: " ^ e);
+           Rtrmgr.shutdown router;
+           exit 1));
+    Eventloop.run_until_time (Rtrmgr.eventloop router) run_seconds;
+    Printf.printf "# profiling points:\n";
+    List.iter
+      (fun (name, on, count) ->
+         Printf.printf "#   %-16s %-8s %d records\n" name
+           (if on then "enabled" else "disabled")
+           count)
+      (Telemetry.Profile.list_points ());
+    List.iter print_endline (Telemetry.Profile.to_strings ());
+    Rtrmgr.shutdown router
 
 let config_arg =
   Arg.(

@@ -65,7 +65,10 @@ type t = {
   router : Xrl_router.t;
   loop : Eventloop.t;
   netsim : Netsim.t;
-  profiler : Profiler.t option;
+  clock : unit -> float; (* the loop's clock, for spans and points *)
+  pt_entering : Telemetry.Profile.point;
+  pt_queued_rib : Telemetry.Profile.point;
+  pt_sent_rib : Telemetry.Profile.point;
   local_as : int;
   bgp_id : Ipv4.t;
   bgp_port : int;
@@ -91,20 +94,13 @@ type t = {
   local_ribin : Bgp_ribin.rib_in;
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
   rib : Rib_client.t;
-  rib_q : (string * Bgp_types.route * Telemetry.Trace.ctx option) Laneq.t;
+  rib_q :
+    (Telemetry.Profile.verb * Bgp_types.route * Telemetry.Trace.ctx option)
+    Laneq.t;
   mutable rib_flush_scheduled : bool;
   redump_on_reestablish : bool;
   mutable started : bool;
 }
-
-(* Hot-path variant: skips the payload string construction entirely
-   when the point is disabled, so a full-table load does not pay one
-   [Ipv4net.to_string] plus a concat per route per point. *)
-let profile_net t point verb net =
-  match t.profiler with
-  | Some p when Profiler.enabled p point ->
-    Profiler.record p point (verb ^ Ipv4net.to_string net)
-  | _ -> ()
 
 let instance_name t = Xrl_router.instance_name t.router
 let xrl_router t = t.router
@@ -122,17 +118,17 @@ let rib_protocol t (route : Bgp_types.route) =
    time and still measure this path. *)
 let send_rib_one t (op, (route : Bgp_types.route), trace) =
   Telemetry.Trace.with_ctx trace @@ fun () ->
-  Telemetry.Trace.span_sync ~name:"bgp.rib_send"
-    ~clock:(fun () -> Eventloop.now t.loop)
+  Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~clock:t.clock
   @@ fun () ->
   let net = route.Bgp_types.net in
-  profile_net t pp_sent_rib (op ^ " ") net;
+  Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock op net;
   let protocol = rib_protocol t route in
-  if op = "add" then
+  match op with
+  | Add ->
     Rib_client.add_route t.rib ~protocol ~net
       ~nexthop:route.Bgp_types.attrs.nexthop
       ~metric:(Option.value route.Bgp_types.attrs.med ~default:0)
-  else Rib_client.delete_route t.rib ~protocol ~net
+  | Delete -> Rib_client.delete_route t.rib ~protocol ~net
 
 (* A run of queued updates with the same operation and protocol leaves
    as one rib/add_routes4 or rib/delete_routes4 XRL carrying a
@@ -147,16 +143,16 @@ let send_rib_run t entries =
   | (op0, (route0 : Bgp_types.route), first_trace) :: _ ->
     let n = List.length entries in
     List.iter
-      (fun (op, (route : Bgp_types.route), trace) ->
-         Telemetry.Trace.with_ctx trace (fun () ->
-             profile_net t pp_sent_rib (op ^ " ") route.Bgp_types.net))
+      (fun (op, (route : Bgp_types.route), _) ->
+         Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock op
+           route.Bgp_types.net)
       entries;
     Telemetry.Trace.with_ctx first_trace @@ fun () ->
     Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~note:(Routes n)
-      ~clock:(fun () -> Eventloop.now t.loop)
+      ~clock:t.clock
     @@ fun () ->
     let xrl =
-      if op0 = "add" then
+      if op0 = Telemetry.Profile.Add then
         let adds =
           List.map
             (fun (_, (r : Bgp_types.route), _) ->
@@ -179,7 +175,8 @@ let send_rib_run t entries =
     Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m ->
-              m "bulk RIB %s (%d routes) failed: %s" op0 n
+              m "bulk RIB %s (%d routes) failed: %s"
+                (if op0 = Add then "add" else "delete") n
                 (Xrl_error.to_string err)))
 
 (* Bulk-lane routes forwarded to the RIB per deferred flush: bounds how
@@ -231,7 +228,7 @@ let make_rib_branch t : Bgp_table.table =
   let on op (route : Bgp_types.route) =
     if route.Bgp_types.peer_id <> 0 && t.send_to_rib
        && Xrl_router.peer_live t.router "rib" then begin
-      profile_net t pp_queued_rib (op ^ " ") route.net;
+      Telemetry.Profile.record t.pt_queued_rib ~clock:t.clock op route.net;
       Laneq.push t.rib_q
         (Bgp_types.current_lane ())
         ~net:route.Bgp_types.net
@@ -241,8 +238,8 @@ let make_rib_branch t : Bgp_table.table =
   in
   (new Bgp_table.sink ~name:"to-rib"
     ~parent:(t.decision :> Bgp_table.table)
-    ~on_add:(fun r -> on "add" r)
-    ~on_delete:(fun r -> on "delete" r)
+    ~on_add:(fun r -> on Telemetry.Profile.Add r)
+    ~on_delete:(fun r -> on Telemetry.Profile.Delete r)
    :> Bgp_table.table)
 
 (* --- nexthop resolution ---------------------------------------------- *)
@@ -297,7 +294,7 @@ let replay_rib t =
         (fun (route : Bgp_types.route) n ->
            if route.Bgp_types.peer_id <> 0 then begin
              Laneq.push t.rib_q Laneq.Bulk ~net:route.Bgp_types.net
-               ("add", route, None);
+               (Telemetry.Profile.Add, route, None);
              n + 1
            end
            else n)
@@ -429,14 +426,19 @@ let handle_update t peer (msg : Bgp_packet.msg) =
       ~note:
         (Update
            (peer.cfg.peer_addr, List.length nlri, List.length withdrawn))
-      ~clock:(fun () -> Eventloop.now t.loop)
+      ~clock:t.clock
     @@ fun () ->
     (* One record per prefix, so per-route latency can be traced
        through all eight profile points of §8.2. The entering point is
        recorded at receive time — staging delay is part of what the
        later points measure. *)
-    List.iter (fun net -> profile_net t pp_entering "delete " net) withdrawn;
-    List.iter (fun net -> profile_net t pp_entering "add " net) nlri;
+    List.iter
+      (fun net ->
+         Telemetry.Profile.record t.pt_entering ~clock:t.clock Delete net)
+      withdrawn;
+    List.iter
+      (fun net -> Telemetry.Profile.record t.pt_entering ~clock:t.clock Add net)
+      nlri;
     (* Validation is per UPDATE, not per prefix, so it happens at
        receive time: AS-loop rejection and the LOCAL_PREF session rule
        (only meaningful on IBGP). *)
@@ -763,7 +765,7 @@ let add_xrl_handlers t =
 
 (* --- public API --------------------------------------------------------- *)
 
-let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
+let create ?families ?(send_to_rib = true) ?(nexthop_mode = `Rib)
     ?(bgp_port = 179) ?(inbound_slice = 64) ?(urgent_threshold = 64)
     ?(lane_ordered = true) ?(rib_rebirth_resync = true)
     ?(redump_on_reestablish = true) finder loop ~netsim ~local_as ~bgp_id () =
@@ -786,7 +788,11 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
            loop
        in
        {
-         router; loop; netsim; profiler; local_as; bgp_id; bgp_port;
+         router; loop; netsim; clock = (fun () -> Eventloop.now loop);
+         pt_entering = Telemetry.Profile.point pp_entering;
+         pt_queued_rib = Telemetry.Profile.point pp_queued_rib;
+         pt_sent_rib = Telemetry.Profile.point pp_sent_rib;
+         local_as; bgp_id; bgp_port;
          send_to_rib; nexthop_mode;
          inbound_slice; urgent_threshold; lane_ordered;
          inbound_backlog = 0;
@@ -809,10 +815,6 @@ let create ?families ?profiler ?(send_to_rib = true) ?(nexthop_mode = `Rib)
        })
   in
   let t = Lazy.force t in
-  (match profiler with
-   | Some p ->
-     List.iter (Profiler.define p) [ pp_entering; pp_queued_rib; pp_sent_rib ]
-   | None -> ());
   t.decision#set_next (Some (t.fanout :> Bgp_table.table));
   t.fanout#set_parent (t.decision :> Bgp_table.table);
   (* Local branch: originated networks, already "resolved". *)

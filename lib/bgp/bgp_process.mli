@@ -55,7 +55,6 @@ val default_peer_config :
 
 val create :
   ?families:Pf.family list ->
-  ?profiler:Profiler.t ->
   ?send_to_rib:bool ->
   ?nexthop_mode:[ `Rib | `Assume_resolvable ] ->
   ?bgp_port:int ->
@@ -171,7 +170,10 @@ val instance_name : t -> string
 val xrl_router : t -> Xrl_router.t
 val shutdown : t -> unit
 
-(** {1 Profile points (Figures 10–12)} *)
+(** {1 Profile points (Figures 10–12)}
+
+    {!create} registers these {!Telemetry.Profile} points under the
+    ambient telemetry namespace. *)
 
 val pp_entering : string
 (** ["bgp_in"] — UPDATE entering BGP. *)

@@ -4,18 +4,16 @@ type stack = {
   finder : Finder.t;
   loop : Eventloop.t;
   net : Netsim.t;
-  profiler : Profiler.t option;
   fea : Fea.t;
   rib : Rib.t;
   mutable bgp : Bgp_process.t option;
   mutable rip : Rip_process.t option;
 }
 
-let make_stack ?(profiling = false) ?(interfaces = []) ~loop ~net () =
+let make_stack ?(interfaces = []) ~loop ~net () =
   let finder = Finder.create () in
-  let profiler = if profiling then Some (Profiler.create loop) else None in
-  let fea = Fea.create ?profiler ~interfaces ~netsim:net finder loop () in
-  let rib = Rib.create ?profiler finder loop () in
+  let fea = Fea.create ~interfaces ~netsim:net finder loop () in
+  let rib = Rib.create finder loop () in
   List.iter
     (fun (_, a) ->
        match
@@ -24,12 +22,12 @@ let make_stack ?(profiling = false) ?(interfaces = []) ~loop ~net () =
        with
        | Ok () | Error _ -> ())
     interfaces;
-  { finder; loop; net; profiler; fea; rib; bgp = None; rip = None }
+  { finder; loop; net; fea; rib; bgp = None; rip = None }
 
 let add_bgp stack ~local_as ~bgp_id ?(peers = []) () =
   let bgp =
-    Bgp_process.create ?profiler:stack.profiler stack.finder stack.loop
-      ~netsim:stack.net ~local_as ~bgp_id ()
+    Bgp_process.create stack.finder stack.loop ~netsim:stack.net ~local_as
+      ~bgp_id ()
   in
   List.iter (Bgp_process.add_peer bgp) peers;
   Bgp_process.start bgp;

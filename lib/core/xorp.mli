@@ -18,7 +18,6 @@ type stack = {
   finder : Finder.t;
   loop : Eventloop.t;
   net : Netsim.t;
-  profiler : Profiler.t option;
   fea : Fea.t;
   rib : Rib.t;
   mutable bgp : Bgp_process.t option;
@@ -26,7 +25,6 @@ type stack = {
 }
 
 val make_stack :
-  ?profiling:bool ->
   ?interfaces:(string * Ipv4.t) list ->
   loop:Eventloop.t -> net:Netsim.t -> unit -> stack
 (** FEA + RIB on a fresh Finder, with connected /24 routes for each

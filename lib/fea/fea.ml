@@ -18,7 +18,9 @@ type relay_socket = {
 type t = {
   router : Xrl_router.t;
   fib : Fib.t;
-  profiler : Profiler.t option;
+  clock : unit -> float; (* the loop's clock, for spans and points *)
+  pt_arrived : Telemetry.Profile.point;
+  pt_kernel : Telemetry.Profile.point;
   ifaces : (string * Ipv4.t) list;
   netsim : Netsim.t option;
   sockets : (int, relay_socket) Hashtbl.t;
@@ -52,14 +54,6 @@ let interfaces t = t.ifaces
 let routes_installed t = t.installed
 let dataplane t = t.dataplane
 
-(* Skips payload construction when the point is disabled, so bulk
-   installs do not allocate per route per point. *)
-let profile_net t point verb net =
-  match t.profiler with
-  | Some p when Profiler.enabled p point ->
-    Profiler.record p point (verb ^ Ipv4net.to_string net)
-  | _ -> ()
-
 let ok = Xrl_error.Ok_xrl
 
 let add_fib_handlers t =
@@ -81,31 +75,31 @@ let add_fib_handlers t =
          | Some { value = Txt s; _ } -> s
          | _ -> "unknown"
        in
-       profile_net t pp_arrived "add " net;
+       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add net;
        Telemetry.Trace.span_sync ~name:"fea.install" ~note:(Net net)
-         ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
+         ~clock:t.clock
          (fun () ->
             Telemetry.time install_hist
               (fun () ->
                  Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
                  Hashtbl.remove t.stale net;
                  t.installed <- t.installed + 1));
-       profile_net t pp_kernel "add " net;
+       Telemetry.Profile.record t.pt_kernel ~clock:t.clock Add net;
        reply ok []);
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_route4"
     (fun args reply ->
        let net = Xrl_atom.get_ipv4net args "net" in
-       profile_net t pp_arrived "delete " net;
+       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Delete net;
        let existed =
          Telemetry.Trace.span_sync ~name:"fea.uninstall" ~note:(Net net)
-           ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
+           ~clock:t.clock
            (fun () ->
               Telemetry.time install_hist
                 (fun () ->
                    Hashtbl.remove t.stale net;
                    Fib.delete t.fib net))
        in
-       profile_net t pp_kernel "delete " net;
+       Telemetry.Profile.record t.pt_kernel ~clock:t.clock Delete net;
        if existed then reply ok []
        else
          reply
@@ -123,15 +117,17 @@ let add_fib_handlers t =
        | Ok adds ->
          let n = List.length adds in
          Telemetry.Trace.span_sync ~name:"fea.install_bulk" ~note:(Routes n)
-           ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
+           ~clock:t.clock
            (fun () ->
               List.iter
                 (fun { Route_pack.net; nexthop; ifname; protocol; metric = _ } ->
-                   profile_net t pp_arrived "add " net;
+                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
+                     net;
                    Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
                    Hashtbl.remove t.stale net;
                    t.installed <- t.installed + 1;
-                   profile_net t pp_kernel "add " net)
+                   Telemetry.Profile.record t.pt_kernel ~clock:t.clock Add
+                     net)
                 adds);
          reply ok [ Xrl_atom.u32 "count" n ]);
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_routes4"
@@ -142,14 +138,16 @@ let add_fib_handlers t =
        | Ok nets ->
          let n = List.length nets in
          Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk" ~note:(Routes n)
-           ~clock:(fun () -> Eventloop.now (Xrl_router.eventloop t.router))
+           ~clock:t.clock
            (fun () ->
               List.iter
                 (fun net ->
-                   profile_net t pp_arrived "delete " net;
+                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock
+                     Delete net;
                    Hashtbl.remove t.stale net;
                    ignore (Fib.delete t.fib net);
-                   profile_net t pp_kernel "delete " net)
+                   Telemetry.Profile.record t.pt_kernel ~clock:t.clock
+                     Delete net)
                 nets);
          reply ok [ Xrl_atom.u32 "count" n ]);
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"lookup_route4"
@@ -459,7 +457,7 @@ let rib_reborn t =
                       n)
               end))
 
-let create ?families ?profiler ?(interfaces = []) ?netsim
+let create ?families ?(interfaces = []) ?netsim
     ?(dataplane = `Default) finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted FEA does not inherit the dead instance's counts. *)
@@ -468,7 +466,10 @@ let create ?families ?profiler ?(interfaces = []) ?netsim
     Xrl_router.create ?families finder loop ~class_name:"fea" ~sole:true ()
   in
   let t =
-    { router; fib = Fib.create (); profiler; ifaces = interfaces; netsim;
+    { router; fib = Fib.create (); clock = (fun () -> Eventloop.now loop);
+      pt_arrived = Telemetry.Profile.point pp_arrived;
+      pt_kernel = Telemetry.Profile.point pp_kernel;
+      ifaces = interfaces; netsim;
       sockets = Hashtbl.create 8; client_watches = Hashtbl.create 4;
       next_sockid = 0; installed = 0; dataplane = None; dp_socks = [];
       stale = Hashtbl.create 64; sweep_timer = None;
@@ -476,11 +477,6 @@ let create ?families ?profiler ?(interfaces = []) ?netsim
       lookups_control = Telemetry.counter "fea.lookups.control";
       lookups_dataplane = Telemetry.counter "fea.lookups.dataplane" }
   in
-  (match profiler with
-   | Some p ->
-     Profiler.define p pp_arrived;
-     Profiler.define p pp_kernel
-   | None -> ());
   add_fib_handlers t;
   add_udp_handlers t;
   add_dataplane_handlers t;

@@ -32,7 +32,6 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?profiler:Profiler.t ->
   ?interfaces:(string * Ipv4.t) list ->
   ?netsim:Netsim.t ->
   ?dataplane:[ `Default | `Graph of string | `Off ] ->
@@ -67,7 +66,10 @@ val routes_installed : t -> int
 
 val shutdown : t -> unit
 
-(** {1 Profile points} *)
+(** {1 Profile points}
+
+    {!create} registers these {!Telemetry.Profile} points under the
+    ambient telemetry namespace. *)
 
 val pp_arrived : string
 (** ["fea_arrived"] — update arriving at the FEA. *)

@@ -11,7 +11,10 @@ type fea_op = [ `Add of Rib_route.t | `Delete of Rib_route.t ]
 type t = {
   router : Xrl_router.t;
   loop : Eventloop.t;
-  profiler : Profiler.t option;
+  clock : unit -> float; (* the loop's clock, for spans and points *)
+  pt_arrived : Telemetry.Profile.point;
+  pt_queued_fea : Telemetry.Profile.point;
+  pt_sent_fea : Telemetry.Profile.point;
   origins : (string, Origin_table.origin_table) Hashtbl.t;
   register : Register_table.register_table;
   redist : Redist_table.redist_table;
@@ -44,19 +47,11 @@ let with_fea_lane t lane f =
   t.fea_lane <- lane;
   Fun.protect ~finally:(fun () -> t.fea_lane <- saved) f
 
-(* Hot-path variant: skips payload construction when the point is
-   disabled (a full-table load would otherwise allocate one string per
-   route per point). *)
-let profile_net t point verb net =
-  match t.profiler with
-  | Some p when Profiler.enabled p point ->
-    Profiler.record p point (verb ^ Ipv4net.to_string net)
-  | _ -> ()
-
 (* --- FEA sink ------------------------------------------------------- *)
 
 let op_net (op : fea_op) = match op with `Add r | `Delete r -> r.Rib_route.net
-let op_verb (op : fea_op) = match op with `Add _ -> "add " | `Delete _ -> "delete "
+let op_verb (op : fea_op) : Telemetry.Profile.verb =
+  match op with `Add _ -> Add | `Delete _ -> Delete
 let op_is_add (op : fea_op) = match op with `Add _ -> true | `Delete _ -> false
 
 (* Legacy per-route XRL; also the path taken when a flush holds a
@@ -65,9 +60,10 @@ let op_is_add (op : fea_op) = match op with `Add _ -> true | `Delete _ -> false
 let send_one t (op : fea_op) ctx =
   Telemetry.Trace.with_ctx ctx @@ fun () ->
   Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Net (op_net op))
-    ~clock:(fun () -> Eventloop.now t.loop)
+    ~clock:t.clock
   @@ fun () ->
-  profile_net t pp_sent_fea (op_verb op) (op_net op);
+  Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
+    (op_net op);
   let xrl =
     match op with
     | `Add r ->
@@ -99,13 +95,13 @@ let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
     let n = List.length ops in
     let is_add = op_is_add first_op in
     List.iter
-      (fun (op, ctx) ->
-         Telemetry.Trace.with_ctx ctx (fun () ->
-             profile_net t pp_sent_fea (op_verb op) (op_net op)))
+      (fun (op, _) ->
+         Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
+           (op_net op))
       ops;
     Telemetry.Trace.with_ctx first_ctx @@ fun () ->
     Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Routes n)
-      ~clock:(fun () -> Eventloop.now t.loop)
+      ~clock:t.clock
     @@ fun () ->
     let packed, method_name =
       if is_add then
@@ -183,7 +179,8 @@ let rec flush_fea t =
 
 let send_fea t (op : fea_op) =
   if t.send_to_fea && Xrl_router.peer_live t.router "fea" then begin
-    profile_net t pp_queued_fea (op_verb op) (op_net op);
+    Telemetry.Profile.record t.pt_queued_fea ~clock:t.clock (op_verb op)
+      (op_net op);
     (* Queue-then-send: the actual XRL goes out on the next loop
        iteration, like a real outbound transmit queue — and everything
        queued within this turn flushes together (one bulk XRL per
@@ -338,10 +335,10 @@ let add_xrl_handlers t =
          | Some { value = U32 m; _ } -> m
          | _ -> 0
        in
-       profile_net t pp_arrived "add " net;
+       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add net;
        match
          Telemetry.Trace.span_sync ~name:"rib.route_add" ~note:(Net net)
-           ~clock:(fun () -> Eventloop.now t.loop)
+           ~clock:t.clock
            (fun () -> add_route t ~protocol ~net ~nexthop ~metric ())
        with
        | Ok () -> reply ok []
@@ -350,10 +347,10 @@ let add_xrl_handlers t =
     (fun args reply ->
        let protocol = Xrl_atom.get_txt args "protocol" in
        let net = Xrl_atom.get_ipv4net args "net" in
-       profile_net t pp_arrived "delete " net;
+       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Delete net;
        match
          Telemetry.Trace.span_sync ~name:"rib.route_delete" ~note:(Net net)
-           ~clock:(fun () -> Eventloop.now t.loop)
+           ~clock:t.clock
            (fun () -> delete_route t ~protocol ~net)
        with
        | Ok () -> reply ok []
@@ -371,7 +368,7 @@ let add_xrl_handlers t =
          let n = List.length adds in
          let failed = ref 0 in
          Telemetry.Trace.span_sync ~name:"rib.route_add_bulk" ~note:(Routes n)
-           ~clock:(fun () -> Eventloop.now t.loop)
+           ~clock:t.clock
            (fun () ->
               (* A bulk transfer is a table load in flight: its FIB
                  pushes ride the bulk lane so they cannot crowd a
@@ -380,7 +377,8 @@ let add_xrl_handlers t =
               with_fea_lane t Laneq.Bulk @@ fun () ->
               List.iter
                 (fun { Route_pack.net; nexthop; protocol; metric; ifname = _ } ->
-                   profile_net t pp_arrived "add " net;
+                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
+                     net;
                    match add_route t ~protocol ~net ~nexthop ~metric () with
                    | Ok () -> ()
                    | Error msg ->
@@ -405,12 +403,13 @@ let add_xrl_handlers t =
          let failed = ref 0 in
          Telemetry.Trace.span_sync ~name:"rib.route_delete_bulk"
            ~note:(Routes n)
-           ~clock:(fun () -> Eventloop.now t.loop)
+           ~clock:t.clock
            (fun () ->
               with_fea_lane t Laneq.Bulk @@ fun () ->
               List.iter
                 (fun net ->
-                   profile_net t pp_arrived "delete " net;
+                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock
+                     Delete net;
                    match delete_route t ~protocol ~net with
                    | Ok () -> ()
                    | Error msg ->
@@ -550,7 +549,7 @@ let watch_fea_lifecycle ~rebirth_replay t =
     ?on_rebirth:(if rebirth_replay then Some (fun () -> replay_fib t) else None)
     ()
 
-let create ?families ?profiler ?(send_to_fea = true) ?(bulk_fea = true)
+let create ?families ?(send_to_fea = true) ?(bulk_fea = true)
     ?(fea_rebirth_replay = true) finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted RIB does not inherit the dead instance's counts. *)
@@ -563,7 +562,11 @@ let create ?families ?profiler ?(send_to_fea = true) ?(bulk_fea = true)
     build_pipeline (fun () -> Option.get !t_ref) loop
   in
   let t =
-    { router; loop; profiler; origins; register; redist; send_to_fea;
+    { router; loop; clock = (fun () -> Eventloop.now loop);
+      pt_arrived = Telemetry.Profile.point pp_arrived;
+      pt_queued_fea = Telemetry.Profile.point pp_queued_fea;
+      pt_sent_fea = Telemetry.Profile.point pp_sent_fea;
+      origins; register; redist; send_to_fea;
       bulk_fea; fea_q = Laneq.create (); fea_flush_armed = false;
       fea_lane = Laneq.Urgent;
       g_fea_depth = Telemetry.gauge "rib.fea_q.depth";
@@ -571,10 +574,6 @@ let create ?families ?profiler ?(send_to_fea = true) ?(bulk_fea = true)
       g_fea_bulk = Telemetry.gauge "rib.fea_q.bulk" }
   in
   t_ref := Some router;
-  (match profiler with
-   | Some p ->
-     List.iter (Profiler.define p) [ pp_arrived; pp_queued_fea; pp_sent_fea ]
-   | None -> ());
   (* Terminal sink: winners flow to the FEA. *)
   let sink =
     new Rib_table.sink ~name:"sink"

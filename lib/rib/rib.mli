@@ -30,7 +30,7 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?profiler:Profiler.t -> ?send_to_fea:bool -> ?bulk_fea:bool ->
+  ?send_to_fea:bool -> ?bulk_fea:bool ->
   ?fea_rebirth_replay:bool ->
   Finder.t -> Eventloop.t -> unit -> t
 (** Registers class ["rib"] (sole) with the Finder. With
@@ -99,7 +99,10 @@ val fea_queue_length : t -> int
 
 val shutdown : t -> unit
 
-(** {1 Profile points (Figures 10–12)} *)
+(** {1 Profile points (Figures 10–12)}
+
+    {!create} registers these {!Telemetry.Profile} points under the
+    ambient telemetry namespace. *)
 
 val pp_arrived : string
 (** ["rib_arrived"] — arriving at the RIB. *)

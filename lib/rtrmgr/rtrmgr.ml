@@ -26,7 +26,6 @@ type t = {
   loop : Eventloop.t;
   net : Netsim.t;
   fndr : Finder.t;
-  prof : Profiler.t option;
   tel_r : Xrl_router.t;
   (* Creation-time knobs, kept so [restart_component] rebuilds a
      component exactly as [boot] did. *)
@@ -56,7 +55,6 @@ let rib_opt t = t.rib_c
 let bgp t = t.bgp_c
 let rip t = t.rip_c
 let ospf t = t.ospf_c
-let profiler t = t.prof
 let config_text t = Config_tree.render t.cfg
 
 (* Policy attributes hold stack-language source with ';' as the line
@@ -117,14 +115,14 @@ let configure_static rib_c cfg =
       (Ok ())
       (Config_tree.children static "route")
 
-let configure_bgp ?families ?profiler ~knobs fndr loop net cfg =
+let configure_bgp ?families ~knobs fndr loop net cfg =
   match Config_tree.path cfg [ "protocols"; "bgp" ] with
   | None -> Ok None
   | Some bgp_cfg ->
     let local_as = int_of_string (Config_tree.leaf_exn bgp_cfg "local-as") in
     let bgp_id = Ipv4.of_string_exn (Config_tree.leaf_exn bgp_cfg "bgp-id") in
     let bgp_c =
-      Bgp_process.create ?families ?profiler
+      Bgp_process.create ?families
         ?inbound_slice:knobs.bgp_inbound_slice
         ?urgent_threshold:knobs.bgp_urgent_threshold
         ~lane_ordered:knobs.bgp_lane_ordered
@@ -313,20 +311,19 @@ let configure_ospf ?families ~knobs fndr loop cfg =
 (* Boot one router's components (FEA, RIB + connected /24s + static
    routes). Factored out of [boot] so [restart_component] can rebuild
    exactly what boot built. *)
-let make_fea ?families ?profiler ~knobs ~interfaces ~net fndr loop =
+let make_fea ?families ~knobs ~interfaces ~net fndr loop =
   let dataplane =
     match knobs.dataplane with
     | Some graph when interfaces <> [] ->
       `Graph (graph (List.map fst interfaces))
     | _ -> `Default
   in
-  Fea.create ?families ?profiler ~interfaces ~netsim:net ~dataplane fndr loop
-    ()
+  Fea.create ?families ~interfaces ~netsim:net ~dataplane fndr loop ()
 
-let make_rib ?families ?profiler ~knobs ~interfaces ~cfg fndr loop =
+let make_rib ?families ~knobs ~interfaces ~cfg fndr loop =
   let rib_c =
-    Rib.create ?families ?profiler
-      ~fea_rebirth_replay:knobs.fea_rebirth_replay fndr loop ()
+    Rib.create ?families ~fea_rebirth_replay:knobs.fea_rebirth_replay fndr
+      loop ()
   in
   (* Connected routes for each interface's /24. *)
   List.iter
@@ -356,12 +353,6 @@ let boot ?loop ?netsim:net ?finder:fndr ?families ?(knobs = default_knobs)
      | Error problems -> Error problems
      | Ok () ->
        exception_to_errors (fun () ->
-           let prof =
-             match Config_tree.path cfg [ "profiling" ] with
-             | Some p when Config_tree.leaf p "enabled" = Some "true" ->
-               Some (Profiler.create loop)
-             | _ -> None
-           in
            (* Telemetry defaults on for a booted router (stage timings,
               trace spans, per-family XRL counters); [telemetry {
               enabled: false }] turns it off for overhead-sensitive
@@ -371,21 +362,13 @@ let boot ?loop ?netsim:net ?finder:fndr ?families ?(knobs = default_knobs)
               Telemetry.set_enabled false
             | _ -> Telemetry.set_enabled true);
            let interfaces = configure_interfaces cfg in
-           let fea_c =
-             make_fea ?families ?profiler:prof ~knobs ~interfaces ~net fndr
-               loop
-           in
-           match
-             make_rib ?families ?profiler:prof ~knobs ~interfaces ~cfg fndr
-               loop
-           with
+           let fea_c = make_fea ?families ~knobs ~interfaces ~net fndr loop in
+           match make_rib ?families ~knobs ~interfaces ~cfg fndr loop with
            | Error e ->
              Fea.shutdown fea_c;
              Error e
            | Ok rib_c ->
-             (match
-                configure_bgp ?families ?profiler:prof ~knobs fndr loop net cfg
-              with
+             (match configure_bgp ?families ~knobs fndr loop net cfg with
               | Error e ->
                 Rib.shutdown rib_c;
                 Fea.shutdown fea_c;
@@ -412,7 +395,7 @@ let boot ?loop ?netsim:net ?finder:fndr ?families ?(knobs = default_knobs)
                       let tel_r = Telemetry_xrl.expose fndr loop in
                       Log.info (fun m -> m "router booted");
                       Ok
-                        { loop; net; fndr; prof; tel_r;
+                        { loop; net; fndr; tel_r;
                           families; knobs;
                           tel_ns = Telemetry.current_namespace ();
                           fea_c = Some fea_c; rib_c = Some rib_c;
@@ -449,13 +432,13 @@ let restart_component t (comp : component) =
         if t.fea_c = None then
           t.fea_c <-
             Some
-              (make_fea ?families ?profiler:t.prof ~knobs
+              (make_fea ?families ~knobs
                  ~interfaces:(configure_interfaces t.cfg) ~net:t.net t.fndr
                  t.loop)
       | `Rib ->
         if t.rib_c = None then begin
           match
-            make_rib ?families ?profiler:t.prof ~knobs
+            make_rib ?families ~knobs
               ~interfaces:(configure_interfaces t.cfg) ~cfg:t.cfg t.fndr t.loop
           with
           | Ok rib_c -> t.rib_c <- Some rib_c
@@ -463,10 +446,7 @@ let restart_component t (comp : component) =
         end
       | `Bgp ->
         if t.bgp_c = None then begin
-          match
-            configure_bgp ?families ?profiler:t.prof ~knobs t.fndr t.loop
-              t.net t.cfg
-          with
+          match configure_bgp ?families ~knobs t.fndr t.loop t.net t.cfg with
           | Ok c -> t.bgp_c <- c
           | Error _ as e -> warn e
         end

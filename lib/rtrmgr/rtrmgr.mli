@@ -100,7 +100,6 @@ val restart_component : t -> component -> unit
     {!boot} did (same XRL families, knobs and telemetry namespace).
     No-op if it is already running or was never configured. *)
 
-val profiler : t -> Profiler.t option
 val telemetry_router : t -> Xrl_router.t
 (** The sole router serving the [telemetry/0.1] XRL interface.
     Telemetry is enabled on boot unless the configuration says

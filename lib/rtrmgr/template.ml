@@ -89,7 +89,6 @@ let builtin : node_spec list =
       ~children:
         [ node "interface" ~keyed:(`Key T_txt) ~multiple:true
             ~leaves:[ leaf ~mandatory:true "address" T_ipv4 ] ];
-    node "profiling" ~leaves:[ leaf "enabled" T_bool ];
     node "telemetry" ~leaves:[ leaf "enabled" T_bool ];
     node "protocols"
       ~children:

@@ -109,20 +109,25 @@ module Trace_defs = struct
   }
 end
 
-(* Finished spans, struct-of-arrays: slot [i] keeps its ids and note
-   payload at [ints.(i * int_stride + k)], its name and text note at
-   [strs.(i * 2 + k)] and its start and stop times at
-   [times.(i * 2 + k)]. Recording a span writes immediates (and two
+(* Finished spans and profile-point records, struct-of-arrays: slot
+   [i] keeps its ids and note payload at [ints.(i * int_stride + k)],
+   its name and text note at [strs.(i * 2 + k)] and its start and stop
+   times at [times.(i * 2 + k)]. Recording writes immediates (and
    strings the caller already holds) into these arrays, so it allocates
    nothing and hands the GC nothing to promote. A note is turned into
    text only by the readers below. The slots start at 64 on the first
    push and double up to [cap]; until then nothing wraps, so the live
-   entries are [0, len) and [head = len]. *)
+   entries are [0, len) and [head = len]. A registry keeps two stores,
+   one for spans and one for point records, so neither evicts the
+   other. *)
 module Span_store = struct
   (* int slot layout. The note kind is 0 for no note, 1 for [Net]
      (a: network, b: length), 2 for [Routes] (a: count), 3 for
      [Update] (a: peer, b: NLRI count, c: withdrawn count) and 4 for
-     [Text], whose string sits in the slot's second string. *)
+     [Text], whose string sits in the slot's second string. A point
+     record keeps its verb in the kind (0 add, 1 delete), its prefix
+     as [Net] does, its point in the name and its time as the start;
+     its ids and stop time go unused. *)
   let f_trace = 0
   let f_span = 1
   let f_parent = 2 (* 0 for a root span *)
@@ -161,10 +166,19 @@ module Span_store = struct
     t.times <- times;
     t.size <- size
 
-  let push t ~trace ~span ~parent ~name ~start ~stop
-      (note : Trace_defs.note option) =
+  (* The slot the next record goes in: a fresh one while the store is
+     not full, else the oldest, which it overwrites. *)
+  let claim t =
     if t.len = t.size && t.size < t.cap then grow t;
     let i = t.head in
+    t.head <- (if i + 1 = t.cap then 0 else i + 1);
+    if t.len < t.cap then t.len <- t.len + 1;
+    t.pushed <- t.pushed + 1;
+    i
+
+  let push t ~trace ~span ~parent ~name ~start ~stop
+      (note : Trace_defs.note option) =
+    let i = claim t in
     let o = i * int_stride in
     let ints = t.ints in
     ints.(o + f_trace) <- trace;
@@ -192,10 +206,7 @@ module Span_store = struct
     t.strs.((2 * i) + 1) <-
       (match note with Some (Text s) -> s | _ -> "");
     Float.Array.set t.times (2 * i) start;
-    Float.Array.set t.times (2 * i + 1) stop;
-    t.head <- (if i + 1 = t.cap then 0 else i + 1);
-    if t.len < t.cap then t.len <- t.len + 1;
-    t.pushed <- t.pushed + 1
+    Float.Array.set t.times (2 * i + 1) stop
 
   let clear t =
     t.head <- 0;
@@ -225,20 +236,35 @@ module Span_store = struct
       sp_stop = Float.Array.get t.times ((2 * i) + 1);
       sp_note = note_text t i }
 
-  (* Live spans, oldest first. *)
-  let to_list t =
+  (* The live slots, oldest first, each read by [read]. *)
+  let map t read =
     let first = (t.head - t.len + t.size) mod max 1 t.size in
-    List.init t.len (fun k -> span t ((first + k) mod t.size))
+    List.init t.len (fun k -> read t ((first + k) mod t.size))
 end
+
+(* A profile point: a name, a switch and a lifetime count, recording
+   into its registry's point store. *)
+type point = {
+  pt_name : string;
+  mutable pt_on : bool;
+  mutable pt_count : int;
+  pt_log : Span_store.t;
+}
 
 type registry = {
   metrics : (string, metric) Hashtbl.t;
   spans : Span_store.t;
+  points : (string, point) Hashtbl.t;
+  point_log : Span_store.t;
 }
+
+let point_capacity = 65536
 
 let create_registry ?(span_capacity = 8192) () =
   { metrics = Hashtbl.create 64;
-    spans = Span_store.create ~capacity:span_capacity }
+    spans = Span_store.create ~capacity:span_capacity;
+    points = Hashtbl.create 16;
+    point_log = Span_store.create ~capacity:point_capacity }
 
 let global = create_registry ()
 
@@ -328,7 +354,9 @@ let zero_metric = function
 
 let reset ?(registry = global) () =
   Hashtbl.iter (fun _ m -> zero_metric m) registry.metrics;
-  Span_store.clear registry.spans
+  Span_store.clear registry.spans;
+  Span_store.clear registry.point_log;
+  Hashtbl.iter (fun _ p -> p.pt_count <- 0) registry.points
 
 let reset_prefix ?(registry = global) prefix =
   let prefix = qualify prefix in
@@ -400,10 +428,105 @@ module Trace = struct
         raise e
     end
 
-  let spans ?(registry = global) () = Span_store.to_list registry.spans
+  let spans ?(registry = global) () =
+    Span_store.map registry.spans Span_store.span
   let spans_recorded ?(registry = global) () = registry.spans.Span_store.pushed
 
   let trace_atom_name = "_xorp_trace"
+end
+
+module Profile = struct
+  type verb = Add | Delete
+  type nonrec point = point
+  type record = { time : float; point : string; verb : verb; net : Ipv4net.t }
+
+  let point ?(registry = global) name =
+    let name = qualify name in
+    match Hashtbl.find_opt registry.points name with
+    | Some p -> p
+    | None ->
+      let p =
+        { pt_name = name; pt_on = false; pt_count = 0;
+          pt_log = registry.point_log }
+      in
+      Hashtbl.replace registry.points name p;
+      p
+
+  let record p ~clock verb net =
+    if p.pt_on then begin
+      p.pt_count <- p.pt_count + 1;
+      let s = p.pt_log in
+      let i = Span_store.claim s in
+      let o = i * Span_store.int_stride in
+      s.ints.(o + Span_store.f_kind) <-
+        (match verb with Add -> 0 | Delete -> 1);
+      s.ints.(o + Span_store.f_a) <- Ipv4.to_int (Ipv4net.network net);
+      s.ints.(o + Span_store.f_b) <- Ipv4net.prefix_len net;
+      s.strs.(2 * i) <- p.pt_name;
+      Float.Array.set s.times (2 * i) (clock ())
+    end
+
+  let read (s : Span_store.t) i =
+    let o = i * Span_store.int_stride in
+    { time = Float.Array.get s.times (2 * i);
+      point = s.strs.(2 * i);
+      verb = (if s.ints.(o + Span_store.f_kind) = 0 then Add else Delete);
+      net =
+        Ipv4net.make
+          (Ipv4.of_int s.ints.(o + Span_store.f_a))
+          s.ints.(o + Span_store.f_b) }
+
+  let records ?(registry = global) () = Span_store.map registry.point_log read
+
+  let drain ?(registry = global) () =
+    let rs = records ~registry () in
+    Span_store.clear registry.point_log;
+    rs
+
+  let payload r =
+    (match r.verb with Add -> "add " | Delete -> "delete ")
+    ^ Ipv4net.to_string r.net
+
+  let to_string r =
+    let secs = int_of_float r.time in
+    (* Round to the nearest microsecond, carrying into the seconds
+       field: truncation would render e.g. 3.9999999 as "3 999999" when
+       the clock really read 4.0, and plain rounding could print the
+       out-of-range "1000000". *)
+    let usecs =
+      int_of_float (Float.round ((r.time -. float_of_int secs) *. 1e6))
+    in
+    let secs, usecs =
+      if usecs >= 1_000_000 then (secs + 1, usecs - 1_000_000)
+      else (secs, usecs)
+    in
+    Printf.sprintf "%s %d %06d %s" r.point secs usecs (payload r)
+
+  let to_strings ?registry () = List.map to_string (records ?registry ())
+
+  let list_points ?(registry = global) () =
+    Hashtbl.fold
+      (fun name p acc -> (name, p.pt_on, p.pt_count) :: acc)
+      registry.points []
+    |> List.sort compare
+
+  let switch registry name on =
+    match Hashtbl.find_opt registry.points name with
+    | Some p -> p.pt_on <- on
+    | None ->
+      invalid_arg
+        (Printf.sprintf "unknown profile point %s (known: %s)" name
+           (String.concat ", "
+              (List.map (fun (n, _, _) -> n) (list_points ~registry ()))))
+
+  let enable ?(registry = global) name = switch registry name true
+  let disable ?(registry = global) name = switch registry name false
+
+  let enable_all ?(registry = global) () =
+    Hashtbl.iter (fun _ p -> p.pt_on <- true) registry.points
+
+  let disable_all ?(registry = global) () =
+    Hashtbl.iter (fun _ p -> p.pt_on <- false) registry.points
 end
 
 (* ---- export ---- *)
@@ -462,7 +585,7 @@ let snapshot_json ?(registry = global) () =
     |> String.concat ","
   in
   let spans =
-    Span_store.to_list registry.spans |> List.map span_json |> String.concat ","
+    Trace.spans ~registry () |> List.map span_json |> String.concat ","
   in
   Printf.sprintf {|{"metrics":{%s},"spans":[%s]}|} metrics spans
 

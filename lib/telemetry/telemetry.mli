@@ -1,9 +1,5 @@
-(** Cross-component telemetry: metrics, distributed tracing, and
-    snapshot export.
-
-    The paper's evaluation (§8.2) follows a route's journey across
-    component boundaries with profile points; this subsystem
-    generalises that into a process-wide observability layer:
+(** Cross-component telemetry: metrics, distributed tracing, the
+    paper's profile points, and snapshot export.
 
     - {b metrics}: counters, gauges, and fixed-bucket log-linear
       latency histograms with p50/p90/p99 extraction, registered under
@@ -12,6 +8,9 @@
     - {b tracing}: trace contexts (trace id + span id) carried across
       XRL calls as an extra argument, with completed spans recorded in
       a bounded ring of flat slots;
+    - {b profile points} ({!Profile}): the named, runtime-switchable
+      per-route points of the paper's §8.2, from which Figures 10–12
+      are built, recorded into a second ring of the same flat slots;
     - {b exposure}: a JSON snapshot and a rendered table, served over
       the [telemetry/0.1] XRL interface (see [Telemetry_xrl]) and by
       [xorpsh]'s [show telemetry] / the [xorp_top] binary.
@@ -19,13 +18,14 @@
     Everything records into a {e registry}; the default is a single
     process-wide {!global} registry, matching the repo's
     components-in-one-process substitution for XORP's processes.
-    Recording is guarded by one global {!set_enabled} flag so
-    instrumentation can stay in production code (the same contract as
-    profile points); the disabled cost is a single [ref] read. Enabled,
-    a counter bump is an add, a {!time}d stage two clock reads and a
-    bucket update, and a span two clock reads and a few int writes
-    into the ring: no span record is allocated and no note is
-    formatted until something reads the spans. *)
+    Metrics and spans are guarded by one global {!set_enabled} flag so
+    instrumentation can stay in production code; the disabled cost is
+    a single [ref] read. Enabled, a counter bump is an add, a {!time}d
+    stage two clock reads and a bucket update, and a span two clock
+    reads and a few int writes into the ring: no span record is
+    allocated and no note is formatted until something reads the
+    spans. Profile points are switched one by one instead, and cost
+    one field read while off. *)
 
 val set_enabled : bool -> unit
 (** Default [true]. When disabled, counters, histograms, and spans
@@ -81,7 +81,8 @@ val global : registry
 (** The process-wide registry used by all instrumentation. *)
 
 val create_registry : ?span_capacity:int -> unit -> registry
-(** A private registry (tests). [span_capacity] defaults to 8192. *)
+(** A private registry (tests). [span_capacity] defaults to 8192. Its
+    profile-point ring holds a fixed 65,536 records. *)
 
 (** {2 Namespaces}
 
@@ -132,7 +133,8 @@ val list_metrics : ?registry:registry -> unit -> (string * metric) list
 (** Sorted by name. *)
 
 val reset : ?registry:registry -> unit -> unit
-(** Zero every metric and drop recorded spans (registrations remain). *)
+(** Zero every metric, drop recorded spans and point records, and zero
+    every point's count (registrations and point switches remain). *)
 
 val reset_prefix : ?registry:registry -> string -> unit
 (** Zero every metric whose dotted name starts with [prefix] (after
@@ -211,6 +213,74 @@ module Trace : sig
       ([_xorp_trace]) as a list of two u64s, trace id then span id;
       injected by senders and stripped before dispatch, so method
       handlers never see it. *)
+end
+
+(** {1 Profile points}
+
+    The paper's profiling mechanism (§8.2): named points on a route's
+    path through the components (BGP's [bgp_in] ... the FEA's
+    [fea_kernel]), each switched on and off at runtime. Each component
+    resolves its points once, when it is created, under the ambient
+    namespace (["r1.fea_kernel"] in a multi-router process). Points
+    start off, and an off point costs {!Profile.record} one field read.
+    An on point writes four immediates (time, point, verb, prefix) into
+    the registry's point ring, whatever {!set_enabled} says: nothing is
+    allocated, given a clock that returns a float it already holds (as
+    the simulated event loop's does), and no text is formatted until a
+    reader asks. The ring keeps the newest 65,536 records and is only
+    allocated once a point records. It is apart from the span ring, so
+    a table load's records never evict spans; points carry no trace
+    context. *)
+
+module Profile : sig
+  type verb = Add | Delete
+
+  type point
+  (** A resolved point, as a component holds it. *)
+
+  type record = { time : float; point : string; verb : verb; net : Ipv4net.t }
+  (** One route change at one point. [point] is the qualified name. *)
+
+  val point : ?registry:registry -> string -> point
+  (** Get-or-create the point [name], qualified by the ambient
+      namespace. A component re-created under the same namespace gets
+      the same point back, switch and count included. *)
+
+  val record : point -> clock:(unit -> float) -> verb -> Ipv4net.t -> unit
+  (** [record p ~clock verb net] appends a record stamped [clock ()] if
+      [p] is on, and otherwise does nothing. *)
+
+  val enable : ?registry:registry -> string -> unit
+  (** Switch on the point with this qualified name.
+      @raise Invalid_argument naming the known points if no component
+      registered [name]. *)
+
+  val disable : ?registry:registry -> string -> unit
+  (** @raise Invalid_argument as {!enable}. *)
+
+  val enable_all : ?registry:registry -> unit -> unit
+  val disable_all : ?registry:registry -> unit -> unit
+
+  val list_points : ?registry:registry -> unit -> (string * bool * int) list
+  (** [(name, on, records)] sorted by name; the count is lifetime,
+      records that fell off the ring included, until {!reset}. *)
+
+  val records : ?registry:registry -> unit -> record list
+  (** The ring's records, oldest first, across all points. *)
+
+  val drain : ?registry:registry -> unit -> record list
+  (** {!records}, then empty the ring (counts and switches stay), so a
+      long measurement can consume records faster than the ring
+      overwrites them. *)
+
+  val payload : record -> string
+  (** ["add 10.0.1.0/24"] or ["delete 10.0.1.0/24"]. *)
+
+  val to_strings : ?registry:registry -> unit -> string list
+  (** Every {!records} in the paper's text,
+      ["<point> <seconds> <microseconds> <payload>"], e.g.
+      [fea_kernel 1097173928 664085 add 10.0.1.0/24]; the time is
+      rounded to the nearest microsecond, carrying into the seconds. *)
 end
 
 (** {1 Export} *)

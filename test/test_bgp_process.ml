@@ -343,12 +343,20 @@ let test_deletion_stage_readd_race_full_stack () =
   in
   check Alcotest.int "no stale FIB entries" 300 bgp_fib_entries
 
+(* The eight profile points of §8.2, in the order a route passes them. *)
+let journey_points =
+  [ Bgp_process.pp_entering; Bgp_process.pp_queued_rib;
+    Bgp_process.pp_sent_rib; Rib.pp_arrived; Rib.pp_queued_fea;
+    Rib.pp_sent_fea; Fea.pp_arrived; Fea.pp_kernel ]
+
 let test_full_stack_to_fib () =
   let loop = Eventloop.create () in
   let netsim = Netsim.create loop in
   let a = standalone_router ~loop ~netsim ~local_as:65001 ~bgp_id:(addr "1.1.1.1") () in
   let _, fea, rib, b =
-    full_stack_router ~loop ~netsim ~local_as:65002 ~bgp_id:(addr "2.2.2.2") ()
+    Telemetry.with_namespace "b." (fun () ->
+        full_stack_router ~loop ~netsim ~local_as:65002
+          ~bgp_id:(addr "2.2.2.2") ())
   in
   peering a "10.0.0.1" b "10.0.0.2" ~as_a:65001 ~as_b:65002;
   (* b can reach the peering LAN: the BGP nexthop (10.0.0.1) resolves
@@ -359,6 +367,16 @@ let test_full_stack_to_fib () =
   Bgp_process.start a;
   Bgp_process.start b;
   run_for loop 2.0;
+  let b_points = List.map (fun p -> "b." ^ p) journey_points in
+  List.iter Telemetry.Profile.enable b_points;
+  (* The records since the last call, as (point, payload): b's alone,
+     as a's BGP points (under the root namespace) stay off. *)
+  let journey () =
+    List.map
+      (fun r -> (r.Telemetry.Profile.point, Telemetry.Profile.payload r))
+      (Telemetry.Profile.drain ())
+  in
+  let pair = Alcotest.(list (pair string string)) in
   Bgp_process.originate a (net "128.16.0.0/16");
   run_for loop 2.0;
   check Alcotest.int "bgp winner" 1 (Bgp_process.route_count b);
@@ -372,11 +390,47 @@ let test_full_stack_to_fib () =
   (match Fib.lookup (Fea.fib fea) (addr "128.16.5.5") with
    | Some e -> check Alcotest.string "in FIB" "ebgp" e.Fib.protocol
    | None -> Alcotest.fail "not in FIB");
+  check pair "announcement passes all eight points in order"
+    (List.map (fun p -> (p, "add 128.16.0.0/16")) b_points)
+    (journey ());
   (* Withdrawal cleans up all the way down. *)
   Bgp_process.withdraw a (net "128.16.0.0/16");
   run_for loop 2.0;
   check Alcotest.bool "gone from FIB" true
-    (Fib.lookup (Fea.fib fea) (addr "128.16.5.5") = None)
+    (Fib.lookup (Fea.fib fea) (addr "128.16.5.5") = None);
+  check pair "withdrawal passes all eight points in order"
+    (List.map (fun p -> (p, "delete 128.16.0.0/16")) b_points)
+    (journey ());
+  (* One UPDATE carrying n prefixes: most of it crosses BGP->RIB and
+     RIB->FEA as Route_pack runs, and every prefix still records once
+     at every point. *)
+  let n = 100 in
+  let nets =
+    List.init n (fun i -> Ipv4net.make (Ipv4.of_octets 131 0 i 0) 24)
+  in
+  Telemetry.reset ();
+  List.iter (Bgp_process.originate a) nets;
+  run_for loop 2.0;
+  check Alcotest.int "all in FIB" (n + 1) (Fib.size (Fea.fib fea));
+  let spans = Telemetry.Trace.spans () in
+  let has name note =
+    List.exists
+      (fun (s : Telemetry.Trace.span) -> s.sp_name = name && s.sp_note = note)
+      spans
+  in
+  check Alcotest.bool "one UPDATE carried them all" true
+    (has "bgp.update" (Printf.sprintf "10.0.0.1 +%d -0" n));
+  check Alcotest.bool "bulk BGP->RIB run" true
+    (List.exists
+       (fun (s : Telemetry.Trace.span) -> s.sp_name = "rib.route_add_bulk")
+       spans);
+  let records = journey () in
+  List.iter
+    (fun p ->
+       check Alcotest.int (p ^ " records") n
+         (List.length (List.filter (fun (q, _) -> q = p) records)))
+    b_points;
+  List.iter Telemetry.Profile.disable b_points
 
 (* Every UPDATE re-arms the receiver's 90 s hold timer, so a cancelled
    timer left queued until its deadline grows the heap reachable from

@@ -1,4 +1,4 @@
-(* Tests for the umbrella API (Xorp) and the profiler module. *)
+(* Tests for the umbrella API (Xorp). *)
 
 let check = Alcotest.check
 let addr = Ipv4.of_string_exn
@@ -63,55 +63,6 @@ let test_stack_with_protocols () =
   Xorp.shutdown_stack s1;
   Xorp.shutdown_stack s2
 
-(* --- profiler unit tests ------------------------------------------------ *)
-
-let test_profiler_basics () =
-  let loop = Eventloop.create () in
-  let p = Profiler.create loop in
-  Profiler.define p "alpha";
-  Profiler.define p "beta";
-  Profiler.record p "alpha" "before enable"; (* dropped *)
-  Profiler.enable p "alpha";
-  check Alcotest.bool "alpha on" true (Profiler.enabled p "alpha");
-  check Alcotest.bool "beta off" false (Profiler.enabled p "beta");
-  Profiler.record p "alpha" "one";
-  Profiler.record p "beta" "invisible";
-  ignore (Eventloop.after loop 12.5 (fun () -> Profiler.record p "alpha" "two"));
-  Eventloop.run loop;
-  (match Profiler.records p "alpha" with
-   | [ r1; r2 ] ->
-     check Alcotest.string "payload 1" "one" r1.Profiler.payload;
-     check Alcotest.string "payload 2" "two" r2.Profiler.payload;
-     check (Alcotest.float 1e-9) "sim timestamp" 12.5 r2.Profiler.time
-   | l -> Alcotest.failf "expected 2 records, got %d" (List.length l));
-  check Alcotest.int "beta empty" 0 (List.length (Profiler.records p "beta"));
-  (* the paper's textual record format *)
-  (match Profiler.to_strings p with
-   | s :: _ ->
-     check Alcotest.bool "looks like 'alpha <s> <us> one'" true
-       (Astring.String.is_prefix ~affix:"alpha 0 000000 one" s)
-   | [] -> Alcotest.fail "no rendered records");
-  (match Profiler.list_points p with
-   | [ ("alpha", true, 2); ("beta", false, 0) ] -> ()
-   | l -> Alcotest.failf "unexpected point list (%d entries)" (List.length l));
-  Profiler.clear p;
-  check Alcotest.int "cleared" 0 (List.length (Profiler.all_records p));
-  check Alcotest.bool "enable state survives clear" true
-    (Profiler.enabled p "alpha")
-
-let test_profiler_enable_all () =
-  let loop = Eventloop.create () in
-  let p = Profiler.create loop in
-  Profiler.define p "a";
-  Profiler.define p "b";
-  Profiler.enable_all p;
-  Profiler.record p "a" "x";
-  Profiler.record p "b" "y";
-  check Alcotest.int "both recorded" 2 (List.length (Profiler.all_records p));
-  Profiler.disable_all p;
-  Profiler.record p "a" "z";
-  check Alcotest.int "no more" 2 (List.length (Profiler.all_records p))
-
 let () =
   Alcotest.run "xorp_core"
     [
@@ -121,10 +72,5 @@ let () =
           Alcotest.test_case "make_stack wiring" `Quick test_make_stack_wiring;
           Alcotest.test_case "two stacks with bgp" `Quick
             test_stack_with_protocols;
-        ] );
-      ( "profiler",
-        [
-          Alcotest.test_case "basics" `Quick test_profiler_basics;
-          Alcotest.test_case "enable_all" `Quick test_profiler_enable_all;
         ] );
     ]

@@ -5,12 +5,12 @@ let check = Alcotest.check
 let addr = Ipv4.of_string_exn
 let net = Ipv4net.of_string_exn
 
-let setup ?profiler () =
+let setup () =
   let loop = Eventloop.create () in
   let finder = Finder.create () in
   let netsim = Netsim.create loop in
   let fea =
-    Fea.create ?profiler
+    Fea.create
       ~interfaces:[ ("eth0", addr "10.0.0.1"); ("eth1", addr "10.1.0.1") ]
       ~netsim finder loop ()
   in
@@ -366,11 +366,11 @@ let test_get_interfaces () =
 
 let test_profile_points () =
   let loop = Eventloop.create () in
-  let profiler = Profiler.create loop in
   let finder = Finder.create () in
-  let fea = Fea.create ~profiler finder loop () in
+  let fea = Fea.create finder loop () in
   ignore fea;
-  Profiler.enable_all profiler;
+  Telemetry.reset ();
+  Telemetry.Profile.enable_all ();
   let caller = Xrl_router.create finder loop ~class_name:"test" () in
   ignore
     (call caller
@@ -382,27 +382,28 @@ let test_profile_points () =
   ignore
     (call caller
        (fea_xrl "delete_route4" [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8") ]));
-  let records = Profiler.all_records profiler in
+  let records = Telemetry.Profile.records () in
+  Telemetry.Profile.disable_all ();
   check (Alcotest.list Alcotest.string) "arrived then kernel, per route"
     [ Fea.pp_arrived; Fea.pp_kernel; Fea.pp_arrived; Fea.pp_kernel ]
-    (List.map (fun r -> r.Profiler.point) records);
+    (List.map (fun (r : Telemetry.Profile.record) -> r.point) records);
   check (Alcotest.list Alcotest.string) "payloads"
     [ "add 10.0.0.0/8"; "add 10.0.0.0/8"; "delete 10.0.0.0/8";
       "delete 10.0.0.0/8" ]
-    (List.map (fun r -> r.Profiler.payload) records)
+    (List.map Telemetry.Profile.payload records)
 
 let test_profile_disabled_is_noop () =
   let loop = Eventloop.create () in
-  let profiler = Profiler.create loop in
   let finder = Finder.create () in
-  ignore (Fea.create ~profiler finder loop ());
+  ignore (Fea.create finder loop ());
+  Telemetry.reset ();
   let caller = Xrl_router.create finder loop ~class_name:"test" () in
   ignore
     (call caller
        (fea_xrl "add_route4"
           [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8");
             Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]));
-  check Alcotest.int "no records" 0 (List.length (Profiler.all_records profiler))
+  check Alcotest.int "no records" 0 (List.length (Telemetry.Profile.records ()))
 
 (* --- UDP relay -------------------------------------------------------- *)
 

@@ -390,14 +390,17 @@ let test_xrl_interface () =
 let test_profile_pipeline_order () =
   let loop = Eventloop.create () in
   let finder = Finder.create () in
-  let profiler = Profiler.create loop in
-  ignore (Fea.create ~profiler finder loop ());
-  let rib = Rib.create ~profiler finder loop () in
-  Profiler.enable_all profiler;
+  ignore (Fea.create finder loop ());
+  let rib = Rib.create finder loop () in
+  Telemetry.reset ();
+  Telemetry.Profile.enable_all ();
   add rib ~protocol:"static" "10.0.0.0/8" "192.0.2.1";
   Eventloop.run loop;
+  Telemetry.Profile.disable_all ();
   let points =
-    List.map (fun r -> r.Profiler.point) (Profiler.all_records profiler)
+    List.map
+      (fun (r : Telemetry.Profile.record) -> r.point)
+      (Telemetry.Profile.records ())
   in
   check (Alcotest.list Alcotest.string) "pipeline order"
     [ Rib.pp_queued_fea; Rib.pp_sent_fea; Fea.pp_arrived; Fea.pp_kernel ]
@@ -411,10 +414,10 @@ let test_bulk_fea_install () =
      as if they had been sent one XRL each. *)
   let loop = Eventloop.create () in
   let finder = Finder.create () in
-  let profiler = Profiler.create loop in
-  let fea = Fea.create ~profiler finder loop () in
-  let rib = Rib.create ~profiler finder loop () in
-  Profiler.enable_all profiler;
+  let fea = Fea.create finder loop () in
+  let rib = Rib.create finder loop () in
+  Telemetry.reset ();
+  Telemetry.Profile.enable_all ();
   let n = 64 in
   for i = 0 to n - 1 do
     add rib ~protocol:"static"
@@ -429,8 +432,8 @@ let test_bulk_fea_install () =
   let count point =
     List.length
       (List.filter
-         (fun r -> r.Profiler.point = point)
-         (Profiler.all_records profiler))
+         (fun (r : Telemetry.Profile.record) -> r.point = point)
+         (Telemetry.Profile.records ()))
   in
   check Alcotest.int "queued points" n (count Rib.pp_queued_fea);
   check Alcotest.int "sent points" n (count Rib.pp_sent_fea);
@@ -442,6 +445,7 @@ let test_bulk_fea_install () =
       (Printf.sprintf "10.%d.%d.0/24" (i / 256) (i mod 256))
   done;
   Eventloop.run loop;
+  Telemetry.Profile.disable_all ();
   check Alcotest.int "all removed" 0 (Fib.size (Fea.fib fea))
 
 let test_bulk_fea_preserves_add_delete_order () =

@@ -1,43 +1,17 @@
-(* Tests for the xorp_telemetry subsystem: the bounded ring, histogram
-   bucketing and quantiles (property-checked against a sorted
-   reference), metric registries, ambient trace contexts, the span
-   ring (growth, wrap, no record allocated per span), trace
-   propagation across real XRL transports (intra and TCP) and the
-   rejection of malformed trace atoms, the telemetry/0.1 XRL service
-   and the text every reader shows for span notes, and the end-to-end
-   span chains (per-route, bulk, and from a BGP UPDATE) across BGP,
-   RIB and FEA on booted routers. Also covers the profiler's ring
-   backend and its microsecond rounding carry. *)
+(* Tests for the xorp_telemetry subsystem: histogram bucketing and
+   quantiles (property-checked against a sorted reference), metric
+   registries, ambient trace contexts, the span ring (growth, wrap, no
+   record allocated per span), trace propagation across real XRL
+   transports (intra and TCP) and the rejection of malformed trace
+   atoms, the telemetry/0.1 XRL service and the text every reader
+   shows for span notes, and the end-to-end span chains (per-route,
+   bulk, and from a BGP UPDATE) across BGP, RIB and FEA on booted
+   routers. Also covers the §8.2 profile points: switching, counts,
+   their text and its microsecond rounding carry, recording without
+   allocating, and a point ring kept apart from the span ring. *)
 
 let check = Alcotest.check
 let ok = Xrl_error.Ok_xrl
-
-(* --- Telemetry_ring ----------------------------------------------------- *)
-
-let test_ring () =
-  let r = Telemetry_ring.create ~capacity:3 in
-  check Alcotest.int "capacity" 3 (Telemetry_ring.capacity r);
-  check Alcotest.int "empty" 0 (Telemetry_ring.length r);
-  Telemetry_ring.push r 1;
-  Telemetry_ring.push r 2;
-  check (Alcotest.list Alcotest.int) "partial, oldest first" [ 1; 2 ]
-    (Telemetry_ring.to_list r);
-  Telemetry_ring.push r 3;
-  Telemetry_ring.push r 4;
-  Telemetry_ring.push r 5;
-  check (Alcotest.list Alcotest.int) "wrapped keeps newest" [ 3; 4; 5 ]
-    (Telemetry_ring.to_list r);
-  check Alcotest.int "length capped" 3 (Telemetry_ring.length r);
-  check Alcotest.int "lifetime pushes" 5 (Telemetry_ring.total_pushed r);
-  check Alcotest.int "fold order" 345
-    (Telemetry_ring.fold (fun acc v -> (acc * 10) + v) 0 r);
-  Telemetry_ring.clear r;
-  check Alcotest.int "cleared" 0 (Telemetry_ring.length r);
-  check Alcotest.int "pushes survive clear" 5 (Telemetry_ring.total_pushed r);
-  (try
-     ignore (Telemetry_ring.create ~capacity:0);
-     Alcotest.fail "capacity 0 accepted"
-   with Invalid_argument _ -> ())
 
 (* --- Histogram buckets -------------------------------------------------- *)
 
@@ -771,38 +745,192 @@ protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
   Rtrmgr.shutdown ra;
   Rtrmgr.shutdown rb
 
-(* --- profiler ring backend ---------------------------------------------- *)
+(* --- profile points --------------------------------------------------- *)
 
-let test_profiler_ring () =
+let net_of i = Ipv4net.make (Ipv4.of_int (i lsl 8)) 24
+
+let test_profiler_basics () =
+  let registry = Telemetry.create_registry () in
   let loop = Eventloop.create () in
-  let p = Profiler.create ~capacity:3 loop in
-  Profiler.define p "pt";
-  Profiler.enable p "pt";
-  List.iter (Profiler.record p "pt") [ "1"; "2"; "3"; "4"; "5" ];
+  let clock () = Eventloop.now loop in
+  let alpha = Telemetry.Profile.point ~registry "alpha" in
+  let beta = Telemetry.Profile.point ~registry "beta" in
+  let n1 = Ipv4net.of_string_exn "10.0.1.0/24"
+  and n2 = Ipv4net.of_string_exn "10.0.2.0/24" in
+  Telemetry.Profile.record alpha ~clock Add n1; (* dropped: off *)
+  Telemetry.Profile.enable ~registry "alpha";
+  Telemetry.Profile.record alpha ~clock Add n1;
+  Telemetry.Profile.record beta ~clock Add n1; (* dropped: off *)
+  ignore
+    (Eventloop.after loop 12.5 (fun () ->
+         Telemetry.Profile.record alpha ~clock Delete n2));
+  Eventloop.run loop;
+  (match Telemetry.Profile.records ~registry () with
+   | [ r1; r2 ] ->
+     check Alcotest.string "point" "alpha" r1.point;
+     check Alcotest.string "payload 1" "add 10.0.1.0/24"
+       (Telemetry.Profile.payload r1);
+     check Alcotest.string "payload 2" "delete 10.0.2.0/24"
+       (Telemetry.Profile.payload r2);
+     check (Alcotest.float 1e-9) "sim timestamp" 12.5 r2.time
+   | l -> Alcotest.failf "expected 2 records, got %d" (List.length l));
+  (* the paper's textual record format *)
   check
     (Alcotest.list Alcotest.string)
-    "ring keeps the newest records" [ "3"; "4"; "5" ]
-    (List.map (fun r -> r.Profiler.payload) (Profiler.records p "pt"))
+    "text"
+    [ "alpha 0 000000 add 10.0.1.0/24"; "alpha 12 500000 delete 10.0.2.0/24" ]
+    (Telemetry.Profile.to_strings ~registry ());
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.string Alcotest.bool Alcotest.int))
+    "points" [ ("alpha", true, 2); ("beta", false, 0) ]
+    (Telemetry.Profile.list_points ~registry ());
+  (* A point resolved under a namespace carries it in its name. *)
+  let gamma =
+    Telemetry.with_namespace "r1." (fun () ->
+        Telemetry.Profile.point ~registry "gamma")
+  in
+  Telemetry.Profile.enable ~registry "r1.gamma";
+  Telemetry.Profile.record gamma ~clock Add n1;
+  check
+    (Alcotest.list Alcotest.string)
+    "drained oldest first" [ "alpha"; "alpha"; "r1.gamma" ]
+    (List.map
+       (fun (r : Telemetry.Profile.record) -> r.point)
+       (Telemetry.Profile.drain ~registry ()));
+  check Alcotest.int "drain empties the ring" 0
+    (List.length (Telemetry.Profile.records ~registry ()));
+  (* reset drops records and counts; switches stay *)
+  Telemetry.Profile.record alpha ~clock Add n1;
+  Telemetry.reset ~registry ();
+  check Alcotest.int "reset drops records" 0
+    (List.length (Telemetry.Profile.records ~registry ()));
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.string Alcotest.bool Alcotest.int))
+    "reset zeroes counts, keeps switches"
+    [ ("alpha", true, 0); ("beta", false, 0); ("r1.gamma", true, 0) ]
+    (Telemetry.Profile.list_points ~registry ())
+
+let test_profiler_enable_all () =
+  let registry = Telemetry.create_registry () in
+  let clock () = 0.0 in
+  let a = Telemetry.Profile.point ~registry "a" in
+  let b = Telemetry.Profile.point ~registry "b" in
+  Telemetry.Profile.enable_all ~registry ();
+  Telemetry.Profile.record a ~clock Add (net_of 1);
+  Telemetry.Profile.record b ~clock Add (net_of 2);
+  check Alcotest.int "both recorded" 2
+    (List.length (Telemetry.Profile.records ~registry ()));
+  Telemetry.Profile.disable_all ~registry ();
+  Telemetry.Profile.record a ~clock Add (net_of 3);
+  check Alcotest.int "no more" 2
+    (List.length (Telemetry.Profile.records ~registry ()))
+
+(* Only a point some component registered can be switched: a typo
+   must not create a point that records nothing. *)
+let test_profiler_unknown_point () =
+  let registry = Telemetry.create_registry () in
+  ignore (Telemetry.Profile.point ~registry "fea_kernel");
+  ignore (Telemetry.Profile.point ~registry "fea_arrived");
+  List.iter
+    (fun switch ->
+       match switch "fea_kernal" with
+       | () -> Alcotest.fail "unknown point accepted"
+       | exception Invalid_argument msg ->
+         check Alcotest.string "names the known points"
+           "unknown profile point fea_kernal (known: fea_arrived, fea_kernel)"
+           msg)
+    [ Telemetry.Profile.enable ~registry; Telemetry.Profile.disable ~registry ];
+  check Alcotest.int "no point created" 2
+    (List.length (Telemetry.Profile.list_points ~registry ()))
+
+(* Points record whatever the global switch for metrics and spans
+   says. *)
+let test_profiler_ignores_set_enabled () =
+  let registry = Telemetry.create_registry () in
+  let p = Telemetry.Profile.point ~registry "pt" in
+  Telemetry.Profile.enable ~registry "pt";
+  Telemetry.set_enabled false;
+  Telemetry.Profile.record p ~clock:(fun () -> 1.0) Add (net_of 1);
+  Telemetry.set_enabled true;
+  check Alcotest.int "recorded" 1
+    (List.length (Telemetry.Profile.records ~registry ()))
 
 let test_profiler_usec_carry () =
+  let registry = Telemetry.create_registry () in
   let loop = Eventloop.create () in
-  let p = Profiler.create loop in
-  Profiler.define p "pt";
-  Profiler.enable p "pt";
+  let p = Telemetry.Profile.point ~registry "pt" in
+  Telemetry.Profile.enable ~registry "pt";
   (* 1.9999996s rounds to 2_000_000 us past second 1: must carry into
      "2 000000", never render as "1 1000000". *)
-  ignore (Eventloop.after loop 1.9999996 (fun () -> Profiler.record p "pt" "x"));
+  ignore
+    (Eventloop.after loop 1.9999996 (fun () ->
+         Telemetry.Profile.record p
+           ~clock:(fun () -> Eventloop.now loop)
+           Add (net_of 1)));
   Eventloop.run loop;
-  (match Profiler.to_strings p with
-   | [ s ] ->
-     check Alcotest.bool ("carry in " ^ s) true
-       (Astring.String.is_prefix ~affix:"pt 2 000000 x" s)
-   | l -> Alcotest.failf "expected 1 record, got %d" (List.length l))
+  match Telemetry.Profile.to_strings ~registry () with
+  | [ s ] -> check Alcotest.string "carry" "pt 2 000000 add 0.0.1.0/24" s
+  | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
+
+(* With its ring grown to full size, a point records into preallocated
+   slots: on or off, 10,000 records allocate nothing, given a clock
+   that returns the float it holds (as the simulated loop's does). *)
+let test_profiler_allocates_nothing () =
+  let registry = Telemetry.create_registry () in
+  let loop = Eventloop.create () in
+  let clock () = Eventloop.now loop in
+  let p = Telemetry.Profile.point ~registry "pt" in
+  let net = net_of 7 in
+  let words () =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do Telemetry.Profile.record p ~clock Add net done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  check Alcotest.int "words for 10,000 records at an off point" 0 (words ());
+  Telemetry.Profile.enable ~registry "pt";
+  (* Fill the 65,536-record ring so its slots are full size. *)
+  for _ = 1 to 7 do ignore (words ()) done;
+  check Alcotest.int "words for 10,000 records at an on point" 0 (words ())
+
+(* Points and spans keep separate rings: filling either evicts nothing
+   from the other. *)
+let test_profiler_rings_apart () =
+  let registry = Telemetry.create_registry ~span_capacity:4 () in
+  let clock () = 1.0 in
+  let span name =
+    Telemetry.Trace.span_sync ~registry ~name ~clock (fun () -> ())
+  in
+  let span_names () =
+    List.map
+      (fun (s : Telemetry.Trace.span) -> s.sp_name)
+      (Telemetry.Trace.spans ~registry ())
+  in
+  let p = Telemetry.Profile.point ~registry "pt" in
+  Telemetry.Profile.enable ~registry "pt";
+  span "kept";
+  let capacity = 65_536 in
+  for i = 1 to capacity + 5 do
+    Telemetry.Profile.record p ~clock Add (net_of i)
+  done;
+  check (Alcotest.list Alcotest.string) "a full point ring evicts no span"
+    [ "kept" ] (span_names ());
+  let nets () =
+    List.map
+      (fun (r : Telemetry.Profile.record) -> r.net)
+      (Telemetry.Profile.records ~registry ())
+  in
+  let expected = List.init capacity (fun k -> net_of (k + 6)) in
+  check Alcotest.bool "the point ring keeps the newest 65,536" true
+    (nets () = expected);
+  for i = 1 to 10 do span (string_of_int i) done;
+  check (Alcotest.list Alcotest.string) "the span ring wrapped"
+    [ "7"; "8"; "9"; "10" ] (span_names ());
+  check Alcotest.bool "a full span ring evicts no point record" true
+    (nets () = expected)
 
 let () =
   Alcotest.run "xorp_telemetry"
-    [ ("ring", [ Alcotest.test_case "bounded ring" `Quick test_ring ]);
-      ("histogram",
+    [ ("histogram",
        [ Alcotest.test_case "bucket layout" `Quick test_histogram_buckets;
          Alcotest.test_case "stats and quantiles" `Quick test_histogram_stats;
          QCheck_alcotest.to_alcotest prop_quantile ]);
@@ -837,6 +965,15 @@ let () =
        [ Alcotest.test_case "route_add trace chain" `Quick
            test_route_add_trace_chain ]);
       ("profiler",
-       [ Alcotest.test_case "ring backend" `Quick test_profiler_ring;
+       [ Alcotest.test_case "basics" `Quick test_profiler_basics;
+         Alcotest.test_case "enable_all" `Quick test_profiler_enable_all;
+         Alcotest.test_case "unknown point is an error" `Quick
+           test_profiler_unknown_point;
+         Alcotest.test_case "points ignore set_enabled" `Quick
+           test_profiler_ignores_set_enabled;
          Alcotest.test_case "usec rounding carry" `Quick
-           test_profiler_usec_carry ]) ]
+           test_profiler_usec_carry;
+         Alcotest.test_case "recording allocates nothing" `Quick
+           test_profiler_allocates_nothing;
+         Alcotest.test_case "point and span rings stay apart" `Quick
+           test_profiler_rings_apart ]) ]
