@@ -14,8 +14,11 @@
    Sizes 3 (chain), 10 (2x5 grid), 30 (5x6 grid), 100 (10x10 grid).
    Virtual seconds measure protocol dynamics (timers, retries,
    propagation rounds); wall seconds measure the harness itself.
-   Emits BENCH_converge.json. [smoke] runs only the 30-router case
-   under a wall-clock budget as a CI gate. *)
+   Event counts measure the work: [dispatched] for the whole run, and
+   [flap_events] from the flap to quiescence. Both are deterministic
+   on the simulated clock. Emits BENCH_converge.json. [smoke] runs only
+   the 30-router case as a CI gate: a wall-clock budget, and a ceiling
+   on its flap events. *)
 
 open Bench_util
 
@@ -42,6 +45,7 @@ type row = {
   flap_converge_s : float; (* virtual time from flap to quiescence *)
   wall_s : float;          (* harness wall time for the whole cycle *)
   dispatched : int;
+  flap_events : int;       (* events dispatched from the flap to quiescence *)
   violations : string list;
 }
 
@@ -54,8 +58,10 @@ let measure (shape, topo) =
   let links = topo.Topology.links in
   let a, b = List.nth links (List.length links / 2) in
   let t_flap = Eventloop.now (Simnet.eventloop w) in
+  let ev_flap = Eventloop.events_dispatched (Simnet.eventloop w) in
   Simnet.exec w (Simnet.Link_flap (a, b));
   let reconverged, flap_last = Simnet.converge ~step ~needed ~max_steps w in
+  let flap_events = Eventloop.events_dispatched (Simnet.eventloop w) - ev_flap in
   Simnet.check_all w ~tag:"after-flap";
   Simnet.teardown w;
   let viol = Simnet.violations w in
@@ -67,12 +73,12 @@ let measure (shape, topo) =
       flap_converge_s = Float.max 0. (flap_last -. t_flap);
       wall_s = wall;
       dispatched = Eventloop.events_dispatched (Simnet.eventloop w);
-      violations = viol }
+      flap_events; violations = viol }
   in
   pf "   %-9s %3d routers %3d links: boot %6.2fs, flap->converged %6.2fs \
-      (virtual; %.1fs wall, %d events)%s\n%!"
+      (virtual; %.1fs wall, %d events, %d from the flap)%s\n%!"
     shape r.routers r.links r.boot_converge_s r.flap_converge_s wall
-    r.dispatched
+    r.dispatched r.flap_events
     (if viol = [] then "" else "  INVARIANT VIOLATIONS");
   List.iter (fun v -> pf "     violation: %s\n" v) viol;
   r
@@ -98,9 +104,10 @@ let emit rows =
        bpf
          "    { \"routers\": %d, \"links\": %d, \"shape\": %S, \
           \"boot_converge_s\": %.2f, \"flap_converge_s\": %.2f, \
-          \"wall_s\": %.2f, \"dispatched\": %d, \"violations\": %d }%s\n"
+          \"wall_s\": %.2f, \"dispatched\": %d, \"flap_events\": %d, \
+          \"violations\": %d }%s\n"
          r.routers r.links r.shape r.boot_converge_s r.flap_converge_s
-         r.wall_s r.dispatched
+         r.wall_s r.dispatched r.flap_events
          (List.length r.violations)
          (if i = n - 1 then "" else ","))
     rows;
@@ -136,7 +143,13 @@ let run () =
 (* CI smoke: the 30-router flap cycle must finish inside a wall
    budget. The budget is deliberately loose (CI machines vary); the
    point is catching accidental quadratic blowups in the harness, not
-   micro-regressions. *)
+   micro-regressions. The event ceiling is tight, because the count
+   repeats exactly: the flap dispatches 2,635 events from the flap to
+   quiescence with one message per route change, and 5,056 when every
+   replacement crossed each layer as a delete and an add. The ceiling
+   sits about 10% above the first. *)
+let flap_event_ceiling = 2_900
+
 let smoke () =
   header "converge-smoke: 30-router flap cycle under a wall budget";
   let budget_s = 120. in
@@ -147,5 +160,13 @@ let smoke () =
       r.wall_s budget_s;
     exit 1
   end;
-  pf "   gates passed: invariants green, %.1fs wall within %.0fs budget\n%!"
-    r.wall_s budget_s
+  if r.flap_events > flap_event_ceiling then begin
+    Printf.eprintf
+      "converge-smoke: GATE FAILED: %d events from the flap to quiescence, \
+       above the %d ceiling\n"
+      r.flap_events flap_event_ceiling;
+    exit 1
+  end;
+  pf "   gates passed: invariants green, %.1fs wall within %.0fs budget, \
+      %d flap events within %d\n%!"
+    r.wall_s budget_s r.flap_events flap_event_ceiling

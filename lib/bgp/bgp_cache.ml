@@ -11,6 +11,8 @@
    the §5.1 consistency rules at the (net, peer) granularity:
    - a delete for a prefix that was never added;
    - a delete whose route disagrees with the cached add;
+   - a replace for a prefix that was never added, or whose old route
+     disagrees with the cached add;
    - a lookup_route answer from upstream that disagrees with the
      add/delete stream already seen.
    Violations are recorded (and logged); traffic passes through
@@ -51,6 +53,22 @@ class cache_table ~name ~(parent : Bgp_table.table) () =
                 (Ipv4net.to_string r.Bgp_types.net)
                 r.Bgp_types.peer_id cached.Bgp_types.peer_id));
       self#push_delete r
+
+    method! replace_route old r =
+      (match Ptree.find cache r.Bgp_types.net with
+       | None ->
+         self#record
+           (Printf.sprintf "replace for %s which was never added"
+              (Ipv4net.to_string r.Bgp_types.net))
+       | Some cached ->
+         if cached.Bgp_types.peer_id <> old.Bgp_types.peer_id then
+           self#record
+             (Printf.sprintf
+                "replace for %s from peer %d, but peer %d added it"
+                (Ipv4net.to_string r.Bgp_types.net)
+                old.Bgp_types.peer_id cached.Bgp_types.peer_id));
+      ignore (Ptree.insert cache r.Bgp_types.net r);
+      self#push_replace old r
 
     method lookup_route net =
       let upstream = parent#lookup_route net in

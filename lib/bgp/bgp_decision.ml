@@ -3,10 +3,13 @@
    stages: by the time a route reaches Decision it is already annotated
    with its IGP metric, so deciding is a pure comparison.
 
-   Decision has one parent per peer branch. On any add or delete it
-   pulls the current candidate from every branch via lookup_route,
-   picks the best by the standard BGP tie-break ladder, diffs against
-   its winner cache, and emits the delta downstream (to the fanout).
+   Decision has one parent per peer branch. On any add, delete or
+   replace it pulls the current candidate from every branch via
+   lookup_route, picks the best by the standard BGP tie-break ladder,
+   diffs against its winner cache, and emits the delta downstream (to
+   the fanout): an add, a delete, or a replace of the old winner by
+   the new. A replace from a branch is one re-evaluation, made after
+   the branch already holds the new route.
    The winner cache is duplicated state — the memory cost §5.1 accepts
    for stage independence — and doubles as the table dumped to newly
    established peers. *)
@@ -119,10 +122,12 @@ class decision_table ~name () =
         self#push_delete o
       | Some o, Some w ->
         ignore (Ptree.insert winners net w);
-        self#push_delete o;
-        self#push_add w
+        self#push_replace o w
 
     method add_route r =
+      Telemetry.time h_add (fun () -> self#reevaluate r.Bgp_types.net)
+
+    method! replace_route _old r =
       Telemetry.time h_add (fun () -> self#reevaluate r.Bgp_types.net)
 
     method delete_route r =

@@ -10,8 +10,8 @@
    The deletion stage walks its victim table as a background task,
    emitting delete_route messages downstream. Consistency is preserved
    against concurrent traffic: an add_route passing through for a
-   prefix still held here first emits the old route's delete, then the
-   add. lookup_route answers with the upstream (new) route if one
+   prefix still held here leaves as a replace of the old route.
+   lookup_route answers with the upstream (new) route if one
    exists, else the not-yet-deleted victim. Downstream stages never
    know a background deletion is happening. If the peering flaps
    repeatedly, deletion stages stack up, each holding a disjoint set of
@@ -49,12 +49,16 @@ class deletion_table ~name ~(victims : Bgp_types.route Ptree.t)
     method add_route r =
       (* A new session re-announced a prefix we still hold: the old
          route's deletion can no longer wait. *)
-      (match Ptree.remove victims r.Bgp_types.net with
-       | Some old ->
-         deleted <- deleted + 1;
-         self#push_delete old
-       | None -> ());
-      self#push_add r
+      match Ptree.remove victims r.Bgp_types.net with
+      | Some old ->
+        deleted <- deleted + 1;
+        self#push_replace old r
+      | None -> self#push_add r
+
+    (* The PeerIn replaces a route it stored after this stage was
+       spliced in, so no victim is held for the prefix: the add of
+       [old] passed through here and purged it. *)
+    method! replace_route old r = self#push_replace old r
 
     method delete_route r =
       (* The new session withdrew a prefix. If we happen to still hold

@@ -12,7 +12,9 @@
    simply leave their cursor behind; memory is shared in the one
    queue); fully-consumed entries are compacted away. Per-reader
    advertisement rules: never echo to the originating peer, and no
-   IBGP-to-IBGP re-advertisement (we are not a route reflector).
+   IBGP-to-IBGP re-advertisement (we are not a route reflector). A
+   replace is one entry; the rules judge its two routes apart, so a
+   reader gets a replace, a delete, an add or nothing.
 
    Two lanes: changes arriving in the ambient bulk lane (a table load
    being drained from an inbound staging queue) land in a bulk log;
@@ -33,7 +35,7 @@
    and the drain reinstates it as the ambient lane for downstream
    stages. *)
 type entry = {
-  op : [ `Add | `Delete ];
+  op : [ `Add | `Delete | `Replace of Bgp_types.route (* the old route *) ];
   route : Bgp_types.route;
   trace : Telemetry.Trace.ctx option;
 }
@@ -123,8 +125,8 @@ class fanout_table ~name ?(batch = 500) ?(ordered = true)
             self#drain)
       end
 
-    method private should_send (r : reader) (e : entry) =
-      let from_id = e.route.Bgp_types.peer_id in
+    method private should_send (r : reader) (route : Bgp_types.route) =
+      let from_id = route.Bgp_types.peer_id in
       if from_id = 0 then true (* locally originated: everywhere *)
       else if from_id = r.r_peer.peer_id then false (* no echo *)
       else
@@ -135,12 +137,24 @@ class fanout_table ~name ?(batch = 500) ?(ordered = true)
         | _ -> true
 
     method private deliver (r : reader) (e : entry) lane =
-      if self#should_send r e then
+      let send f =
         Bgp_types.with_lane lane (fun () ->
-            Telemetry.Trace.with_ctx e.trace (fun () ->
-                match e.op with
-                | `Add -> r.r_branch#add_route e.route
-                | `Delete -> r.r_branch#delete_route e.route))
+            Telemetry.Trace.with_ctx e.trace f)
+      in
+      let b = r.r_branch in
+      match e.op with
+      | `Add ->
+        if self#should_send r e.route then
+          send (fun () -> b#add_route e.route)
+      | `Delete ->
+        if self#should_send r e.route then
+          send (fun () -> b#delete_route e.route)
+      | `Replace old ->
+        (match self#should_send r old, self#should_send r e.route with
+         | true, true -> send (fun () -> b#replace_route old e.route)
+         | true, false -> send (fun () -> b#delete_route old)
+         | false, true -> send (fun () -> b#add_route e.route)
+         | false, false -> ())
 
     method private drain =
       let u_tail = urgent.base + urgent.count in
@@ -208,6 +222,11 @@ class fanout_table ~name ?(batch = 500) ?(ordered = true)
       Telemetry.time h_del (fun () ->
           self#append (Bgp_types.current_lane ())
             { op = `Delete; route; trace = Telemetry.Trace.current () })
+
+    method! replace_route old route =
+      Telemetry.time h_add (fun () ->
+          self#append (Bgp_types.current_lane ())
+            { op = `Replace old; route; trace = Telemetry.Trace.current () })
 
     (* Pulls pass through to the decision stage upstream. The fanout
        has no store of its own. *)

@@ -5,7 +5,8 @@
    route: Reject drops it; Accept keeps it (with modifications) and
    stops; Default keeps modifications and falls through to the next
    program. Deletes are filtered identically, so a delete maps to the
-   same transformed route as its original add — provided the programs
+   same transformed route as its original add, and a replace runs both
+   of its routes through the bank — provided the programs
    haven't changed in between, which is why replacing the bank's
    programs triggers a background re-filter pass that reconciles the
    downstream view (old programs vs new programs, route by route).
@@ -123,6 +124,18 @@ class filter_table ~name ~(parent : Bgp_table.table) ~(local_as : int)
       | Some r' -> self#push_delete r'
       | None -> ()
 
+    (* The bank may accept either route, both or neither, so a
+       replace leaves as a replace, a delete, an add or nothing. *)
+    method! replace_route old r =
+      Telemetry.time h_add @@ fun () -> self#emit (self#apply old) (self#apply r)
+
+    method private emit old_out new_out =
+      match old_out, new_out with
+      | None, None -> ()
+      | Some o, Some n -> self#push_replace o n
+      | Some o, None -> self#push_delete o
+      | None, Some n -> self#push_add n
+
     method lookup_route net =
       match parent#lookup_route net with
       | Some r -> self#apply r
@@ -151,13 +164,8 @@ class filter_table ~name ~(parent : Bgp_table.table) ~(local_as : int)
           let old_out = apply_programs ~local_as ~peer_as old_programs r in
           let new_out = self#apply r in
           (match old_out, new_out with
-           | None, None -> ()
            | Some o, Some n when Bgp_types.route_equal o n -> ()
-           | Some o, Some n ->
-             self#push_delete o;
-             self#push_add n
-           | Some o, None -> self#push_delete o
-           | None, Some n -> self#push_add n);
+           | _ -> self#emit old_out new_out);
           `Continue
       in
       (match refilter_task with

@@ -11,7 +11,13 @@
    returned subnets never overlap, a longest-match lookup in the cache
    is authoritative. When the RIB invalidates a subnet, affected
    nexthops are re-queried and any routes whose annotation changes are
-   re-issued downstream as delete+add. *)
+   re-issued downstream as one replace each.
+
+   A replace whose new nexthop is answered in the cache, for a route
+   that is not waiting on a query, passes on as one replace. Any other
+   replace is a delete of the old route and an add of the new one: the
+   new route may have to wait for its answer, and Decision must not
+   see the old one meanwhile. *)
 
 type answer = { resolvable : bool; metric : int; valid : Ipv4net.t }
 
@@ -34,24 +40,39 @@ class nexthop_table ~name ~(resolve : resolve_fn) () =
 
     method cache_size = Ptree.size cache
 
+    method private index_add nh_key net =
+      match Hashtbl.find_opt nh_index nh_key with
+      | Some set -> Hashtbl.replace set net ()
+      | None ->
+        let set = Hashtbl.create 64 in
+        Hashtbl.replace set net ();
+        Hashtbl.replace nh_index nh_key set
+
+    method private index_remove nh_key net =
+      match Hashtbl.find_opt nh_index nh_key with
+      | Some set ->
+        Hashtbl.remove set net;
+        if Hashtbl.length set = 0 then Hashtbl.remove nh_index nh_key
+      | None -> ()
+
+    method private annotate (r : Bgp_types.route) resolvable metric =
+      { r with
+        Bgp_types.igp_metric = (if resolvable then Some metric else None) }
+
     method private annotate_and_emit (r : Bgp_types.route) resolvable metric =
-      let r' =
-        { r with
-          Bgp_types.igp_metric = (if resolvable then Some metric else None) }
-      in
+      let r' = self#annotate r resolvable metric in
       let nh_key = Ipv4.to_int r.Bgp_types.attrs.Bgp_types.nexthop in
       (match Ptree.insert store r'.Bgp_types.net r' with
        | Some old ->
-         (* Shouldn't normally happen (upstream replaces send delete
-            first), but keep the stream consistent if it does. *)
+         (* Shouldn't normally happen (upstream replaces arrive as
+            replace_route), but keep the stream consistent if it
+            does. *)
+         self#index_remove
+           (Ipv4.to_int old.Bgp_types.attrs.Bgp_types.nexthop)
+           old.Bgp_types.net;
          self#push_delete old
        | None -> ());
-      (match Hashtbl.find_opt nh_index nh_key with
-       | Some set -> Hashtbl.replace set r'.Bgp_types.net ()
-       | None ->
-         let set = Hashtbl.create 64 in
-         Hashtbl.replace set r'.Bgp_types.net ();
-         Hashtbl.replace nh_index nh_key set);
+      self#index_add nh_key r'.Bgp_types.net;
       self#push_add r'
 
     method private got_answer nh (a : answer) =
@@ -88,13 +109,39 @@ class nexthop_table ~name ~(resolve : resolve_fn) () =
       | _ ->
         (match Ptree.remove store net with
          | Some stored ->
-           (match Hashtbl.find_opt nh_index nh_key with
-            | Some set ->
-              Hashtbl.remove set net;
-              if Hashtbl.length set = 0 then Hashtbl.remove nh_index nh_key
-            | None -> ());
+           self#index_remove nh_key net;
            self#push_delete stored
          | None -> ())
+
+    method private is_pending (r : Bgp_types.route) =
+      match
+        Hashtbl.find_opt pending
+          (Ipv4.to_int r.Bgp_types.attrs.Bgp_types.nexthop)
+      with
+      | Some l ->
+        List.exists
+          (fun p -> Ipv4net.equal p.Bgp_types.net r.Bgp_types.net)
+          !l
+      | None -> false
+
+    method! replace_route old r =
+      let net = r.Bgp_types.net in
+      let answer =
+        Ptree.longest_match cache r.Bgp_types.attrs.Bgp_types.nexthop
+      in
+      match answer, Ptree.find store net with
+      | Some (_, (resolvable, metric)), Some stored
+        when not (self#is_pending old) ->
+        let r' = self#annotate r resolvable metric in
+        ignore (Ptree.insert store net r');
+        self#index_remove
+          (Ipv4.to_int stored.Bgp_types.attrs.Bgp_types.nexthop)
+          net;
+        self#index_add (Ipv4.to_int r.Bgp_types.attrs.Bgp_types.nexthop) net;
+        self#push_replace stored r'
+      | _ ->
+        self#delete_route old;
+        self#add_route r
 
     method lookup_route net = Ptree.find store net
 
@@ -133,8 +180,7 @@ class nexthop_table ~name ~(resolve : resolve_fn) () =
                             { stored with Bgp_types.igp_metric = igp }
                           in
                           ignore (Ptree.insert store net updated);
-                          self#push_delete stored;
-                          self#push_add updated
+                          self#push_replace stored updated
                         end
                       | None -> ())
                    nets))

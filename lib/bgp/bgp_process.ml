@@ -94,9 +94,10 @@ type t = {
   local_ribin : Bgp_ribin.rib_in;
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
   rib : Rib_client.t;
+  (* One entry per prefix, lane and RIB origin table (ebgp or ibgp):
+     see [rib_q_merge]. *)
   rib_q :
-    (Telemetry.Profile.verb * Bgp_types.route * Telemetry.Trace.ctx option)
-    Laneq.t;
+    (Laneq.change * Bgp_types.route * Telemetry.Trace.ctx option) Laneq.t;
   mutable rib_flush_scheduled : bool;
   redump_on_reestablish : bool;
   mutable started : bool;
@@ -112,23 +113,38 @@ let rib_protocol t (route : Bgp_types.route) =
   | Some Bgp_types.Ibgp -> "ibgp"
   | _ -> "ebgp"
 
+(* A change folds into the one pending for its prefix and lane when
+   both are for the same RIB origin table. The RIB holds a prefix in
+   one of the two at a time, so the queue holds at most one entry per
+   prefix, lane and table. *)
+let rib_q_merge t =
+  Laneq.merge_changes ~compatible:(fun a b ->
+      String.equal (rib_protocol t a) (rib_protocol t b))
+
+let is_add : Laneq.change -> bool = function
+  | Add | Replace -> true
+  | Delete -> false
+
+(* A replacement records as an add at the §8.2 points. *)
+let verb_of change : Telemetry.Profile.verb =
+  if is_add change then Add else Delete
+
 (* Per-route XRL; also the path a single-entry run takes, so the
    unbatched pipeline (and its profile-point sequence) is exactly what
    it was before bulk transfer — Figures 10-12 flap one route at a
    time and still measure this path. *)
-let send_rib_one t (op, (route : Bgp_types.route), trace) =
+let send_rib_one t (change, (route : Bgp_types.route), trace) =
   Telemetry.Trace.with_ctx trace @@ fun () ->
   Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~clock:t.clock
   @@ fun () ->
   let net = route.Bgp_types.net in
-  Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock op net;
+  Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock (verb_of change) net;
   let protocol = rib_protocol t route in
-  match op with
-  | Add ->
+  if is_add change then
     Rib_client.add_route t.rib ~protocol ~net
       ~nexthop:route.Bgp_types.attrs.nexthop
       ~metric:(Option.value route.Bgp_types.attrs.med ~default:0)
-  | Delete -> Rib_client.delete_route t.rib ~protocol ~net
+  else Rib_client.delete_route t.rib ~protocol ~net
 
 (* A run of queued updates with the same operation and protocol leaves
    as one rib/add_routes4 or rib/delete_routes4 XRL carrying a
@@ -140,19 +156,20 @@ let send_rib_run t entries =
   match entries with
   | [] -> ()
   | [ entry ] -> send_rib_one t entry
-  | (op0, (route0 : Bgp_types.route), first_trace) :: _ ->
+  | (change0, (route0 : Bgp_types.route), first_trace) :: _ ->
     let n = List.length entries in
+    let add = is_add change0 in
     List.iter
-      (fun (op, (route : Bgp_types.route), _) ->
-         Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock op
-           route.Bgp_types.net)
+      (fun (change, (route : Bgp_types.route), _) ->
+         Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock
+           (verb_of change) route.Bgp_types.net)
       entries;
     Telemetry.Trace.with_ctx first_trace @@ fun () ->
     Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~note:(Routes n)
       ~clock:t.clock
     @@ fun () ->
     let xrl =
-      if op0 = Telemetry.Profile.Add then
+      if add then
         let adds =
           List.map
             (fun (_, (r : Bgp_types.route), _) ->
@@ -176,7 +193,7 @@ let send_rib_run t entries =
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m ->
               m "bulk RIB %s (%d routes) failed: %s"
-                (if op0 = Add then "add" else "delete") n
+                (if add then "add" else "delete") n
                 (Xrl_error.to_string err)))
 
 (* Bulk-lane routes forwarded to the RIB per deferred flush: bounds how
@@ -201,15 +218,15 @@ let rec schedule_rib_flush t =
           List.iter (send_rib_one t) urgent;
           (* Group consecutive same-op, same-protocol bulk entries into
              runs, preserving overall order: an add/delete alternation
-             for the same prefix must reach the RIB in sequence.
-             Leftovers re-defer so timers and fresh I/O get the loop in
-             between. *)
+             for the same prefix must reach the RIB in sequence. A
+             replace travels as an add. Leftovers re-defer so timers
+             and fresh I/O get the loop in between. *)
           let run =
             List.fold_left
-              (fun run ((op, route, _) as entry) ->
+              (fun run ((change, route, _) as entry) ->
                  match run with
-                 | (prev_op, prev_route, _) :: _
-                   when prev_op = op
+                 | (prev, prev_route, _) :: _
+                   when is_add prev = is_add change
                         && rib_protocol t prev_route = rib_protocol t route ->
                    entry :: run
                  | _ ->
@@ -223,23 +240,38 @@ let rec schedule_rib_flush t =
   end
 
 (* The fanout reader feeding the RIB. Locally originated routes
-   (peer 0) are skipped: the RIB learned them by other means. *)
+   (peer 0) are skipped: the RIB learned them by other means. A replace
+   within one origin table queues one entry, which the RIB applies as
+   a replacement; a route that moves between the ebgp and ibgp tables
+   stays a delete from one and an add to the other. *)
 let make_rib_branch t : Bgp_table.table =
-  let on op (route : Bgp_types.route) =
+  let on change (route : Bgp_types.route) =
     if route.Bgp_types.peer_id <> 0 && t.send_to_rib
        && Xrl_router.peer_live t.router "rib" then begin
-      Telemetry.Profile.record t.pt_queued_rib ~clock:t.clock op route.net;
-      Laneq.push t.rib_q
+      Telemetry.Profile.record t.pt_queued_rib ~clock:t.clock
+        (verb_of change) route.net;
+      Laneq.push ~merge:(rib_q_merge t) t.rib_q
         (Bgp_types.current_lane ())
         ~net:route.Bgp_types.net
-        (op, route, Telemetry.Trace.current ());
+        (change, route, Telemetry.Trace.current ());
       schedule_rib_flush t
     end
   in
-  (new Bgp_table.sink ~name:"to-rib"
-    ~parent:(t.decision :> Bgp_table.table)
-    ~on_add:(fun r -> on Telemetry.Profile.Add r)
-    ~on_delete:(fun r -> on Telemetry.Profile.Delete r)
+  (object
+    inherit
+      Bgp_table.sink ~name:"to-rib"
+        ~parent:(t.decision :> Bgp_table.table)
+        ~on_add:(on Laneq.Add) ~on_delete:(on Laneq.Delete)
+
+    method! replace_route old r =
+      if old.Bgp_types.peer_id <> 0 && r.Bgp_types.peer_id <> 0
+         && String.equal (rib_protocol t old) (rib_protocol t r)
+      then on Laneq.Replace r
+      else begin
+        on Laneq.Delete old;
+        on Laneq.Add r
+      end
+  end
    :> Bgp_table.table)
 
 (* --- nexthop resolution ---------------------------------------------- *)
@@ -294,7 +326,7 @@ let replay_rib t =
         (fun (route : Bgp_types.route) n ->
            if route.Bgp_types.peer_id <> 0 then begin
              Laneq.push t.rib_q Laneq.Bulk ~net:route.Bgp_types.net
-               (Telemetry.Profile.Add, route, None);
+               (Laneq.Add, route, None);
              n + 1
            end
            else n)

@@ -26,9 +26,8 @@ class rib_in ~name ~(peer_id : int) (loop : Eventloop.t) =
       assert (r.Bgp_types.peer_id = peer_id);
       match Ptree.insert store r.Bgp_types.net r with
       | Some old ->
-        (* Implicit replacement: withdraw-then-announce downstream. *)
-        self#push_delete old;
-        self#push_add r
+        (* Implicit replacement: one replace downstream. *)
+        self#push_replace old r
       | None -> self#push_add r
 
     method delete_route (r : Bgp_types.route) =

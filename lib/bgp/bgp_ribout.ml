@@ -13,7 +13,11 @@
    Batching: changes accumulate and are flushed in bounded deferred
    slices; withdrawals are packed together and announcements are
    grouped by identical attributes, honouring the 4096-byte message
-   limit.
+   limit. The last change to a prefix wins, at push time: a change
+   folds into the one already pending for its prefix, so [pending]
+   holds at most one entry per prefix and lane, and in fact one per
+   prefix (see [push_pending]). A replace is an add here: the
+   Adj-RIB-Out is keyed by prefix.
 
    Lanes: pending changes ride the ambient urgent/bulk lane
    (Bgp_types.current_lane), so a flap propagating to this peer
@@ -81,8 +85,19 @@ class rib_out ~name ~(info : Bgp_types.peer_info) ~(local_as : int)
             self#flush)
       end
 
+    (* Last change wins. An urgent change for a prefix with a bulk
+       entry pending is demoted into it by the Laneq guard; a bulk
+       change for a prefix with an urgent entry pending is folded into
+       that one here. Either way, with the guard on, a prefix is
+       pending in one lane at most, so a flush never meets it twice. *)
     method private push_pending ch =
-      Laneq.push pending (Bgp_types.current_lane ()) ~net:(change_net ch) ch
+      let net = change_net ch in
+      let lane =
+        match Bgp_types.current_lane () with
+        | Laneq.Bulk when Laneq.mem pending Laneq.Urgent net -> Laneq.Urgent
+        | lane -> lane
+      in
+      Laneq.push ~merge:(fun _ next -> Laneq.Merged next) pending lane ~net ch
 
     method add_route r =
       Telemetry.time h_add @@ fun () ->
@@ -105,6 +120,9 @@ class rib_out ~name ~(info : Bgp_types.peer_info) ~(local_as : int)
         self#schedule_flush
       | None -> () (* never advertised (filtered/transform-dropped) *)
 
+    (* add_route already overwrites the prefix's Adj-RIB-Out entry. *)
+    method! replace_route _old r = self#add_route r
+
     method lookup_route net = Ptree.find adv net
 
     method private flush =
@@ -112,35 +130,25 @@ class rib_out ~name ~(info : Bgp_types.peer_info) ~(local_as : int)
          batch. Leftover bulk re-defers, so one peer's huge output
          backlog cannot monopolise a loop turn. *)
       let urgent, bulk = Laneq.drain pending ~bulk_slice:bulk_flush_slice in
-      (* Net effect per prefix within the slice: the last change wins.
-         Safe across lanes because the Laneq guard preserves per-prefix
-         push order, so "last in the slice" is "latest". *)
-      let final : (Ipv4net.t, change) Hashtbl.t = Hashtbl.create 64 in
-      let order = ref [] in
-      let note ch =
-        let net = change_net ch in
-        if not (Hashtbl.mem final net) then order := net :: !order;
-        Hashtbl.replace final net ch
+      if not (Laneq.is_empty pending) then self#schedule_flush;
+      (* Each prefix appears once in [urgent @ bulk], already carrying
+         its latest change (see [push_pending]). *)
+      let withdrawals = ref [] in
+      let announces = ref [] in (* (attrs, nets ref) groups *)
+      let note = function
+        | Withdraw net -> withdrawals := net :: !withdrawals
+        | Announce r ->
+          let a = r.Bgp_types.attrs in
+          (match
+             List.find_opt
+               (fun (ga, _) -> Bgp_types.attrs_equal ga a)
+               !announces
+           with
+           | Some (_, nets) -> nets := r.Bgp_types.net :: !nets
+           | None -> announces := (a, ref [ r.Bgp_types.net ]) :: !announces)
       in
       List.iter note urgent;
       List.iter note bulk;
-      if not (Laneq.is_empty pending) then self#schedule_flush;
-      let withdrawals = ref [] in
-      let announces = ref [] in (* (attrs, nets ref) groups *)
-      List.iter
-        (fun net ->
-           match Hashtbl.find final net with
-           | Withdraw net -> withdrawals := net :: !withdrawals
-           | Announce r ->
-             let a = r.Bgp_types.attrs in
-             (match
-                List.find_opt
-                  (fun (ga, _) -> Bgp_types.attrs_equal ga a)
-                  !announces
-              with
-              | Some (_, nets) -> nets := r.Bgp_types.net :: !nets
-              | None -> announces := (a, ref [ r.Bgp_types.net ]) :: !announces))
-        (List.rev !order);
       let rec chunks l =
         if List.length l <= max_prefixes_per_update then [ l ]
         else

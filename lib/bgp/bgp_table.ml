@@ -3,14 +3,24 @@
    "There is no single routing table object, but rather a network of
    pluggable routing stages, each implementing the same interface."
 
-   The three operations are exactly the paper's:
+   Three operations are the paper's:
    - add_route: a preceding stage is sending a new route downstream;
    - delete_route: a preceding stage is withdrawing a route;
    - lookup_route: a later stage is asking upstream for the current
      route to a destination subnet.
 
-   Consistency rules (§5.1): every delete must correspond to a previous
-   add, and lookup answers must agree with the add/delete stream
+   The fourth, replace_route old new, is XORP's own: a preceding stage
+   is replacing [old] with [new] for the same prefix, in one message.
+   It must follow an add of [old] for the same prefix and branch, and
+   it leaves [new] current, exactly as delete_route old then add_route
+   new would. That pair is what [base] does with it, so a stage with
+   nothing to gain from one message keeps its add and delete code; a
+   stage that overrides it saves the second pass (one re-evaluation
+   in Decision, one log entry in the fanout) and never shows a later
+   stage the moment in between, when neither route is present.
+
+   Consistency rules (§5.1): every delete or replace must correspond to
+   a previous add, and lookup answers must agree with the stream
    already sent downstream. Deletes are matched by (net, peer branch):
    attribute-modifying stages may be reconfigured between an add and
    the corresponding delete, so requiring byte-identical attributes
@@ -25,12 +35,13 @@ class type table = object
   method tbl_name : string
   method add_route : Bgp_types.route -> unit
   method delete_route : Bgp_types.route -> unit
+  method replace_route : Bgp_types.route -> Bgp_types.route -> unit
   method lookup_route : Ipv4net.t -> Bgp_types.route option
   method set_next : table option -> unit
 end
 
 class virtual base (name : string) =
-  object
+  object (self)
     val mutable next : table option = None
     method tbl_name : string = name
     method set_next (n : table option) = next <- n
@@ -40,18 +51,26 @@ class virtual base (name : string) =
     method virtual delete_route : Bgp_types.route -> unit
     method virtual lookup_route : Ipv4net.t -> Bgp_types.route option
 
+    method replace_route (old : Bgp_types.route) (r : Bgp_types.route) =
+      self#delete_route old;
+      self#add_route r
+
     method private push_add (r : Bgp_types.route) =
       match next with Some n -> n#add_route r | None -> ()
 
     method private push_delete (r : Bgp_types.route) =
       match next with Some n -> n#delete_route r | None -> ()
+
+    method private push_replace (old : Bgp_types.route) (r : Bgp_types.route) =
+      match next with Some n -> n#replace_route old r | None -> ()
   end
 
 let plumb (parent : #base) (child : #table) =
   parent#set_next (Some (child :> table))
 
 (* Terminal sink handing updates to callbacks; lookups are answered by
-   the upstream parent. *)
+   the upstream parent. A replace arrives as [on_delete old] then
+   [on_add new]; a sink that wants it whole overrides replace_route. *)
 class sink ~name ~(parent : table) ~(on_add : Bgp_types.route -> unit)
     ~(on_delete : Bgp_types.route -> unit) =
   object

@@ -12,10 +12,15 @@
    currently-propagated winners, and per-nexthop indexes) — the
    explicit trade-off §5.1 makes for stage independence.
 
-   An internal route replacement arrives as delete-then-add; external
-   routes resolving through it are briefly withdrawn and re-announced.
-   That is chatty but consistent; downstream stages see a correct
-   stream throughout. *)
+   A replacement arrives as one replace: the prefix is re-evaluated
+   once, and a changed winner leaves as a replace of the propagated
+   route. So does a replaced winner whose RIB fields did not change
+   (a BGP route whose AS path alone changed): a replace has the effect
+   of the delete and add it stands for, so it reaches the FIB as one
+   add. An internal replace
+   rechecks the external nexthops inside its prefix once, after the new
+   route is in place, so an external route that resolved through the
+   old route and resolves through the new one is left alone. *)
 
 let resolves_via (int_ : Rib_table.table) (nexthop : Ipv4.t) =
   int_#lookup_best nexthop <> None
@@ -32,7 +37,10 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
     val by_nexthop : (int, (Ipv4net.t, unit) Hashtbl.t) Hashtbl.t =
       Hashtbl.create 32
 
-    method private reevaluate net =
+    (* [replaced] is the old route of a replace being applied: when it
+       is the propagated winner, the winner leaves as a replace even if
+       its successor is equal to it. *)
+    method private reevaluate ?replaced net =
       let int_route = int_#lookup_route net in
       let ext_route =
         match Ptree.find ext_state net with
@@ -50,9 +58,14 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
              else e)
       in
       let old = Ptree.find propagated net in
+      let was_replaced o =
+        match replaced with
+        | Some r -> Rib_route.equal o r
+        | None -> false
+      in
       match old, winner with
       | None, None -> ()
-      | Some o, Some w when Rib_route.equal o w -> ()
+      | Some o, Some w when Rib_route.equal o w && not (was_replaced o) -> ()
       | None, Some w ->
         ignore (Ptree.insert propagated net w);
         self#push_add w
@@ -61,8 +74,7 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
         self#push_delete o
       | Some o, Some w ->
         ignore (Ptree.insert propagated net w);
-        self#push_delete o;
-        self#push_add w
+        self#push_replace o w
 
     method private index_add nh net =
       let key = Ipv4.to_int nh in
@@ -104,18 +116,32 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
            | None -> ())
         touched
 
+    method private store_ext (r : Rib_route.t) =
+      let resolved = ref (resolves_via int_ r.nexthop) in
+      (match Ptree.insert ext_state r.net (r, resolved) with
+       | Some (old, _) -> self#index_remove old.Rib_route.nexthop old.net
+       | None -> ());
+      self#index_add r.nexthop r.net
+
     method add_route src (r : Rib_route.t) =
       Telemetry.time h_add @@ fun () ->
       if src == ext then begin
-        let resolved = ref (resolves_via int_ r.nexthop) in
-        (match Ptree.insert ext_state r.net (r, resolved) with
-         | Some (old, _) -> self#index_remove old.Rib_route.nexthop old.net
-         | None -> ());
-        self#index_add r.nexthop r.net;
+        self#store_ext r;
         self#reevaluate r.net
       end
       else begin
         self#reevaluate r.net;
+        self#recheck_nexthops_within r.net
+      end
+
+    method! replace_route src (old : Rib_route.t) (r : Rib_route.t) =
+      Telemetry.time h_add @@ fun () ->
+      if src == ext then begin
+        self#store_ext r;
+        self#reevaluate ~replaced:old r.net
+      end
+      else begin
+        self#reevaluate ~replaced:old r.net;
         self#recheck_nexthops_within r.net
       end
 

@@ -4,7 +4,12 @@
    the same prefix by administrative distance. Parent [a] wins ties, so
    plumb the preferred side as [a]. Because decisions are pairwise and
    local, new protocols are added by inserting one more merge stage —
-   no central decision process needs to change. *)
+   no central decision process needs to change.
+
+   A replace from one side looks the other side up once: if the other
+   side's route beat the old one and still beats the new one, nothing
+   was propagated and nothing changes; otherwise the propagated route
+   is replaced by whichever of the two now wins. *)
 
 let better (x : Rib_route.t) (y : Rib_route.t) ~x_wins_ties =
   if x_wins_ties then x.admin_distance <= y.admin_distance
@@ -46,6 +51,18 @@ class merge_table ~name (a : Rib_table.table) (b : Rib_table.table) =
           self#push_add o
         end
     (* else r was shadowed and never propagated: drop silently. *)
+
+    method! replace_route src (old : Rib_route.t) (r : Rib_route.t) =
+      Telemetry.time h_add @@ fun () ->
+      let other, from_a = self#other_of src in
+      match other#lookup_route r.net with
+      | None -> self#push_replace old r
+      | Some o ->
+        (match better old o ~x_wins_ties:from_a, better r o ~x_wins_ties:from_a with
+         | true, true -> self#push_replace old r
+         | true, false -> self#push_replace old o
+         | false, true -> self#push_replace o r
+         | false, false -> ())
 
     method lookup_route net =
       match a#lookup_route net, b#lookup_route net with

@@ -25,9 +25,7 @@ class origin_table ~name ~protocol (loop : Eventloop.t) =
     method originate (r : Rib_route.t) =
       Telemetry.time h_add @@ fun () ->
       match Ptree.insert store r.Rib_route.net (generation, r) with
-      | Some (_, old) ->
-        self#push_delete old;
-        self#push_add r
+      | Some (_, old) -> self#push_replace old r
       | None -> self#push_add r
 
     method withdraw (net : Ipv4net.t) =
@@ -63,6 +61,7 @@ class origin_table ~name ~protocol (loop : Eventloop.t) =
     method clearing = clearing
 
     method add_route _src r = self#originate r
+    method! replace_route _src _old r = self#originate r
     method delete_route _src (r : Rib_route.t) = self#withdraw r.Rib_route.net
 
     method lookup_route net =

@@ -9,7 +9,9 @@
    The stage is a transparent tap: every update passes through
    unchanged, and for each subscriber the update is additionally run
    through that subscriber's policy program; accepted (possibly
-   modified) copies are delivered to the subscriber's callbacks. *)
+   modified) copies are delivered to the subscriber's callbacks. A
+   replace reaches a subscriber as its delete of the old route, then
+   its add of the new one, so the subscriber API has two verbs. *)
 
 type subscriber = {
   sub_name : string;
@@ -99,6 +101,12 @@ class redist_table ~name ~(parent : Rib_table.table) () =
       Telemetry.time h_del @@ fun () ->
       self#tap (fun s r' -> s.on_delete r') r;
       self#push_delete r
+
+    method! replace_route _src old r =
+      Telemetry.time h_add @@ fun () ->
+      self#tap (fun s r' -> s.on_delete r') old;
+      self#tap (fun s r' -> s.on_add r') r;
+      self#push_replace old r
 
     (* Transparent to pulls. *)
     method lookup_route net = parent#lookup_route net

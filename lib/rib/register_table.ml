@@ -85,6 +85,13 @@ class register_table ~name ~(notify : string -> Ipv4net.t -> unit) () =
       self#invalidate_overlapping r.net;
       self#push_delete r
 
+    (* One invalidation pass: both routes cover the same prefix. *)
+    method! replace_route _src old (r : Rib_route.t) =
+      Telemetry.time h_add @@ fun () ->
+      ignore (Ptree.insert winners r.net r);
+      self#invalidate_overlapping r.net;
+      self#push_replace old r
+
     method lookup_route net = Ptree.find winners net
     method lookup_best addr = Option.map snd (Ptree.longest_match winners addr)
     method route_count = Ptree.size winners

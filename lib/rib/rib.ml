@@ -6,7 +6,9 @@ let pp_arrived = "rib_arrived"
 let pp_queued_fea = "rib_queued_fea"
 let pp_sent_fea = "rib_sent_fea"
 
-type fea_op = [ `Add of Rib_route.t | `Delete of Rib_route.t ]
+(* One FIB change: a Replace travels as an add, which the FIB applies
+   over the entry it holds. *)
+type fea_op = Laneq.change * Rib_route.t * Telemetry.Trace.ctx option
 
 type t = {
   router : Xrl_router.t;
@@ -23,8 +25,10 @@ type t = {
   (* Outbound transmit queue towards the FEA: route changes made
      within one event-loop turn coalesce here and flush together on
      the next iteration. Each entry carries the trace context that was
-     ambient when it was queued. *)
-  fea_q : (fea_op * Telemetry.Trace.ctx option) Laneq.t;
+     ambient when it was queued. Changes to one prefix fold into one
+     entry per lane ([Laneq.merge_changes]), so the queue holds at most
+     one entry per prefix and lane. *)
+  fea_q : fea_op Laneq.t;
   mutable fea_flush_armed : bool;
   (* Lane for FIB pushes produced by the currently-running handler:
      per-route XRLs ride urgent (the default), bulk transfers from a
@@ -49,15 +53,18 @@ let with_fea_lane t lane f =
 
 (* --- FEA sink ------------------------------------------------------- *)
 
-let op_net (op : fea_op) = match op with `Add r | `Delete r -> r.Rib_route.net
-let op_verb (op : fea_op) : Telemetry.Profile.verb =
-  match op with `Add _ -> Add | `Delete _ -> Delete
-let op_is_add (op : fea_op) = match op with `Add _ -> true | `Delete _ -> false
+let op_net ((_, r, _) : fea_op) = r.Rib_route.net
+
+let op_is_add ((change, _, _) : fea_op) =
+  match change with Laneq.Add | Replace -> true | Delete -> false
+
+(* A replacement records as an add at the §8.2 points. *)
+let op_verb op : Telemetry.Profile.verb = if op_is_add op then Add else Delete
 
 (* Legacy per-route XRL; also the path taken when a flush holds a
    single route, so the unbatched pipeline (and its profile-point
    sequence) is byte-for-byte what it was before bulk transfer. *)
-let send_one t (op : fea_op) ctx =
+let send_one t ((_, r, ctx) as op : fea_op) =
   Telemetry.Trace.with_ctx ctx @@ fun () ->
   Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Net (op_net op))
     ~clock:t.clock
@@ -65,14 +72,13 @@ let send_one t (op : fea_op) ctx =
   Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
     (op_net op);
   let xrl =
-    match op with
-    | `Add r ->
+    if op_is_add op then
       Xrl.make ~target:"fea" ~interface:"fea" ~method_name:"add_route4"
         [ Xrl_atom.ipv4net "net" r.Rib_route.net;
           Xrl_atom.ipv4 "nexthop" r.nexthop;
           Xrl_atom.txt "ifname" "";
           Xrl_atom.txt "protocol" r.protocol ]
-    | `Delete r ->
+    else
       Xrl.make ~target:"fea" ~interface:"fea"
         ~method_name:"delete_route4"
         [ Xrl_atom.ipv4net "net" r.Rib_route.net ]
@@ -87,15 +93,15 @@ let send_one t (op : fea_op) ctx =
 (* A run of consecutive same-kind ops leaves as one bulk XRL carrying
    a Route_pack-packed list. Profile points stay per route. The run's
    first trace context parents the send span and the reply. *)
-let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
+let send_run t (ops : fea_op list) =
   match ops with
   | [] -> ()
-  | [ (op, ctx) ] -> send_one t op ctx
-  | (first_op, first_ctx) :: _ ->
+  | [ op ] -> send_one t op
+  | ((_, _, first_ctx) as first_op) :: _ ->
     let n = List.length ops in
     let is_add = op_is_add first_op in
     List.iter
-      (fun (op, _) ->
+      (fun op ->
          Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
            (op_net op))
       ops;
@@ -107,16 +113,13 @@ let send_run t (ops : (fea_op * Telemetry.Trace.ctx option) list) =
       if is_add then
         ( Route_pack.pack_adds
             (List.map
-               (fun (op, _) ->
-                  match op with
-                  | `Add r ->
-                    { Route_pack.net = r.Rib_route.net; nexthop = r.nexthop;
-                      ifname = ""; protocol = r.protocol; metric = r.metric }
-                  | `Delete _ -> assert false)
+               (fun (_, (r : Rib_route.t), _) ->
+                  { Route_pack.net = r.net; nexthop = r.nexthop;
+                    ifname = ""; protocol = r.protocol; metric = r.metric })
                ops),
           "add_routes4" )
       else
-        ( Route_pack.pack_deletes (List.map (fun (op, _) -> op_net op) ops),
+        ( Route_pack.pack_deletes (List.map op_net ops),
           "delete_routes4" )
     in
     let xrl =
@@ -152,22 +155,22 @@ let rec flush_fea t =
     if t.bulk_fea then begin
       (* Group consecutive same-kind ops into runs, preserving overall
          order (an add/delete alternation must reach the FIB in
-         sequence). *)
+         sequence). A replace travels as an add. *)
       let flush_run run = send_run t (List.rev run) in
       let run =
         List.fold_left
-          (fun run ((op, _) as item) ->
+          (fun run op ->
              match run with
-             | [] -> [ item ]
-             | (prev, _) :: _ when op_is_add prev = op_is_add op -> item :: run
+             | [] -> [ op ]
+             | prev :: _ when op_is_add prev = op_is_add op -> op :: run
              | _ ->
                flush_run run;
-               [ item ])
+               [ op ])
           [] items
       in
       flush_run run
     end
-    else List.iter (fun (op, ctx) -> send_one t op ctx) items;
+    else List.iter (send_one t) items;
     set_fea_gauges t;
     (* Leftover bulk re-defers: the next loop turn gets a chance to
        interleave fresh urgent work ahead of it. *)
@@ -177,17 +180,17 @@ let rec flush_fea t =
     end
   end
 
-let send_fea t (op : fea_op) =
+let send_fea t change (r : Rib_route.t) =
   if t.send_to_fea && Xrl_router.peer_live t.router "fea" then begin
+    let op = (change, r, Telemetry.Trace.current ()) in
     Telemetry.Profile.record t.pt_queued_fea ~clock:t.clock (op_verb op)
-      (op_net op);
+      r.net;
     (* Queue-then-send: the actual XRL goes out on the next loop
        iteration, like a real outbound transmit queue — and everything
        queued within this turn flushes together (one bulk XRL per
        same-kind run). The deferral would lose the ambient trace
        context, so capture it per entry and reinstate it at send. *)
-    Laneq.push t.fea_q t.fea_lane ~net:(op_net op)
-      (op, Telemetry.Trace.current ());
+    Laneq.push ~merge:Laneq.merge_changes t.fea_q t.fea_lane ~net:r.net op;
     set_fea_gauges t;
     if not t.fea_flush_armed then begin
       t.fea_flush_armed <- true;
@@ -524,7 +527,8 @@ let replay_fib t =
   let n =
     fold_winners t
       (fun r n ->
-         Laneq.push t.fea_q Laneq.Bulk ~net:r.Rib_route.net (`Add r, None);
+         Laneq.push t.fea_q Laneq.Bulk ~net:r.Rib_route.net
+           (Laneq.Add, r, None);
          n + 1)
       0
   in
@@ -574,12 +578,17 @@ let create ?families ?(send_to_fea = true) ?(bulk_fea = true)
       g_fea_bulk = Telemetry.gauge "rib.fea_q.bulk" }
   in
   t_ref := Some router;
-  (* Terminal sink: winners flow to the FEA. *)
+  (* Terminal sink: winners flow to the FEA, a replace as one add. *)
   let sink =
-    new Rib_table.sink ~name:"sink"
-      ~parent:(redist :> Rib_table.table)
-      ~on_add:(fun r -> send_fea t (`Add r))
-      ~on_delete:(fun r -> send_fea t (`Delete r))
+    object
+      inherit
+        Rib_table.sink ~name:"sink"
+          ~parent:(redist :> Rib_table.table)
+          ~on_add:(send_fea t Laneq.Add)
+          ~on_delete:(send_fea t Laneq.Delete)
+
+      method! replace_route _src _old r = send_fea t Laneq.Replace r
+    end
   in
   Rib_table.plumb redist sink;
   add_xrl_handlers t;

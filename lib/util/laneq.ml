@@ -1,4 +1,5 @@
-(* Two-lane (urgent/bulk) work queue with a per-prefix ordering guard.
+(* Two-lane (urgent/bulk) work queue with a per-prefix ordering guard
+   and per-prefix coalescing.
 
    Used by the BGP->RIB and RIB->FEA stages to let fresh updates (route
    flaps) overtake a bulk table-load backlog while preserving per-prefix
@@ -17,6 +18,17 @@
    goes first, and older-bulk-then-newer-urgent is demoted into the
    bulk lane behind the older entry.
 
+   Coalescing: a push with [merge] first offers the new entry to the
+   newest entry pending for its prefix in its lane. The merge may fold
+   the two into one, which keeps the older entry's place; cancel both;
+   or refuse, and the new entry queues behind. Each lane keeps, per
+   prefix, its newest live cell, and each cell the newest live cell
+   that was pending for its prefix when it was pushed, so a cancelled
+   entry hands the prefix back to the one it queued behind. Cancelled
+   cells stay in the lane's FIFO until a drain passes them, or until a
+   cancellation leaves more of them than live entries plus 64, when
+   the lane is compacted.
+
    [ordered:false] disables the guard — the deliberately broken variant
    the simulation fuzzer must catch (see Simtest). *)
 
@@ -24,42 +36,103 @@ type lane = Urgent | Bulk
 
 let lane_name = function Urgent -> "urgent" | Bulk -> "bulk"
 
+type change = Add | Replace | Delete
+
+let coalesce pending next =
+  match pending, next with
+  | Add, Delete -> None
+  | Add, (Add | Replace) -> Some Add
+  | (Replace | Delete), (Add | Replace) -> Some Replace
+  | (Replace | Delete), Delete -> Some Delete
+
+type 'a merge = Merged of 'a | Cancelled | Refused
+
+let merge_changes ?(compatible = fun _ _ -> true) (c0, r0, _) (c1, r1, x1) =
+  if not (compatible r0 r1) then Refused
+  else
+    match coalesce c0 c1 with
+    | None -> Cancelled
+    | Some c -> Merged (c, r1, x1)
+
+type 'a cell = {
+  net : Ipv4net.t;
+  mutable v : 'a;
+  mutable live : bool;
+  mutable older : 'a cell option; (* dropped at retirement *)
+}
+
+type 'a fifo = {
+  cells : 'a cell Queue.t;
+  newest : (Ipv4net.t, 'a cell) Hashtbl.t; (* per prefix, while live *)
+  mutable live_count : int;
+  mutable dead_count : int; (* cancelled cells still in [cells] *)
+}
+
 type 'a t = {
-  urgent : (Ipv4net.t * 'a) Queue.t;
-  bulk : (Ipv4net.t * 'a) Queue.t;
-  bulk_pending : (Ipv4net.t, int) Hashtbl.t;
+  urgent : 'a fifo;
+  bulk : 'a fifo;
   ordered : bool;
   mutable demoted : int;
   mutable peak : int;
 }
 
-let create ?(ordered = true) () =
-  { urgent = Queue.create (); bulk = Queue.create ();
-    bulk_pending = Hashtbl.create 64; ordered; demoted = 0; peak = 0 }
+(* Smallest to start: a router holds one queue per peer and two more,
+   most stay near empty, and the index doubles as a backlog grows. *)
+let fifo () =
+  { cells = Queue.create (); newest = Hashtbl.create 1; live_count = 0;
+    dead_count = 0 }
 
-let urgent_length t = Queue.length t.urgent
-let bulk_length t = Queue.length t.bulk
+let create ?(ordered = true) () =
+  { urgent = fifo (); bulk = fifo (); ordered; demoted = 0; peak = 0 }
+
+let urgent_length t = t.urgent.live_count
+let bulk_length t = t.bulk.live_count
 let length t = urgent_length t + bulk_length t
-let is_empty t = Queue.is_empty t.urgent && Queue.is_empty t.bulk
+let is_empty t = length t = 0
 let demoted t = t.demoted
 let peak_length t = t.peak
+let fifo_of t = function Urgent -> t.urgent | Bulk -> t.bulk
+let mem t lane net = Hashtbl.mem (fifo_of t lane).newest net
 
-let bulk_incr t net =
-  let n = Option.value (Hashtbl.find_opt t.bulk_pending net) ~default:0 in
-  Hashtbl.replace t.bulk_pending net (n + 1)
+let append f net v older =
+  let c = { net; v; live = true; older } in
+  Queue.push c f.cells;
+  Hashtbl.replace f.newest net c;
+  f.live_count <- f.live_count + 1
 
-let bulk_decr t net =
-  match Hashtbl.find_opt t.bulk_pending net with
-  | Some n when n <= 1 -> Hashtbl.remove t.bulk_pending net
-  | Some n -> Hashtbl.replace t.bulk_pending net (n - 1)
-  | None -> ()
+(* A cell leaves the live set: drained, or cancelled by a merge. Only
+   the newest cell of its prefix is ever cancelled; a drained cell is
+   the oldest live one, so if it is also the newest it is the only
+   one. *)
+let retire f c =
+  c.live <- false;
+  f.live_count <- f.live_count - 1;
+  (match Hashtbl.find_opt f.newest c.net with
+   | Some n when n == c ->
+     (match c.older with
+      | Some o when o.live -> Hashtbl.replace f.newest c.net o
+      | _ -> Hashtbl.remove f.newest c.net)
+   | _ -> ());
+  c.older <- None
 
-let push t lane ~net v =
+let compact f =
+  let live = Queue.create () in
+  Queue.iter (fun c -> if c.live then Queue.push c live) f.cells;
+  Queue.clear f.cells;
+  Queue.transfer live f.cells;
+  f.dead_count <- 0
+
+let cancel f c =
+  retire f c;
+  f.dead_count <- f.dead_count + 1;
+  if f.dead_count > f.live_count + 64 then compact f
+
+let push ?merge t lane ~net v =
   let lane =
     match lane with
     | Bulk -> Bulk
     | Urgent ->
-      if t.ordered && Hashtbl.mem t.bulk_pending net then begin
+      if t.ordered && Hashtbl.mem t.bulk.newest net then begin
         (* Older work for this prefix is still in the bulk lane: demote
            so we cannot overtake it (§5.1.2 across lanes). *)
         t.demoted <- t.demoted + 1;
@@ -67,30 +140,52 @@ let push t lane ~net v =
       end
       else Urgent
   in
-  (match lane with
-   | Urgent -> Queue.push (net, v) t.urgent
-   | Bulk ->
-     bulk_incr t net;
-     Queue.push (net, v) t.bulk);
+  let f = fifo_of t lane in
+  let prev = Hashtbl.find_opt f.newest net in
+  (match merge, prev with
+   | Some merge, Some c ->
+     (match merge c.v v with
+      | Merged v' -> c.v <- v'
+      | Cancelled -> cancel f c
+      | Refused -> append f net v prev)
+   | _ -> append f net v prev);
   let len = length t in
   if len > t.peak then t.peak <- len
 
-let drain t ~bulk_slice =
-  let urgent = Queue.fold (fun acc (_, v) -> v :: acc) [] t.urgent in
-  Queue.clear t.urgent;
-  let rec take n acc =
-    if n = 0 then acc
+(* The live values of up to [n] cells from the front of [f], oldest
+   first. *)
+let take f n =
+  let rec go n acc =
+    if n = 0 then List.rev acc
     else
-      match Queue.take_opt t.bulk with
-      | None -> acc
-      | Some (net, v) ->
-        bulk_decr t net;
-        take (n - 1) (v :: acc)
+      match Queue.take_opt f.cells with
+      | None -> List.rev acc
+      | Some c when not c.live ->
+        f.dead_count <- f.dead_count - 1;
+        go n acc
+      | Some c ->
+        retire f c;
+        go (n - 1) (c.v :: acc)
   in
-  let bulk = take bulk_slice [] in
-  (List.rev urgent, List.rev bulk)
+  go n []
+
+let to_list t lane =
+  Queue.fold
+    (fun acc c -> if c.live then (c.net, c.v) :: acc else acc)
+    [] (fifo_of t lane).cells
+  |> List.rev
+
+let drain t ~bulk_slice =
+  let urgent = take t.urgent max_int in
+  let bulk = take t.bulk bulk_slice in
+  (urgent, bulk)
+
+let clear_fifo f =
+  Queue.clear f.cells;
+  Hashtbl.reset f.newest;
+  f.live_count <- 0;
+  f.dead_count <- 0
 
 let clear t =
-  Queue.clear t.urgent;
-  Queue.clear t.bulk;
-  Hashtbl.reset t.bulk_pending
+  clear_fifo t.urgent;
+  clear_fifo t.bulk

@@ -5,7 +5,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type handler =
   Xrl_atom.t list -> (Xrl_error.t -> Xrl_atom.t list -> unit) -> unit
 
-type method_entry = { key : string; handler : handler }
+type method_entry = { mid : string; key : string; handler : handler }
 
 (* Reliability counters (process-wide; resolved once at module load). *)
 let c_retries = Telemetry.counter "xrl.retries"
@@ -38,6 +38,33 @@ let retryable = function
   | Xrl_error.No_such_method _ | Xrl_error.Timed_out _ -> true
   | _ -> false
 
+(* The per-call caches are keyed by the records a call already holds,
+   so a lookup builds no string. Senders: one per (family, address)
+   destination of a resolution. *)
+module Dest = Hashtbl.Make (struct
+    type t = Finder.resolved
+
+    let equal (a : t) (b : t) =
+      String.equal a.address b.address && String.equal a.family b.family
+
+    let hash (a : t) = Hashtbl.hash a.address
+  end)
+
+(* Resolutions: one per (target, interface, version, method); the
+   stored key has its arguments dropped. *)
+module Rkey = Hashtbl.Make (struct
+    type t = Xrl.t
+
+    let equal (a : t) (b : t) =
+      String.equal a.method_name b.method_name
+      && String.equal a.target b.target
+      && String.equal a.interface b.interface
+      && String.equal a.version b.version
+
+    let hash (a : t) =
+      (Hashtbl.hash a.target * 65599) + Hashtbl.hash a.method_name
+  end)
+
 (* One per (family, address) destination. Telemetry handles are
    resolved once here instead of per reply. *)
 type sender_entry = {
@@ -57,10 +84,10 @@ type t = {
   family_pref : string list;
   rng : Rng.t; (* backoff jitter; fixed seed keeps tests deterministic *)
   target : Finder.target;
-  methods : (string, method_entry) Hashtbl.t; (* method_id -> entry *)
+  methods : (int, method_entry) Hashtbl.t; (* by [key_index] of the key *)
   listeners : Pf.listener list;
-  senders : (string, sender_entry) Hashtbl.t; (* family ^ "|" ^ address *)
-  rcache : (string, Finder.resolved) Hashtbl.t; (* target ^ "|" ^ method_id *)
+  senders : sender_entry Dest.t;
+  rcache : Finder.resolved Rkey.t;
   inflight : (int, Xrl_error.t -> unit) Hashtbl.t; (* call id -> fail *)
   watched : (string, unit) Hashtbl.t; (* classes with a death watch *)
   mutable unwatch : (unit -> unit) list; (* removers of our Finder watches *)
@@ -126,14 +153,70 @@ let trace_atom (c : Telemetry.Trace.ctx) : Xrl_atom.t =
 let method_id_of ~interface ~version ~name =
   interface ^ "/" ^ version ^ "/" ^ name
 
-let dispatch_of t : Pf.dispatch =
-  fun xrl reply ->
-  let base, key = split_keyed_method xrl.Xrl.method_name in
+let run_handler entry (xrl : Xrl.t) reply =
+  let trace, span, args = split_trace_arg xrl.args in
+  match
+    Telemetry.Trace.with_ids ~trace ~span (fun () -> entry.handler args reply)
+  with
+  | () -> ()
+  | exception Xrl_atom.Bad_args msg -> reply (Xrl_error.Bad_args msg) []
+  | exception exn ->
+    Log.err (fun m ->
+        m "handler %s raised %s" entry.mid (Printexc.to_string exn));
+    reply (Xrl_error.Internal_error (Printexc.to_string exn)) []
+
+(* Handlers are found by the dispatch key a resolved call carries
+   ([name@key]) without building a string. A key is 32 random hex
+   digits; its first 15 read as an int (60 random bits) index the
+   handlers, read in place from the received name. The helpers are
+   top-level functions so that a call allocates no closure. *)
+let rec hex_int s i stop acc =
+  if i = stop then acc
+  else
+    let d =
+      match s.[i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | _ -> -1
+    in
+    if d < 0 then -1 else hex_int s (i + 1) stop ((acc lsl 4) lor d)
+
+(* The index of the key at [ofs] in [s], or -1. *)
+let key_index s ofs =
+  if String.length s - ofs < 15 then -1 else hex_int s ofs (ofs + 15) 0
+
+(* Do [n] chars of [a] from [ai] equal those of [b] from [bi]? *)
+let rec same_chars a ai b bi n =
+  n = 0 || (a.[ai] = b.[bi] && same_chars a (ai + 1) b (bi + 1) (n - 1))
+
+(* Is [entry] the handler [xrl] names: its key after the '@' at [at],
+   and its method id [interface/version/name] with the name before
+   it? *)
+let names entry (xrl : Xrl.t) at =
+  let m = xrl.method_name and mid = entry.mid in
+  let il = String.length xrl.interface and vl = String.length xrl.version in
+  let kl = String.length entry.key in
+  String.length m - at - 1 = kl
+  && same_chars m (at + 1) entry.key 0 kl
+  && String.length mid = il + vl + 2 + at
+  && same_chars mid 0 xrl.interface 0 il
+  && mid.[il] = '/'
+  && same_chars mid (il + 1) xrl.version 0 vl
+  && mid.[il + vl + 1] = '/'
+  && same_chars mid (il + vl + 2) m 0 at
+
+(* Anything the keyed lookup does not match takes the general path,
+   which builds the method id and words every error. *)
+let dispatch_slow t (xrl : Xrl.t) reply =
+  let base, key = split_keyed_method xrl.method_name in
   let mid =
-    method_id_of ~interface:xrl.Xrl.interface ~version:xrl.Xrl.version
-      ~name:base
+    method_id_of ~interface:xrl.interface ~version:xrl.version ~name:base
   in
-  match Hashtbl.find_opt t.methods mid with
+  match
+    Hashtbl.fold
+      (fun _ e found -> if String.equal e.mid mid then Some e else found)
+      t.methods None
+  with
   | None -> reply (Xrl_error.No_such_method mid) []
   | Some entry ->
     if key <> Some entry.key then
@@ -141,34 +224,29 @@ let dispatch_of t : Pf.dispatch =
         (Xrl_error.No_such_method
            (mid ^ " (bad or missing dispatch key; resolve via the Finder)"))
         []
-    else begin
-      let trace, span, args = split_trace_arg xrl.Xrl.args in
-      match
-        Telemetry.Trace.with_ids ~trace ~span (fun () ->
-            entry.handler args reply)
-      with
-      | () -> ()
-      | exception Xrl_atom.Bad_args msg -> reply (Xrl_error.Bad_args msg) []
-      | exception exn ->
-        Log.err (fun m ->
-            m "handler %s raised %s" mid (Printexc.to_string exn));
-        reply (Xrl_error.Internal_error (Printexc.to_string exn)) []
-    end
+    else run_handler entry xrl reply
 
-(* Does resolution-cache key [ckey] (target ^ "|" ^ method_id) point at
-   class [cls]? The target half is either a class name or an instance
-   name [cls ^ "-" ^ digits]. *)
-let ckey_targets_class ckey cls =
-  let tlen =
-    match String.index_opt ckey '|' with
-    | Some i -> i
-    | None -> String.length ckey
-  in
+let dispatch_of t : Pf.dispatch =
+  fun xrl reply ->
+  let m = xrl.Xrl.method_name in
+  match String.rindex m '@' with
+  | exception Not_found -> dispatch_slow t xrl reply
+  | at ->
+    (match Hashtbl.find t.methods (key_index m (at + 1)) with
+     | entry when names entry xrl at -> run_handler entry xrl reply
+     | _ | (exception Not_found) -> dispatch_slow t xrl reply)
+
+(* Does call target [target] name class [cls]? It is either the class
+   name or an instance name [cls ^ "-" ^ digits]. *)
+let target_names_class target cls =
+  let tlen = String.length target in
   let clen = String.length cls in
-  if tlen = clen then String.sub ckey 0 tlen = cls
-  else if tlen > clen + 1 && ckey.[clen] = '-' then begin
-    let rec digits i = i >= tlen || (ckey.[i] >= '0' && ckey.[i] <= '9' && digits (i + 1)) in
-    String.sub ckey 0 clen = cls && digits (clen + 1)
+  if tlen = clen then String.equal target cls
+  else if tlen > clen + 1 && target.[clen] = '-' then begin
+    let rec digits i =
+      i >= tlen || (target.[i] >= '0' && target.[i] <= '9' && digits (i + 1))
+    in
+    String.sub target 0 clen = cls && digits (clen + 1)
   end
   else false
 
@@ -190,15 +268,15 @@ let invalidate_class t cls =
      attributed to the restricted caller class. Cheapest safe answer
      for both: drop everything. For any other class, only its own
      cached resolutions can be stale. *)
-  if cls = t.cls then Hashtbl.reset t.rcache
+  if cls = t.cls then Rkey.reset t.rcache
   else begin
     let stale =
-      Hashtbl.fold
-        (fun ckey _ acc ->
-           if ckey_targets_class ckey cls then ckey :: acc else acc)
+      Rkey.fold
+        (fun (x : Xrl.t) _ acc ->
+           if target_names_class x.target cls then x :: acc else acc)
         t.rcache []
     in
-    List.iter (Hashtbl.remove t.rcache) stale
+    List.iter (Rkey.remove t.rcache) stale
   end
 
 let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
@@ -227,7 +305,8 @@ let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
        in
        { loop; fndr; cls = class_name; families; family_pref;
          rng = Rng.create 0xB0FF; target; methods = Hashtbl.create 32;
-         listeners; senders = Hashtbl.create 8; rcache = Hashtbl.create 64;
+         listeners; senders = Dest.create 8;
+         rcache = Rkey.create 64;
          inflight = Hashtbl.create 32; watched = Hashtbl.create 4;
          unwatch = []; next_call = 0; pending = 0; live = true;
          unhook = (fun () -> ()) })
@@ -239,7 +318,12 @@ let create ?(families = [ Pf_intra.family ]) ?(family_pref = default_pref)
 let add_handler t ~interface ?(version = "1.0") ~method_name handler =
   let mid = method_id_of ~interface ~version ~name:method_name in
   let key = Finder.register_method t.fndr t.target ~method_id:mid in
-  Hashtbl.replace t.methods mid { key; handler }
+  (* [add], not [replace]: two keys may share an index, and the general
+     path still finds whichever the index shadows. *)
+  Hashtbl.filter_map_inplace
+    (fun _ e -> if String.equal e.mid mid then None else Some e)
+    t.methods;
+  Hashtbl.add t.methods (key_index key 0) { mid; key; handler }
 
 (* Every Finder watch this router holds goes through here, so
    [shutdown] can remove them all; a shut router takes no new ones (a
@@ -288,35 +372,34 @@ let watch_peer t ~cls ?(on_death = ignore) ?on_rebirth () =
 let handle_death t cls =
   let alive = Finder.live_addresses t.fndr cls in
   let stale =
-    Hashtbl.fold
-      (fun skey (e : sender_entry) acc ->
+    Dest.fold
+      (fun dest (e : sender_entry) acc ->
          if
            e.dest_class = cls
            && not
                 (List.exists
                    (fun (f, a) -> f = e.s_family && a = e.s_address)
                    alive)
-         then (skey, e) :: acc
+         then (dest, e) :: acc
          else acc)
       t.senders []
   in
   List.iter
-    (fun (skey, (e : sender_entry)) ->
+    (fun (dest, (e : sender_entry)) ->
        Log.info (fun m ->
            m "peer %s died; evicting sender %s" cls e.s_address);
-       Hashtbl.remove t.senders skey;
+       Dest.remove t.senders dest;
        e.sender.Pf.close_sender ())
     stale
 
 let sender_for t ?watch_cls (resolved : Finder.resolved) =
-  let skey = resolved.family ^ "|" ^ resolved.address in
-  match Hashtbl.find_opt t.senders skey with
-  | Some entry ->
+  match Dest.find t.senders resolved with
+  | entry ->
     (match watch_cls with
      | Some cls when entry.dest_class = "" -> entry.dest_class <- cls
      | _ -> ());
     entry
-  | None ->
+  | exception Not_found ->
     (match
        List.find_opt
          (fun (fam : Pf.family) -> fam.family_name = resolved.family)
@@ -331,7 +414,7 @@ let sender_for t ?watch_cls (resolved : Finder.resolved) =
            calls = Telemetry.counter ("xrl." ^ resolved.family ^ ".calls");
            rtt = Telemetry.histogram ("xrl." ^ resolved.family ^ ".rtt_us") }
        in
-       Hashtbl.replace t.senders skey entry;
+       Dest.replace t.senders resolved entry;
        (* First sender towards this class: subscribe to its lifetime
           notifications (§6.5) so a death cleans us up. *)
        (match watch_cls with
@@ -347,20 +430,18 @@ let resolve_for_send t (xrl : Xrl.t) =
     Ok
       { Finder.family = xrl.protocol; address = xrl.target;
         keyed_method = xrl.method_name }
-  else begin
-    let ckey = xrl.target ^ "|" ^ Xrl.method_id xrl in
-    match Hashtbl.find_opt t.rcache ckey with
-    | Some r -> Ok r
-    | None ->
+  else
+    match Rkey.find t.rcache xrl with
+    | r -> Ok r
+    | exception Not_found ->
       (match
          Finder.resolve t.fndr ~family_pref:t.family_pref
            ~caller:(Finder.instance_name t.target) xrl
        with
        | Ok r ->
-         Hashtbl.replace t.rcache ckey r;
+         Rkey.replace t.rcache { xrl with args = [] } r;
          Ok r
        | Error e -> Error e)
-  end
 
 (* Backoff before attempt [n + 1]: exponential in the attempt number,
    capped, plus proportional jitter so a herd of failed calls does not
@@ -495,8 +576,7 @@ let send ?deadline ?retry t (xrl : Xrl.t) cb =
           count c_retries;
           (* A transport failure can mean the cached resolution is
              stale (the peer restarted elsewhere); re-resolve. *)
-          if not (Xrl.is_resolved xrl) then
-            Hashtbl.remove t.rcache (xrl.Xrl.target ^ "|" ^ Xrl.method_id xrl);
+          if not (Xrl.is_resolved xrl) then Rkey.remove t.rcache xrl;
           ignore
             (Eventloop.after t.loop (backoff_delay t r n) (fun () ->
                  attempt (n + 1)))
@@ -517,7 +597,7 @@ let call_blocking ?(deadline = 30.0) ?retry t xrl =
 let instance_name t = Finder.instance_name t.target
 
 let registered_methods t =
-  Hashtbl.fold (fun mid _ acc -> mid :: acc) t.methods []
+  Hashtbl.fold (fun _ e acc -> e.mid :: acc) t.methods []
   |> List.sort compare
 let class_name t = t.cls
 let finder t = t.fndr
@@ -536,10 +616,10 @@ let shutdown t =
     t.unwatch <- [];
     Finder.unregister_target t.fndr t.target;
     List.iter (fun (l : Pf.listener) -> l.shutdown ()) t.listeners;
-    Hashtbl.iter (fun _ (e : sender_entry) -> e.sender.Pf.close_sender ())
+    Dest.iter (fun _ (e : sender_entry) -> e.sender.Pf.close_sender ())
       t.senders;
-    Hashtbl.reset t.senders;
-    Hashtbl.reset t.rcache;
+    Dest.reset t.senders;
+    Rkey.reset t.rcache;
     (* Sweep whatever is still unsettled — calls waiting out a retry
        backoff, calls whose transport never reported — in send order.
        Settlement is idempotent, so anything the transports already

@@ -430,6 +430,56 @@ let test_full_stack_to_fib () =
        check Alcotest.int (p ^ " records") n
          (List.length (List.filter (fun (q, _) -> q = p) records)))
     b_points;
+  (* One change, one message: a re-announces the prefix with a longer
+     AS path, and b replaces its route with one XRL into the RIB and
+     one into the FEA. a learns the longer path from a third router c
+     and stops originating its own, so its winner changes in one
+     step. *)
+  let c = standalone_router ~loop ~netsim ~local_as:65003 ~bgp_id:(addr "3.3.3.3") () in
+  peering a "10.0.1.1" c "10.0.1.3" ~as_a:65001 ~as_b:65003;
+  Bgp_process.start c;
+  run_for loop 2.0;
+  let x = net "128.16.0.0/16" in
+  Bgp_process.originate a x;
+  run_for loop 2.0;
+  Bgp_process.originate c x;
+  run_for loop 2.0;
+  let path_len () =
+    Bgp_process.fold_winners b
+      (fun r acc ->
+         if Ipv4net.equal r.Bgp_types.net x then
+           Some (Aspath.length r.Bgp_types.attrs.aspath)
+         else acc)
+      None
+  in
+  check Alcotest.(option int) "b holds a's own announcement" (Some 1)
+    (path_len ());
+  ignore (journey ());
+  Telemetry.reset ();
+  Bgp_process.withdraw a x;
+  run_for loop 2.0;
+  check Alcotest.(option int) "b holds the longer path" (Some 2) (path_len ());
+  let handled =
+    List.map
+      (fun (s : Telemetry.Trace.span) -> s.sp_name)
+      (Telemetry.Trace.spans ())
+  in
+  let count name = List.length (List.filter (String.equal name) handled) in
+  List.iter
+    (fun (name, n) -> check Alcotest.int (name ^ " spans") n (count name))
+    [ ("rib.route_add", 1); ("rib.route_delete", 0);
+      ("rib.route_add_bulk", 0); ("rib.route_delete_bulk", 0);
+      ("fea.install", 1); ("fea.uninstall", 0);
+      ("fea.install_bulk", 0); ("fea.uninstall_bulk", 0) ];
+  (match Fib.get (Fea.fib fea) x with
+   | Some e ->
+     check Alcotest.string "FIB nexthop" "10.0.0.1" (Ipv4.to_string e.Fib.nexthop)
+   | None -> Alcotest.fail "the replacement left the FIB without the route");
+  check pair "the replacement passes all eight points as one add"
+    (List.map (fun p -> (p, "add 128.16.0.0/16")) b_points)
+    (journey ());
+  no_violations a;
+  no_violations b;
   List.iter Telemetry.Profile.disable b_points
 
 (* Every UPDATE re-arms the receiver's 90 s hold timer, so a cancelled
@@ -792,6 +842,174 @@ let test_rib_call_in_birth_gap_retries () =
   run_for loop 5.0;
   check Alcotest.int "subscription retried into the new handler" 1 !got
 
+(* One change, one message, under random streams. Three raw BGP
+   speakers announce, re-announce (with a new AS path length) and
+   withdraw prefixes of a small pool at a full-stack router on one
+   loop. At quiescence its FIB holds the model's best routes, the
+   checking cache on each export branch saw a consistent stream, and
+   neither the RIB nor the FEA handled more route XRLs than the model's
+   winner changes: a replacement no longer crosses either boundary as a
+   delete and an add. A speaker's changes may come in bursts, which the
+   queues coalesce; the loop settles before another speaker sends, so
+   the router meets the changes in the model's order and makes exactly
+   the model's winner changes. *)
+type feed_op = Feed_ann of int * int * int | Feed_wdr of int * int | Feed_settle
+
+let gen_feed_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 40)
+      (frequency
+         [ ( 6,
+             map3
+               (fun s p l -> Feed_ann (s, p, l))
+               (int_range 0 2) (int_range 0 3) (int_range 1 3) );
+           (3, map2 (fun s p -> Feed_wdr (s, p)) (int_range 0 2) (int_range 0 3));
+           (1, return Feed_settle) ]))
+
+let arb_feed_ops =
+  QCheck.make gen_feed_ops ~shrink:QCheck.Shrink.list
+    ~print:(fun ops ->
+        String.concat " "
+          (List.map
+             (function
+               | Feed_ann (s, p, l) -> Printf.sprintf "+%d.%d/%d" s p l
+               | Feed_wdr (s, p) -> Printf.sprintf "-%d.%d" s p
+               | Feed_settle -> "|")
+             ops))
+
+let feed_speakers = [| ("10.0.0.1", 65001); ("10.0.0.3", 65003); ("10.0.0.4", 65004) |]
+let feed_nets = Array.init 4 (fun i -> Ipv4net.make (Ipv4.of_octets 140 i 0 0) 16)
+
+(* A speaker that dials the router under test and sends UPDATEs; what
+   it receives it ignores. *)
+let feed_speaker ~loop ~netsim (a, asn) =
+  let fsm =
+    Peer_fsm.create loop
+      { Peer_fsm.local_as = asn; bgp_id = addr a; peer_as = 65002;
+        hold_time = 300.0 }
+      { Peer_fsm.on_established = ignore; on_update = ignore; on_down = ignore }
+  in
+  Peer_fsm.start_active fsm;
+  Netsim.Stream.connect netsim ~src:(addr a) ~dst:(addr "10.0.0.2") ~port:179
+    (function
+      | None -> Alcotest.fail "speaker could not connect"
+      | Some ep ->
+        Netsim.Stream.on_receive ep (fun d -> Peer_fsm.recv fsm d);
+        Netsim.Stream.on_close ep (fun () -> Peer_fsm.transport_closed fsm);
+        Peer_fsm.transport_up fsm
+          { Peer_fsm.tr_send = (fun d -> Netsim.Stream.send ep d);
+            tr_close = (fun () -> Netsim.Stream.close ep) });
+  fsm
+
+let one_change_one_message ops =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let _, fea, rib, b =
+    full_stack_router ~loop ~netsim ~local_as:65002 ~bgp_id:(addr "2.2.2.2") ()
+  in
+  Result.get_ok
+    (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.0.0/24")
+       ~nexthop:Ipv4.zero ());
+  Array.iter
+    (fun (a, asn) ->
+       Bgp_process.add_peer b
+         { (Bgp_process.default_peer_config ~peer_addr:(addr a)
+              ~local_addr:(addr "10.0.0.2") ~peer_as:asn)
+           with Bgp_process.passive = Some true; checking_cache = true })
+    feed_speakers;
+  Bgp_process.start b;
+  let speakers = Array.map (feed_speaker ~loop ~netsim) feed_speakers in
+  run_for loop 2.0;
+  if Bgp_process.established_count b <> 3 then
+    Alcotest.fail "speakers did not establish";
+  Telemetry.reset ();
+  (* The model: each speaker's AS path length per prefix. The best
+     route has the shortest AS path, then the lowest peer address (the
+     BGP id the router assumes for a speaker). *)
+  let held = Hashtbl.create 16 in
+  let best p =
+    Array.to_list (Array.mapi (fun s (a, _) -> (s, a)) feed_speakers)
+    |> List.filter_map (fun (s, a) ->
+        Option.map (fun len -> (len, s, a)) (Hashtbl.find_opt held (s, p)))
+    |> List.sort compare
+    |> function [] -> None | (len, s, _) :: _ -> Some (len, s)
+  in
+  let winner_changes = ref 0 in
+  let last_speaker = ref (-1) in
+  let change s p f =
+    if s <> !last_speaker then run_for loop 1.0;
+    last_speaker := s;
+    let before = best p in
+    f ();
+    if best p <> before then incr winner_changes
+  in
+  List.iter
+    (function
+      | Feed_settle -> run_for loop 1.0
+      | Feed_wdr (s, p) ->
+        change s p @@ fun () ->
+        Hashtbl.remove held (s, p);
+        ignore
+          (Peer_fsm.send_update speakers.(s)
+             (Bgp_packet.Update
+                { withdrawn = [ feed_nets.(p) ]; attrs = None; nlri = [] }))
+      | Feed_ann (s, p, len) ->
+        change s p @@ fun () ->
+        let a, asn = feed_speakers.(s) in
+        Hashtbl.replace held (s, p) len;
+        let attrs =
+          { (Bgp_types.default_attrs ~nexthop:(addr a)) with
+            Bgp_types.aspath =
+              [ Aspath.Seq (List.init len (fun i -> asn + (100 * i))) ] }
+        in
+        ignore
+          (Peer_fsm.send_update speakers.(s)
+             (Bgp_packet.Update
+                { withdrawn = []; attrs = Some attrs; nlri = [ feed_nets.(p) ] })))
+    ops;
+  run_for loop 10.0;
+  let best p = Option.map (fun (_, s) -> fst feed_speakers.(s)) (best p) in
+  Array.iteri
+    (fun p n ->
+       let got =
+         Option.map (fun e -> Ipv4.to_string e.Fib.nexthop)
+           (Fib.get (Fea.fib fea) n)
+       in
+       if got <> best p then
+         QCheck.Test.fail_reportf "%s: FIB says %s, model %s"
+           (Ipv4net.to_string n)
+           (Option.value got ~default:"nothing")
+           (Option.value (best p) ~default:"nothing"))
+    feed_nets;
+  (match Bgp_process.cache_violations b with
+   | [] -> ()
+   | v :: _ -> QCheck.Test.fail_reportf "cache violation: %s" v);
+  let winner_changes = !winner_changes in
+  let spans = Telemetry.Trace.spans () in
+  let count names =
+    List.length
+      (List.filter
+         (fun (s : Telemetry.Trace.span) -> List.mem s.sp_name names)
+         spans)
+  in
+  let rib_xrls =
+    count [ "rib.route_add"; "rib.route_delete"; "rib.route_add_bulk";
+            "rib.route_delete_bulk" ]
+  and fea_xrls =
+    count [ "fea.install"; "fea.uninstall"; "fea.install_bulk";
+            "fea.uninstall_bulk" ]
+  in
+  if rib_xrls > winner_changes || fea_xrls > winner_changes then
+    QCheck.Test.fail_reportf
+      "%d RIB and %d FEA route XRLs for %d winner changes" rib_xrls fea_xrls
+      winner_changes;
+  Bgp_process.shutdown b;
+  true
+
+let prop_one_change_one_message =
+  QCheck.Test.make ~name:"one change, one message: FIB, caches, XRL count"
+    ~count:60 arb_feed_ops one_change_one_message
+
 let () =
   Alcotest.run "xorp_bgp_process"
     [
@@ -847,5 +1065,6 @@ let () =
             test_rib_rebirth_resync_full_stack;
           Alcotest.test_case "RIB call in the birth gap is retried" `Quick
             test_rib_call_in_birth_gap_retries;
+          QCheck_alcotest.to_alcotest prop_one_change_one_message;
         ] );
     ]

@@ -747,6 +747,40 @@ let test_cache_detects_violation () =
   check Alcotest.bool "still passed through" true
     (List.exists (fun (op, r) -> op = "del" && Ipv4net.to_string r.Bgp_types.net = "99.0.0.0/8") rec_.log)
 
+(* The cache learns the fourth operation: a PeerIn replacement passes as
+   one replace with a clean record, and a replace for a prefix that was
+   never added is a violation that still passes through. *)
+let test_cache_checks_replace () =
+  let loop = Eventloop.create () in
+  let ribin = new Bgp_ribin.rib_in ~name:"in" ~peer_id:1 loop in
+  let cache =
+    new Bgp_cache.cache_table ~name:"cache"
+      ~parent:(ribin :> Bgp_table.table) ()
+  in
+  Bgp_table.plumb ribin cache;
+  let rec_ = recorder ~parent:(cache :> Bgp_table.table) () in
+  cache#set_next (Some rec_.tbl);
+  ribin#add_route (mkroute "10.0.0.0/8");
+  ribin#add_route (mkroute ~path:[ 65001; 65002 ] "10.0.0.0/8");
+  check Alcotest.int "replacement is clean" 0 cache#violation_count;
+  (match rec_.log with
+   | ("add", nr) :: ("del", old) :: _ ->
+     check Alcotest.int "old path len" 1
+       (Aspath.length old.Bgp_types.attrs.aspath);
+     check Alcotest.int "new path len" 2
+       (Aspath.length nr.Bgp_types.attrs.aspath)
+   | _ -> Alcotest.fail "expected the replace to reach the recorder");
+  check Alcotest.bool "cache agrees with the PeerIn" true
+    (cache#lookup_route (net "10.0.0.0/8") <> None
+     && cache#violation_count = 0);
+  cache#replace_route (mkroute "99.0.0.0/8") (mkroute "99.0.0.0/8");
+  check Alcotest.int "replace-without-add caught" 1 cache#violation_count;
+  check Alcotest.bool "still passed through" true
+    (List.exists
+       (fun (op, r) ->
+          op = "add" && Ipv4net.to_string r.Bgp_types.net = "99.0.0.0/8")
+       rec_.log)
+
 let () =
   Alcotest.run "xorp_bgp_stages"
     [
@@ -828,5 +862,6 @@ let () =
         [
           Alcotest.test_case "violation detection" `Quick
             test_cache_detects_violation;
+          Alcotest.test_case "replace checked" `Quick test_cache_checks_replace;
         ] );
     ]

@@ -381,7 +381,7 @@ let prop_decision_rib_match_flat_model =
            peer_infos
        in
        let rib_branch =
-         object
+         object (self)
            method tbl_name = "rib-branch"
            method set_next (_ : Bgp_table.table option) = ()
            method lookup_route (_ : Ipv4net.t) : Bgp_types.route option =
@@ -397,6 +397,9 @@ let prop_decision_rib_match_flat_model =
            method delete_route (r : Bgp_types.route) =
              ignore
                (Rib.delete_route rib ~protocol:(egp_protocol r) ~net:r.net)
+           method replace_route old r =
+             self#delete_route old;
+             self#add_route r
          end
        in
        decision#set_next (Some (rib_branch :> Bgp_table.table));

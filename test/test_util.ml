@@ -532,6 +532,124 @@ let test_laneq_clear () =
   Laneq.push q Laneq.Urgent ~net:(lq_net 1) 3;
   check Alcotest.int "urgent after clear" 1 (Laneq.urgent_length q)
 
+(* Coalescing, against a model receiver. Each prefix of a small pool
+   gets a well-formed stream of route changes for two receiver tables
+   (the RIB's two BGP origin tables): an add only where the table holds
+   nothing for the prefix, a replace or a delete only of what it holds,
+   and a prefix in one table at a time, so a move is a delete from one
+   table and an add to the other. Changes go out on random lanes and
+   drain at random points, merged as BGP's RIB queue merges them. The
+   receiver applies what it drains strictly; at the end its tables must
+   equal the stream's. After every push the queue holds at most one
+   entry per prefix, lane and table, and an urgent push for a prefix
+   with a bulk entry pending leaves the urgent lane as it was. *)
+type lq_op = Lq_change of int * int * bool | Lq_drain of int
+
+let gen_lq_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [ ( 5,
+             map3
+               (fun p c u -> Lq_change (p, c, u))
+               (int_range 0 2) (int_range 0 3) bool );
+           (1, map (fun s -> Lq_drain s) (int_range 1 3)) ]))
+
+let arb_lq_ops =
+  QCheck.make gen_lq_ops ~shrink:QCheck.Shrink.list
+    ~print:(fun ops ->
+        String.concat ""
+          (List.map
+             (function
+               | Lq_change (p, c, u) ->
+                 Printf.sprintf "%c%d.%d " (if u then 'u' else 'b') p c
+               | Lq_drain s -> Printf.sprintf "|%d " s)
+             ops))
+
+(* Entries are (change, (table, prefix, value), ()), merged as BGP's
+   RIB queue merges them: only within one table. *)
+let lq_merge =
+  Laneq.merge_changes ~compatible:(fun (a, _, _) (b, _, _) -> a = b)
+
+exception Lq_broken of string
+
+let lq_coalescing ?(merge = lq_merge) ops =
+  let q = Laneq.create () in
+  let nets = Array.init 3 lq_net in
+  (* The stream's view and the receiver's: (table, prefix) -> value. *)
+  let sent = Hashtbl.create 8 and got = Hashtbl.create 8 in
+  let broken what = raise (Lq_broken what) in
+  let apply tbl (change, (table, p, v), ()) =
+    let held = Hashtbl.mem tbl (table, p) in
+    (match (change : Laneq.change) with
+     | Add -> if held then broken "add over a held route"
+     | Replace | Delete -> if not held then broken "change to nothing held");
+    match change with
+    | Add | Replace -> Hashtbl.replace tbl (table, p) v
+    | Delete -> Hashtbl.remove tbl (table, p)
+  in
+  let per_table lane p =
+    List.fold_left
+      (fun (a, b) (_, (_, (table, p', _), ())) ->
+         if p' <> p then (a, b) else if table = 0 then (a + 1, b)
+         else (a, b + 1))
+      (0, 0) (Laneq.to_list q lane)
+  in
+  let value = ref 0 in
+  let push urgent change table p =
+    incr value;
+    let entry = (change, (table, p, !value), ()) in
+    apply sent entry;
+    let blocked = urgent && Laneq.mem q Laneq.Bulk nets.(p) in
+    let before = Laneq.to_list q Laneq.Urgent in
+    Laneq.push ~merge q
+      (if urgent then Laneq.Urgent else Laneq.Bulk)
+      ~net:nets.(p) entry;
+    if blocked && Laneq.to_list q Laneq.Urgent <> before then
+      broken "an urgent push overtook a bulk entry";
+    List.iter
+      (fun lane ->
+         let a, b = per_table lane p in
+         if a > 1 || b > 1 then broken "two entries for one prefix, lane and table")
+      [ Laneq.Urgent; Laneq.Bulk ]
+  in
+  let drain slice =
+    let urgent, bulk = Laneq.drain q ~bulk_slice:slice in
+    List.iter (apply got) urgent;
+    List.iter (apply got) bulk
+  in
+  let holding p = List.find_opt (fun t -> Hashtbl.mem sent (t, p)) [ 0; 1 ] in
+  List.iter
+    (function
+      | Lq_drain slice -> drain slice
+      | Lq_change (p, choice, urgent) ->
+        let push = push urgent in
+        (match holding p, choice with
+         | None, _ -> push Laneq.Add (choice mod 2) p
+         | Some t, 0 -> push Laneq.Replace t p
+         | Some t, 1 -> push Laneq.Delete t p
+         | Some t, 2 ->
+           (* move to the other table *)
+           push Laneq.Delete t p;
+           push Laneq.Add (1 - t) p
+         | Some t, _ ->
+           (* a replacement sent the old way, as a delete and an add *)
+           push Laneq.Delete t p;
+           push Laneq.Add t p))
+    ops;
+  while not (Laneq.is_empty q) do drain 2 done;
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  if sorted sent <> sorted got then broken "receiver disagrees with the stream"
+
+let prop_laneq_coalescing =
+  QCheck.Test.make ~name:"laneq: coalescing keeps the receiver's table"
+    ~count:500 arb_lq_ops (fun ops ->
+        match lq_coalescing ops with
+        | () -> true
+        | exception Lq_broken what -> QCheck.Test.fail_report what)
+
 let () =
   Alcotest.run "xorp_util"
     [
@@ -589,6 +707,7 @@ let () =
           Alcotest.test_case "unordered variant reorders" `Quick
             test_laneq_unordered_variant;
           Alcotest.test_case "clear resets guard" `Quick test_laneq_clear;
+          QCheck_alcotest.to_alcotest prop_laneq_coalescing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

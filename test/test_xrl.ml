@@ -770,6 +770,64 @@ let test_key_enforcement () =
   Xrl_router.shutdown adder;
   Xrl_router.shutdown caller
 
+(* A warm intra-process call shaped like rib/add_route (four arguments,
+   a no-op handler, resolution and sender from the caches) finds its
+   handler, sender and resolution without building a string. Ceilings
+   in minor words per call, over 10,000 calls: 154 and 174 words when
+   each lookup concatenated its key. A call that misses the fast path
+   still gets the same error text. *)
+let test_warm_call_allocation () =
+  let loop = Eventloop.create () in
+  let finder = Finder.create () in
+  let rib = Xrl_router.create finder loop ~class_name:"rib" () in
+  Xrl_router.add_handler rib ~interface:"rib" ~method_name:"add_route"
+    (fun _ reply -> reply Xrl_error.Ok_xrl []);
+  let caller = Xrl_router.create finder loop ~class_name:"bgp" () in
+  let xrl =
+    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
+      [ Xrl_atom.txt "protocol" "ebgp";
+        Xrl_atom.ipv4net "net" (Ipv4net.of_string_exn "10.1.0.0/16");
+        Xrl_atom.ipv4 "nexthop" (Ipv4.of_string_exn "10.0.0.1");
+        Xrl_atom.u32 "metric" 0 ]
+  in
+  let ok = ref 0 in
+  let cb err _ = if Xrl_error.is_ok err then incr ok in
+  let words_per_call ?retry () =
+    Xrl_router.send ?retry caller xrl cb;
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do Xrl_router.send ?retry caller xrl cb done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let plain = words_per_call () in
+  let retried = words_per_call ~retry:Xrl_router.default_retry () in
+  check Alcotest.int "every call answered" 20_002 !ok;
+  check Alcotest.bool (Printf.sprintf "%.1f words per call" plain) true
+    (plain <= 90.5);
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per call with default_retry" retried)
+    true (retried <= 110.5);
+  let r = Result.get_ok (Finder.resolve finder xrl) in
+  let call ~interface method_name =
+    let resolved =
+      Xrl.make ~protocol:r.Finder.family ~target:r.Finder.address ~interface
+        ~method_name []
+    in
+    Xrl_error.to_string (fst (Xrl_router.call_blocking caller resolved))
+  in
+  let expect what want got = check Alcotest.string what want got in
+  expect "wrong interface"
+    (Xrl_error.to_string (Xrl_error.No_such_method "fea/1.0/add_route"))
+    (call ~interface:"fea" r.Finder.keyed_method);
+  expect "bad key"
+    (Xrl_error.to_string
+       (Xrl_error.No_such_method
+          "rib/1.0/add_route (bad or missing dispatch key; resolve via the \
+           Finder)"))
+    (call ~interface:"rib" "add_route@00000000000000000000000000000000");
+  Xrl_router.shutdown rib;
+  Xrl_router.shutdown caller
+
 let test_shutdown_invalidates () =
   let loop = Eventloop.create () in
   let finder = Finder.create () in
@@ -880,6 +938,8 @@ let () =
           Alcotest.test_case "resolve failure surfaces" `Quick
             test_resolve_failure_surfaces;
           Alcotest.test_case "forged key rejected" `Quick test_key_enforcement;
+          Alcotest.test_case "warm call allocation ceiling" `Quick
+            test_warm_call_allocation;
           Alcotest.test_case "shutdown and reincarnation" `Quick
             test_shutdown_invalidates;
           Alcotest.test_case "deferred reply" `Quick test_deferred_reply;
