@@ -17,7 +17,7 @@
    (wo: prepend the local AS n times), community_add (wo), and
    community_<n> (ro: membership test). *)
 
-let apply_programs ~local_as ~peer_as (programs : Policy.program list)
+let run_programs ~local_as ~peer_as (programs : Policy.program list)
     (r : Bgp_types.route) : Bgp_types.route option =
   let a = r.Bgp_types.attrs in
   let nexthop = ref a.Bgp_types.nexthop in
@@ -98,6 +98,12 @@ let apply_programs ~local_as ~peer_as (programs : Policy.program list)
          None)
   in
   run programs
+
+(* An empty bank is the identity: the route itself passes, uncopied. *)
+let apply_programs ~local_as ~peer_as programs r =
+  match programs with
+  | [] -> Some r
+  | _ -> run_programs ~local_as ~peer_as programs r
 
 class filter_table ~name ~(parent : Bgp_table.table) ~(local_as : int)
     ~(peer_as : int) ?(programs : Policy.program list = []) () =

@@ -113,6 +113,9 @@ let rib_protocol t (route : Bgp_types.route) =
   | Some Bgp_types.Ibgp -> "ibgp"
   | _ -> "ebgp"
 
+let rib_metric (route : Bgp_types.route) =
+  Option.value route.Bgp_types.attrs.med ~default:0
+
 (* A change folds into the one pending for its prefix and lane when
    both are for the same RIB origin table. The RIB holds a prefix in
    one of the two at a time, so the queue holds at most one entry per
@@ -142,8 +145,7 @@ let send_rib_one t (change, (route : Bgp_types.route), trace) =
   let protocol = rib_protocol t route in
   if is_add change then
     Rib_client.add_route t.rib ~protocol ~net
-      ~nexthop:route.Bgp_types.attrs.nexthop
-      ~metric:(Option.value route.Bgp_types.attrs.med ~default:0)
+      ~nexthop:route.Bgp_types.attrs.nexthop ~metric:(rib_metric route)
   else Rib_client.delete_route t.rib ~protocol ~net
 
 (* A run of queued updates with the same operation and protocol leaves
@@ -176,7 +178,7 @@ let send_rib_run t entries =
                { Route_pack.net = r.Bgp_types.net;
                  nexthop = r.Bgp_types.attrs.nexthop;
                  ifname = ""; protocol = rib_protocol t r;
-                 metric = Option.value r.Bgp_types.attrs.med ~default:0 })
+                 metric = rib_metric r })
             entries
         in
         Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_routes4"
@@ -240,9 +242,13 @@ let rec schedule_rib_flush t =
   end
 
 (* The fanout reader feeding the RIB. Locally originated routes
-   (peer 0) are skipped: the RIB learned them by other means. A replace
-   within one origin table queues one entry, which the RIB applies as
-   a replacement; a route that moves between the ebgp and ibgp tables
+   (peer 0) are skipped: the RIB learned them by other means. The RIB
+   stores a route's origin table, nexthop and metric and nothing else
+   of it (§5.2), so a replace that leaves all three as they were — an
+   AS path change, say — ends here, at the last §8.2 point it passed
+   ([bgp_in]); nothing queues for the RIB. Any other replace within
+   one origin table queues one entry, which the RIB applies as a
+   replacement; a route that moves between the ebgp and ibgp tables
    stays a delete from one and an add to the other. *)
 let make_rib_branch t : Bgp_table.table =
   let on change (route : Bgp_types.route) =
@@ -266,7 +272,11 @@ let make_rib_branch t : Bgp_table.table =
     method! replace_route old r =
       if old.Bgp_types.peer_id <> 0 && r.Bgp_types.peer_id <> 0
          && String.equal (rib_protocol t old) (rib_protocol t r)
-      then on Laneq.Replace r
+      then begin
+        if not (Ipv4.equal old.attrs.nexthop r.attrs.nexthop
+                && rib_metric old = rib_metric r)
+        then on Laneq.Replace r
+      end
       else begin
         on Laneq.Delete old;
         on Laneq.Add r

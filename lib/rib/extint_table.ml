@@ -14,13 +14,11 @@
 
    A replacement arrives as one replace: the prefix is re-evaluated
    once, and a changed winner leaves as a replace of the propagated
-   route. So does a replaced winner whose RIB fields did not change
-   (a BGP route whose AS path alone changed): a replace has the effect
-   of the delete and add it stands for, so it reaches the FIB as one
-   add. An internal replace
-   rechecks the external nexthops inside its prefix once, after the new
-   route is in place, so an external route that resolved through the
-   old route and resolves through the new one is left alone. *)
+   route; a winner equal to the propagated one (a route re-originated
+   as it was) leaves nothing. An internal replace rechecks the external
+   nexthops inside its prefix once, after the new route is in place, so
+   an external route that resolved through the old route and resolves
+   through the new one is left alone. *)
 
 let resolves_via (int_ : Rib_table.table) (nexthop : Ipv4.t) =
   int_#lookup_best nexthop <> None
@@ -37,10 +35,7 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
     val by_nexthop : (int, (Ipv4net.t, unit) Hashtbl.t) Hashtbl.t =
       Hashtbl.create 32
 
-    (* [replaced] is the old route of a replace being applied: when it
-       is the propagated winner, the winner leaves as a replace even if
-       its successor is equal to it. *)
-    method private reevaluate ?replaced net =
+    method private reevaluate net =
       let int_route = int_#lookup_route net in
       let ext_route =
         match Ptree.find ext_state net with
@@ -57,15 +52,9 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
              then i
              else e)
       in
-      let old = Ptree.find propagated net in
-      let was_replaced o =
-        match replaced with
-        | Some r -> Rib_route.equal o r
-        | None -> false
-      in
-      match old, winner with
+      match Ptree.find propagated net, winner with
       | None, None -> ()
-      | Some o, Some w when Rib_route.equal o w && not (was_replaced o) -> ()
+      | Some o, Some w when Rib_route.equal o w -> ()
       | None, Some w ->
         ignore (Ptree.insert propagated net w);
         self#push_add w
@@ -134,16 +123,8 @@ class extint_table ~name (ext : Rib_table.table) (int_ : Rib_table.table) =
         self#recheck_nexthops_within r.net
       end
 
-    method! replace_route src (old : Rib_route.t) (r : Rib_route.t) =
-      Telemetry.time h_add @@ fun () ->
-      if src == ext then begin
-        self#store_ext r;
-        self#reevaluate ~replaced:old r.net
-      end
-      else begin
-        self#reevaluate ~replaced:old r.net;
-        self#recheck_nexthops_within r.net
-      end
+    (* Storing the new route over the old is all a replace needs. *)
+    method! replace_route src _old r = self#add_route src r
 
     method delete_route src (r : Rib_route.t) =
       Telemetry.time h_del @@ fun () ->

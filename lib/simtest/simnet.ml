@@ -477,7 +477,7 @@ let signature w =
    before stopping — sampling at aligned instants would always catch a
    freshly transmitted hello as an unsettled send. Returns whether the
    network converged and the virtual time of the last observed change,
-   which is what the convergence benchmark measures. *)
+   which the convergence benchmark reports as session settle. *)
 let converge ?(step = 9.7) ?(needed = 5) ?(max_steps = 90) w =
   let last_change = ref (Eventloop.now w.loop) in
   let rec go n stable last =

@@ -99,7 +99,8 @@ val converge :
     stable for [needed] consecutive samples [step] seconds apart with
     no XRL in flight (or give up after [max_steps] samples, recording
     a violation). Returns convergence and the virtual time of the last
-    observed change — the convergence instant, up to [step]
+    observed change of {!signature}, which counts established BGP
+    sessions too: the instant sessions settle, up to [step]
     resolution. The defaults (9.7 s / 5 / 90) are for pass/fail; the
     benchmark narrows [step] for finer timing. *)
 

@@ -430,11 +430,11 @@ let test_full_stack_to_fib () =
        check Alcotest.int (p ^ " records") n
          (List.length (List.filter (fun (q, _) -> q = p) records)))
     b_points;
-  (* One change, one message: a re-announces the prefix with a longer
-     AS path, and b replaces its route with one XRL into the RIB and
-     one into the FEA. a learns the longer path from a third router c
-     and stops originating its own, so its winner changes in one
-     step. *)
+  (* A change the RIB cannot see stops in BGP: a re-announces the
+     prefix with a longer AS path over the same session, so with the
+     same nexthop and metric, and b's to-RIB sink drops the
+     replacement. a learns the longer path from a third router c and
+     stops originating its own, so its winner changes in one step. *)
   let c = standalone_router ~loop ~netsim ~local_as:65003 ~bgp_id:(addr "3.3.3.3") () in
   peering a "10.0.1.1" c "10.0.1.3" ~as_a:65001 ~as_b:65003;
   Bgp_process.start c;
@@ -452,6 +452,11 @@ let test_full_stack_to_fib () =
          else acc)
       None
   in
+  let fib_nexthop what =
+    match Fib.get (Fea.fib fea) x with
+    | Some e -> Ipv4.to_string e.Fib.nexthop
+    | None -> Alcotest.failf "%s left the FIB without the route" what
+  in
   check Alcotest.(option int) "b holds a's own announcement" (Some 1)
     (path_len ());
   ignore (journey ());
@@ -459,25 +464,50 @@ let test_full_stack_to_fib () =
   Bgp_process.withdraw a x;
   run_for loop 2.0;
   check Alcotest.(option int) "b holds the longer path" (Some 2) (path_len ());
-  let handled =
+  let handled () =
     List.map
       (fun (s : Telemetry.Trace.span) -> s.sp_name)
       (Telemetry.Trace.spans ())
   in
-  let count name = List.length (List.filter (String.equal name) handled) in
+  check Alcotest.(list string) "no RIB route or FEA span" []
+    (List.filter
+       (fun name ->
+          String.starts_with ~prefix:"rib.route_" name
+          || String.starts_with ~prefix:"fea." name)
+       (handled ()));
+  check Alcotest.string "FIB nexthop" "10.0.0.1"
+    (fib_nexthop "the AS path change");
+  check pair "the AS path change records only where it entered"
+    [ ("b." ^ Bgp_process.pp_entering, "add 128.16.0.0/16") ]
+    (journey ());
+  (* One change, one message: b's winner moves to a fourth router d,
+     with another nexthop, and b replaces its route with one XRL into
+     the RIB and one into the FEA. *)
+  let d = standalone_router ~loop ~netsim ~local_as:65004 ~bgp_id:(addr "4.4.4.4") () in
+  peering d "10.0.2.4" b "10.0.2.2" ~as_a:65004 ~as_b:65002;
+  Result.get_ok
+    (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.2.0/24")
+       ~nexthop:Ipv4.zero ());
+  Bgp_process.start d;
+  run_for loop 2.0;
+  ignore (journey ());
+  Telemetry.reset ();
+  Bgp_process.originate d x;
+  run_for loop 2.0;
+  check Alcotest.(option int) "b holds d's path" (Some 1) (path_len ());
+  let count name = List.length (List.filter (String.equal name) (handled ())) in
   List.iter
     (fun (name, n) -> check Alcotest.int (name ^ " spans") n (count name))
     [ ("rib.route_add", 1); ("rib.route_delete", 0);
       ("rib.route_add_bulk", 0); ("rib.route_delete_bulk", 0);
       ("fea.install", 1); ("fea.uninstall", 0);
       ("fea.install_bulk", 0); ("fea.uninstall_bulk", 0) ];
-  (match Fib.get (Fea.fib fea) x with
-   | Some e ->
-     check Alcotest.string "FIB nexthop" "10.0.0.1" (Ipv4.to_string e.Fib.nexthop)
-   | None -> Alcotest.fail "the replacement left the FIB without the route");
+  check Alcotest.string "FIB nexthop" "10.0.2.4"
+    (fib_nexthop "the nexthop change");
   check pair "the replacement passes all eight points as one add"
     (List.map (fun p -> (p, "add 128.16.0.0/16")) b_points)
     (journey ());
+  no_violations d;
   no_violations a;
   no_violations b;
   List.iter Telemetry.Profile.disable b_points
@@ -848,11 +878,14 @@ let test_rib_call_in_birth_gap_retries () =
    loop. At quiescence its FIB holds the model's best routes, the
    checking cache on each export branch saw a consistent stream, and
    neither the RIB nor the FEA handled more route XRLs than the model's
-   winner changes: a replacement no longer crosses either boundary as a
-   delete and an add. A speaker's changes may come in bursts, which the
-   queues coalesce; the loop settles before another speaker sends, so
-   the router meets the changes in the model's order and makes exactly
-   the model's winner changes. *)
+   RIB-visible winner changes: a best route that appears, disappears
+   or moves to another speaker, and with it to another nexthop. A
+   replacement no longer crosses either boundary as a delete and an
+   add, and a re-announcement that changes only the AS path length of
+   the best route crosses neither. A speaker's changes may come in
+   bursts, which the queues coalesce; the loop settles before another
+   speaker sends, so the router meets the changes in the model's order
+   and makes exactly the model's winner changes. *)
 type feed_op = Feed_ann of int * int * int | Feed_wdr of int * int | Feed_settle
 
 let gen_feed_ops =
@@ -934,14 +967,15 @@ let one_change_one_message ops =
     |> List.sort compare
     |> function [] -> None | (len, s, _) :: _ -> Some (len, s)
   in
-  let winner_changes = ref 0 in
+  let rib_changes = ref 0 in
   let last_speaker = ref (-1) in
+  let speaker p = Option.map snd (best p) in
   let change s p f =
     if s <> !last_speaker then run_for loop 1.0;
     last_speaker := s;
-    let before = best p in
+    let before = speaker p in
     f ();
-    if best p <> before then incr winner_changes
+    if speaker p <> before then incr rib_changes
   in
   List.iter
     (function
@@ -984,7 +1018,7 @@ let one_change_one_message ops =
   (match Bgp_process.cache_violations b with
    | [] -> ()
    | v :: _ -> QCheck.Test.fail_reportf "cache violation: %s" v);
-  let winner_changes = !winner_changes in
+  let rib_changes = !rib_changes in
   let spans = Telemetry.Trace.spans () in
   let count names =
     List.length
@@ -999,10 +1033,10 @@ let one_change_one_message ops =
     count [ "fea.install"; "fea.uninstall"; "fea.install_bulk";
             "fea.uninstall_bulk" ]
   in
-  if rib_xrls > winner_changes || fea_xrls > winner_changes then
+  if rib_xrls > rib_changes || fea_xrls > rib_changes then
     QCheck.Test.fail_reportf
-      "%d RIB and %d FEA route XRLs for %d winner changes" rib_xrls fea_xrls
-      winner_changes;
+      "%d RIB and %d FEA route XRLs for %d RIB-visible winner changes"
+      rib_xrls fea_xrls rib_changes;
   Bgp_process.shutdown b;
   true
 

@@ -225,6 +225,36 @@ let test_filter_aspath_prepend () =
       (Aspath.to_string r.Bgp_types.attrs.aspath)
   | _ -> Alcotest.fail "expected one add"
 
+(* An empty bank is the identity: it passes the route record itself,
+   uncopied, on adds, replaces and lookups. *)
+let test_filter_empty_bank_identity () =
+  let loop = Eventloop.create () in
+  let ribin = new Bgp_ribin.rib_in ~name:"in" ~peer_id:1 loop in
+  let filter =
+    new Bgp_filter.filter_table ~name:"f"
+      ~parent:(ribin :> Bgp_table.table)
+      ~local_as:65000 ~peer_as:65001 ()
+  in
+  Bgp_table.plumb ribin filter;
+  let rec_ = recorder ~parent:(filter :> Bgp_table.table) () in
+  filter#set_next (Some rec_.tbl);
+  let r = mkroute "10.0.0.0/8" in
+  let r' = mkroute ~path:[ 65001; 65002 ] "10.0.0.0/8" in
+  filter#add_route r;
+  filter#replace_route r r';
+  (match rec_.log with
+   | [ ("add", added); ("del", deleted); ("add", first) ] ->
+     check Alcotest.bool "the add passed its route" true (first == r);
+     check Alcotest.bool "the replace passed its old route" true (deleted == r);
+     check Alcotest.bool "and its new route" true (added == r')
+   | _ -> Alcotest.fail "expected add, then delete and add");
+  ribin#add_route r;
+  match ribin#lookup_route (net "10.0.0.0/8"),
+        filter#lookup_route (net "10.0.0.0/8") with
+  | Some stored, Some seen ->
+    check Alcotest.bool "a lookup passes the stored route" true (seen == stored)
+  | _ -> Alcotest.fail "lookup lost the route"
+
 let test_filter_refilter () =
   let loop = Eventloop.create () in
   let ribin = new Bgp_ribin.rib_in ~name:"in" ~peer_id:1 loop in
@@ -797,6 +827,8 @@ let () =
           Alcotest.test_case "reject and modify" `Quick test_filter_reject_modify;
           Alcotest.test_case "aspath prepend" `Quick test_filter_aspath_prepend;
           Alcotest.test_case "background refilter" `Quick test_filter_refilter;
+          Alcotest.test_case "empty bank passes routes uncopied" `Quick
+            test_filter_empty_bank_identity;
         ] );
       ( "damping",
         [

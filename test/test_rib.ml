@@ -112,6 +112,47 @@ let test_same_protocol_replace () =
    | None -> Alcotest.fail "no route");
   check Alcotest.int "model consistent" 1 (Hashtbl.length m.routes)
 
+(* --- changes that leave a table as it was ------------------------------ *)
+
+(* An equal re-origination reaches ExtInt as a replace whose winner
+   equals the propagated one, and stops there. *)
+let test_equal_originate_is_no_change () =
+  let loop, _, fea, rib = setup () in
+  let m = attach_model rib in
+  add rib ~protocol:"static" "10.0.0.0/8" "192.0.2.1";
+  Eventloop.run loop;
+  add rib ~protocol:"static" "10.0.0.0/8" "192.0.2.1";
+  Eventloop.run loop;
+  check Alcotest.int "one add downstream" 1 m.adds;
+  check Alcotest.int "no delete downstream" 0 m.deletes;
+  check Alcotest.int "one FIB install" 1 (Fea.routes_installed fea)
+
+(* The origin table stores the current generation on every originate,
+   so a running clear leaves an equal re-originated route alone. *)
+let test_equal_originate_survives_clear () =
+  let loop, _, fea, rib = setup () in
+  for i = 0 to 999 do
+    add rib ~protocol:"rip"
+      (Printf.sprintf "10.%d.%d.0/24" (i / 250) (i mod 250))
+      "192.0.2.120"
+  done;
+  Eventloop.run loop;
+  let m = attach_model rib in
+  let adds = m.adds and installed = Fea.routes_installed fea in
+  Rib.flush_protocol rib "rip";
+  add rib ~protocol:"rip" "10.2.100.0/24" "192.0.2.120";
+  Eventloop.run loop;
+  check Alcotest.int "the clear ended with one route left" 1
+    (Rib.origin_route_count rib "rip");
+  check Alcotest.bool "the re-originated route is still a winner" true
+    (Rib.lookup_best rib (addr "10.2.100.1") <> None);
+  check Alcotest.bool "and still in the FIB" true
+    (Fib.get (Fea.fib fea) (net "10.2.100.0/24") <> None);
+  check Alcotest.int "no add sent for it" adds m.adds;
+  check Alcotest.int "every other route deleted" 999 m.deletes;
+  check Alcotest.int "no FIB install for it" installed
+    (Fea.routes_installed fea)
+
 let test_more_specific_coexists () =
   let loop, _, fea, rib = setup () in
   add rib ~protocol:"static" "10.0.0.0/8" "192.0.2.1";
@@ -512,6 +553,13 @@ let () =
             test_same_protocol_replace;
           Alcotest.test_case "more-specific coexists" `Quick
             test_more_specific_coexists;
+        ] );
+      ( "unchanged",
+        [
+          Alcotest.test_case "equal originate sends nothing" `Quick
+            test_equal_originate_is_no_change;
+          Alcotest.test_case "equal originate survives a clear" `Quick
+            test_equal_originate_survives_clear;
         ] );
       ( "extint",
         [
