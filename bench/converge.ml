@@ -172,13 +172,13 @@ let run () =
    point is catching accidental quadratic blowups in the harness, not
    micro-regressions. The two ceilings are tight, because both counts
    repeat exactly. From the flap to quiescence the cycle dispatches
-   1,974 events and 84 XRLs now that BGP passes the RIB only changes to
-   what the RIB stores; it took 2,635 events and 264 XRLs when every
-   replacement crossed, and 5,056 events when each crossed as a delete
-   and an add. Each ceiling sits
-   about 10% above its count. *)
-let flap_event_ceiling = 2_170
-let flap_xrl_ceiling = 92
+   1,778 events and 28 XRLs now that every BGP->RIB and RIB->FEA flush
+   leaves as packed runs; it took 1,974 events and 84 XRLs when each
+   urgent change crossed as its own XRL, 2,635 events and 264 XRLs when
+   every replacement crossed, and 5,056 events when each crossed as a
+   delete and an add. Each ceiling sits about 10% above its count. *)
+let flap_event_ceiling = 1_960
+let flap_xrl_ceiling = 31
 
 let smoke () =
   header "converge-smoke: 30-router flap cycle under a wall budget";

@@ -9,7 +9,9 @@
    - Figure 12: same preload; test routes arrive on a different peering.
    - occupancy-50: the sweep point between Figures 10 and 11.
    - during-load: test routes measured while the full table is still
-     streaming in — the latency a flap sees mid-convergence.
+     streaming in — the latency a flap sees mid-convergence. A fixed
+     number of them, paced by the load's progress, so every run traces
+     the same count whatever the host's speed.
    - churn: full table plus sustained background flapping on the feed
      peering while test routes are measured.
 
@@ -150,19 +152,20 @@ type load_timing = { routes : int; bgp_s : float; settled_s : float }
 
 (* Announce the first [n] feed routes and wait for the whole stack to
    settle: BGP's fanout drained, the RIB holding every winner plus the
-   connected route, and the FIB in sync. *)
-let preload s n =
+   connected route, and the FIB in sync. [each_turn] runs between loop
+   turns all the while. *)
+let preload ?(each_turn = ignore) s n =
   let t0 = Unix.gettimeofday () in
   let nets =
     Array.to_list (Array.map (fun e -> e.Feed.net) (Array.sub s.feed 0 n))
   in
   Injector.announce s.feed_peer ~nexthop:(addr "10.0.0.11") nets;
   run_real_until s.loop
-    (fun () -> Bgp_process.route_count s.bgp >= n)
+    (fun () -> each_turn (); Bgp_process.route_count s.bgp >= n)
     ~timeout_s:600.0 "preload";
   let bgp_s = Unix.gettimeofday () -. t0 in
   run_real_until s.loop
-    (fun () -> settled s ~preload:n)
+    (fun () -> each_turn (); settled s ~preload:n)
     ~timeout_s:600.0 "stack settling";
   { routes = n; bgp_s; settled_s = Unix.gettimeofday () -. t0 }
 
@@ -302,42 +305,81 @@ type experiment = {
   rows : (string * string * pstats) list;
 }
 
-(* Flap [n] fresh test routes one at a time on [peer], tracing each
-   through all eight points. [churn], when given, is stepped twice per
-   flap cycle. [keep_going] can extend the run (during-load measures
-   until the table finishes loading). *)
-let flap_routes s ~peer ~n ?churn ?(keep_going = fun () -> false) () =
+(* Trace [n] fresh test routes through all eight points: [flap tr
+   base] flaps [test_net (base + 1)] to [test_net (base + n)], absorbing
+   the records into [tr] as it goes, and the stragglers are absorbed
+   after a 0.3 s settle. Returns what [flap] returned, the traced count
+   and the rows. *)
+let trace_test_routes s ~n flap =
   let base = s.next_test in
-  (* Reserve generously: keep_going may extend past n. *)
-  let cap = n + 2000 in
-  s.next_test <- s.next_test + cap;
-  let tr = make_tracer ~base ~n:cap in
+  s.next_test <- s.next_test + n;
+  let tr = make_tracer ~base ~n in
   ignore (Telemetry.Profile.drain ());
   Telemetry.Profile.enable_all ();
-  let flapped = ref 0 in
-  let flap_one i =
-    let net = test_net i in
-    (match churn with Some c -> churn_step c | None -> ());
-    Injector.announce peer ~nexthop:(addr "10.0.0.11") [ net ];
-    wall_sleep s.loop 0.035;
-    absorb tr (Telemetry.Profile.drain ());
-    (match churn with Some c -> churn_step c | None -> ());
-    Injector.withdraw peer [ net ];
-    wall_sleep s.loop 0.015;
-    absorb tr (Telemetry.Profile.drain ());
-    incr flapped
-  in
-  let i = ref 1 in
-  while !i <= n || (!i <= cap && keep_going ()) do
-    flap_one (base + !i);
-    incr i
-  done;
+  let result = flap tr base in
   wall_sleep s.loop 0.3;
   absorb tr (Telemetry.Profile.drain ());
   Telemetry.Profile.disable_all ();
-  (match churn with Some c -> churn_finish c | None -> ());
-  let traced, rows = extract tr ~base ~n:!flapped in
-  (!flapped, traced, rows)
+  let traced, rows = extract tr ~base ~n in
+  (result, traced, rows)
+
+(* Flap [n] fresh test routes one at a time on [peer]. [churn], when
+   given, is stepped twice per flap cycle. *)
+let flap_routes s ~peer ~n ?churn () =
+  let step () = Option.iter churn_step churn in
+  let (), traced, rows =
+    trace_test_routes s ~n (fun tr base ->
+        for i = base + 1 to base + n do
+          step ();
+          Injector.announce peer ~nexthop:(addr "10.0.0.11") [ test_net i ];
+          wall_sleep s.loop 0.035;
+          absorb tr (Telemetry.Profile.drain ());
+          step ();
+          Injector.withdraw peer [ test_net i ];
+          wall_sleep s.loop 0.015;
+          absorb tr (Telemetry.Profile.drain ())
+        done)
+  in
+  Option.iter churn_finish churn;
+  (n, traced, rows)
+
+(* Test routes flapped while the table loads. *)
+let during_load_flaps = 100
+
+(* Load the whole feed and flap [during_load_flaps] test routes on
+   [peer] meanwhile: the k-th (from 0) is announced once k/100 of the
+   table is in the FIB and the one before it has reached the kernel
+   point, which is when that one is withdrawn. So every run traces the
+   same count at the same points of the load, whatever the host's
+   speed. Returns the count, the traced count, the rows and the load's
+   timing. *)
+let flap_during_load s ~peer =
+  let n = during_load_flaps and table = Array.length s.feed in
+  let in_fib0 = Fib.size (Fea.fib s.fea) in
+  let load, traced, rows =
+    trace_test_routes s ~n (fun tr base ->
+        let flapped = ref 0 in
+        let test k = test_net (base + k) in
+        let each_turn () =
+          absorb tr (Telemetry.Profile.drain ());
+          if !flapped < n
+             && (!flapped = 0 || Hashtbl.mem tr.times (test !flapped, Fea.pp_kernel))
+             && (Fib.size (Fea.fib s.fea) - in_fib0) * n >= !flapped * table
+          then begin
+            if !flapped > 0 then Injector.withdraw peer [ test !flapped ];
+            incr flapped;
+            Injector.announce peer ~nexthop:(addr "10.0.0.11") [ test !flapped ]
+          end
+        in
+        let load = preload ~each_turn s table in
+        if !flapped < n then
+          failwith
+            (Printf.sprintf "the table loaded before %d of its %d test flaps"
+               (n - !flapped) n);
+        Injector.withdraw peer [ test n ];
+        load)
+  in
+  (n, traced, rows, load)
 
 let print_rows ~traced ~n_routes rows =
   pf "\ntraced %d/%d test routes end to end\n" traced n_routes;
@@ -492,23 +534,7 @@ let run_all () =
   paper_note
     [ "Not a paper figure: the paper measures before and after load;";
       "this phase measures the flap latency a route sees mid-convergence." ];
-  let t_load0 = Unix.gettimeofday () in
-  Injector.announce s.feed_peer ~nexthop:(addr "10.0.0.11")
-    (Array.to_list (Array.map (fun e -> e.Feed.net) s.feed));
-  let bgp_done = ref 0.0 in
-  let n, traced, rows =
-    flap_routes s ~peer:s.test_peer ~n:1
-      ~keep_going:(fun () ->
-          if !bgp_done = 0.0
-          && Bgp_process.route_count s.bgp >= Feed.paper_table_size
-          then bgp_done := Unix.gettimeofday () -. t_load0;
-          not (settled s ~preload:Feed.paper_table_size))
-      ()
-  in
-  let load =
-    { routes = Feed.paper_table_size; bgp_s = !bgp_done;
-      settled_s = Unix.gettimeofday () -. t_load0 }
-  in
+  let n, traced, rows, load = flap_during_load s ~peer:s.test_peer in
   print_rows ~traced ~n_routes:n rows;
   pf "\ninitial load: %d routes, BGP in %.2fs, settled through FIB in %.2fs (%.0f routes/s)\n"
     load.routes load.bgp_s load.settled_s
@@ -523,7 +549,9 @@ let run_all () =
   let during =
     push
       { name = "during_load";
-        descr = "test routes on a second peering while the table loads";
+        descr =
+          "test routes on a second peering while the table loads, one \
+           as each 1% of it reaches the FIB";
         preload_n = Feed.paper_table_size; occupancy_pct = 100;
         peering = "different"; churn_rps = 0; during_load = true;
         n_routes = n; traced; rows }

@@ -40,6 +40,23 @@ type entry = {
   trace : Telemetry.Trace.ctx option;
 }
 
+(* The advertisement rules, for the fanout's readers and for a
+   re-established peer's winner dump alike: a locally originated route
+   goes everywhere; nothing echoes to the peer it came from; and no
+   IBGP-learned route goes to an IBGP peer (we are not a route
+   reflector). [peer_info_of] names the peer a route came from. *)
+let should_send ~peer_info_of (to_info : Bgp_types.peer_info)
+    (route : Bgp_types.route) =
+  let from_id = route.Bgp_types.peer_id in
+  if from_id = 0 then true
+  else if from_id = to_info.peer_id then false
+  else
+    match peer_info_of from_id with
+    | Some (from : Bgp_types.peer_info)
+      when from.kind = Bgp_types.Ibgp && to_info.kind = Bgp_types.Ibgp ->
+      false
+    | _ -> true
+
 (* One growable append-only log (ring-less; compaction blits). *)
 type log = {
   mutable entries : entry array;
@@ -125,16 +142,8 @@ class fanout_table ~name ?(batch = 500) ?(ordered = true)
             self#drain)
       end
 
-    method private should_send (r : reader) (route : Bgp_types.route) =
-      let from_id = route.Bgp_types.peer_id in
-      if from_id = 0 then true (* locally originated: everywhere *)
-      else if from_id = r.r_peer.peer_id then false (* no echo *)
-      else
-        match peer_info_of from_id with
-        | Some from when from.kind = Bgp_types.Ibgp
-                         && r.r_peer.kind = Bgp_types.Ibgp ->
-          false (* no IBGP-to-IBGP re-advertisement *)
-        | _ -> true
+    method private should_send (r : reader) route =
+      should_send ~peer_info_of r.r_peer route
 
     method private deliver (r : reader) (e : entry) lane =
       let send f =

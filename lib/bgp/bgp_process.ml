@@ -132,71 +132,39 @@ let is_add : Laneq.change -> bool = function
 let verb_of change : Telemetry.Profile.verb =
   if is_add change then Add else Delete
 
-(* Per-route XRL; also the path a single-entry run takes, so the
-   unbatched pipeline (and its profile-point sequence) is exactly what
-   it was before bulk transfer — Figures 10-12 flap one route at a
-   time and still measure this path. *)
-let send_rib_one t (change, (route : Bgp_types.route), trace) =
-  Telemetry.Trace.with_ctx trace @@ fun () ->
-  Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~clock:t.clock
-  @@ fun () ->
-  let net = route.Bgp_types.net in
-  Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock (verb_of change) net;
-  let protocol = rib_protocol t route in
-  if is_add change then
-    Rib_client.add_route t.rib ~protocol ~net
-      ~nexthop:route.Bgp_types.attrs.nexthop ~metric:(rib_metric route)
-  else Rib_client.delete_route t.rib ~protocol ~net
-
-(* A run of queued updates with the same operation and protocol leaves
-   as one rib/add_routes4 or rib/delete_routes4 XRL carrying a
-   Route_pack-packed list — the same bulk transfer the RIB already
-   uses towards the FEA (PR 2), now applied to the BGP->RIB leg, which
-   used to dominate full-table load time. Profile points stay per
-   route. *)
-let send_rib_run t entries =
+(* A run of queued changes of one kind for one RIB origin table
+   leaves as one packed rib/add_routes4 or rib/delete_routes4 XRL
+   through [Rib_client], stating its lane: the RIB queues the FIB
+   changes it makes in the same lane. Profile points stay per route.
+   The run's first trace context parents the send span, whose note is
+   the prefix of a run of one. *)
+let send_rib_run t lane entries =
   match entries with
   | [] -> ()
-  | [ entry ] -> send_rib_one t entry
   | (change0, (route0 : Bgp_types.route), first_trace) :: _ ->
-    let n = List.length entries in
-    let add = is_add change0 in
     List.iter
       (fun (change, (route : Bgp_types.route), _) ->
          Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock
            (verb_of change) route.Bgp_types.net)
       entries;
+    let net_of (_, (r : Bgp_types.route), _) = r.Bgp_types.net in
     Telemetry.Trace.with_ctx first_trace @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"bgp.rib_send" ~note:(Routes n)
-      ~clock:t.clock
+    Telemetry.Trace.span_sync ~name:"bgp.rib_send"
+      ~note:(Telemetry.Trace.run_note net_of entries) ~clock:t.clock
     @@ fun () ->
-    let xrl =
-      if add then
-        let adds =
-          List.map
-            (fun (_, (r : Bgp_types.route), _) ->
-               { Route_pack.net = r.Bgp_types.net;
-                 nexthop = r.Bgp_types.attrs.nexthop;
-                 ifname = ""; protocol = rib_protocol t r;
-                 metric = rib_metric r })
-            entries
-        in
-        Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_routes4"
-          [ Xrl_atom.binary "routes" (Route_pack.pack_adds adds) ]
-      else
-        Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"delete_routes4"
-          [ Xrl_atom.txt "protocol" (rib_protocol t route0);
-            Xrl_atom.binary "routes"
-              (Route_pack.pack_deletes
-                 (List.map (fun (_, (r : Bgp_types.route), _) -> r.Bgp_types.net)
-                    entries)) ]
-    in
-    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.warn (fun m ->
-              m "bulk RIB %s (%d routes) failed: %s"
-                (if add then "add" else "delete") n
-                (Xrl_error.to_string err)))
+    let urgent = lane = Laneq.Urgent in
+    let protocol = rib_protocol t route0 in
+    if is_add change0 then
+      Rib_client.add_routes t.rib ~urgent
+        (List.map
+           (fun (_, (r : Bgp_types.route), _) ->
+              { Route_pack.net = r.Bgp_types.net;
+                nexthop = r.Bgp_types.attrs.nexthop; ifname = ""; protocol;
+                metric = rib_metric r })
+           entries)
+    else
+      Rib_client.delete_routes t.rib ~urgent ~protocol
+        (List.map net_of entries)
 
 (* Bulk-lane routes forwarded to the RIB per deferred flush: bounds how
    long one loop turn spends packing and how large a synchronous run
@@ -204,7 +172,11 @@ let send_rib_run t entries =
    turn is never far away. *)
 let rib_bulk_slice = 128
 
-(* Nothing is held for a dead RIB: a reborn one gets the full replay. *)
+(* Nothing is held for a dead RIB: a reborn one gets the full replay.
+   A flush sends the urgent lane, then one bulk slice, in runs of
+   neighbours with the same operation and origin table (a replace
+   travels as an add); leftovers re-defer so timers and fresh I/O get
+   the loop in between. *)
 let rec schedule_rib_flush t =
   if not t.rib_flush_scheduled then begin
     t.rib_flush_scheduled <- true;
@@ -212,31 +184,11 @@ let rec schedule_rib_flush t =
         t.rib_flush_scheduled <- false;
         if not (Xrl_router.peer_live t.router "rib") then Laneq.clear t.rib_q
         else begin
-          let urgent, bulk = Laneq.drain t.rib_q ~bulk_slice:rib_bulk_slice in
-          (* Urgent lane first, as per-route XRLs — the method is how
-             the lane crosses the XRL boundary: the RIB classifies
-             per-route rib/add_route arrivals as urgent and bulk-packed
-             rib/add_routes4 arrivals as bulk. *)
-          List.iter (send_rib_one t) urgent;
-          (* Group consecutive same-op, same-protocol bulk entries into
-             runs, preserving overall order: an add/delete alternation
-             for the same prefix must reach the RIB in sequence. A
-             replace travels as an add. Leftovers re-defer so timers
-             and fresh I/O get the loop in between. *)
-          let run =
-            List.fold_left
-              (fun run ((change, route, _) as entry) ->
-                 match run with
-                 | (prev, prev_route, _) :: _
-                   when is_add prev = is_add change
-                        && rib_protocol t prev_route = rib_protocol t route ->
-                   entry :: run
-                 | _ ->
-                   send_rib_run t (List.rev run);
-                   [ entry ])
-              [] bulk
-          in
-          send_rib_run t (List.rev run);
+          Laneq.drain_runs t.rib_q ~bulk_slice:rib_bulk_slice
+            ~same:(fun (c0, r0, _) (c1, r1, _) ->
+                is_add c0 = is_add c1
+                && String.equal (rib_protocol t r0) (rib_protocol t r1))
+            (send_rib_run t);
           if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t
         end)
   end
@@ -360,18 +312,6 @@ let rib_died t =
 let peer_key addr = Ipv4.to_int addr
 let find_peer t addr = Hashtbl.find_opt t.peers (peer_key addr)
 
-(* Replicates the fanout's advertisement rules for table dumps. *)
-let dump_should_send (to_info : Bgp_types.peer_info)
-    (from_info : Bgp_types.peer_info option) (route : Bgp_types.route) =
-  let from_id = route.Bgp_types.peer_id in
-  if from_id = 0 then true
-  else if from_id = to_info.peer_id then false
-  else
-    match from_info with
-    | Some from when from.kind = Bgp_types.Ibgp && to_info.kind = Bgp_types.Ibgp
-      -> false
-    | _ -> true
-
 let start_winner_dump t peer =
   (match peer.dump_task with
    | Some task -> Eventloop.remove_task task
@@ -384,8 +324,7 @@ let start_winner_dump t peer =
       `Done
     | Some (_, route) ->
       if
-        dump_should_send peer.info
-          (t.decision#peer_info route.Bgp_types.peer_id)
+        Bgp_fanout.should_send ~peer_info_of:t.decision#peer_info peer.info
           route
       then
         (* A table dump is bulk by definition: fresh updates flowing

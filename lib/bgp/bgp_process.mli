@@ -8,9 +8,9 @@
     {v Fanout reader → export filters → [checking cache] → PeerOut →
        session v}
     plus a RIB branch on the fanout that pushes winning routes to the
-    ["rib"] component over XRLs (protocol ["ebgp"] or ["ibgp"]): single
-    routes through {!Rib_client}, runs as packed [rib/1.0/add_routes4]
-    and [delete_routes4] calls.
+    ["rib"] component over XRLs (protocol ["ebgp"] or ["ibgp"]) through
+    {!Rib_client}: each flush leaves as packed [rib/1.0/add_routes4]
+    and [delete_routes4] runs, each stating its lane.
 
     Sessions run real RFC 4271 messages over {!Netsim} streams. Peering
     loss hands the PeerIn's table to a dynamic deletion stage

@@ -61,75 +61,35 @@ let add_fib_handlers t =
   (* Resolved here (boot time) rather than per call, so a multi-router
      process records each FEA's installs under its own namespace. *)
   let install_hist = Telemetry.histogram "fea.install.latency_us" in
-  Xrl_router.add_handler r ~interface:"fea" ~method_name:"add_route4"
-    (fun args reply ->
-       let net = Xrl_atom.get_ipv4net args "net" in
-       let nexthop = Xrl_atom.get_ipv4 args "nexthop" in
-       let ifname =
-         match Xrl_atom.find args "ifname" with
-         | Some { value = Txt s; _ } -> s
-         | _ -> ""
-       in
-       let protocol =
-         match Xrl_atom.find args "protocol" with
-         | Some { value = Txt s; _ } -> s
-         | _ -> "unknown"
-       in
-       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add net;
-       Telemetry.Trace.span_sync ~name:"fea.install" ~note:(Net net)
-         ~clock:t.clock
-         (fun () ->
-            Telemetry.time install_hist
-              (fun () ->
-                 Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
-                 Hashtbl.remove t.stale net;
-                 t.installed <- t.installed + 1));
-       Telemetry.Profile.record t.pt_kernel ~clock:t.clock Add net;
-       reply ok []);
-  Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_route4"
-    (fun args reply ->
-       let net = Xrl_atom.get_ipv4net args "net" in
-       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Delete net;
-       let existed =
-         Telemetry.Trace.span_sync ~name:"fea.uninstall" ~note:(Net net)
-           ~clock:t.clock
-           (fun () ->
-              Telemetry.time install_hist
-                (fun () ->
-                   Hashtbl.remove t.stale net;
-                   Fib.delete t.fib net))
-       in
-       Telemetry.Profile.record t.pt_kernel ~clock:t.clock Delete net;
-       if existed then reply ok []
-       else
-         reply
-           (Xrl_error.Command_failed
-              ("no FIB entry for " ^ Ipv4net.to_string net))
-           []);
-  (* Bulk variants: one XRL carries a Route_pack-packed list. Profile
-     points are still recorded per route so the pipeline-latency
-     methodology (§8.2) sees every route, batched or not. *)
+  (* One XRL carries a Route_pack-packed run, of one route or many.
+     Profile points, the install histogram and a delete's miss are
+     still per route, so the pipeline-latency methodology (§8.2) sees
+     every route. *)
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"add_routes4"
     (fun args reply ->
        let packed = Xrl_atom.get_binary args "routes" in
        match Route_pack.unpack_adds packed with
        | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
        | Ok adds ->
-         let n = List.length adds in
-         Telemetry.Trace.span_sync ~name:"fea.install_bulk" ~note:(Routes n)
+         Telemetry.Trace.span_sync ~name:"fea.install_bulk"
+           ~note:
+             (Telemetry.Trace.run_note (fun (a : Route_pack.add) -> a.net) adds)
            ~clock:t.clock
            (fun () ->
               List.iter
                 (fun { Route_pack.net; nexthop; ifname; protocol; metric = _ } ->
                    Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
                      net;
-                   Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
-                   Hashtbl.remove t.stale net;
-                   t.installed <- t.installed + 1;
+                   Telemetry.time install_hist (fun () ->
+                       Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
+                       Hashtbl.remove t.stale net;
+                       t.installed <- t.installed + 1);
                    Telemetry.Profile.record t.pt_kernel ~clock:t.clock Add
                      net)
                 adds);
-         reply ok [ Xrl_atom.u32 "count" n ]);
+         reply ok [ Xrl_atom.u32 "count" (List.length adds) ]);
+  (* A prefix with no FIB entry does not stop the run: the rest is
+     applied, and the reply says how many missed. *)
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_routes4"
     (fun args reply ->
        let packed = Xrl_atom.get_binary args "routes" in
@@ -137,19 +97,29 @@ let add_fib_handlers t =
        | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
        | Ok nets ->
          let n = List.length nets in
-         Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk" ~note:(Routes n)
-           ~clock:t.clock
+         let missed = ref 0 in
+         Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk"
+           ~note:(Telemetry.Trace.run_note Fun.id nets) ~clock:t.clock
            (fun () ->
               List.iter
                 (fun net ->
                    Telemetry.Profile.record t.pt_arrived ~clock:t.clock
                      Delete net;
-                   Hashtbl.remove t.stale net;
-                   ignore (Fib.delete t.fib net);
+                   let existed =
+                     Telemetry.time install_hist (fun () ->
+                         Hashtbl.remove t.stale net;
+                         Fib.delete t.fib net)
+                   in
+                   if not existed then incr missed;
                    Telemetry.Profile.record t.pt_kernel ~clock:t.clock
                      Delete net)
                 nets);
-         reply ok [ Xrl_atom.u32 "count" n ]);
+         if !missed = 0 then reply ok [ Xrl_atom.u32 "count" n ]
+         else
+           reply
+             (Xrl_error.Command_failed
+                (Printf.sprintf "no FIB entry for %d/%d routes" !missed n))
+             []);
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"lookup_route4"
     (fun args reply ->
        let addr = Xrl_atom.get_ipv4 args "addr" in

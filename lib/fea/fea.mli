@@ -19,8 +19,8 @@
     the [dataplane/0.1] XRL interface.
 
     XRL interface [fea/1.0]:
-    [add_route4], [delete_route4], [lookup_route4], [get_fib_size],
-    [get_interfaces].
+    [add_routes4], [delete_routes4] (packed route runs), [lookup_route4],
+    [get_fib_size], [get_interfaces].
     XRL interface [fea_udp/1.0]: [udp_open], [udp_send], [udp_close].
     Clients of the UDP relay must implement
     [fea_client/1.0/recv?sockid:u32&src:ipv4&sport:u32&payload:binary].
@@ -62,7 +62,7 @@ val xrl_router : t -> Xrl_router.t
 val interfaces : t -> (string * Ipv4.t) list
 
 val routes_installed : t -> int
-(** Cumulative successful [add_route4] count. *)
+(** Cumulative count of routes installed by [add_routes4]. *)
 
 val shutdown : t -> unit
 

@@ -34,9 +34,12 @@ class origin_table ~name ~protocol (loop : Eventloop.t) =
       | Some (_, old) -> self#push_delete old
       | None -> ()
 
-    (* Gradual wholesale deletion; [slice] routes per background slice.
-       Returns immediately; deletion proceeds when the loop is idle. *)
-    method clear_gradually ?(slice = 100) ?(on_done = fun () -> ()) () =
+    (* Gradual wholesale deletion; [slice] routes per background slice,
+       each delete pushed downstream inside [around] (the RIB's files
+       it in the bulk lane). Returns immediately; deletion proceeds
+       when the loop is idle. *)
+    method clear_gradually ?(slice = 100) ?(on_done = fun () -> ())
+        ?(around = fun f -> f ()) () =
       if not clearing then begin
         clearing <- true;
         generation <- generation + 1;
@@ -51,7 +54,7 @@ class origin_table ~name ~protocol (loop : Eventloop.t) =
           | Some (net, (gen, r)) ->
             if gen < cutoff then begin
               ignore (Ptree.remove store net);
-              self#push_delete r
+              around (fun () -> self#push_delete r)
             end;
             `Continue
         in

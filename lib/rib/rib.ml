@@ -21,7 +21,6 @@ type t = {
   register : Register_table.register_table;
   redist : Redist_table.redist_table;
   send_to_fea : bool;
-  bulk_fea : bool;
   (* Outbound transmit queue towards the FEA: route changes made
      within one event-loop turn coalesce here and flush together on
      the next iteration. Each entry carries the trace context that was
@@ -30,10 +29,11 @@ type t = {
      one entry per prefix and lane. *)
   fea_q : fea_op Laneq.t;
   mutable fea_flush_armed : bool;
-  (* Lane for FIB pushes produced by the currently-running handler:
-     per-route XRLs ride urgent (the default), bulk transfers from a
-     table load ride bulk. Set around handler bodies, never stored in
-     entries — the Laneq remembers which lane each entry sits in. *)
+  (* Lane for FIB pushes produced by the code running now: urgent by
+     default (the per-route XRLs and the direct API); a packed run
+     states its own, and a gradual protocol flush is bulk. Set around
+     that code, never stored in entries — the Laneq remembers which
+     lane each entry sits in. *)
   mutable fea_lane : Laneq.lane;
   g_fea_depth : Telemetry.gauge;
   g_fea_urgent : Telemetry.gauge;
@@ -61,56 +61,26 @@ let op_is_add ((change, _, _) : fea_op) =
 (* A replacement records as an add at the §8.2 points. *)
 let op_verb op : Telemetry.Profile.verb = if op_is_add op then Add else Delete
 
-(* Legacy per-route XRL; also the path taken when a flush holds a
-   single route, so the unbatched pipeline (and its profile-point
-   sequence) is byte-for-byte what it was before bulk transfer. *)
-let send_one t ((_, r, ctx) as op : fea_op) =
-  Telemetry.Trace.with_ctx ctx @@ fun () ->
-  Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Net (op_net op))
-    ~clock:t.clock
-  @@ fun () ->
-  Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
-    (op_net op);
-  let xrl =
-    if op_is_add op then
-      Xrl.make ~target:"fea" ~interface:"fea" ~method_name:"add_route4"
-        [ Xrl_atom.ipv4net "net" r.Rib_route.net;
-          Xrl_atom.ipv4 "nexthop" r.nexthop;
-          Xrl_atom.txt "ifname" "";
-          Xrl_atom.txt "protocol" r.protocol ]
-    else
-      Xrl.make ~target:"fea" ~interface:"fea"
-        ~method_name:"delete_route4"
-        [ Xrl_atom.ipv4net "net" r.Rib_route.net ]
-  in
-  (* FIB updates are idempotent, so a failed one is retried. *)
-  Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-      if not (Xrl_error.is_ok err) then
-        Log.warn (fun m ->
-            m "FEA update for %s failed: %s" (Ipv4net.to_string (op_net op))
-              (Xrl_error.to_string err)))
-
-(* A run of consecutive same-kind ops leaves as one bulk XRL carrying
-   a Route_pack-packed list. Profile points stay per route. The run's
-   first trace context parents the send span and the reply. *)
+(* A run of consecutive same-kind ops leaves as one packed XRL.
+   Profile points stay per route. The run's first trace context parents
+   the send span and the reply; the span notes the prefix of a run of
+   one. *)
 let send_run t (ops : fea_op list) =
   match ops with
   | [] -> ()
-  | [ op ] -> send_one t op
   | ((_, _, first_ctx) as first_op) :: _ ->
     let n = List.length ops in
-    let is_add = op_is_add first_op in
     List.iter
       (fun op ->
          Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
            (op_net op))
       ops;
     Telemetry.Trace.with_ctx first_ctx @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"rib.fea_send" ~note:(Routes n)
-      ~clock:t.clock
+    Telemetry.Trace.span_sync ~name:"rib.fea_send"
+      ~note:(Telemetry.Trace.run_note op_net ops) ~clock:t.clock
     @@ fun () ->
     let packed, method_name =
-      if is_add then
+      if op_is_add first_op then
         ( Route_pack.pack_adds
             (List.map
                (fun (_, (r : Rib_route.t), _) ->
@@ -126,10 +96,11 @@ let send_run t (ops : fea_op list) =
       Xrl.make ~target:"fea" ~interface:"fea" ~method_name
         [ Xrl_atom.binary "routes" packed ]
     in
+    (* FIB updates are idempotent, so a failed one is retried. *)
     Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
         if not (Xrl_error.is_ok err) then
           Log.warn (fun m ->
-              m "bulk FEA update (%d routes) failed: %s" n
+              m "FEA %s (%d routes) failed: %s" method_name n
                 (Xrl_error.to_string err)))
 
 (* Bulk-lane FIB updates drained per flush slice: bounds the packing
@@ -148,29 +119,13 @@ let rec flush_fea t =
   if not (Xrl_router.peer_live t.router "fea") then drop_fea_q t
   else begin
     (* One slice: the urgent lane drained dry (flap-sized), then a
-       bounded bulk batch. Per-prefix order across lanes is preserved
-       by the Laneq demotion guard. *)
-    let urgent, bulk = Laneq.drain t.fea_q ~bulk_slice:fea_bulk_slice in
-    let items = urgent @ bulk in
-    if t.bulk_fea then begin
-      (* Group consecutive same-kind ops into runs, preserving overall
-         order (an add/delete alternation must reach the FIB in
-         sequence). A replace travels as an add. *)
-      let flush_run run = send_run t (List.rev run) in
-      let run =
-        List.fold_left
-          (fun run op ->
-             match run with
-             | [] -> [ op ]
-             | prev :: _ when op_is_add prev = op_is_add op -> op :: run
-             | _ ->
-               flush_run run;
-               [ op ])
-          [] items
-      in
-      flush_run run
-    end
-    else List.iter (send_one t) items;
+       bounded bulk batch, in runs of same-kind ops (a replace travels
+       as an add), so an add/delete alternation reaches the FIB in
+       sequence. Per-prefix order across lanes is preserved by the
+       Laneq demotion guard. *)
+    Laneq.drain_runs t.fea_q ~bulk_slice:fea_bulk_slice
+      ~same:(fun a b -> op_is_add a = op_is_add b)
+      (fun _lane ops -> send_run t ops);
     set_fea_gauges t;
     (* Leftover bulk re-defers: the next loop turn gets a chance to
        interleave fresh urgent work ahead of it. *)
@@ -187,7 +142,7 @@ let send_fea t change (r : Rib_route.t) =
       r.net;
     (* Queue-then-send: the actual XRL goes out on the next loop
        iteration, like a real outbound transmit queue — and everything
-       queued within this turn flushes together (one bulk XRL per
+       queued within this turn flushes together (one packed XRL per
        same-kind run). The deferral would lose the ambient trace
        context, so capture it per entry and reinstate it at send. *)
     Laneq.push ~merge:Laneq.merge_changes t.fea_q t.fea_lane ~net:r.net op;
@@ -315,7 +270,10 @@ let flush_protocol t protocol =
   match origin_of t protocol with
   | Some origin ->
     Log.info (fun m -> m "flushing %s routes in the background" protocol);
-    origin#clear_gradually ()
+    (* A whole-table teardown is bulk work, as in BGP's deletion
+       stage: its FIB deletes must not crowd flaps out of the urgent
+       lane. *)
+    origin#clear_gradually ~around:(with_fea_lane t Laneq.Bulk) ()
   | None -> ()
 
 let xrl_router t = t.router
@@ -358,26 +316,30 @@ let add_xrl_handlers t =
        with
        | Ok () -> reply ok []
        | Error msg -> reply (Xrl_error.Command_failed msg) []);
-  (* Bulk variants, mirroring fea/add_routes4: one XRL carries a whole
+  (* Packed runs, mirroring fea/add_routes4: one XRL carries a whole
      Route_pack-packed run from BGP's RIB-output queue, so a full-table
      load crosses the BGP->RIB boundary in hundreds of calls instead of
-     146k. Profile points stay per route. *)
+     146k. Profile points stay per route. The run states its lane, and
+     its FIB pushes ride that lane: a table load in flight cannot crowd
+     a concurrent flap out of the RIB->FEA leg. *)
+  let lane_of args : Laneq.lane =
+    if Xrl_atom.get_bool args "urgent" then Urgent else Bulk
+  in
   Xrl_router.add_handler r ~interface:"rib" ~method_name:"add_routes4"
     (fun args reply ->
+       let lane = lane_of args in
        let packed = Xrl_atom.get_binary args "routes" in
        match Route_pack.unpack_adds packed with
        | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
        | Ok adds ->
          let n = List.length adds in
          let failed = ref 0 in
-         Telemetry.Trace.span_sync ~name:"rib.route_add_bulk" ~note:(Routes n)
+         Telemetry.Trace.span_sync ~name:"rib.route_add_bulk"
+           ~note:
+             (Telemetry.Trace.run_note (fun (a : Route_pack.add) -> a.net) adds)
            ~clock:t.clock
            (fun () ->
-              (* A bulk transfer is a table load in flight: its FIB
-                 pushes ride the bulk lane so they cannot crowd a
-                 concurrent flap (arriving per-route, urgent) out of
-                 the RIB->FEA leg. *)
-              with_fea_lane t Laneq.Bulk @@ fun () ->
+              with_fea_lane t lane @@ fun () ->
               List.iter
                 (fun { Route_pack.net; nexthop; protocol; metric; ifname = _ } ->
                    Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
@@ -397,6 +359,7 @@ let add_xrl_handlers t =
              []);
   Xrl_router.add_handler r ~interface:"rib" ~method_name:"delete_routes4"
     (fun args reply ->
+       let lane = lane_of args in
        let protocol = Xrl_atom.get_txt args "protocol" in
        let packed = Xrl_atom.get_binary args "routes" in
        match Route_pack.unpack_deletes packed with
@@ -405,10 +368,10 @@ let add_xrl_handlers t =
          let n = List.length nets in
          let failed = ref 0 in
          Telemetry.Trace.span_sync ~name:"rib.route_delete_bulk"
-           ~note:(Routes n)
+           ~note:(Telemetry.Trace.run_note Fun.id nets)
            ~clock:t.clock
            (fun () ->
-              with_fea_lane t Laneq.Bulk @@ fun () ->
+              with_fea_lane t lane @@ fun () ->
               List.iter
                 (fun net ->
                    Telemetry.Profile.record t.pt_arrived ~clock:t.clock
@@ -553,8 +516,8 @@ let watch_fea_lifecycle ~rebirth_replay t =
     ?on_rebirth:(if rebirth_replay then Some (fun () -> replay_fib t) else None)
     ()
 
-let create ?families ?(send_to_fea = true) ?(bulk_fea = true)
-    ?(fea_rebirth_replay = true) finder loop () =
+let create ?families ?(send_to_fea = true) ?(fea_rebirth_replay = true)
+    finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted RIB does not inherit the dead instance's counts. *)
   Telemetry.reset_prefix "rib.";
@@ -571,7 +534,7 @@ let create ?families ?(send_to_fea = true) ?(bulk_fea = true)
       pt_queued_fea = Telemetry.Profile.point pp_queued_fea;
       pt_sent_fea = Telemetry.Profile.point pp_sent_fea;
       origins; register; redist; send_to_fea;
-      bulk_fea; fea_q = Laneq.create (); fea_flush_armed = false;
+      fea_q = Laneq.create (); fea_flush_armed = false;
       fea_lane = Laneq.Urgent;
       g_fea_depth = Telemetry.gauge "rib.fea_q.depth";
       g_fea_urgent = Telemetry.gauge "rib.fea_q.urgent";

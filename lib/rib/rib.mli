@@ -19,7 +19,7 @@
     over XRLs.
 
     XRL interface [rib/1.0]: [add_route], [delete_route],
-    [lookup_route_by_dest], [register_interest], [deregister_interest],
+    [add_routes4], [delete_routes4], [lookup_route_by_dest], [register_interest], [deregister_interest],
     [redist_subscribe], [redist_unsubscribe], [get_route_count].
     Interest clients must implement
     [rib_client/1.0/route_info_invalid?valid:ipv4net]; redistribution
@@ -30,20 +30,22 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?send_to_fea:bool -> ?bulk_fea:bool ->
+  ?send_to_fea:bool ->
   ?fea_rebirth_replay:bool ->
   Finder.t -> Eventloop.t -> unit -> t
 (** Registers class ["rib"] (sole) with the Finder. With
     [send_to_fea] (default true), winner changes are pushed to the
-    ["fea"] target: changes coalesce in a two-lane transmit queue
-    (urgent for per-route changes, bulk for table loads arriving over
-    the bulk [rib/add_routes4] XRLs) that flushes in bounded deferred
-    slices, and, with [bulk_fea] (default true), each consecutive
-    same-kind run of two or more leaves as one bulk [add_routes4] /
-    [delete_routes4] XRL (single routes keep the per-route XRL). The
-    RIB watches the ["bgp"], ["rip"] and ["ospf"] component classes
-    and gradually flushes their origin tables when the last instance
-    dies (Finder lifetime notification, §6.2).
+    ["fea"] target: changes coalesce in a two-lane transmit queue that
+    flushes in bounded deferred slices, each consecutive same-kind run
+    (a single route included) leaving as one packed
+    [fea/1.0/add_routes4] or [delete_routes4] XRL. A change's lane is
+    urgent when it comes from the per-route [add_route] /
+    [delete_route] XRLs or the direct API; a packed
+    [rib/1.0/add_routes4] or [delete_routes4] run states its own lane
+    in its [urgent] argument; a gradual protocol flush and an FEA
+    replay are bulk. The RIB watches the ["bgp"], ["rip"] and ["ospf"]
+    component classes and gradually flushes their origin tables when
+    the last instance dies (Finder lifetime notification, §6.2).
 
     While no FEA is live, FIB updates are dropped, not held.
     [fea_rebirth_replay] (default true) controls recovery after an FEA

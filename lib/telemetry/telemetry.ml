@@ -377,6 +377,10 @@ module Trace = struct
   let next_span = ref 0
   let fresh r = Stdlib.incr r; !r
 
+  let run_note net_of = function
+    | [ x ] -> Net (net_of x)
+    | l -> Routes (List.length l)
+
   (* The ambient context as two immediates; trace 0 means none. *)
   let amb_trace = ref 0
   let amb_span = ref 0

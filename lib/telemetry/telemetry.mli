@@ -166,6 +166,11 @@ module Trace : sig
     | Update of Ipv4.t * int * int
     | Text of string
 
+  val run_note : ('a -> Ipv4net.t) -> 'a list -> note
+  (** The note of a packed run of routes: [Net] and the prefix ([net_of]
+      of the one entry) for a run of one, so a single route reads as it
+      would on its own, else [Routes] and the count. *)
+
   type span = {
     sp_trace : int;
     sp_span : int;

@@ -36,9 +36,6 @@
 
 type lane = Urgent | Bulk
 
-val lane_name : lane -> string
-(** ["urgent"] / ["bulk"] — for telemetry gauge names and logs. *)
-
 type 'a t
 
 val create : ?ordered:bool -> unit -> 'a t
@@ -82,6 +79,15 @@ val drain : 'a t -> bulk_slice:int -> 'a list * 'a list
 (** [(urgent, bulk)]: the whole urgent lane, then at most [bulk_slice]
     bulk entries, each list in push order. Send [urgent] before
     [bulk]. *)
+
+val drain_runs :
+  'a t -> bulk_slice:int -> same:('a -> 'a -> bool) ->
+  (lane -> 'a list -> unit) -> unit
+(** {!drain}, then [send lane run] for each maximal run of neighbours
+    that [same] groups: the urgent lane's runs first, then the bulk
+    slice's, each run in push order and never mixing lanes. A change
+    that [same] parts from its neighbour starts a new run, so every
+    entry leaves in the order {!drain} gives it. *)
 
 val mem : 'a t -> lane -> Ipv4net.t -> bool
 (** Has [net] an entry pending in [lane]? *)

@@ -20,18 +20,31 @@ let send t method_name args =
          Log.warn (fun m ->
              m "rib %s failed: %s" method_name (Xrl_error.to_string err)))
 
+(* A route transfer: dropped while no RIB is live. *)
+let transfer t method_name args =
+  if Xrl_router.peer_live t.router "rib" then send t method_name args
+
 let add_route t ~protocol ~net ~nexthop ~metric =
-  if Xrl_router.peer_live t.router "rib" then
-    send t "add_route"
-      [ Xrl_atom.txt "protocol" protocol;
-        Xrl_atom.ipv4net "net" net;
-        Xrl_atom.ipv4 "nexthop" nexthop;
-        Xrl_atom.u32 "metric" metric ]
+  transfer t "add_route"
+    [ Xrl_atom.txt "protocol" protocol;
+      Xrl_atom.ipv4net "net" net;
+      Xrl_atom.ipv4 "nexthop" nexthop;
+      Xrl_atom.u32 "metric" metric ]
 
 let delete_route t ~protocol ~net =
-  if Xrl_router.peer_live t.router "rib" then
-    send t "delete_route"
-      [ Xrl_atom.txt "protocol" protocol; Xrl_atom.ipv4net "net" net ]
+  transfer t "delete_route"
+    [ Xrl_atom.txt "protocol" protocol; Xrl_atom.ipv4net "net" net ]
+
+let add_routes t ~urgent adds =
+  transfer t "add_routes4"
+    [ Xrl_atom.boolean "urgent" urgent;
+      Xrl_atom.binary "routes" (Route_pack.pack_adds adds) ]
+
+let delete_routes t ~urgent ~protocol nets =
+  transfer t "delete_routes4"
+    [ Xrl_atom.boolean "urgent" urgent;
+      Xrl_atom.txt "protocol" protocol;
+      Xrl_atom.binary "routes" (Route_pack.pack_deletes nets) ]
 
 let send_subscribe t policy =
   send t "redist_subscribe"

@@ -4,8 +4,9 @@
     (§3); this is that reach, shared by BGP, RIP and OSPF so each idea
     below has one implementation:
 
-    - route transfers ([add_route], [delete_route]) are dropped while
-      no RIB instance is live — a reborn RIB starts empty, so a
+    - route transfers ([add_route], [delete_route] and the packed
+      [add_routes], [delete_routes]) are dropped while no RIB instance
+      is live — a reborn RIB starts empty, so a
       skipped delete is moot and the rebirth replays the adds — and
       otherwise sent with {!Xrl_router.default_retry} (transfers into
       the RIB are idempotent);
@@ -50,6 +51,18 @@ val add_route :
 
 val delete_route : t -> protocol:string -> net:Ipv4net.t -> unit
 (** [rib/1.0/delete_route]; dropped while no RIB is live. *)
+
+val add_routes : t -> urgent:bool -> Route_pack.add list -> unit
+(** [rib/1.0/add_routes4]: one packed run, each entry naming its
+    protocol. [urgent] states the run's lane; the RIB queues the FIB
+    changes the run makes in that lane. Dropped while no RIB is
+    live. *)
+
+val delete_routes :
+  t -> urgent:bool -> protocol:string -> Ipv4net.t list -> unit
+(** [rib/1.0/delete_routes4]: one packed run of deletes from one
+    protocol's origin table, its lane stated as in {!add_routes}.
+    Dropped while no RIB is live. *)
 
 val subscribe_redistribution : t -> policy:string -> unit
 (** Ask the RIB to redistribute the routes [policy] (stack-language

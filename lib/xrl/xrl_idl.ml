@@ -151,14 +151,8 @@ let to_string i =
 
 let fea_interface =
   iface ~name:"fea"
-    [ meth "add_route4"
-        ~args:
-          [ arg "net" A_ipv4net; arg "nexthop" A_ipv4;
-            arg ~optional:true "ifname" A_txt;
-            arg ~optional:true "protocol" A_txt ];
-      meth "delete_route4" ~args:[ arg "net" A_ipv4net ];
-      (* Bulk variants: many routes per call, packed with Route_pack.
-         The u32 return is the number of routes applied. *)
+    [ (* Route runs, one route or many per call, packed with
+         Route_pack. The u32 return is the number of routes applied. *)
       meth "add_routes4" ~args:[ arg "routes" A_binary ]
         ~returns:[ arg "count" A_u32 ];
       meth "delete_routes4" ~args:[ arg "routes" A_binary ]
@@ -193,12 +187,13 @@ let rib_interface =
           [ arg "protocol" A_txt; arg "net" A_ipv4net; arg "nexthop" A_ipv4;
             arg ~optional:true "metric" A_u32 ];
       meth "delete_route" ~args:[ arg "protocol" A_txt; arg "net" A_ipv4net ];
-      (* Bulk variants: many routes per call, packed with Route_pack.
-         The u32 return is the number of routes applied. *)
-      meth "add_routes4" ~args:[ arg "routes" A_binary ]
+      (* Route runs, packed with Route_pack; [urgent] states the
+         run's lane. The u32 return is the number of routes applied. *)
+      meth "add_routes4" ~args:[ arg "urgent" A_bool; arg "routes" A_binary ]
         ~returns:[ arg "count" A_u32 ];
       meth "delete_routes4"
-        ~args:[ arg "protocol" A_txt; arg "routes" A_binary ]
+        ~args:
+          [ arg "urgent" A_bool; arg "protocol" A_txt; arg "routes" A_binary ]
         ~returns:[ arg "count" A_u32 ];
       meth "lookup_route_by_dest" ~args:[ arg "addr" A_ipv4 ]
         ~returns:

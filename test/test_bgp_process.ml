@@ -481,8 +481,8 @@ let test_full_stack_to_fib () =
     [ ("b." ^ Bgp_process.pp_entering, "add 128.16.0.0/16") ]
     (journey ());
   (* One change, one message: b's winner moves to a fourth router d,
-     with another nexthop, and b replaces its route with one XRL into
-     the RIB and one into the FEA. *)
+     with another nexthop, and b replaces its route with one packed
+     run of one route into the RIB and one into the FEA. *)
   let d = standalone_router ~loop ~netsim ~local_as:65004 ~bgp_id:(addr "4.4.4.4") () in
   peering d "10.0.2.4" b "10.0.2.2" ~as_a:65004 ~as_b:65002;
   Result.get_ok
@@ -498,10 +498,9 @@ let test_full_stack_to_fib () =
   let count name = List.length (List.filter (String.equal name) (handled ())) in
   List.iter
     (fun (name, n) -> check Alcotest.int (name ^ " spans") n (count name))
-    [ ("rib.route_add", 1); ("rib.route_delete", 0);
-      ("rib.route_add_bulk", 0); ("rib.route_delete_bulk", 0);
-      ("fea.install", 1); ("fea.uninstall", 0);
-      ("fea.install_bulk", 0); ("fea.uninstall_bulk", 0) ];
+    [ ("rib.route_add", 0); ("rib.route_delete", 0);
+      ("rib.route_add_bulk", 1); ("rib.route_delete_bulk", 0);
+      ("fea.install_bulk", 1); ("fea.uninstall_bulk", 0) ];
   check Alcotest.string "FIB nexthop" "10.0.2.4"
     (fib_nexthop "the nexthop change");
   check pair "the replacement passes all eight points as one add"
@@ -511,6 +510,75 @@ let test_full_stack_to_fib () =
   no_violations a;
   no_violations b;
   List.iter Telemetry.Profile.disable b_points
+
+(* The lane crosses BGP->RIB in the call. A two-prefix flap reaches
+   b's RIB as one packed run that states urgent, and the RIB queues its
+   FIB changes urgent. A 100-prefix UPDATE is staged, and the 36 ops
+   drained while 64 or more wait behind them are bulk: it crosses as
+   packed runs too, and its bulk part lands in the RIB's bulk lane. *)
+let test_lane_crosses_in_the_call () =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let a = standalone_router ~loop ~netsim ~local_as:65001 ~bgp_id:(addr "1.1.1.1") () in
+  let _, fea, rib, b =
+    full_stack_router ~loop ~netsim ~local_as:65002 ~bgp_id:(addr "2.2.2.2") ()
+  in
+  peering a "10.0.0.1" b "10.0.0.2" ~as_a:65001 ~as_b:65002;
+  Result.get_ok
+    (Rib.add_route rib ~protocol:"connected" ~net:(net "10.0.0.0/24")
+       ~nexthop:Ipv4.zero ());
+  Bgp_process.start a;
+  Bgp_process.start b;
+  run_for loop 2.0;
+  Telemetry.set_enabled true;
+  let read name =
+    int_of_float (Telemetry.gauge_value (Telemetry.gauge name))
+  in
+  (* Announce [nets] from a, in one UPDATE, and run until b's FIB holds
+     them, reading the peak lengths of the RIB's FEA lanes between loop
+     turns (a flush runs the turn after its changes were queued). *)
+  let announce nets =
+    Telemetry.reset ();
+    List.iter (Bgp_process.originate a) nets;
+    let urgent = ref 0 and bulk = ref 0 in
+    let deadline = Eventloop.now loop +. 5.0 in
+    Eventloop.run loop ~until:(fun () ->
+        urgent := max !urgent (read "rib.fea_q.urgent");
+        bulk := max !bulk (read "rib.fea_q.bulk");
+        Eventloop.now loop > deadline
+        || List.for_all (fun n -> Fib.get (Fea.fib fea) n <> None) nets);
+    let spans = Telemetry.Trace.spans () in
+    let notes name =
+      List.filter_map
+        (fun (s : Telemetry.Trace.span) ->
+           if s.sp_name = name then Some s.sp_note else None)
+        spans
+    in
+    check Alcotest.(list string) "one UPDATE"
+      [ Printf.sprintf "10.0.0.1 +%d -0" (List.length nets) ]
+      (notes "bgp.update");
+    check Alcotest.(list string) "no per-route RIB call" [] (notes "rib.route_add");
+    check Alcotest.bool "all in FIB" true
+      (List.for_all (fun n -> Fib.get (Fea.fib fea) n <> None) nets);
+    (notes "rib.route_add_bulk", !urgent, !bulk)
+  in
+  let runs, urgent, bulk =
+    announce [ net "128.16.0.0/16"; net "128.17.0.0/16" ]
+  in
+  check Alcotest.(list string) "the flap crosses as one packed run"
+    [ "2 routes" ] runs;
+  check Alcotest.(pair int int) "its FIB changes queue urgent" (2, 0)
+    (urgent, bulk);
+  let nets =
+    List.init 100 (fun i -> Ipv4net.make (Ipv4.of_octets 131 0 i 0) 24)
+  in
+  let runs, _, bulk = announce nets in
+  check Alcotest.int "the load crosses in packed runs" 100
+    (List.fold_left (fun n note -> n + Scanf.sscanf note "%d routes" Fun.id)
+       0 runs);
+  check Alcotest.int "its bulk part lands in the bulk lane" (100 - 64) bulk;
+  no_violations a;
+  no_violations b
 
 (* Every UPDATE re-arms the receiver's 90 s hold timer, so a cancelled
    timer left queued until its deadline grows the heap reachable from
@@ -1083,6 +1151,8 @@ let () =
       ( "full_stack",
         [
           Alcotest.test_case "BGP to FIB" `Quick test_full_stack_to_fib;
+          Alcotest.test_case "the lane crosses in the call" `Quick
+            test_lane_crosses_in_the_call;
           Alcotest.test_case "churn leaves the loop heap flat" `Quick
             test_churn_heap_flat;
           Alcotest.test_case "nexthop gating" `Quick

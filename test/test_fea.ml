@@ -26,6 +26,18 @@ let call caller xrl =
 let fea_xrl method_name args =
   Xrl.make ~target:"fea" ~interface:"fea" ~method_name args
 
+(* Packed runs, the one way routes reach the FEA. *)
+let route ?(ifname = "eth0") n nh =
+  { Route_pack.net = net n; nexthop = addr nh; ifname; protocol = "static";
+    metric = 0 }
+
+let add_routes4 routes =
+  fea_xrl "add_routes4" [ Xrl_atom.binary "routes" (Route_pack.pack_adds routes) ]
+
+let delete_routes4 nets =
+  fea_xrl "delete_routes4"
+    [ Xrl_atom.binary "routes" (Route_pack.pack_deletes (List.map net nets)) ]
+
 (* --- Fib proper ------------------------------------------------------ *)
 
 let test_fib_basics () =
@@ -321,13 +333,8 @@ let test_forward_allocates_nothing () =
 
 let test_xrl_add_lookup_delete () =
   let _, _, _, fea, caller = setup () in
-  ignore
-    (call caller
-       (fea_xrl "add_route4"
-          [ Xrl_atom.ipv4net "net" (net "172.16.0.0/12");
-            Xrl_atom.ipv4 "nexthop" (addr "10.0.0.254");
-            Xrl_atom.txt "ifname" "eth0";
-            Xrl_atom.txt "protocol" "static" ]));
+  let args = call caller (add_routes4 [ route "172.16.0.0/12" "10.0.0.254" ]) in
+  check Alcotest.int "count" 1 (Xrl_atom.get_u32 args "count");
   check Alcotest.int "installed" 1 (Fea.routes_installed fea);
   let args =
     call caller (fea_xrl "lookup_route4" [ Xrl_atom.ipv4 "addr" (addr "172.16.5.5") ])
@@ -336,24 +343,34 @@ let test_xrl_add_lookup_delete () =
     (Ipv4.to_string (Xrl_atom.get_ipv4 args "nexthop"));
   let args = call caller (fea_xrl "get_fib_size" []) in
   check Alcotest.int "fib size" 1 (Xrl_atom.get_u32 args "size");
-  ignore
-    (call caller
-       (fea_xrl "delete_route4" [ Xrl_atom.ipv4net "net" (net "172.16.0.0/12") ]));
+  ignore (call caller (delete_routes4 [ "172.16.0.0/12" ]));
   let err, _ =
     Xrl_router.call_blocking caller
       (fea_xrl "lookup_route4" [ Xrl_atom.ipv4 "addr" (addr "172.16.5.5") ])
   in
   check Alcotest.bool "lookup now fails" false (Xrl_error.is_ok err)
 
+(* A delete of a prefix with no FIB entry is refused as before, and in
+   a longer run it does not stop the rest: the run is applied and the
+   reply counts the misses. *)
 let test_xrl_delete_missing () =
-  let _, _, _, _, caller = setup () in
-  let err, _ =
-    Xrl_router.call_blocking caller
-      (fea_xrl "delete_route4" [ Xrl_atom.ipv4net "net" (net "9.9.9.0/24") ])
+  let _, _, _, fea, caller = setup () in
+  let refused what nets missed =
+    match Xrl_router.call_blocking caller (delete_routes4 nets) with
+    | Xrl_error.Command_failed msg, _ ->
+      check Alcotest.string what ("no FIB entry for " ^ missed) msg
+    | e, _ ->
+      Alcotest.failf "%s: expected Command_failed, got %s" what
+        (Xrl_error.to_string e)
   in
-  match err with
-  | Xrl_error.Command_failed _ -> ()
-  | e -> Alcotest.failf "expected Command_failed, got %s" (Xrl_error.to_string e)
+  refused "lone miss" [ "9.9.9.0/24" ] "1/1 routes";
+  ignore
+    (call caller
+       (add_routes4
+          [ route "10.0.0.0/8" "10.0.0.254"; route "172.16.0.0/12" "10.0.0.254" ]));
+  refused "one miss in three" [ "10.0.0.0/8"; "9.9.9.0/24"; "172.16.0.0/12" ]
+    "1/3 routes";
+  check Alcotest.int "the rest applied" 0 (Fib.size (Fea.fib fea))
 
 let test_get_interfaces () =
   let _, _, _, _, caller = setup () in
@@ -372,16 +389,9 @@ let test_profile_points () =
   Telemetry.reset ();
   Telemetry.Profile.enable_all ();
   let caller = Xrl_router.create finder loop ~class_name:"test" () in
-  ignore
-    (call caller
-       (fea_xrl "add_route4"
-          [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8");
-            Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]));
-  (* The per-route delete records both points too, like the bulk
-     handlers do. *)
-  ignore
-    (call caller
-       (fea_xrl "delete_route4" [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8") ]));
+  ignore (call caller (add_routes4 [ route "10.0.0.0/8" "192.0.2.1" ]));
+  (* A delete records both points too. *)
+  ignore (call caller (delete_routes4 [ "10.0.0.0/8" ]));
   let records = Telemetry.Profile.records () in
   Telemetry.Profile.disable_all ();
   check (Alcotest.list Alcotest.string) "arrived then kernel, per route"
@@ -398,12 +408,21 @@ let test_profile_disabled_is_noop () =
   ignore (Fea.create finder loop ());
   Telemetry.reset ();
   let caller = Xrl_router.create finder loop ~class_name:"test" () in
-  ignore
-    (call caller
-       (fea_xrl "add_route4"
-          [ Xrl_atom.ipv4net "net" (net "10.0.0.0/8");
-            Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]));
+  ignore (call caller (add_routes4 [ route "10.0.0.0/8" "192.0.2.1" ]));
   check Alcotest.int "no records" 0 (List.length (Telemetry.Profile.records ()))
+
+(* A packed run observes the install histogram once per route, adds and
+   deletes alike. *)
+let test_install_latency_per_route () =
+  Telemetry.set_enabled true;
+  let _, _, _, _, caller = setup () in
+  let h = Telemetry.histogram "fea.install.latency_us" in
+  let nets = [ "10.1.0.0/16"; "10.2.0.0/16"; "10.3.0.0/16" ] in
+  ignore (call caller (add_routes4 (List.map (fun n -> route n "10.0.0.254") nets)));
+  check Alcotest.int "one observation per added route" 3
+    (Telemetry.Histogram.count h);
+  ignore (call caller (delete_routes4 nets));
+  check Alcotest.int "and per deleted route" 6 (Telemetry.Histogram.count h)
 
 (* --- UDP relay -------------------------------------------------------- *)
 
@@ -486,13 +505,7 @@ let test_udp_open_bad_addr () =
 let test_restart_resets_metrics () =
   Telemetry.set_enabled true;
   let loop, finder, _, fea, caller = setup () in
-  ignore
-    (call caller
-       (fea_xrl "add_route4"
-          [ Xrl_atom.ipv4net "net" (net "172.16.0.0/12");
-            Xrl_atom.ipv4 "nexthop" (addr "10.0.0.254");
-            Xrl_atom.txt "ifname" "eth0";
-            Xrl_atom.txt "protocol" "static" ]));
+  ignore (call caller (add_routes4 [ route "172.16.0.0/12" "10.0.0.254" ]));
   let h = Telemetry.histogram "fea.install.latency_us" in
   check Alcotest.bool "first generation recorded an install" true
     (Telemetry.Histogram.count h > 0);
@@ -511,13 +524,7 @@ let test_lookup_counted_per_consumer () =
   Telemetry.set_enabled true;
   let loop, _, _, fea, caller = setup () in
   let value name = Telemetry.counter_value (Telemetry.counter name) in
-  ignore
-    (call caller
-       (fea_xrl "add_route4"
-          [ Xrl_atom.ipv4net "net" (net "172.16.0.0/12");
-            Xrl_atom.ipv4 "nexthop" (addr "10.0.0.254");
-            Xrl_atom.txt "ifname" "eth0";
-            Xrl_atom.txt "protocol" "static" ]));
+  ignore (call caller (add_routes4 [ route "172.16.0.0/12" "10.0.0.254" ]));
   ignore
     (call caller
        (fea_xrl "lookup_route4" [ Xrl_atom.ipv4 "addr" (addr "172.16.5.5") ]));
@@ -584,6 +591,8 @@ let () =
           Alcotest.test_case "points recorded" `Quick test_profile_points;
           Alcotest.test_case "disabled is no-op" `Quick
             test_profile_disabled_is_noop;
+          Alcotest.test_case "install latency per route" `Quick
+            test_install_latency_per_route;
         ] );
       ( "udp_relay",
         [

@@ -505,6 +505,93 @@ let test_bulk_fea_preserves_add_delete_order () =
   check Alcotest.bool "10.0.0.0/8 gone" true
     (Fib.lookup (Fea.fib fea) (addr "10.200.0.1") = None)
 
+(* --- FEA lanes ---------------------------------------------------------- *)
+
+(* The peak urgent and bulk lengths of the RIB's FEA queue while [f]'s
+   work runs to idle. The gauges are read between loop turns, and a
+   flush runs the turn after the changes it sends were queued. *)
+let fea_lane_peaks loop f =
+  Telemetry.set_enabled true;
+  let read name =
+    int_of_float (Telemetry.gauge_value (Telemetry.gauge name))
+  in
+  let urgent = ref 0 and bulk = ref 0 in
+  f ();
+  Eventloop.run loop ~until:(fun () ->
+      urgent := max !urgent (read "rib.fea_q.urgent");
+      bulk := max !bulk (read "rib.fea_q.bulk");
+      false);
+  (!urgent, !bulk)
+
+let lanes = Alcotest.(pair int int)
+
+let test_packed_runs_state_their_lane () =
+  let loop, finder, fea, _ = setup () in
+  let caller = Xrl_router.create finder loop ~class_name:"test" () in
+  let replies = ref [] in
+  let send method_name args () =
+    Xrl_router.send caller
+      (Xrl.make ~target:"rib" ~interface:"rib" ~method_name args)
+      (fun err _ -> replies := err :: !replies)
+  in
+  let routes nets =
+    Xrl_atom.binary "routes"
+      (Route_pack.pack_adds
+         (List.map
+            (fun n ->
+               { Route_pack.net = net n; nexthop = addr "192.0.2.1";
+                 ifname = ""; protocol = "static"; metric = 0 })
+            nets))
+  in
+  let urgent b = Xrl_atom.boolean "urgent" b in
+  check lanes "an urgent run queues urgent" (2, 0)
+    (fea_lane_peaks loop
+       (send "add_routes4" [ urgent true; routes [ "10.1.0.0/16"; "10.2.0.0/16" ] ]));
+  check lanes "a bulk run queues bulk" (0, 2)
+    (fea_lane_peaks loop
+       (send "add_routes4" [ urgent false; routes [ "10.3.0.0/16"; "10.4.0.0/16" ] ]));
+  check lanes "so does a bulk delete" (0, 2)
+    (fea_lane_peaks loop
+       (send "delete_routes4"
+          [ urgent false; Xrl_atom.txt "protocol" "static";
+            Xrl_atom.binary "routes"
+              (Route_pack.pack_deletes [ net "10.1.0.0/16"; net "10.3.0.0/16" ]) ]));
+  check lanes "the per-route add stays urgent" (1, 0)
+    (fea_lane_peaks loop
+       (send "add_route"
+          [ Xrl_atom.txt "protocol" "static";
+            Xrl_atom.ipv4net "net" (net "10.5.0.0/16");
+            Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]));
+  check Alcotest.int "every reply ok" 4
+    (List.length (List.filter Xrl_error.is_ok !replies));
+  (* The lane is required: a run that does not state it is refused
+     whole. *)
+  send "add_routes4" [ routes [ "10.6.0.0/16" ] ] ();
+  Eventloop.run loop;
+  (match !replies with
+   | Xrl_error.Bad_args _ :: _ -> ()
+   | e :: _ -> Alcotest.failf "expected Bad_args, got %s" (Xrl_error.to_string e)
+   | [] -> Alcotest.fail "no reply");
+  check Alcotest.int "FIB" 3 (Fib.size (Fea.fib fea))
+
+(* A protocol's death flushes its routes from a background task, and
+   their FIB deletes are bulk work, like BGP's deletion stage: they must
+   not compete with flaps in the urgent lane. *)
+let test_gradual_flush_queues_bulk () =
+  let loop, _, fea, rib = setup () in
+  for i = 0 to 9 do
+    add rib ~protocol:"rip" ~metric:1 (Printf.sprintf "10.%d.0.0/16" i)
+      "192.0.2.1"
+  done;
+  Eventloop.run loop;
+  check Alcotest.int "installed" 10 (Fib.size (Fea.fib fea));
+  let urgent, bulk =
+    fea_lane_peaks loop (fun () -> Rib.flush_protocol rib "rip")
+  in
+  check Alcotest.int "no urgent deletes" 0 urgent;
+  check Alcotest.bool "bulk deletes" true (bulk > 0);
+  check Alcotest.int "FIB emptied" 0 (Fib.size (Fea.fib fea))
+
 (* --- RIB restart: FEA mark-and-sweep --------------------------------- *)
 
 let test_fea_sweeps_stale_fib_after_rib_restart () =
@@ -599,5 +686,12 @@ let () =
             test_bulk_fea_install;
           Alcotest.test_case "add/delete order preserved" `Quick
             test_bulk_fea_preserves_add_delete_order;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "packed runs state their lane" `Quick
+            test_packed_runs_state_their_lane;
+          Alcotest.test_case "gradual flush queues bulk" `Quick
+            test_gradual_flush_queues_bulk;
         ] );
     ]

@@ -639,10 +639,12 @@ let test_notes_render_when_read () =
 (* Router [a] (10.0.0.1) takes XRLs from the test; router [b]
    (10.0.0.2) is its eBGP peer. Three chains must show up in a's spans,
    each note formatted as it always was: a per-route add
-   (rib.route_add -> rib.fea_send -> fea.install, noting the prefix), a
-   bulk add (rib.route_add_bulk -> rib.fea_send -> fea.install_bulk,
-   noting "3 routes"), and an UPDATE from b (bgp.update, noting the peer
-   and its counts, down through the RIB to fea.install). *)
+   (rib.route_add -> rib.fea_send -> fea.install_bulk, noting the
+   prefix), a packed add (rib.route_add_bulk -> rib.fea_send ->
+   fea.install_bulk, noting "3 routes"), and an UPDATE from b
+   (bgp.update, noting the peer and its counts, down through BGP's
+   one-route run into the RIB and on to the FEA, each span noting the
+   prefix). *)
 let test_route_add_trace_chain () =
   let config_a =
     {|
@@ -697,7 +699,8 @@ protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
   ignore
     (call
        (rib_xrl "add_routes4"
-          [ Xrl_atom.binary "routes" (Route_pack.pack_adds bulk) ]));
+          [ Xrl_atom.boolean "urgent" false;
+            Xrl_atom.binary "routes" (Route_pack.pack_adds bulk) ]));
   settle ();
   Bgp_process.originate (Option.get (Rtrmgr.bgp rb))
     (Ipv4net.of_string_exn "128.16.0.0/16");
@@ -733,15 +736,15 @@ protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
   in
   let root = find ~note:"10.9.9.0/24" "rib.route_add" None in
   let send = find ~note:"10.9.9.0/24" "rib.fea_send" (Some root) in
-  ignore (find ~note:"10.9.9.0/24" "fea.install" (Some send));
+  ignore (find ~note:"10.9.9.0/24" "fea.install_bulk" (Some send));
   let root = find ~note:"3 routes" "rib.route_add_bulk" None in
   let send = find ~note:"3 routes" "rib.fea_send" (Some root) in
   ignore (find ~note:"3 routes" "fea.install_bulk" (Some send));
   let update = find ~note:"10.0.0.2 +1 -0" "bgp.update" None in
-  let send = find ~note:"" "bgp.rib_send" (Some update) in
-  let add = find ~note:"128.16.0.0/16" "rib.route_add" (Some send) in
+  let send = find ~note:"128.16.0.0/16" "bgp.rib_send" (Some update) in
+  let add = find ~note:"128.16.0.0/16" "rib.route_add_bulk" (Some send) in
   let send = find ~note:"128.16.0.0/16" "rib.fea_send" (Some add) in
-  ignore (find ~note:"128.16.0.0/16" "fea.install" (Some send));
+  ignore (find ~note:"128.16.0.0/16" "fea.install_bulk" (Some send));
   Rtrmgr.shutdown ra;
   Rtrmgr.shutdown rb
 
