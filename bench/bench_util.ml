@@ -40,7 +40,7 @@ let run_real_until loop pred ~timeout_s what =
    experiments. *)
 let standalone_bgp ~loop ~netsim ~local_as ~bgp_id () =
   let finder = Finder.create () in
-  Bgp_process.create ~send_to_rib:false ~nexthop_mode:`Assume_resolvable
+  Bgp_process.create ~nexthop_mode:`Assume_resolvable
     finder loop ~netsim ~local_as ~bgp_id ()
 
 let default_peer = Bgp_process.default_peer_config
@@ -78,12 +78,8 @@ module Probe = struct
     let fsm = Lazy.force fsm in
     ignore
       (Netsim.Stream.listen netsim ~addr:local_addr ~port:bgp_port (fun ep ->
-           Netsim.Stream.on_receive ep (fun data -> Peer_fsm.recv fsm data);
-           Netsim.Stream.on_close ep (fun () -> Peer_fsm.transport_closed fsm);
            Peer_fsm.start_passive fsm;
-           Peer_fsm.transport_up fsm
-             { Peer_fsm.tr_send = (fun d -> Netsim.Stream.send ep d);
-               tr_close = (fun () -> Netsim.Stream.close ep) }));
+           Peer_fsm.attach_stream fsm ep));
     { fsm; arrivals; loop }
 
   let established t = Peer_fsm.state t.fsm = Peer_fsm.Established
@@ -119,13 +115,7 @@ module Injector = struct
       ~port:t.bgp_port (fun ep ->
           match ep with
           | None -> failwith "Injector: connection refused"
-          | Some ep ->
-            Netsim.Stream.on_receive ep (fun d -> Peer_fsm.recv t.fsm d);
-            Netsim.Stream.on_close ep (fun () ->
-                Peer_fsm.transport_closed t.fsm);
-            Peer_fsm.transport_up t.fsm
-              { Peer_fsm.tr_send = (fun d -> Netsim.Stream.send ep d);
-                tr_close = (fun () -> Netsim.Stream.close ep) })
+          | Some ep -> Peer_fsm.attach_stream t.fsm ep)
 
   let established t = Peer_fsm.state t.fsm = Peer_fsm.Established
 

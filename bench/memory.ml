@@ -58,7 +58,7 @@ let run () =
   let after_bgp = live_mb () in
   (* RIB side: load the same table directly. *)
   let finder2 = Finder.create () in
-  let rib = Rib.create ~send_to_fea:false finder2 loop () in
+  let rib = Rib.create finder2 loop () in
   Array.iter
     (fun e ->
        ignore

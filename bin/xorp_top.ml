@@ -111,23 +111,17 @@ let render_frame ~frame ~clock ~top_n stages counters spans =
     && String.sub n 0 (String.length Dataplane.telemetry_prefix)
        = Dataplane.telemetry_prefix
   in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  (* So do the pipeline's staging queues and priority lanes: the BGP
-     inbound backlog, the fanout/RibOut lane depths, and the RIB's
-     FEA transmit queue. Watching these during a table load shows the
-     bulk backlog draining while the urgent lane stays near zero. *)
-  let is_queue (n, _) =
-    contains n ".lane." || contains n ".backlog" || contains n ".fea_q."
-  in
+  (* So do the pipeline's staging queues and priority lanes, as
+     `show queues` lists them. Watching these during a table load shows
+     the bulk backlog draining while the urgent lane stays near zero. *)
+  let is_queue (n, _) = Rtrmgr.is_queue_gauge n in
   (* Rebirth-resync activity: routes each protocol replayed into a
      restarted RIB, and stale FIB entries the FEA swept afterwards.
      Nonzero values here mean the router survived a RIB restart. *)
   let is_resync (n, _) =
-    contains n ".rib_resync." || contains n ".rib_sweep."
+    List.exists
+      (fun part -> part = "rib_resync" || part = "rib_sweep")
+      (String.split_on_char '.' n)
   in
   let dp_counters, counters = List.partition is_dp counters in
   let q_counters, counters = List.partition is_queue counters in

@@ -18,7 +18,7 @@ let () =
   let netsim = Netsim.create loop in
   let mk as_ id =
     let finder = Finder.create () in
-    Bgp_process.create ~send_to_rib:false ~nexthop_mode:`Assume_resolvable
+    Bgp_process.create ~nexthop_mode:`Assume_resolvable
       finder loop ~netsim ~local_as:as_ ~bgp_id:(addr id) ()
   in
   let a = mk 65001 "1.1.1.1" in

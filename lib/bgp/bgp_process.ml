@@ -67,12 +67,9 @@ type t = {
   netsim : Netsim.t;
   clock : unit -> float; (* the loop's clock, for spans and points *)
   pt_entering : Telemetry.Profile.point;
-  pt_queued_rib : Telemetry.Profile.point;
-  pt_sent_rib : Telemetry.Profile.point;
   local_as : int;
   bgp_id : Ipv4.t;
   bgp_port : int;
-  send_to_rib : bool;
   nexthop_mode : [ `Rib | `Assume_resolvable ];
   (* Inbound slicing and lane classification (§4 + §5.1): each slice
      of a peer's drain task moves [1] staged prefix, [inbound_slice]
@@ -95,10 +92,8 @@ type t = {
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
   rib : Rib_client.t;
   (* One entry per prefix, lane and RIB origin table (ebgp or ibgp):
-     see [rib_q_merge]. *)
-  rib_q :
-    (Laneq.change * Bgp_types.route * Telemetry.Trace.ctx option) Laneq.t;
-  mutable rib_flush_scheduled : bool;
+     changes fold only within one table. *)
+  rib_q : Bgp_types.route Route_runs.outbox;
   redump_on_reestablish : bool;
   mutable started : bool;
 }
@@ -116,82 +111,33 @@ let rib_protocol t (route : Bgp_types.route) =
 let rib_metric (route : Bgp_types.route) =
   Option.value route.Bgp_types.attrs.med ~default:0
 
-(* A change folds into the one pending for its prefix and lane when
-   both are for the same RIB origin table. The RIB holds a prefix in
-   one of the two at a time, so the queue holds at most one entry per
-   prefix, lane and table. *)
-let rib_q_merge t =
-  Laneq.merge_changes ~compatible:(fun a b ->
-      String.equal (rib_protocol t a) (rib_protocol t b))
+let same_rib_table t a b = String.equal (rib_protocol t a) (rib_protocol t b)
 
-let is_add : Laneq.change -> bool = function
-  | Add | Replace -> true
-  | Delete -> false
-
-(* A replacement records as an add at the §8.2 points. *)
-let verb_of change : Telemetry.Profile.verb =
-  if is_add change then Add else Delete
-
-(* A run of queued changes of one kind for one RIB origin table
-   leaves as one packed rib/add_routes4 or rib/delete_routes4 XRL
-   through [Rib_client], stating its lane: the RIB queues the FIB
-   changes it makes in the same lane. Profile points stay per route.
-   The run's first trace context parents the send span, whose note is
-   the prefix of a run of one. *)
-let send_rib_run t lane entries =
-  match entries with
-  | [] -> ()
-  | (change0, (route0 : Bgp_types.route), first_trace) :: _ ->
-    List.iter
-      (fun (change, (route : Bgp_types.route), _) ->
-         Telemetry.Profile.record t.pt_sent_rib ~clock:t.clock
-           (verb_of change) route.Bgp_types.net)
-      entries;
-    let net_of (_, (r : Bgp_types.route), _) = r.Bgp_types.net in
-    Telemetry.Trace.with_ctx first_trace @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"bgp.rib_send"
-      ~note:(Telemetry.Trace.run_note net_of entries) ~clock:t.clock
-    @@ fun () ->
-    let urgent = lane = Laneq.Urgent in
-    let protocol = rib_protocol t route0 in
-    if is_add change0 then
-      Rib_client.add_routes t.rib ~urgent
-        (List.map
-           (fun (_, (r : Bgp_types.route), _) ->
-              { Route_pack.net = r.Bgp_types.net;
-                nexthop = r.Bgp_types.attrs.nexthop; ifname = ""; protocol;
-                metric = rib_metric r })
-           entries)
-    else
-      Rib_client.delete_routes t.rib ~urgent ~protocol
-        (List.map net_of entries)
+(* A run of changes of one kind for one RIB origin table leaves as one
+   packed rib/add_routes4 or rib/delete_routes4 XRL through
+   [Rib_client], stating its lane: the RIB queues the FIB changes it
+   makes in the same lane. *)
+let send_rib_run t lane (verb : Telemetry.Profile.verb) routes =
+  let urgent = lane = Laneq.Urgent in
+  let protocol = rib_protocol t (List.hd routes) in
+  match verb with
+  | Add ->
+    Rib_client.add_routes t.rib ~urgent
+      (List.map
+         (fun (r : Bgp_types.route) ->
+            { Route_pack.net = r.Bgp_types.net;
+              nexthop = r.Bgp_types.attrs.nexthop; ifname = ""; protocol;
+              metric = rib_metric r })
+         routes)
+  | Delete ->
+    Rib_client.delete_routes t.rib ~urgent ~protocol
+      (List.map (fun (r : Bgp_types.route) -> r.Bgp_types.net) routes)
 
 (* Bulk-lane routes forwarded to the RIB per deferred flush: bounds how
    long one loop turn spends packing and how large a synchronous run
    the RIB's bulk handler processes, so an urgent flush in the next
    turn is never far away. *)
 let rib_bulk_slice = 128
-
-(* Nothing is held for a dead RIB: a reborn one gets the full replay.
-   A flush sends the urgent lane, then one bulk slice, in runs of
-   neighbours with the same operation and origin table (a replace
-   travels as an add); leftovers re-defer so timers and fresh I/O get
-   the loop in between. *)
-let rec schedule_rib_flush t =
-  if not t.rib_flush_scheduled then begin
-    t.rib_flush_scheduled <- true;
-    Eventloop.defer t.loop (fun () ->
-        t.rib_flush_scheduled <- false;
-        if not (Xrl_router.peer_live t.router "rib") then Laneq.clear t.rib_q
-        else begin
-          Laneq.drain_runs t.rib_q ~bulk_slice:rib_bulk_slice
-            ~same:(fun (c0, r0, _) (c1, r1, _) ->
-                is_add c0 = is_add c1
-                && String.equal (rib_protocol t r0) (rib_protocol t r1))
-            (send_rib_run t);
-          if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t
-        end)
-  end
 
 (* The fanout reader feeding the RIB. Locally originated routes
    (peer 0) are skipped: the RIB learned them by other means. The RIB
@@ -204,16 +150,8 @@ let rec schedule_rib_flush t =
    stays a delete from one and an add to the other. *)
 let make_rib_branch t : Bgp_table.table =
   let on change (route : Bgp_types.route) =
-    if route.Bgp_types.peer_id <> 0 && t.send_to_rib
-       && Xrl_router.peer_live t.router "rib" then begin
-      Telemetry.Profile.record t.pt_queued_rib ~clock:t.clock
-        (verb_of change) route.net;
-      Laneq.push ~merge:(rib_q_merge t) t.rib_q
-        (Bgp_types.current_lane ())
-        ~net:route.Bgp_types.net
-        (change, route, Telemetry.Trace.current ());
-      schedule_rib_flush t
-    end
+    if route.Bgp_types.peer_id <> 0 then
+      Route_runs.push t.rib_q (Bgp_types.current_lane ()) change route
   in
   (object
     inherit
@@ -273,39 +211,28 @@ let make_resolver t : Bgp_nexthop.resolve_fn =
 
 (* [Rib_client]'s replay. A reborn RIB starts from empty origin tables:
    replace whatever was queued since its birth with a full dump of the
-   post-decision winners. The dump rides the bulk lane: fresh urgent
-   changes for other prefixes overtake it, while the Laneq guard keeps
-   a live update to a replayed prefix behind its replay entry
-   (§5.1.2). Cached nexthop resolutions are invalidated wholesale so
-   every nexthop is re-queried — which also re-registers the interest
-   the new RegisterTable needs to push future invalidations. *)
+   post-decision winners, in the bulk lane (§5.1.2). Cached nexthop
+   resolutions are invalidated wholesale so every nexthop is re-queried
+   — which also re-registers the interest the new RegisterTable needs
+   to push future invalidations — before the dump's flush is armed. *)
 let replay_rib t =
-  Laneq.clear t.rib_q;
-  let n =
-    if not t.send_to_rib then 0
-    else
+  Route_runs.replay t.rib_q (fun add ->
       t.decision#fold_winners
-        (fun (route : Bgp_types.route) n ->
-           if route.Bgp_types.peer_id <> 0 then begin
-             Laneq.push t.rib_q Laneq.Bulk ~net:route.Bgp_types.net
-               (Laneq.Add, route, None);
-             n + 1
-           end
-           else n)
-        0
-  in
-  if t.nexthop_mode = `Rib then
-    Hashtbl.iter
-      (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
-      t.peers;
-  if not (Laneq.is_empty t.rib_q) then schedule_rib_flush t;
-  n
+        (fun (route : Bgp_types.route) () ->
+           if route.Bgp_types.peer_id <> 0 then add route)
+        ();
+      if t.nexthop_mode = `Rib then
+        Hashtbl.iter
+          (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
+          t.peers)
 
-(* Nothing is held for a dead RIB: a reborn one gets the full replay. *)
+(* Nothing is held for a dead RIB: a reborn one gets the full replay.
+   A kill and a restart can fall in one event, so the queue is cleared
+   here too: its entries must not reach the newborn. *)
 let rib_died t =
   Log.warn (fun m ->
       m "RIB died; dropping route updates until an instance returns");
-  Laneq.clear t.rib_q
+  Route_runs.clear t.rib_q
 
 (* --- session plumbing ------------------------------------------------- *)
 
@@ -498,11 +425,7 @@ and dial t peer =
 
 and attach_endpoint _t peer ep =
   peer.endpoint <- Some ep;
-  Netsim.Stream.on_receive ep (fun data -> Peer_fsm.recv peer.fsm data);
-  Netsim.Stream.on_close ep (fun () -> Peer_fsm.transport_closed peer.fsm);
-  Peer_fsm.transport_up peer.fsm
-    { Peer_fsm.tr_send = (fun data -> Netsim.Stream.send ep data);
-      tr_close = (fun () -> Netsim.Stream.close ep) }
+  Peer_fsm.attach_stream peer.fsm ep
 
 let is_dialer peer =
   match peer.cfg.passive with
@@ -746,7 +669,7 @@ let add_xrl_handlers t =
 
 (* --- public API --------------------------------------------------------- *)
 
-let create ?families ?(send_to_rib = true) ?(nexthop_mode = `Rib)
+let create ?families ?(nexthop_mode = `Rib)
     ?(bgp_port = 179) ?(inbound_slice = 64) ?(urgent_threshold = 64)
     ?(lane_ordered = true) ?(rib_rebirth_resync = true)
     ?(redump_on_reestablish = true) finder loop ~netsim ~local_as ~bgp_id () =
@@ -771,10 +694,7 @@ let create ?families ?(send_to_rib = true) ?(nexthop_mode = `Rib)
        {
          router; loop; netsim; clock = (fun () -> Eventloop.now loop);
          pt_entering = Telemetry.Profile.point pp_entering;
-         pt_queued_rib = Telemetry.Profile.point pp_queued_rib;
-         pt_sent_rib = Telemetry.Profile.point pp_sent_rib;
-         local_as; bgp_id; bgp_port;
-         send_to_rib; nexthop_mode;
+         local_as; bgp_id; bgp_port; nexthop_mode;
          inbound_slice; urgent_threshold; lane_ordered;
          inbound_backlog = 0;
          g_inbound = Telemetry.gauge "bgp.inbound.backlog";
@@ -789,8 +709,14 @@ let create ?families ?(send_to_rib = true) ?(nexthop_mode = `Rib)
              ~redist:(fun r -> redistributed (Lazy.force t) r)
              ~replay:(fun () -> replay_rib (Lazy.force t))
              ();
-         rib_q = Laneq.create ~ordered:lane_ordered ();
-         rib_flush_scheduled = false;
+         rib_q =
+           Route_runs.outbox ~ordered:lane_ordered
+             ~same:(fun a b -> same_rib_table (Lazy.force t) a b)
+             router ~peer:"rib" ~name:"bgp.rib_q" ~bulk_slice:rib_bulk_slice
+             ~net:(fun r -> r.Bgp_types.net) ~queued:pp_queued_rib
+             ~sent:pp_sent_rib ~span:"bgp.rib_send"
+             (fun lane verb routes ->
+                send_rib_run (Lazy.force t) lane verb routes);
          redump_on_reestablish;
          started = false;
        })

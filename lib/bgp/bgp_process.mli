@@ -55,7 +55,6 @@ val default_peer_config :
 
 val create :
   ?families:Pf.family list ->
-  ?send_to_rib:bool ->
   ?nexthop_mode:[ `Rib | `Assume_resolvable ] ->
   ?bgp_port:int ->
   ?inbound_slice:int ->
@@ -68,8 +67,8 @@ val create :
 (** Registers component class ["bgp"] with the Finder. [families]
     selects the XRL transports of the component's endpoint (default:
     intra-process; the simulation harness passes a chaos-wrapped
-    family). [send_to_rib] defaults to true; [nexthop_mode] defaults to
-    [`Rib]; [bgp_port] defaults to 179.
+    family). [nexthop_mode] defaults to [`Rib]; [bgp_port] defaults to
+    179.
 
     [inbound_slice] (default 64) is the per-loop-turn work bound of
     each peer's inbound staging task: received UPDATEs that cannot be
@@ -90,8 +89,10 @@ val create :
     [lane_ordered:false] is the deliberately broken variant the
     simulation fuzzer must catch.
 
-    While no RIB instance is live, outbound route operations are
-    dropped. [rib_rebirth_resync] (default true) is
+    Route changes for the RIB leave through a {!Route_runs.outbox}
+    named [bgp.rib_q], in packed runs of one RIB origin table each.
+    While no RIB instance is live they are dropped, so a BGP whose
+    Finder has no RIB sends nothing. [rib_rebirth_resync] (default true) is
     {!Rib_client.create}'s [resync]: a (re)born RIB gets the
     redistribution subscriptions again and a replay of the full
     post-decision winner set on the bulk lane, counted in

@@ -188,6 +188,13 @@ let recv t data =
     send_notification t Bgp_packet.err_msg_header 0;
     to_idle t ("framing error: " ^ e)
 
+let attach_stream t ep =
+  Netsim.Stream.on_receive ep (fun data -> recv t data);
+  Netsim.Stream.on_close ep (fun () -> transport_closed t);
+  transport_up t
+    { tr_send = (fun data -> Netsim.Stream.send ep data);
+      tr_close = (fun () -> Netsim.Stream.close ep) }
+
 let send_update t msg =
   if t.st = Established then begin
     t.tx_updates <- t.tx_updates + 1;

@@ -58,6 +58,11 @@ val recv : t -> string -> unit
 val transport_closed : t -> unit
 (** The peer closed the connection. *)
 
+val attach_stream : t -> Netsim.Stream.endpoint -> unit
+(** Run the session over a simulated stream that just came up: its
+    received bytes feed {!recv}, its close is {!transport_closed}, and
+    {!transport_up} sends and closes through it. *)
+
 val send_update : t -> Bgp_packet.msg -> bool
 (** Transmit an UPDATE if Established; returns false otherwise. *)
 

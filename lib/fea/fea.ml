@@ -19,7 +19,6 @@ type t = {
   router : Xrl_router.t;
   fib : Fib.t;
   clock : unit -> float; (* the loop's clock, for spans and points *)
-  pt_arrived : Telemetry.Profile.point;
   pt_kernel : Telemetry.Profile.point;
   ifaces : (string * Ipv4.t) list;
   netsim : Netsim.t option;
@@ -62,64 +61,30 @@ let add_fib_handlers t =
      process records each FEA's installs under its own namespace. *)
   let install_hist = Telemetry.histogram "fea.install.latency_us" in
   (* One XRL carries a Route_pack-packed run, of one route or many.
-     Profile points, the install histogram and a delete's miss are
-     still per route, so the pipeline-latency methodology (§8.2) sees
-     every route. *)
-  Xrl_router.add_handler r ~interface:"fea" ~method_name:"add_routes4"
-    (fun args reply ->
-       let packed = Xrl_atom.get_binary args "routes" in
-       match Route_pack.unpack_adds packed with
-       | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
-       | Ok adds ->
-         Telemetry.Trace.span_sync ~name:"fea.install_bulk"
-           ~note:
-             (Telemetry.Trace.run_note (fun (a : Route_pack.add) -> a.net) adds)
-           ~clock:t.clock
-           (fun () ->
-              List.iter
-                (fun { Route_pack.net; nexthop; ifname; protocol; metric = _ } ->
-                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
-                     net;
-                   Telemetry.time install_hist (fun () ->
-                       Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
-                       Hashtbl.remove t.stale net;
-                       t.installed <- t.installed + 1);
-                   Telemetry.Profile.record t.pt_kernel ~clock:t.clock Add
-                     net)
-                adds);
-         reply ok [ Xrl_atom.u32 "count" (List.length adds) ]);
-  (* A prefix with no FIB entry does not stop the run: the rest is
-     applied, and the reply says how many missed. *)
-  Xrl_router.add_handler r ~interface:"fea" ~method_name:"delete_routes4"
-    (fun args reply ->
-       let packed = Xrl_atom.get_binary args "routes" in
-       match Route_pack.unpack_deletes packed with
-       | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
-       | Ok nets ->
-         let n = List.length nets in
-         let missed = ref 0 in
-         Telemetry.Trace.span_sync ~name:"fea.uninstall_bulk"
-           ~note:(Telemetry.Trace.run_note Fun.id nets) ~clock:t.clock
-           (fun () ->
-              List.iter
-                (fun net ->
-                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock
-                     Delete net;
-                   let existed =
-                     Telemetry.time install_hist (fun () ->
-                         Hashtbl.remove t.stale net;
-                         Fib.delete t.fib net)
-                   in
-                   if not existed then incr missed;
-                   Telemetry.Profile.record t.pt_kernel ~clock:t.clock
-                     Delete net)
-                nets);
-         if !missed = 0 then reply ok [ Xrl_atom.u32 "count" n ]
-         else
-           reply
-             (Xrl_error.Command_failed
-                (Printf.sprintf "no FIB entry for %d/%d routes" !missed n))
-             []);
+     The install histogram and the kernel point are still per route, so
+     the pipeline-latency methodology (§8.2) sees every route. An add
+     never refuses a route; a prefix with no FIB entry does not stop a
+     delete's run, and the reply says how many missed. *)
+  let timed verb net f =
+    let v = Telemetry.time install_hist f in
+    Telemetry.Profile.record t.pt_kernel ~clock:t.clock verb net;
+    v
+  in
+  Route_runs.serve r ~interface:"fea" Route_runs.adds ~span:"fea.install_bulk"
+    ~arrived:pp_arrived
+    (fun _ { Route_pack.net; nexthop; ifname; protocol; metric = _ } ->
+       timed Add net (fun () ->
+           Fib.add t.fib { Fib.net; nexthop; ifname; protocol };
+           Hashtbl.remove t.stale net;
+           t.installed <- t.installed + 1);
+       true);
+  Route_runs.serve r ~interface:"fea" Route_runs.deletes
+    ~span:"fea.uninstall_bulk" ~arrived:pp_arrived
+    ~refused:"no FIB entry for %d/%d routes"
+    (fun _ net ->
+       timed Delete net (fun () ->
+           Hashtbl.remove t.stale net;
+           Fib.delete t.fib net));
   Xrl_router.add_handler r ~interface:"fea" ~method_name:"lookup_route4"
     (fun args reply ->
        let addr = Xrl_atom.get_ipv4 args "addr" in
@@ -437,7 +402,6 @@ let create ?families ?(interfaces = []) ?netsim
   in
   let t =
     { router; fib = Fib.create (); clock = (fun () -> Eventloop.now loop);
-      pt_arrived = Telemetry.Profile.point pp_arrived;
       pt_kernel = Telemetry.Profile.point pp_kernel;
       ifaces = interfaces; netsim;
       sockets = Hashtbl.create 8; client_watches = Hashtbl.create 4;

@@ -6,45 +6,24 @@ let pp_arrived = "rib_arrived"
 let pp_queued_fea = "rib_queued_fea"
 let pp_sent_fea = "rib_sent_fea"
 
-(* One FIB change: a Replace travels as an add, which the FIB applies
-   over the entry it holds. *)
-type fea_op = Laneq.change * Rib_route.t * Telemetry.Trace.ctx option
-
 type t = {
   router : Xrl_router.t;
-  loop : Eventloop.t;
   clock : unit -> float; (* the loop's clock, for spans and points *)
   pt_arrived : Telemetry.Profile.point;
-  pt_queued_fea : Telemetry.Profile.point;
-  pt_sent_fea : Telemetry.Profile.point;
   origins : (string, Origin_table.origin_table) Hashtbl.t;
   register : Register_table.register_table;
   redist : Redist_table.redist_table;
-  send_to_fea : bool;
   (* Outbound transmit queue towards the FEA: route changes made
-     within one event-loop turn coalesce here and flush together on
-     the next iteration. Each entry carries the trace context that was
-     ambient when it was queued. Changes to one prefix fold into one
-     entry per lane ([Laneq.merge_changes]), so the queue holds at most
-     one entry per prefix and lane. *)
-  fea_q : fea_op Laneq.t;
-  mutable fea_flush_armed : bool;
+     within one event-loop turn coalesce here, one entry per prefix and
+     lane, and flush together on the next iteration. *)
+  fea_q : Rib_route.t Route_runs.outbox;
   (* Lane for FIB pushes produced by the code running now: urgent by
      default (the per-route XRLs and the direct API); a packed run
      states its own, and a gradual protocol flush is bulk. Set around
      that code, never stored in entries — the Laneq remembers which
      lane each entry sits in. *)
   mutable fea_lane : Laneq.lane;
-  g_fea_depth : Telemetry.gauge;
-  g_fea_urgent : Telemetry.gauge;
-  g_fea_bulk : Telemetry.gauge;
 }
-
-let set_fea_gauges t =
-  Telemetry.set_gauge t.g_fea_depth (float_of_int (Laneq.length t.fea_q));
-  Telemetry.set_gauge t.g_fea_urgent
-    (float_of_int (Laneq.urgent_length t.fea_q));
-  Telemetry.set_gauge t.g_fea_bulk (float_of_int (Laneq.bulk_length t.fea_q))
 
 let with_fea_lane t lane f =
   let saved = t.fea_lane in
@@ -53,55 +32,33 @@ let with_fea_lane t lane f =
 
 (* --- FEA sink ------------------------------------------------------- *)
 
-let op_net ((_, r, _) : fea_op) = r.Rib_route.net
-
-let op_is_add ((change, _, _) : fea_op) =
-  match change with Laneq.Add | Replace -> true | Delete -> false
-
-(* A replacement records as an add at the §8.2 points. *)
-let op_verb op : Telemetry.Profile.verb = if op_is_add op then Add else Delete
-
-(* A run of consecutive same-kind ops leaves as one packed XRL.
-   Profile points stay per route. The run's first trace context parents
-   the send span and the reply; the span notes the prefix of a run of
-   one. *)
-let send_run t (ops : fea_op list) =
-  match ops with
-  | [] -> ()
-  | ((_, _, first_ctx) as first_op) :: _ ->
-    let n = List.length ops in
-    List.iter
-      (fun op ->
-         Telemetry.Profile.record t.pt_sent_fea ~clock:t.clock (op_verb op)
-           (op_net op))
-      ops;
-    Telemetry.Trace.with_ctx first_ctx @@ fun () ->
-    Telemetry.Trace.span_sync ~name:"rib.fea_send"
-      ~note:(Telemetry.Trace.run_note op_net ops) ~clock:t.clock
-    @@ fun () ->
-    let packed, method_name =
-      if op_is_add first_op then
-        ( Route_pack.pack_adds
-            (List.map
-               (fun (_, (r : Rib_route.t), _) ->
-                  { Route_pack.net = r.net; nexthop = r.nexthop;
-                    ifname = ""; protocol = r.protocol; metric = r.metric })
-               ops),
-          "add_routes4" )
-      else
-        ( Route_pack.pack_deletes (List.map op_net ops),
-          "delete_routes4" )
-    in
-    let xrl =
-      Xrl.make ~target:"fea" ~interface:"fea" ~method_name
-        [ Xrl_atom.binary "routes" packed ]
-    in
-    (* FIB updates are idempotent, so a failed one is retried. *)
-    Xrl_router.send ~retry:Xrl_router.default_retry t.router xrl (fun err _ ->
-        if not (Xrl_error.is_ok err) then
-          Log.warn (fun m ->
-              m "FEA %s (%d routes) failed: %s" method_name n
-                (Xrl_error.to_string err)))
+(* A run of one kind leaves as one packed XRL. *)
+let send_fea_run router (verb : Telemetry.Profile.verb) routes =
+  let packed, method_name =
+    match verb with
+    | Add ->
+      ( Route_pack.pack_adds
+          (List.map
+             (fun (r : Rib_route.t) ->
+                { Route_pack.net = r.net; nexthop = r.nexthop; ifname = "";
+                  protocol = r.protocol; metric = r.metric })
+             routes),
+        "add_routes4" )
+    | Delete ->
+      ( Route_pack.pack_deletes
+          (List.map (fun (r : Rib_route.t) -> r.net) routes),
+        "delete_routes4" )
+  in
+  let xrl =
+    Xrl.make ~target:"fea" ~interface:"fea" ~method_name
+      [ Xrl_atom.binary "routes" packed ]
+  in
+  (* FIB updates are idempotent, so a failed one is retried. *)
+  Xrl_router.send ~retry:Xrl_router.default_retry router xrl (fun err _ ->
+      if not (Xrl_error.is_ok err) then
+        Log.warn (fun m ->
+            m "FEA %s (%d routes) failed: %s" method_name (List.length routes)
+              (Xrl_error.to_string err)))
 
 (* Bulk-lane FIB updates drained per flush slice: bounds the packing
    work (and the size of each bulk XRL run) one loop turn spends on the
@@ -109,49 +66,8 @@ let send_run t (ops : fea_op list) =
    full-table load already queued here. *)
 let fea_bulk_slice = 1024
 
-(* Nothing is held for a dead FEA: a reborn one gets the full replay. *)
-let drop_fea_q t =
-  Laneq.clear t.fea_q;
-  set_fea_gauges t
-
-let rec flush_fea t =
-  t.fea_flush_armed <- false;
-  if not (Xrl_router.peer_live t.router "fea") then drop_fea_q t
-  else begin
-    (* One slice: the urgent lane drained dry (flap-sized), then a
-       bounded bulk batch, in runs of same-kind ops (a replace travels
-       as an add), so an add/delete alternation reaches the FIB in
-       sequence. Per-prefix order across lanes is preserved by the
-       Laneq demotion guard. *)
-    Laneq.drain_runs t.fea_q ~bulk_slice:fea_bulk_slice
-      ~same:(fun a b -> op_is_add a = op_is_add b)
-      (fun _lane ops -> send_run t ops);
-    set_fea_gauges t;
-    (* Leftover bulk re-defers: the next loop turn gets a chance to
-       interleave fresh urgent work ahead of it. *)
-    if not (Laneq.is_empty t.fea_q) then begin
-      t.fea_flush_armed <- true;
-      Eventloop.defer t.loop (fun () -> flush_fea t)
-    end
-  end
-
 let send_fea t change (r : Rib_route.t) =
-  if t.send_to_fea && Xrl_router.peer_live t.router "fea" then begin
-    let op = (change, r, Telemetry.Trace.current ()) in
-    Telemetry.Profile.record t.pt_queued_fea ~clock:t.clock (op_verb op)
-      r.net;
-    (* Queue-then-send: the actual XRL goes out on the next loop
-       iteration, like a real outbound transmit queue — and everything
-       queued within this turn flushes together (one packed XRL per
-       same-kind run). The deferral would lose the ambient trace
-       context, so capture it per entry and reinstate it at send. *)
-    Laneq.push ~merge:Laneq.merge_changes t.fea_q t.fea_lane ~net:r.net op;
-    set_fea_gauges t;
-    if not t.fea_flush_armed then begin
-      t.fea_flush_armed <- true;
-      Eventloop.defer t.loop (fun () -> flush_fea t)
-    end
-  end
+  Route_runs.push t.fea_q t.fea_lane change r
 
 (* --- client notifications ------------------------------------------- *)
 
@@ -278,7 +194,7 @@ let flush_protocol t protocol =
 
 let xrl_router t = t.router
 let invalidations_sent t = t.register#invalidations_sent
-let fea_queue_length t = Laneq.length t.fea_q
+let fea_queue_length t = Route_runs.length t.fea_q
 
 (* --- XRL interface --------------------------------------------------- *)
 
@@ -316,79 +232,36 @@ let add_xrl_handlers t =
        with
        | Ok () -> reply ok []
        | Error msg -> reply (Xrl_error.Command_failed msg) []);
-  (* Packed runs, mirroring fea/add_routes4: one XRL carries a whole
-     Route_pack-packed run from BGP's RIB-output queue, so a full-table
-     load crosses the BGP->RIB boundary in hundreds of calls instead of
-     146k. Profile points stay per route. The run states its lane, and
-     its FIB pushes ride that lane: a table load in flight cannot crowd
-     a concurrent flap out of the RIB->FEA leg. *)
-  let lane_of args : Laneq.lane =
-    if Xrl_atom.get_bool args "urgent" then Urgent else Bulk
+  (* Packed runs from BGP's RIB-output queue: a full-table load
+     crosses the BGP->RIB boundary in hundreds of calls instead of
+     146k. The run states its lane, and its FIB pushes ride that lane:
+     a table load in flight cannot crowd a concurrent flap out of the
+     RIB->FEA leg. *)
+  let in_lane args =
+    with_fea_lane t
+      (if Xrl_atom.get_bool args "urgent" then Laneq.Urgent else Bulk)
   in
-  Xrl_router.add_handler r ~interface:"rib" ~method_name:"add_routes4"
-    (fun args reply ->
-       let lane = lane_of args in
-       let packed = Xrl_atom.get_binary args "routes" in
-       match Route_pack.unpack_adds packed with
-       | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
-       | Ok adds ->
-         let n = List.length adds in
-         let failed = ref 0 in
-         Telemetry.Trace.span_sync ~name:"rib.route_add_bulk"
-           ~note:
-             (Telemetry.Trace.run_note (fun (a : Route_pack.add) -> a.net) adds)
-           ~clock:t.clock
-           (fun () ->
-              with_fea_lane t lane @@ fun () ->
-              List.iter
-                (fun { Route_pack.net; nexthop; protocol; metric; ifname = _ } ->
-                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add
-                     net;
-                   match add_route t ~protocol ~net ~nexthop ~metric () with
-                   | Ok () -> ()
-                   | Error msg ->
-                     incr failed;
-                     Log.warn (fun m ->
-                         m "bulk add %s: %s" (Ipv4net.to_string net) msg))
-                adds);
-         if !failed = 0 then reply ok [ Xrl_atom.u32 "count" n ]
-         else
-           reply
-             (Xrl_error.Command_failed
-                (Printf.sprintf "%d/%d adds failed" !failed n))
-             []);
-  Xrl_router.add_handler r ~interface:"rib" ~method_name:"delete_routes4"
-    (fun args reply ->
-       let lane = lane_of args in
+  let applied what net = function
+    | Ok () -> true
+    | Error msg ->
+      Log.warn (fun m -> m "bulk %s %s: %s" what (Ipv4net.to_string net) msg);
+      false
+  in
+  Route_runs.serve r ~interface:"rib" Route_runs.adds
+    ~span:"rib.route_add_bulk" ~arrived:pp_arrived ~refused:"%d/%d adds failed"
+    (fun args ->
+       let in_lane = in_lane args in
+       fun { Route_pack.net; nexthop; protocol; metric; ifname = _ } ->
+         applied "add" net
+           (in_lane (fun () -> add_route t ~protocol ~net ~nexthop ~metric ())));
+  Route_runs.serve r ~interface:"rib" Route_runs.deletes
+    ~span:"rib.route_delete_bulk" ~arrived:pp_arrived
+    ~refused:"%d/%d deletes failed"
+    (fun args ->
+       let in_lane = in_lane args in
        let protocol = Xrl_atom.get_txt args "protocol" in
-       let packed = Xrl_atom.get_binary args "routes" in
-       match Route_pack.unpack_deletes packed with
-       | Error msg -> reply (Xrl_error.Bad_args ("routes: " ^ msg)) []
-       | Ok nets ->
-         let n = List.length nets in
-         let failed = ref 0 in
-         Telemetry.Trace.span_sync ~name:"rib.route_delete_bulk"
-           ~note:(Telemetry.Trace.run_note Fun.id nets)
-           ~clock:t.clock
-           (fun () ->
-              with_fea_lane t lane @@ fun () ->
-              List.iter
-                (fun net ->
-                   Telemetry.Profile.record t.pt_arrived ~clock:t.clock
-                     Delete net;
-                   match delete_route t ~protocol ~net with
-                   | Ok () -> ()
-                   | Error msg ->
-                     incr failed;
-                     Log.warn (fun m ->
-                         m "bulk delete %s: %s" (Ipv4net.to_string net) msg))
-                nets);
-         if !failed = 0 then reply ok [ Xrl_atom.u32 "count" n ]
-         else
-           reply
-             (Xrl_error.Command_failed
-                (Printf.sprintf "%d/%d deletes failed" !failed n))
-             []);
+       fun net ->
+         applied "delete" net (in_lane (fun () -> delete_route t ~protocol ~net)));
   Xrl_router.add_handler r ~interface:"rib" ~method_name:"lookup_route_by_dest"
     (fun args reply ->
        let addr = Xrl_atom.get_ipv4 args "addr" in
@@ -481,29 +354,20 @@ let watch_protocol_deaths t =
   watch "ospf" [ "ospf" ]
 
 (* A reborn FEA starts from an empty FIB: replace whatever was queued
-   since its birth with a full dump of the current winners. *)
+   since its birth with a full dump of the current winners. A full-FIB
+   dump is the definition of bulk work: fresh urgent changes for other
+   prefixes overtake it, while the Laneq guard keeps a change to a
+   replayed prefix behind its replay entry. *)
 let replay_fib t =
-  Laneq.clear t.fea_q;
-  (* A full-FIB dump is the definition of bulk work: fresh urgent
-     changes for other prefixes overtake it, while the Laneq guard
-     keeps a change to a replayed prefix behind its replay entry. *)
   let n =
-    fold_winners t
-      (fun r n ->
-         Laneq.push t.fea_q Laneq.Bulk ~net:r.Rib_route.net
-           (Laneq.Add, r, None);
-         n + 1)
-      0
+    Route_runs.replay t.fea_q (fun add -> fold_winners t (fun r () -> add r) ())
   in
-  Log.info (fun m -> m "FEA is back; replaying %d FIB entries" n);
-  set_fea_gauges t;
-  if (not t.fea_flush_armed) && not (Laneq.is_empty t.fea_q) then begin
-    t.fea_flush_armed <- true;
-    Eventloop.defer t.loop (fun () -> flush_fea t)
-  end
+  Log.info (fun m -> m "FEA is back; replaying %d FIB entries" n)
 
 (* Watch the FEA's own lifetime: while no instance is live, FIB
    updates are dropped; a (re)birth triggers the full replay above.
+   The queue is cleared at the death too: when a kill and a restart
+   fall in one event, its stale entries must not reach the newborn.
    Without [rebirth_replay] (the simulation harness's injected bug)
    nothing is re-sent, so every route installed before the death is
    silently missing from the reborn FIB. *)
@@ -512,12 +376,11 @@ let watch_fea_lifecycle ~rebirth_replay t =
     ~on_death:(fun () ->
         Log.warn (fun m ->
             m "FEA died; dropping FIB updates until an instance returns");
-        drop_fea_q t)
+        Route_runs.clear t.fea_q)
     ?on_rebirth:(if rebirth_replay then Some (fun () -> replay_fib t) else None)
     ()
 
-let create ?families ?(send_to_fea = true) ?(fea_rebirth_replay = true)
-    finder loop () =
+let create ?families ?(fea_rebirth_replay = true) finder loop () =
   (* A fresh generation starts its metric namespace from zero, so a
      restarted RIB does not inherit the dead instance's counts. *)
   Telemetry.reset_prefix "rib.";
@@ -529,16 +392,15 @@ let create ?families ?(send_to_fea = true) ?(fea_rebirth_replay = true)
     build_pipeline (fun () -> Option.get !t_ref) loop
   in
   let t =
-    { router; loop; clock = (fun () -> Eventloop.now loop);
+    { router; clock = (fun () -> Eventloop.now loop);
       pt_arrived = Telemetry.Profile.point pp_arrived;
-      pt_queued_fea = Telemetry.Profile.point pp_queued_fea;
-      pt_sent_fea = Telemetry.Profile.point pp_sent_fea;
-      origins; register; redist; send_to_fea;
-      fea_q = Laneq.create (); fea_flush_armed = false;
-      fea_lane = Laneq.Urgent;
-      g_fea_depth = Telemetry.gauge "rib.fea_q.depth";
-      g_fea_urgent = Telemetry.gauge "rib.fea_q.urgent";
-      g_fea_bulk = Telemetry.gauge "rib.fea_q.bulk" }
+      origins; register; redist;
+      fea_q =
+        Route_runs.outbox router ~peer:"fea" ~name:"rib.fea_q"
+          ~bulk_slice:fea_bulk_slice ~net:(fun r -> r.Rib_route.net)
+          ~queued:pp_queued_fea ~sent:pp_sent_fea ~span:"rib.fea_send"
+          (fun _lane verb routes -> send_fea_run router verb routes);
+      fea_lane = Laneq.Urgent }
   in
   t_ref := Some router;
   (* Terminal sink: winners flow to the FEA, a replace as one add. *)
@@ -556,7 +418,7 @@ let create ?families ?(send_to_fea = true) ?(fea_rebirth_replay = true)
   Rib_table.plumb redist sink;
   add_xrl_handlers t;
   watch_protocol_deaths t;
-  if send_to_fea then watch_fea_lifecycle ~rebirth_replay:fea_rebirth_replay t;
+  watch_fea_lifecycle ~rebirth_replay:fea_rebirth_replay t;
   t
 
 let shutdown t = Xrl_router.shutdown t.router

@@ -30,14 +30,13 @@ type t
 
 val create :
   ?families:Pf.family list ->
-  ?send_to_fea:bool ->
   ?fea_rebirth_replay:bool ->
   Finder.t -> Eventloop.t -> unit -> t
-(** Registers class ["rib"] (sole) with the Finder. With
-    [send_to_fea] (default true), winner changes are pushed to the
-    ["fea"] target: changes coalesce in a two-lane transmit queue that
-    flushes in bounded deferred slices, each consecutive same-kind run
-    (a single route included) leaving as one packed
+(** Registers class ["rib"] (sole) with the Finder. Winner changes
+    are pushed to the ["fea"] target through a {!Route_runs.outbox}
+    named [rib.fea_q]: changes coalesce in a two-lane transmit queue
+    that flushes in bounded deferred slices, each consecutive same-kind
+    run (a single route included) leaving as one packed
     [fea/1.0/add_routes4] or [delete_routes4] XRL. A change's lane is
     urgent when it comes from the per-route [add_route] /
     [delete_route] XRLs or the direct API; a packed
@@ -47,7 +46,8 @@ val create :
     component classes and gradually flushes their origin tables when
     the last instance dies (Finder lifetime notification, §6.2).
 
-    While no FEA is live, FIB updates are dropped, not held.
+    While no FEA is live, FIB updates are dropped, not held, so a RIB
+    whose Finder has no FEA sends nothing.
     [fea_rebirth_replay] (default true) controls recovery after an FEA
     restart: when true, a reborn FEA receives a full dump of the
     current winners; when false, nothing is re-sent — a deliberately

@@ -548,25 +548,22 @@ let show_dataplane t =
 
 let show_telemetry _t = Telemetry.render_table ()
 
-(* The pipeline's staging queues and priority lanes (paper §5.1): the
-   BGP inbound backlog, the fanout/RibOut lane splits, and the RIB's
-   FEA transmit queue. During a full-table load the bulk figures swell
-   while the urgent lanes stay near zero — that gap is the
-   head-of-line fix at work. Live depths come from this router's
-   components; the lane split from their telemetry gauges. *)
+let is_queue_gauge name =
+  List.exists
+    (fun part -> List.mem part [ "lane"; "backlog"; "rib_q"; "fea_q" ])
+    (String.split_on_char '.' name)
+
+(* The pipeline's staging queues and priority lanes (paper §5.1).
+   During a full-table load the bulk figures swell while the urgent
+   lanes stay near zero — that gap is the head-of-line fix at work.
+   Live depths come from this router's components; the lane split from
+   their telemetry gauges. *)
 let show_queues t =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let rows =
     Telemetry.list_metrics ()
     |> List.filter_map (fun (name, m) ->
       match m with
-      | Telemetry.Gauge g
-        when contains name ".lane." || contains name ".backlog"
-             || contains name ".fea_q." ->
+      | Telemetry.Gauge g when is_queue_gauge name ->
         Some (name, int_of_float (Telemetry.gauge_value g))
       | _ -> None)
   in

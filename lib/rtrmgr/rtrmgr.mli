@@ -129,8 +129,16 @@ val show_telemetry : t -> string
 val show_queues : t -> string
 (** The control-plane pipeline's staging queues and priority lanes:
     the BGP inbound backlog, the fanout/RibOut urgent/bulk lane
-    depths, and the RIB's FEA transmit queue. During a full-table
+    depths, and the two route outboxes (BGP's [bgp.rib_q] towards the
+    RIB, the RIB's [rib.fea_q] towards the FEA). During a full-table
     load the bulk figures swell while the urgent lanes stay near
     zero — the visible signature of the head-of-line fix. *)
+
+val is_queue_gauge : string -> bool
+(** Does the telemetry metric [name] gauge one of those queues? A dot-
+    separated part of the name is [lane] (a fanout or RibOut lane),
+    [backlog] (BGP's inbound staging), [rib_q] or [fea_q] (a route
+    outbox). The rule behind {!show_queues} and xorp_top's QUEUES
+    pane. *)
 
 val shutdown : t -> unit

@@ -67,18 +67,11 @@ and dial t peer =
     Netsim.Stream.connect t.netsim ~src:peer.s_cfg_local ~dst:peer.s_cfg_peer
       ~port:t.bgp_port (fun ep ->
           match ep with
-          | Some ep -> attach t peer ep
+          | Some ep -> Peer_fsm.attach_stream peer.s_fsm ep
           | None ->
             Peer_fsm.transport_failed peer.s_fsm;
             schedule_redial t peer)
   end
-
-and attach _t peer ep =
-  Netsim.Stream.on_receive ep (fun data -> Peer_fsm.recv peer.s_fsm data);
-  Netsim.Stream.on_close ep (fun () -> Peer_fsm.transport_closed peer.s_fsm);
-  Peer_fsm.transport_up peer.s_fsm
-    { Peer_fsm.tr_send = (fun d -> Netsim.Stream.send ep d);
-      tr_close = (fun () -> Netsim.Stream.close ep) }
 
 let add_peer t ~peer_addr ~local_addr ~peer_as ?passive () =
   t.next_peer_id <- t.next_peer_id + 1;
@@ -275,7 +268,7 @@ let start t =
              Netsim.Stream.listen t.netsim ~addr:peer.s_cfg_local
                ~port:t.bgp_port (fun ep ->
                    match find_peer t (Netsim.Stream.remote_addr ep) with
-                   | Some p -> attach t p ep
+                   | Some p -> Peer_fsm.attach_stream p.s_fsm ep
                    | None -> Netsim.Stream.close ep)
            in
            t.listener <- l :: t.listener

@@ -178,25 +178,6 @@ let drain t ~bulk_slice =
   let bulk = take t.bulk bulk_slice in
   (urgent, bulk)
 
-(* Maximal runs of neighbours that [same] groups, each handed to [send]
-   as soon as the next entry ends it, so overall order is kept. *)
-let send_runs ~same send lane items =
-  let flush run = if run <> [] then send lane (List.rev run) in
-  flush
-    (List.fold_left
-       (fun run v ->
-          match run with
-          | prev :: _ when same prev v -> v :: run
-          | _ ->
-            flush run;
-            [ v ])
-       [] items)
-
-let drain_runs t ~bulk_slice ~same send =
-  let urgent, bulk = drain t ~bulk_slice in
-  send_runs ~same send Urgent urgent;
-  send_runs ~same send Bulk bulk
-
 let clear_fifo f =
   Queue.clear f.cells;
   Hashtbl.reset f.newest;

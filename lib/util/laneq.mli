@@ -80,15 +80,6 @@ val drain : 'a t -> bulk_slice:int -> 'a list * 'a list
     bulk entries, each list in push order. Send [urgent] before
     [bulk]. *)
 
-val drain_runs :
-  'a t -> bulk_slice:int -> same:('a -> 'a -> bool) ->
-  (lane -> 'a list -> unit) -> unit
-(** {!drain}, then [send lane run] for each maximal run of neighbours
-    that [same] groups: the urgent lane's runs first, then the bulk
-    slice's, each run in push order and never mixing lanes. A change
-    that [same] parts from its neighbour starts a new run, so every
-    entry leaves in the order {!drain} gives it. *)
-
 val mem : 'a t -> lane -> Ipv4net.t -> bool
 (** Has [net] an entry pending in [lane]? *)
 

@@ -9,7 +9,7 @@ let net = Ipv4net.of_string_exn
 (* A standalone BGP router (no RIB): nexthops assumed resolvable. *)
 let standalone_router ~loop ~netsim ~local_as ~bgp_id () =
   let finder = Finder.create () in
-  Bgp_process.create ~send_to_rib:false ~nexthop_mode:`Assume_resolvable
+  Bgp_process.create ~nexthop_mode:`Assume_resolvable
     finder loop ~netsim ~local_as ~bgp_id ()
 
 let run_for loop seconds =
@@ -255,7 +255,7 @@ let full_stack_router ~loop ~netsim ~local_as ~bgp_id () =
   let fea = Fea.create finder loop () in
   let rib = Rib.create finder loop () in
   let bgp =
-    Bgp_process.create ~send_to_rib:true ~nexthop_mode:`Rib finder loop
+    Bgp_process.create ~nexthop_mode:`Rib finder loop
       ~netsim ~local_as ~bgp_id ()
   in
   (finder, fea, rib, bgp)
@@ -511,11 +511,12 @@ let test_full_stack_to_fib () =
   no_violations b;
   List.iter Telemetry.Profile.disable b_points
 
-(* The lane crosses BGP->RIB in the call. A two-prefix flap reaches
-   b's RIB as one packed run that states urgent, and the RIB queues its
-   FIB changes urgent. A 100-prefix UPDATE is staged, and the 36 ops
-   drained while 64 or more wait behind them are bulk: it crosses as
-   packed runs too, and its bulk part lands in the RIB's bulk lane. *)
+(* The lane crosses BGP->RIB in the call. A two-prefix flap queues
+   urgent in b's RIB outbox and reaches b's RIB as one packed run that
+   states urgent, and the RIB queues its FIB changes urgent. A
+   100-prefix UPDATE is staged, and the 36 ops drained while 64 or more
+   wait behind them are bulk: they queue bulk in the RIB outbox, cross
+   as packed runs too, and land in the RIB's bulk lane. *)
 let test_lane_crosses_in_the_call () =
   let loop = Eventloop.create () in
   let netsim = Netsim.create loop in
@@ -535,16 +536,20 @@ let test_lane_crosses_in_the_call () =
     int_of_float (Telemetry.gauge_value (Telemetry.gauge name))
   in
   (* Announce [nets] from a, in one UPDATE, and run until b's FIB holds
-     them, reading the peak lengths of the RIB's FEA lanes between loop
-     turns (a flush runs the turn after its changes were queued). *)
+     them, reading the peak lengths of b's RIB outbox lanes and of the
+     RIB's FEA lanes between loop turns (a flush runs the turn after its
+     changes were queued). *)
   let announce nets =
     Telemetry.reset ();
     List.iter (Bgp_process.originate a) nets;
-    let urgent = ref 0 and bulk = ref 0 in
+    let peaks = Hashtbl.create 4 in
+    let peak name = Option.value (Hashtbl.find_opt peaks name) ~default:0 in
     let deadline = Eventloop.now loop +. 5.0 in
     Eventloop.run loop ~until:(fun () ->
-        urgent := max !urgent (read "rib.fea_q.urgent");
-        bulk := max !bulk (read "rib.fea_q.bulk");
+        List.iter
+          (fun name -> Hashtbl.replace peaks name (max (peak name) (read name)))
+          [ "bgp.rib_q.urgent"; "bgp.rib_q.bulk"; "rib.fea_q.urgent";
+            "rib.fea_q.bulk" ];
         Eventloop.now loop > deadline
         || List.for_all (fun n -> Fib.get (Fea.fib fea) n <> None) nets);
     let spans = Telemetry.Trace.spans () in
@@ -560,19 +565,23 @@ let test_lane_crosses_in_the_call () =
     check Alcotest.(list string) "no per-route RIB call" [] (notes "rib.route_add");
     check Alcotest.bool "all in FIB" true
       (List.for_all (fun n -> Fib.get (Fea.fib fea) n <> None) nets);
-    (notes "rib.route_add_bulk", !urgent, !bulk)
+    ( notes "rib.route_add_bulk",
+      (peak "bgp.rib_q.urgent", peak "bgp.rib_q.bulk"),
+      (peak "rib.fea_q.urgent", peak "rib.fea_q.bulk") )
   in
-  let runs, urgent, bulk =
+  let runs, rib_q, fea_q =
     announce [ net "128.16.0.0/16"; net "128.17.0.0/16" ]
   in
+  check Alcotest.(pair int int) "the flap queues urgent for the RIB" (2, 0)
+    rib_q;
   check Alcotest.(list string) "the flap crosses as one packed run"
     [ "2 routes" ] runs;
-  check Alcotest.(pair int int) "its FIB changes queue urgent" (2, 0)
-    (urgent, bulk);
+  check Alcotest.(pair int int) "its FIB changes queue urgent" (2, 0) fea_q;
   let nets =
     List.init 100 (fun i -> Ipv4net.make (Ipv4.of_octets 131 0 i 0) 24)
   in
-  let runs, _, bulk = announce nets in
+  let runs, (_, rib_q_bulk), (_, bulk) = announce nets in
+  check Alcotest.bool "the load queues bulk for the RIB" true (rib_q_bulk > 0);
   check Alcotest.int "the load crosses in packed runs" 100
     (List.fold_left (fun n note -> n + Scanf.sscanf note "%d routes" Fun.id)
        0 runs);
@@ -924,7 +933,7 @@ let test_rib_call_in_birth_gap_retries () =
      only send under test is the direct subscription below. *)
   let rib_shell = Xrl_router.create finder loop ~class_name:"rib" () in
   let b =
-    Bgp_process.create ~send_to_rib:false ~nexthop_mode:`Assume_resolvable
+    Bgp_process.create ~nexthop_mode:`Assume_resolvable
       finder loop ~netsim ~local_as:65001 ~bgp_id:(addr "1.1.1.1") ()
   in
   let got = ref 0 in
@@ -994,12 +1003,7 @@ let feed_speaker ~loop ~netsim (a, asn) =
   Netsim.Stream.connect netsim ~src:(addr a) ~dst:(addr "10.0.0.2") ~port:179
     (function
       | None -> Alcotest.fail "speaker could not connect"
-      | Some ep ->
-        Netsim.Stream.on_receive ep (fun d -> Peer_fsm.recv fsm d);
-        Netsim.Stream.on_close ep (fun () -> Peer_fsm.transport_closed fsm);
-        Peer_fsm.transport_up fsm
-          { Peer_fsm.tr_send = (fun d -> Netsim.Stream.send ep d);
-            tr_close = (fun () -> Netsim.Stream.close ep) });
+      | Some ep -> Peer_fsm.attach_stream fsm ep);
   fsm
 
 let one_change_one_message ops =

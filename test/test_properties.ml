@@ -133,7 +133,7 @@ let prop_rib_matches_flat_model =
     arb_ops (fun ops ->
         let loop = Eventloop.create () in
         let finder = Finder.create () in
-        let rib = Rib.create ~send_to_fea:false finder loop () in
+        let rib = Rib.create finder loop () in
         (* Flat model: (protocol, net) -> route. *)
         let model : (string * Ipv4net.t, Rib_route.t) Hashtbl.t =
           Hashtbl.create 64
@@ -367,7 +367,7 @@ let prop_decision_rib_match_flat_model =
     (fun ops ->
        let loop = Eventloop.create () in
        let finder = Finder.create () in
-       let rib = Rib.create ~send_to_fea:false finder loop () in
+       let rib = Rib.create finder loop () in
        let decision = new Bgp_decision.decision_table ~name:"decision" () in
        let branches =
          List.map
@@ -652,8 +652,7 @@ let prop_sliced_inbound_equivalence =
           let netsim = Netsim.create loop in
           let finder = Finder.create () in
           let mk ?inbound_slice ?urgent_threshold ~local_as ~bgp_id () =
-            Bgp_process.create ~send_to_rib:false
-              ~nexthop_mode:`Assume_resolvable ?inbound_slice
+            Bgp_process.create ~nexthop_mode:`Assume_resolvable ?inbound_slice
               ?urgent_threshold finder loop ~netsim ~local_as ~bgp_id ()
           in
           let a = mk ~local_as:65001 ~bgp_id:(addr "1.1.1.1") () in

@@ -36,11 +36,11 @@ let attach_model rib =
           Hashtbl.remove m.routes r.net);
   m
 
-let setup ?(send_to_fea = true) () =
+let setup () =
   let loop = Eventloop.create () in
   let finder = Finder.create () in
   let fea = Fea.create finder loop () in
-  let rib = Rib.create ~send_to_fea finder loop () in
+  let rib = Rib.create finder loop () in
   (loop, finder, fea, rib)
 
 let add rib ~protocol ?(metric = 0) n nh =
@@ -356,7 +356,7 @@ let test_flush_on_protocol_death () =
 let test_flush_interleaves_with_events () =
   (* While a big flush proceeds, freshly originated routes from another
      protocol still go through promptly. *)
-  let loop, _, _, rib = setup ~send_to_fea:false () in
+  let loop, _, _, rib = setup () in
   for i = 0 to 999 do
     add rib ~protocol:"rip"
       (Printf.sprintf "10.%d.%d.0/24" (i / 250) (i mod 250))
@@ -592,6 +592,75 @@ let test_gradual_flush_queues_bulk () =
   check Alcotest.bool "bulk deletes" true (bulk > 0);
   check Alcotest.int "FIB emptied" 0 (Fib.size (Fea.fib fea))
 
+(* --- the packed-run reply contract -------------------------------------- *)
+
+(* rib/ and fea/ add_routes4 and delete_routes4 answer alike: a good
+   run replies its count, a routes atom that does not decode is
+   Bad_args, and a run with a refused route is applied in full and
+   replies Command_failed in the service's own wording. The FEA's add
+   never refuses a route. *)
+let test_packed_run_replies () =
+  let loop, finder, fea, rib = setup () in
+  let caller = Xrl_router.create finder loop ~class_name:"test" () in
+  let adds routes =
+    Route_pack.pack_adds
+      (List.map
+         (fun (protocol, n) ->
+            { Route_pack.net = net n; nexthop = addr "192.0.2.1"; ifname = "";
+              protocol; metric = 0 })
+         routes)
+  in
+  let static nets = adds (List.map (fun n -> ("static", n)) nets) in
+  let deletes nets = Route_pack.pack_deletes (List.map net nets) in
+  let cut packed = String.sub packed 0 (String.length packed - 1) in
+  let rib_args = [ Xrl_atom.boolean "urgent" true ] in
+  let rib_del = rib_args @ [ Xrl_atom.txt "protocol" "static" ] in
+  let outcome = function
+    | Xrl_error.Ok_xrl, reply ->
+      Printf.sprintf "count %d" (Xrl_atom.get_u32 reply "count")
+    | Xrl_error.Bad_args _, _ -> "Bad_args"
+    | Xrl_error.Command_failed msg, _ -> "Command_failed " ^ msg
+    | err, _ -> Xrl_error.to_string err
+  in
+  List.iter
+    (fun (target, method_name, args, packed, expected) ->
+       let xrl =
+         Xrl.make ~target ~interface:target ~method_name
+           (args @ [ Xrl_atom.binary "routes" packed ])
+       in
+       check Alcotest.string
+         (Printf.sprintf "%s/%s replies %s" target method_name expected)
+         expected
+         (outcome (Xrl_router.call_blocking caller xrl)))
+    [ ("rib", "add_routes4", rib_args, static [ "10.1.0.0/16"; "10.2.0.0/16" ],
+       "count 2");
+      ("rib", "add_routes4", rib_args, cut (static [ "10.3.0.0/16" ]),
+       "Bad_args");
+      ("rib", "add_routes4", rib_args,
+       adds [ ("nonesuch", "10.3.0.0/16"); ("static", "10.4.0.0/16") ],
+       "Command_failed 1/2 adds failed");
+      ("rib", "delete_routes4", rib_del, deletes [ "10.1.0.0/16" ], "count 1");
+      ("rib", "delete_routes4", rib_del, cut (deletes [ "10.2.0.0/16" ]),
+       "Bad_args");
+      ("rib", "delete_routes4", rib_del,
+       deletes [ "10.9.0.0/16"; "10.2.0.0/16" ],
+       "Command_failed 1/2 deletes failed");
+      ("fea", "add_routes4", [], static [ "10.5.0.0/16"; "10.6.0.0/16" ],
+       "count 2");
+      ("fea", "add_routes4", [], cut (static [ "10.7.0.0/16" ]), "Bad_args");
+      ("fea", "delete_routes4", [], deletes [ "10.5.0.0/16" ], "count 1");
+      ("fea", "delete_routes4", [], cut (deletes [ "10.6.0.0/16" ]),
+       "Bad_args");
+      ("fea", "delete_routes4", [], deletes [ "9.9.9.0/24"; "10.6.0.0/16" ],
+       "Command_failed no FIB entry for 1/2 routes") ];
+  (* A refused route does not stop its run. *)
+  check Alcotest.string "RIB add after the refusal" "static"
+    (winner_protocol rib "10.4.0.1");
+  check Alcotest.string "RIB delete after the refusal" "none"
+    (winner_protocol rib "10.2.0.1");
+  check Alcotest.bool "FIB delete after the miss" true
+    (Fib.get (Fea.fib fea) (net "10.6.0.0/16") = None)
+
 (* --- RIB restart: FEA mark-and-sweep --------------------------------- *)
 
 let test_fea_sweeps_stale_fib_after_rib_restart () =
@@ -687,6 +756,9 @@ let () =
           Alcotest.test_case "add/delete order preserved" `Quick
             test_bulk_fea_preserves_add_delete_order;
         ] );
+      ( "packed_runs",
+        [ Alcotest.test_case "reply contract" `Quick test_packed_run_replies ]
+      );
       ( "lanes",
         [
           Alcotest.test_case "packed runs state their lane" `Quick

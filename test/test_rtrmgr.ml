@@ -279,7 +279,7 @@ let test_boot_bgp_pair_from_config () =
        check Alcotest.bool (row ^ " shown") true
          (Astring.String.is_infix ~affix:row queues))
     [ "bgp.inbound"; "bgp.fanout.lane.urgent"; "bgp.fanout.lane.bulk";
-      "rib.fea_q" ];
+      "bgp.rib_q"; "rib.fea_q" ];
   List.iteri
     (fun i line ->
        if i > 0 && line <> "" then

@@ -71,7 +71,7 @@ let test_event_driven_beats_scanner () =
     let netsim = Netsim.create loop in
     let mk as_ id =
       let finder = Finder.create () in
-      Bgp_process.create ~send_to_rib:false ~nexthop_mode:`Assume_resolvable
+      Bgp_process.create ~nexthop_mode:`Assume_resolvable
         finder loop ~netsim ~local_as:as_ ~bgp_id:(addr id) ()
     in
     let a = mk 65001 "1.1.1.1" and b = mk 65002 "2.2.2.2" in

@@ -867,9 +867,148 @@ let test_deferred_reply () =
   Xrl_router.shutdown slowpoke;
   Xrl_router.shutdown caller
 
+(* --- Route_runs: the outbox contract ----------------------------------- *)
+
+(* An outbox on a router of class "src" towards class "dst", for routes
+   that are a prefix and the table they belong to; [same] keeps tables
+   apart. Each call of [send] logs its lane, verb, routes and the
+   changes still queued behind it. *)
+let outbox_world ?(bulk_slice = 2) () =
+  let loop = Eventloop.create () in
+  let finder = Finder.create () in
+  let src = Xrl_router.create finder loop ~class_name:"src" () in
+  let dst = Xrl_router.create finder loop ~class_name:"dst" () in
+  let log = ref [] in
+  let ob = ref None in
+  let send lane (verb : Telemetry.Profile.verb) routes =
+    log :=
+      Printf.sprintf "%s %s %s (%d left)"
+        (match lane with Laneq.Urgent -> "urgent" | Bulk -> "bulk")
+        (match verb with Add -> "add" | Delete -> "delete")
+        (String.concat " "
+           (List.map (fun (n, tbl) -> Ipv4net.to_string n ^ ":" ^ tbl) routes))
+        (Route_runs.length (Option.get !ob))
+      :: !log
+  in
+  ob :=
+    Some
+      (Route_runs.outbox ~same:(fun (_, a) (_, b) -> String.equal a b) src
+         ~peer:"dst" ~name:"test.out_q" ~bulk_slice ~net:fst
+         ~queued:"test_queued" ~sent:"test_sent" ~span:"test.send" send);
+  let sent () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  (loop, dst, Option.get !ob, sent)
+
+let r n = (net n, "a")
+
+let test_outbox_drops_while_dead () =
+  let loop, dst, ob, sent = outbox_world () in
+  Route_runs.push ob Laneq.Urgent Laneq.Add (r "10.1.0.0/16");
+  check Alcotest.int "queued while live" 1 (Route_runs.length ob);
+  (* Queued before the death: dropped at the flush, not sent. *)
+  Xrl_router.shutdown dst;
+  Eventloop.run loop;
+  check Alcotest.(list string) "nothing sent" [] (sent ());
+  check Alcotest.int "dropped at the flush" 0 (Route_runs.length ob);
+  Route_runs.push ob Laneq.Urgent Laneq.Add (r "10.2.0.0/16");
+  check Alcotest.int "a push while dead is dropped" 0 (Route_runs.length ob);
+  Eventloop.run loop;
+  check Alcotest.(list string) "still nothing sent" [] (sent ())
+
+let test_outbox_replay () =
+  let loop, _, ob, sent = outbox_world ~bulk_slice:10 () in
+  Route_runs.push ob Laneq.Urgent Laneq.Delete (r "10.1.0.0/16");
+  Route_runs.push ob Laneq.Urgent Laneq.Add (r "10.9.0.0/16");
+  let n =
+    Route_runs.replay ob (fun add ->
+        add (r "10.1.0.0/16");
+        add (r "10.2.0.0/16"))
+  in
+  check Alcotest.int "replay counts its adds" 2 n;
+  check Alcotest.int "and replaces the queue" 2 (Route_runs.length ob);
+  Eventloop.run loop;
+  check Alcotest.(list string) "one bulk run of adds"
+    [ "bulk add 10.1.0.0/16:a 10.2.0.0/16:a (0 left)" ]
+    (sent ())
+
+(* A run holds one verb (a replacement is an add) and one table; a
+   change folds into the one pending for its prefix only within a
+   table. *)
+let test_outbox_runs_and_merges () =
+  let loop, _, ob, sent = outbox_world () in
+  let push change route = Route_runs.push ob Laneq.Urgent change route in
+  push Laneq.Add (r "10.1.0.0/16");
+  push Laneq.Replace (r "10.2.0.0/16");
+  push Laneq.Add (net "10.3.0.0/16", "b");
+  push Laneq.Delete (r "10.4.0.0/16");
+  push Laneq.Add (r "10.5.0.0/16");
+  (* Folds: an add then a delete of 10.5 cancels; a delete from table
+     b is refused by a's pending add of 10.1 and queues behind. *)
+  push Laneq.Delete (r "10.5.0.0/16");
+  push Laneq.Delete (net "10.1.0.0/16", "b");
+  check Alcotest.int "queued" 5 (Route_runs.length ob);
+  Eventloop.run loop;
+  check Alcotest.(list string) "runs"
+    [ "urgent add 10.1.0.0/16:a 10.2.0.0/16:a (0 left)";
+      "urgent add 10.3.0.0/16:b (0 left)";
+      "urgent delete 10.4.0.0/16:a (0 left)";
+      "urgent delete 10.1.0.0/16:b (0 left)" ]
+    (sent ())
+
+let test_outbox_slices_bulk () =
+  let loop, _, ob, sent = outbox_world ~bulk_slice:2 () in
+  List.iter
+    (fun n -> Route_runs.push ob Laneq.Bulk Laneq.Add (r n))
+    [ "10.1.0.0/16"; "10.2.0.0/16"; "10.3.0.0/16" ];
+  Route_runs.push ob Laneq.Urgent Laneq.Add (r "10.9.0.0/16");
+  check Alcotest.bool "one flush" true (Eventloop.run_once loop);
+  check Alcotest.(list string) "urgent first, then one bulk slice"
+    [ "urgent add 10.9.0.0/16:a (1 left)";
+      "bulk add 10.1.0.0/16:a 10.2.0.0/16:a (1 left)" ]
+    (sent ());
+  check Alcotest.bool "the rest re-deferred" true (Eventloop.run_once loop);
+  check Alcotest.(list string) "next turn"
+    [ "bulk add 10.3.0.0/16:a (0 left)" ]
+    (sent ())
+
+let test_outbox_gauges () =
+  Telemetry.set_enabled true;
+  let loop, _, ob, _ = outbox_world ~bulk_slice:1 () in
+  let read name =
+    int_of_float (Telemetry.gauge_value (Telemetry.gauge ("test.out_q." ^ name)))
+  in
+  let gauges () = (read "depth", read "urgent", read "bulk") in
+  let g = Alcotest.(triple int int int) in
+  Route_runs.push ob Laneq.Urgent Laneq.Add (r "10.1.0.0/16");
+  Route_runs.push ob Laneq.Bulk Laneq.Add (r "10.2.0.0/16");
+  Route_runs.push ob Laneq.Bulk Laneq.Add (r "10.3.0.0/16");
+  check g "after the pushes" (3, 1, 2) (gauges ());
+  ignore (Eventloop.run_once loop);
+  check g "after one slice" (1, 0, 1) (gauges ());
+  Route_runs.clear ob;
+  check g "after a clear" (0, 0, 0) (gauges ());
+  ignore (Route_runs.replay ob (fun add -> add (r "10.4.0.0/16")));
+  check g "after a replay" (1, 0, 1) (gauges ());
+  Eventloop.run loop;
+  check g "drained" (0, 0, 0) (gauges ())
+
 let () =
   Alcotest.run "xorp_xrl"
     [
+      ( "route_runs",
+        [
+          Alcotest.test_case "outbox drops while the peer is dead" `Quick
+            test_outbox_drops_while_dead;
+          Alcotest.test_case "outbox replay" `Quick test_outbox_replay;
+          Alcotest.test_case "outbox runs and merges" `Quick
+            test_outbox_runs_and_merges;
+          Alcotest.test_case "outbox slices bulk" `Quick
+            test_outbox_slices_bulk;
+          Alcotest.test_case "outbox gauges" `Quick test_outbox_gauges;
+        ] );
       ( "atoms",
         [
           Alcotest.test_case "text form" `Quick test_atom_text;
