@@ -7,7 +7,8 @@
    the Finder, originates routes with rib/1.0 XRLs, tracks how its
    addresses are routed via register_interest, and reacts to
    rib_client/1.0 invalidation callbacks. Nothing in xorp_rib or
-   xorp_fea knows it exists.
+   xorp_fea knows it exists. Exits 1 if any gossip XRL fails or the
+   FIB lacks gossip's two routes.
 
      dune exec examples/extension_protocol.exe *)
 
@@ -21,6 +22,7 @@ module Gossip = struct
     router : Xrl_router.t;
     loop : Eventloop.t;
     mutable invalidations : int;
+    mutable failures : int;
   }
 
   let rib_xrl method_name args =
@@ -28,7 +30,7 @@ module Gossip = struct
 
   let create finder loop =
     let router = Xrl_router.create finder loop ~class_name:"gossip" () in
-    let t = { router; loop; invalidations = 0 } in
+    let t = { router; loop; invalidations = 0; failures = 0 } in
     (* The RIB calls this back when a cached routing answer becomes
        stale (§5.2.1). *)
     Xrl_router.add_handler router ~interface:"rib_client"
@@ -40,21 +42,24 @@ module Gossip = struct
           reply Xrl_error.Ok_xrl []);
     t
 
+  let failed t what err =
+    t.failures <- t.failures + 1;
+    Printf.printf "  [gossip] %s failed: %s\n" what (Xrl_error.to_string err)
+
+  (* One route, as a one-route packed run in the urgent lane. *)
   let originate t prefix nexthop =
     Xrl_router.send t.router
-      (rib_xrl "add_route"
-         [ Xrl_atom.txt "protocol" "static";
-           (* The RIB knows no "gossip" protocol; the paper's ad-hoc
-              team needed exactly one trivial interface change. We ride
-              the static origin table instead of changing the RIB —
-              with a tag marking gossip ownership. *)
-           Xrl_atom.ipv4net "net" prefix;
-           Xrl_atom.ipv4 "nexthop" nexthop;
-           Xrl_atom.u32 "metric" 7 ])
-      (fun err _ ->
-         if not (Xrl_error.is_ok err) then
-           Printf.printf "  [gossip] originate failed: %s\n"
-             (Xrl_error.to_string err))
+      (rib_xrl "add_routes4"
+         [ Xrl_atom.boolean "urgent" true;
+           Xrl_atom.binary "routes"
+             (Route_pack.pack_adds
+                [ { Route_pack.net = prefix; nexthop; ifname = "";
+                    (* The RIB knows no "gossip" protocol; the paper's
+                       ad-hoc team needed exactly one trivial interface
+                       change. We ride the static origin table instead
+                       of changing the RIB. *)
+                    protocol = "static"; metric = 7 } ]) ])
+      (fun err _ -> if not (Xrl_error.is_ok err) then failed t "originate" err)
 
   let watch t a =
     Xrl_router.send t.router
@@ -66,7 +71,8 @@ module Gossip = struct
            Printf.printf "  [gossip] %s resolves=%b valid-for=%s\n"
              (Ipv4.to_string a)
              (Xrl_atom.get_bool args "resolves")
-             (Ipv4net.to_string (Xrl_atom.get_ipv4net args "valid")))
+             (Ipv4net.to_string (Xrl_atom.get_ipv4net args "valid"))
+         else failed t "register_interest" err)
 end
 
 let () =
@@ -102,11 +108,27 @@ let () =
   Eventloop.run_until_idle loop;
 
   Printf.printf "\nrouter's FIB now (all installed via the normal pipeline):\n";
+  let fib = Fib.entries (Fea.fib stack.Xorp.fea) in
   List.iter
     (fun (e : Fib.entry) ->
        Printf.printf "  %-20s via %s\n"
          (Ipv4net.to_string e.Fib.net)
          (Ipv4.to_string e.nexthop))
-    (Fib.entries (Fea.fib stack.Xorp.fea));
+    fib;
   Printf.printf "\ninvalidation callbacks received: %d\n" gossip.Gossip.invalidations;
-  Xorp.shutdown_stack stack
+  Xorp.shutdown_stack stack;
+  let missing =
+    List.filter
+      (fun (n, nh) ->
+         not
+           (List.exists
+              (fun (e : Fib.entry) ->
+                 Ipv4net.equal e.Fib.net (net n)
+                 && Ipv4.equal e.nexthop (addr nh))
+              fib))
+      [ ("198.51.100.0/24", "10.0.0.77"); ("198.51.0.0/16", "10.0.0.78") ]
+  in
+  List.iter
+    (fun (n, nh) -> Printf.printf "missing from the FIB: %s via %s\n" n nh)
+    missing;
+  if gossip.Gossip.failures > 0 || missing <> [] then exit 1

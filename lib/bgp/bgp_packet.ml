@@ -257,6 +257,51 @@ let decode s =
   | Failure msg -> Error msg
   | Wire.Truncated -> Error "truncated message"
 
+(* --- packing route changes into UPDATEs ---------------------------------- *)
+
+let max_prefixes_per_update = 700
+
+(* Attribute sets keyed by a hash of the whole record: the generic
+   hash stops after ten values, too few to reach into an AS path. *)
+module Attrs_tbl = Hashtbl.Make (struct
+    type t = Bgp_types.attrs
+
+    let equal = Bgp_types.attrs_equal
+    let hash a = Hashtbl.hash_param 64 256 a
+  end)
+
+let rec chunks = function
+  | [] -> []
+  | l ->
+    let rec take n acc = function
+      | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let head, rest = take max_prefixes_per_update [] l in
+    head :: chunks rest
+
+let updates ~withdrawn ~announce =
+  let groups = Attrs_tbl.create 16 in
+  let first_seen = ref [] in (* newest first *)
+  List.iter
+    (fun (attrs, net) ->
+       match Attrs_tbl.find_opt groups attrs with
+       | Some nets -> nets := net :: !nets
+       | None ->
+         let nets = ref [ net ] in
+         Attrs_tbl.add groups attrs nets;
+         first_seen := (attrs, nets) :: !first_seen)
+    announce;
+  List.map
+    (fun nets -> Update { withdrawn = nets; attrs = None; nlri = [] })
+    (chunks withdrawn)
+  @ List.concat_map
+    (fun (attrs, nets) ->
+       List.map
+         (fun nlri -> Update { withdrawn = []; attrs = Some attrs; nlri })
+         (chunks (List.rev !nets)))
+    (List.rev !first_seen)
+
 let msg_to_string = function
   | Open { version; my_as; hold_time; bgp_id } ->
     Printf.sprintf "OPEN v%d as %d hold %d id %s" version my_as hold_time

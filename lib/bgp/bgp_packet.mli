@@ -20,6 +20,17 @@ val encode : msg -> string
 (** Complete message including header.
     @raise Invalid_argument if the message exceeds 4096 bytes. *)
 
+val updates :
+  withdrawn:Ipv4net.t list -> announce:(Bgp_types.attrs * Ipv4net.t) list ->
+  msg list
+(** The UPDATEs that carry a batch of route changes, in sending order:
+    the withdrawals first, then one group per distinct attribute set
+    ({!Bgp_types.attrs_equal}, found by hashing), groups in the order
+    of their first route and prefixes in list order. Every list is cut
+    at 700 prefixes (a /24 takes four of the 4096 bytes), so a large
+    batch becomes several messages rather than one that {!encode}
+    refuses. *)
+
 val decode : string -> (msg, string) result
 (** Decode exactly one complete message. *)
 

@@ -91,9 +91,6 @@ type t = {
   local_ribin : Bgp_ribin.rib_in;
   listeners : (int, Netsim.Stream.listener) Hashtbl.t; (* by local addr *)
   rib : Rib_client.t;
-  (* One entry per prefix, lane and RIB origin table (ebgp or ibgp):
-     changes fold only within one table. *)
-  rib_q : Bgp_types.route Route_runs.outbox;
   redump_on_reestablish : bool;
   mutable started : bool;
 }
@@ -111,33 +108,11 @@ let rib_protocol t (route : Bgp_types.route) =
 let rib_metric (route : Bgp_types.route) =
   Option.value route.Bgp_types.attrs.med ~default:0
 
-let same_rib_table t a b = String.equal (rib_protocol t a) (rib_protocol t b)
-
-(* A run of changes of one kind for one RIB origin table leaves as one
-   packed rib/add_routes4 or rib/delete_routes4 XRL through
-   [Rib_client], stating its lane: the RIB queues the FIB changes it
-   makes in the same lane. *)
-let send_rib_run t lane (verb : Telemetry.Profile.verb) routes =
-  let urgent = lane = Laneq.Urgent in
-  let protocol = rib_protocol t (List.hd routes) in
-  match verb with
-  | Add ->
-    Rib_client.add_routes t.rib ~urgent
-      (List.map
-         (fun (r : Bgp_types.route) ->
-            { Route_pack.net = r.Bgp_types.net;
-              nexthop = r.Bgp_types.attrs.nexthop; ifname = ""; protocol;
-              metric = rib_metric r })
-         routes)
-  | Delete ->
-    Rib_client.delete_routes t.rib ~urgent ~protocol
-      (List.map (fun (r : Bgp_types.route) -> r.Bgp_types.net) routes)
-
-(* Bulk-lane routes forwarded to the RIB per deferred flush: bounds how
-   long one loop turn spends packing and how large a synchronous run
-   the RIB's bulk handler processes, so an urgent flush in the next
-   turn is never far away. *)
-let rib_bulk_slice = 128
+(* What the RIB stores of a route (§5.2): its origin table, nexthop and
+   metric. *)
+let to_rib t (route : Bgp_types.route) =
+  { Route_pack.net = route.Bgp_types.net; nexthop = route.attrs.nexthop;
+    ifname = ""; protocol = rib_protocol t route; metric = rib_metric route }
 
 (* The fanout reader feeding the RIB. Locally originated routes
    (peer 0) are skipped: the RIB learned them by other means. The RIB
@@ -151,7 +126,7 @@ let rib_bulk_slice = 128
 let make_rib_branch t : Bgp_table.table =
   let on change (route : Bgp_types.route) =
     if route.Bgp_types.peer_id <> 0 then
-      Route_runs.push t.rib_q (Bgp_types.current_lane ()) change route
+      Rib_client.push t.rib (Bgp_types.current_lane ()) change (to_rib t route)
   in
   (object
     inherit
@@ -209,30 +184,20 @@ let make_resolver t : Bgp_nexthop.resolve_fn =
 
 (* --- RIB rebirth resync (the mirror of Rib.watch_fea_lifecycle) ------- *)
 
-(* [Rib_client]'s replay. A reborn RIB starts from empty origin tables:
-   replace whatever was queued since its birth with a full dump of the
-   post-decision winners, in the bulk lane (§5.1.2). Cached nexthop
-   resolutions are invalidated wholesale so every nexthop is re-queried
-   — which also re-registers the interest the new RegisterTable needs
-   to push future invalidations — before the dump's flush is armed. *)
-let replay_rib t =
-  Route_runs.replay t.rib_q (fun add ->
-      t.decision#fold_winners
-        (fun (route : Bgp_types.route) () ->
-           if route.Bgp_types.peer_id <> 0 then add route)
-        ();
-      if t.nexthop_mode = `Rib then
-        Hashtbl.iter
-          (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
-          t.peers)
-
-(* Nothing is held for a dead RIB: a reborn one gets the full replay.
-   A kill and a restart can fall in one event, so the queue is cleared
-   here too: its entries must not reach the newborn. *)
-let rib_died t =
-  Log.warn (fun m ->
-      m "RIB died; dropping route updates until an instance returns");
-  Route_runs.clear t.rib_q
+(* [Rib_client]'s replay: a full dump of the post-decision winners
+   (§5.1.2). Cached nexthop resolutions are invalidated wholesale so
+   every nexthop is re-queried — which also re-registers the interest
+   the new RegisterTable needs to push future invalidations — before
+   the dump's flush is armed. *)
+let replay_rib t add =
+  t.decision#fold_winners
+    (fun (route : Bgp_types.route) () ->
+       if route.Bgp_types.peer_id <> 0 then add (to_rib t route))
+    ();
+  if t.nexthop_mode = `Rib then
+    Hashtbl.iter
+      (fun _ peer -> peer.nexthop_tbl#invalidate Ipv4net.default)
+      t.peers
 
 (* --- session plumbing ------------------------------------------------- *)
 
@@ -704,19 +669,11 @@ let create ?families ?(nexthop_mode = `Rib)
          local_ribin = new Bgp_ribin.rib_in ~name:"local" ~peer_id:0 loop;
          listeners = Hashtbl.create 4;
          rib =
-           Rib_client.create router ~resync:rib_rebirth_resync
-             ~on_death:(fun () -> rib_died (Lazy.force t))
+           Rib_client.create router ~ordered:lane_ordered
+             ~resync:rib_rebirth_resync
              ~redist:(fun r -> redistributed (Lazy.force t) r)
-             ~replay:(fun () -> replay_rib (Lazy.force t))
+             ~replay:(fun add -> replay_rib (Lazy.force t) add)
              ();
-         rib_q =
-           Route_runs.outbox ~ordered:lane_ordered
-             ~same:(fun a b -> same_rib_table (Lazy.force t) a b)
-             router ~peer:"rib" ~name:"bgp.rib_q" ~bulk_slice:rib_bulk_slice
-             ~net:(fun r -> r.Bgp_types.net) ~queued:pp_queued_rib
-             ~sent:pp_sent_rib ~span:"bgp.rib_send"
-             (fun lane verb routes ->
-                send_rib_run (Lazy.force t) lane verb routes);
          redump_on_reestablish;
          started = false;
        })

@@ -8,9 +8,11 @@
     {v Fanout reader → export filters → [checking cache] → PeerOut →
        session v}
     plus a RIB branch on the fanout that pushes winning routes to the
-    ["rib"] component over XRLs (protocol ["ebgp"] or ["ibgp"]) through
-    {!Rib_client}: each flush leaves as packed [rib/1.0/add_routes4]
-    and [delete_routes4] runs, each stating its lane.
+    ["rib"] component (origin table ["ebgp"] or ["ibgp"]) through
+    {!Rib_client}, whose flushes leave as packed [rib/1.0/add_routes4]
+    and [delete_routes4] runs, each stating its lane, as RIP's and
+    OSPF's do. A replacement that changes none of what the RIB stores
+    (nexthop and metric) is dropped before it queues.
 
     Sessions run real RFC 4271 messages over {!Netsim} streams. Peering
     loss hands the PeerIn's table to a dynamic deletion stage
@@ -85,12 +87,13 @@ val create :
 
     [lane_ordered] (default true) keeps the per-prefix FIFO guard of
     the urgent/bulk lanes everywhere (an urgent change for a prefix
-    with bulk work still queued is demoted behind it, §5.1.2).
+    with bulk work still queued is demoted behind it, §5.1.2), the
+    RIB client's queue included ({!Rib_client.create}'s [ordered]).
     [lane_ordered:false] is the deliberately broken variant the
     simulation fuzzer must catch.
 
-    Route changes for the RIB leave through a {!Route_runs.outbox}
-    named [bgp.rib_q], in packed runs of one RIB origin table each.
+    Route changes for the RIB are pushed to {!Rib_client}, whose queue
+    is named [bgp.rib_q], each in the lane of the work that made it.
     While no RIB instance is live they are dropped, so a BGP whose
     Finder has no RIB sends nothing. [rib_rebirth_resync] (default true) is
     {!Rib_client.create}'s [resync]: a (re)born RIB gets the
@@ -180,7 +183,8 @@ val pp_entering : string
 (** ["bgp_in"] — UPDATE entering BGP. *)
 
 val pp_queued_rib : string
-(** ["bgp_queued_rib"] — winner queued for transmission to the RIB. *)
+(** ["bgp_queued_rib"] — winner queued for transmission to the RIB
+    ({!Rib_client}'s [<class>_queued_rib] for class ["bgp"]). *)
 
 val pp_sent_rib : string
-(** ["bgp_sent_rib"] — sent to the RIB. *)
+(** ["bgp_sent_rib"] — sent to the RIB ([<class>_sent_rib]). *)

@@ -11,9 +11,9 @@
    - IBGP: attributes pass unchanged, with LOCAL_PREF made explicit.
 
    Batching: changes accumulate and are flushed in bounded deferred
-   slices; withdrawals are packed together and announcements are
-   grouped by identical attributes, honouring the 4096-byte message
-   limit. The last change to a prefix wins, at push time: a change
+   slices, each packed by Bgp_packet.updates: withdrawals together,
+   announcements grouped by identical attributes, every UPDATE cut at
+   700 prefixes. The last change to a prefix wins, at push time: a change
    folds into the one already pending for its prefix, so [pending]
    holds at most one entry per prefix and lane, and in fact one per
    prefix (see [push_pending]). A replace is an add here: the
@@ -26,8 +26,6 @@
    bulk batch; the Laneq per-prefix guard keeps an urgent withdraw
    from overtaking a still-pending bulk announce of the same prefix
    (§5.1.2 across lanes). *)
-
-let max_prefixes_per_update = 700
 
 (* Bulk-lane changes drained per flush slice: bounds the dedup/group/
    pack work one loop turn spends on a single peer's output. *)
@@ -133,52 +131,22 @@ class rib_out ~name ~(info : Bgp_types.peer_info) ~(local_as : int)
       if not (Laneq.is_empty pending) then self#schedule_flush;
       (* Each prefix appears once in [urgent @ bulk], already carrying
          its latest change (see [push_pending]). *)
-      let withdrawals = ref [] in
-      let announces = ref [] in (* (attrs, nets ref) groups *)
-      let note = function
-        | Withdraw net -> withdrawals := net :: !withdrawals
-        | Announce r ->
-          let a = r.Bgp_types.attrs in
-          (match
-             List.find_opt
-               (fun (ga, _) -> Bgp_types.attrs_equal ga a)
-               !announces
-           with
-           | Some (_, nets) -> nets := r.Bgp_types.net :: !nets
-           | None -> announces := (a, ref [ r.Bgp_types.net ]) :: !announces)
-      in
-      List.iter note urgent;
-      List.iter note bulk;
-      let rec chunks l =
-        if List.length l <= max_prefixes_per_update then [ l ]
-        else
-          let rec split n acc = function
-            | rest when n = 0 -> (List.rev acc, rest)
-            | x :: rest -> split (n - 1) (x :: acc) rest
-            | [] -> (List.rev acc, [])
-          in
-          let head, rest = split max_prefixes_per_update [] l in
-          head :: chunks rest
-      in
-      if !withdrawals <> [] then
-        List.iter
-          (fun nets ->
-             updates_built <- updates_built + 1;
-             ignore
-               (send
-                  (Bgp_packet.Update { withdrawn = nets; attrs = None; nlri = [] })))
-          (chunks (List.rev !withdrawals));
+      let changes = urgent @ bulk in
       List.iter
-        (fun (attrs, nets) ->
-           List.iter
-             (fun nlri ->
-                updates_built <- updates_built + 1;
-                ignore
-                  (send
-                     (Bgp_packet.Update
-                        { withdrawn = []; attrs = Some attrs; nlri })))
-             (chunks (List.rev !nets)))
-        (List.rev !announces)
+        (fun msg ->
+           updates_built <- updates_built + 1;
+           ignore (send msg))
+        (Bgp_packet.updates
+           ~withdrawn:
+             (List.filter_map
+                (function Withdraw net -> Some net | Announce _ -> None)
+                changes)
+           ~announce:
+             (List.filter_map
+                (function
+                  | Announce r -> Some (r.Bgp_types.attrs, r.Bgp_types.net)
+                  | Withdraw _ -> None)
+                changes))
 
     (* Session re-established: forget the Adj-RIB-Out (the peer lost
        everything) so the fresh dump starts clean. *)

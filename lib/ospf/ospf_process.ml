@@ -79,10 +79,12 @@ let flood t ?except lsas =
 
 (* --- RIB interaction ----------------------------------------------------- *)
 
-let rib_add t net cost nexthop =
-  Rib_client.add_route t.rib ~protocol:"ospf" ~net ~nexthop ~metric:cost
+let to_rib net (cost, nexthop) =
+  { Route_pack.net; nexthop; ifname = ""; protocol = "ospf"; metric = cost }
 
-let rib_delete t net = Rib_client.delete_route t.rib ~protocol:"ospf" ~net
+(* Each SPF result is news: all urgent. *)
+let rib_push t change net route =
+  Rib_client.push t.rib Laneq.Urgent change (to_rib net route)
 
 (* --- SPF ------------------------------------------------------------------- *)
 
@@ -116,19 +118,21 @@ let run_spf t =
     (fun net (cost, nexthop) ->
        match Hashtbl.find_opt t.installed net with
        | Some (c, nh) when c = cost && Ipv4.equal nh nexthop -> ()
-       | _ ->
+       | held ->
          Hashtbl.replace t.installed net (cost, nexthop);
-         rib_add t net cost nexthop)
+         rib_push t (if Option.is_some held then Laneq.Replace else Add) net
+           (cost, nexthop))
     wanted;
   let stale =
     Hashtbl.fold
-      (fun net _ acc -> if Hashtbl.mem wanted net then acc else net :: acc)
+      (fun net route acc ->
+         if Hashtbl.mem wanted net then acc else (net, route) :: acc)
       t.installed []
   in
   List.iter
-    (fun net ->
+    (fun (net, route) ->
        Hashtbl.remove t.installed net;
-       rib_delete t net)
+       rib_push t Laneq.Delete net route)
     stale
 
 (* A burst of LSAs triggers one SPF: debounced by a short timer. *)
@@ -321,12 +325,8 @@ let remove_stub t net =
 (* [installed] is exactly what this process believes the RIB holds for
    protocol "ospf" — replaying it rebuilds the reborn RIB's (empty)
    origin table verbatim, with no SPF re-run needed. *)
-let replay_rib t =
-  Hashtbl.fold
-    (fun net (cost, nexthop) n ->
-       rib_add t net cost nexthop;
-       n + 1)
-    t.installed 0
+let replay_rib t add =
+  Hashtbl.iter (fun net route -> add (to_rib net route)) t.installed
 
 let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"ospf" () in
@@ -342,7 +342,7 @@ let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
             ~recv:(fun ~src ~sport:_ payload -> recv (Lazy.force t) ~src payload);
         rib =
           Rib_client.create router ~resync:rib_rebirth_resync
-            ~replay:(fun () -> replay_rib (Lazy.force t))
+            ~replay:(fun add -> replay_rib (Lazy.force t) add)
             ();
         lsdb = Hashtbl.create 32;
         my_seq = 0; stubs = cfg.stub_prefixes;

@@ -12,7 +12,8 @@
     - Dijkstra SPF ({!Spf}) over the link-state database, debounced so
       an LSA burst triggers one computation;
     - resulting routes offered to the RIB as protocol ["ospf"]
-      (administrative distance 110).
+      (administrative distance 110), each change pushed into
+      {!Rib_client}'s queue [ospf.rib_q] in the urgent lane.
 
     Like RIP, all datagrams travel through the FEA's UDP relay
     ({!Fea_relay}), so the process remains sandboxable (§7), and every

@@ -8,8 +8,6 @@ let pp_sent_fea = "rib_sent_fea"
 
 type t = {
   router : Xrl_router.t;
-  clock : unit -> float; (* the loop's clock, for spans and points *)
-  pt_arrived : Telemetry.Profile.point;
   origins : (string, Origin_table.origin_table) Hashtbl.t;
   register : Register_table.register_table;
   redist : Redist_table.redist_table;
@@ -18,10 +16,10 @@ type t = {
      lane, and flush together on the next iteration. *)
   fea_q : Rib_route.t Route_runs.outbox;
   (* Lane for FIB pushes produced by the code running now: urgent by
-     default (the per-route XRLs and the direct API); a packed run
-     states its own, and a gradual protocol flush is bulk. Set around
-     that code, never stored in entries — the Laneq remembers which
-     lane each entry sits in. *)
+     default (the direct API); a packed run states its own, and a
+     gradual protocol flush is bulk. Set around that code, never
+     stored in entries — the Laneq remembers which lane each entry
+     sits in. *)
   mutable fea_lane : Laneq.lane;
 }
 
@@ -202,41 +200,11 @@ let ok = Xrl_error.Ok_xrl
 
 let add_xrl_handlers t =
   let r = t.router in
-  Xrl_router.add_handler r ~interface:"rib" ~method_name:"add_route"
-    (fun args reply ->
-       let protocol = Xrl_atom.get_txt args "protocol" in
-       let net = Xrl_atom.get_ipv4net args "net" in
-       let nexthop = Xrl_atom.get_ipv4 args "nexthop" in
-       let metric =
-         match Xrl_atom.find args "metric" with
-         | Some { value = U32 m; _ } -> m
-         | _ -> 0
-       in
-       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Add net;
-       match
-         Telemetry.Trace.span_sync ~name:"rib.route_add" ~note:(Net net)
-           ~clock:t.clock
-           (fun () -> add_route t ~protocol ~net ~nexthop ~metric ())
-       with
-       | Ok () -> reply ok []
-       | Error msg -> reply (Xrl_error.Command_failed msg) []);
-  Xrl_router.add_handler r ~interface:"rib" ~method_name:"delete_route"
-    (fun args reply ->
-       let protocol = Xrl_atom.get_txt args "protocol" in
-       let net = Xrl_atom.get_ipv4net args "net" in
-       Telemetry.Profile.record t.pt_arrived ~clock:t.clock Delete net;
-       match
-         Telemetry.Trace.span_sync ~name:"rib.route_delete" ~note:(Net net)
-           ~clock:t.clock
-           (fun () -> delete_route t ~protocol ~net)
-       with
-       | Ok () -> reply ok []
-       | Error msg -> reply (Xrl_error.Command_failed msg) []);
-  (* Packed runs from BGP's RIB-output queue: a full-table load
-     crosses the BGP->RIB boundary in hundreds of calls instead of
-     146k. The run states its lane, and its FIB pushes ride that lane:
-     a table load in flight cannot crowd a concurrent flap out of the
-     RIB->FEA leg. *)
+  (* Packed runs from each protocol's Rib_client queue, the one way
+     routes arrive over XRL: a full-table load crosses the BGP->RIB
+     boundary in hundreds of calls instead of 146k. The run states its
+     lane, and its FIB pushes ride that lane: a table load in flight
+     cannot crowd a concurrent flap out of the RIB->FEA leg. *)
   let in_lane args =
     with_fea_lane t
       (if Xrl_atom.get_bool args "urgent" then Laneq.Urgent else Bulk)
@@ -392,9 +360,7 @@ let create ?families ?(fea_rebirth_replay = true) finder loop () =
     build_pipeline (fun () -> Option.get !t_ref) loop
   in
   let t =
-    { router; clock = (fun () -> Eventloop.now loop);
-      pt_arrived = Telemetry.Profile.point pp_arrived;
-      origins; register; redist;
+    { router; origins; register; redist;
       fea_q =
         Route_runs.outbox router ~peer:"fea" ~name:"rib.fea_q"
           ~bulk_slice:fea_bulk_slice ~net:(fun r -> r.Rib_route.net)

@@ -18,8 +18,9 @@
     policy-filtered redistribution; the sink pushes winners to the FEA
     over XRLs.
 
-    XRL interface [rib/1.0]: [add_route], [delete_route],
-    [add_routes4], [delete_routes4], [lookup_route_by_dest], [register_interest], [deregister_interest],
+    XRL interface [rib/1.0]: [add_routes4], [delete_routes4] (the one
+    way routes arrive over XRL, from each protocol's {!Rib_client}),
+    [lookup_route_by_dest], [register_interest], [deregister_interest],
     [redist_subscribe], [redist_unsubscribe], [get_route_count].
     Interest clients must implement
     [rib_client/1.0/route_info_invalid?valid:ipv4net]; redistribution
@@ -38,8 +39,7 @@ val create :
     that flushes in bounded deferred slices, each consecutive same-kind
     run (a single route included) leaving as one packed
     [fea/1.0/add_routes4] or [delete_routes4] XRL. A change's lane is
-    urgent when it comes from the per-route [add_route] /
-    [delete_route] XRLs or the direct API; a packed
+    urgent when it comes from the direct API; a packed
     [rib/1.0/add_routes4] or [delete_routes4] run states its own lane
     in its [urgent] argument; a gradual protocol flush and an FEA
     replay are bulk. The RIB watches the ["bgp"], ["rip"] and ["ospf"]
@@ -54,7 +54,9 @@ val create :
     faulty mode the simulation harness injects to prove its fuzzer
     catches the resulting RIB/FIB divergence. *)
 
-(** {1 Direct API} (same operations the XRLs expose; examples/tests) *)
+(** {1 Direct API} (the packed runs' operations, one route at a time:
+    the router manager's static and connected routes, examples and
+    tests) *)
 
 val add_route :
   t -> protocol:string -> net:Ipv4net.t -> nexthop:Ipv4.t ->

@@ -63,12 +63,22 @@ let iter_neighbors t f =
 
 (* --- RIB interaction --------------------------------------------------- *)
 
-let rib_add t (r : rip_route) =
-  Rib_client.add_route t.rib ~protocol:"rip" ~net:r.rnet ~nexthop:r.rnexthop
-    ~metric:r.rmetric
+(* The RIB holds exactly the live learned routes: locally originated
+   and redistributed entries ([rsrc] = zero) reach it from their true
+   origin protocol. Read it before changing a route, to push a
+   well-formed stream. *)
+let in_rib r = r.rmetric < infinity && not (Ipv4.equal r.rsrc Ipv4.zero)
 
-let rib_delete t (r : rip_route) =
-  Rib_client.delete_route t.rib ~protocol:"rip" ~net:r.rnet
+let to_rib (r : rip_route) =
+  { Route_pack.net = r.rnet; nexthop = r.rnexthop; ifname = "";
+    protocol = "rip"; metric = r.rmetric }
+
+(* RIP changes are few and each is news: all urgent. *)
+let rib_push t change r = Rib_client.push t.rib Laneq.Urgent change (to_rib r)
+
+(* A learned route's new state, over what the RIB [held] before. *)
+let rib_learned t ~held r =
+  rib_push t (if held then Laneq.Replace else Laneq.Add) r
 
 (* --- update generation -------------------------------------------------- *)
 
@@ -139,9 +149,9 @@ let rec start_gc t r =
 and kill_route t r =
   (* Deletion process: metric 16, advertise the death, gc later. *)
   if r.rmetric < infinity then begin
+    if in_rib r then rib_push t Laneq.Delete r;
     r.rmetric <- infinity;
     r.changed <- true;
-    rib_delete t r;
     schedule_trigger t
   end;
   Option.iter Eventloop.cancel r.expiry;
@@ -166,7 +176,7 @@ let upsert_learned t ~net ~src:srcaddr ~metric ~tag =
       in
       ignore (Ptree.insert t.db net r);
       start_expiry t r;
-      rib_add t r;
+      rib_push t Laneq.Add r;
       schedule_trigger t
     end
   | Some r ->
@@ -184,15 +194,17 @@ let upsert_learned t ~net ~src:srcaddr ~metric ~tag =
         r.gc <- None;
         start_expiry t r;
         if metric <> r.rmetric then begin
+          let held = in_rib r in
           r.rmetric <- metric;
           r.changed <- true;
-          rib_add t r;
+          rib_learned t ~held r;
           schedule_trigger t
         end
       end
     end
     else if metric < r.rmetric then begin
       (* Strictly better route from another router. *)
+      let held = in_rib r in
       cancel_timers r;
       r.rsrc <- srcaddr;
       r.rnexthop <- srcaddr;
@@ -200,7 +212,7 @@ let upsert_learned t ~net ~src:srcaddr ~metric ~tag =
       r.rtag <- tag;
       r.changed <- true;
       start_expiry t r;
-      rib_add t r;
+      rib_learned t ~held r;
       schedule_trigger t
     end
 
@@ -241,6 +253,8 @@ let inject t ~net ?(metric = 1) ?(tag = 0) () =
   let metric = max 1 (min metric (infinity - 1)) in
   (match Ptree.find t.db net with
    | Some r ->
+     (* A learned route turned local leaves the RIB's rip table. *)
+     if in_rib r then rib_push t Laneq.Delete r;
      cancel_timers r;
      r.rsrc <- Ipv4.zero;
      r.rnexthop <- Ipv4.zero;
@@ -311,19 +325,10 @@ let solicit t ifaddr =
            iface.if_neighbors)
     t.cfg.ifaces
 
-(* Only LEARNED routes are re-announced: locally originated and
-   redistributed entries ([rsrc] = zero) never went through [rib_add]
-   in the first place — the RIB learned them from their true origin
-   protocol — so replaying them would double-count. *)
-let replay_rib t =
-  Ptree.fold
-    (fun _ r n ->
-       if r.rmetric < infinity && not (Ipv4.equal r.rsrc Ipv4.zero) then begin
-         rib_add t r;
-         n + 1
-       end
-       else n)
-    t.db 0
+(* Only what the RIB held is re-announced ([in_rib]): replaying a
+   local or redistributed entry would double-count it. *)
+let replay_rib t add =
+  Ptree.iter (fun _ r -> if in_rib r then add (to_rib r)) t.db
 
 let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
   let router = Xrl_router.create ?families finder loop ~class_name:"rip" () in
@@ -341,7 +346,7 @@ let create ?families ?(rib_rebirth_resync = true) finder loop cfg =
         rib =
           Rib_client.create router ~resync:rib_rebirth_resync
             ~redist:(fun r -> redistributed (Lazy.force t) r)
-            ~replay:(fun () -> replay_rib (Lazy.force t))
+            ~replay:(fun add -> replay_rib (Lazy.force t) add)
             ();
         started = false; trigger_pending = false;
         tx_updates = 0; rx_updates = 0; tx_triggered = 0; expired = 0 }

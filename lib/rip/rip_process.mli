@@ -8,8 +8,11 @@
     garbage-collection timers, split horizon with poisoned reverse,
     triggered updates with suppression, whole-table and specific
     requests, and route redistribution {e into} RIP from the RIB.
-    Learned routes are offered to the RIB (protocol ["rip"]); every
-    exchange with the RIB goes through {!Rib_client}.
+    Live learned routes, and only those, are offered to the RIB
+    (protocol ["rip"]): each change is pushed into {!Rib_client}'s
+    queue [rip.rib_q] in the urgent lane, and an injected route that
+    replaces a learned one withdraws it from the RIB. Every exchange
+    with the RIB goes through {!Rib_client}.
 
     Neighbors are configured explicitly per interface (RIPv2 unicast
     mode): the simulated network has no multicast. *)

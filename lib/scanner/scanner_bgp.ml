@@ -214,42 +214,9 @@ let scan t =
            peer.s_adj_out;
          List.iter (fun net -> Hashtbl.remove peer.s_adj_out net) !withdraw;
          peer.s_synced <- true;
-         if !withdraw <> [] then
-           ignore
-             (Peer_fsm.send_update peer.s_fsm
-                (Bgp_packet.Update
-                   { withdrawn = !withdraw; attrs = None; nlri = [] }));
-         (* Group announcements by attribute set. *)
-         let groups : (Bgp_types.attrs * Ipv4net.t list ref) list ref = ref [] in
          List.iter
-           (fun (attrs, net) ->
-              match
-                List.find_opt
-                  (fun (a, _) -> Bgp_types.attrs_equal a attrs)
-                  !groups
-              with
-              | Some (_, nets) -> nets := net :: !nets
-              | None -> groups := (attrs, ref [ net ]) :: !groups)
-           !announce;
-         List.iter
-           (fun (attrs, nets) ->
-              let rec chunks = function
-                | [] -> ()
-                | l ->
-                  let rec take n acc = function
-                    | rest when n = 0 -> (List.rev acc, rest)
-                    | x :: rest -> take (n - 1) (x :: acc) rest
-                    | [] -> (List.rev acc, [])
-                  in
-                  let head, rest = take 700 [] l in
-                  ignore
-                    (Peer_fsm.send_update peer.s_fsm
-                       (Bgp_packet.Update
-                          { withdrawn = []; attrs = Some attrs; nlri = head }));
-                  chunks rest
-              in
-              chunks !nets)
-           !groups
+           (fun msg -> ignore (Peer_fsm.send_update peer.s_fsm msg))
+           (Bgp_packet.updates ~withdrawn:!withdraw ~announce:!announce)
        end)
     t.peers;
   t.dirty <- false

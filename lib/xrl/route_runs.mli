@@ -1,8 +1,9 @@
-(** Both ends of a packed route hand-off: BGP to the RIB
-    ([rib/1.0/add_routes4], [delete_routes4]) and the RIB to the FEA
-    ([fea/1.0/add_routes4], [delete_routes4]). The flush policy and the
-    reply contract are decided here once; each component supplies only
-    how it sends a run and how it applies a route. *)
+(** Both ends of a packed route hand-off: every routing protocol to
+    the RIB ([rib/1.0/add_routes4], [delete_routes4], sent by
+    {!Rib_client}) and the RIB to the FEA ([fea/1.0/add_routes4],
+    [delete_routes4]). The flush policy and the reply contract are
+    decided here once; each component supplies only how it sends a run
+    and how it applies a route. *)
 
 (** {1 The sender's outbox} *)
 

@@ -182,12 +182,7 @@ let fea_client_interface =
 
 let rib_interface =
   iface ~name:"rib"
-    [ meth "add_route"
-        ~args:
-          [ arg "protocol" A_txt; arg "net" A_ipv4net; arg "nexthop" A_ipv4;
-            arg ~optional:true "metric" A_u32 ];
-      meth "delete_route" ~args:[ arg "protocol" A_txt; arg "net" A_ipv4net ];
-      (* Route runs, packed with Route_pack; [urgent] states the
+    [ (* Route runs, packed with Route_pack; [urgent] states the
          run's lane. The u32 return is the number of routes applied. *)
       meth "add_routes4" ~args:[ arg "urgent" A_bool; arg "routes" A_binary ]
         ~returns:[ arg "count" A_u32 ];

@@ -100,6 +100,69 @@ let test_update_withdraw_only () =
     check Alcotest.string "prefix" "10.0.0.0/8" (Ipv4net.to_string w)
   | m -> Alcotest.failf "got %s" (Bgp_packet.msg_to_string m)
 
+(* A reference packer: groups found by a linear scan under
+   [attrs_equal], groups and prefixes in first-seen order, every list
+   cut at 700. *)
+let reference_updates ~withdrawn ~announce =
+  let groups = ref [] in
+  List.iter
+    (fun (a, n) ->
+       match
+         List.find_opt (fun (ga, _) -> Bgp_types.attrs_equal ga a) !groups
+       with
+       | Some (_, nets) -> nets := n :: !nets
+       | None -> groups := (a, ref [ n ]) :: !groups)
+    announce;
+  let rec cut l =
+    if l = [] then []
+    else
+      List.filteri (fun i _ -> i < 700) l
+      :: cut (List.filteri (fun i _ -> i >= 700) l)
+  in
+  List.map
+    (fun nets ->
+       Bgp_packet.Update { withdrawn = nets; attrs = None; nlri = [] })
+    (cut withdrawn)
+  @ List.concat_map
+    (fun (a, nets) ->
+       List.map
+         (fun nlri ->
+            Bgp_packet.Update { withdrawn = []; attrs = Some a; nlri })
+         (cut (List.rev !nets)))
+    (List.rev !groups)
+
+(* The packer against the reference on a slice of the synthetic feed:
+   with each route's own attributes (nearly every AS path distinct),
+   with attributes that differ only by nexthop (a few groups), and
+   with one attribute set (one group cut into three UPDATEs). Every
+   message encodes. *)
+let test_updates_match_reference () =
+  let feed = Feed.generate ~seed:5 3000 in
+  let own (e : Feed.entry) =
+    attrs (Ipv4.to_string e.nexthop) ~aspath:[ Aspath.Seq e.as_path ]
+      ~med:e.med ~localpref:e.localpref
+  and by_nexthop (e : Feed.entry) = attrs (Ipv4.to_string e.nexthop) in
+  let withdrawn =
+    List.map
+      (fun (e : Feed.entry) -> e.net)
+      (Array.to_list (Array.sub feed 0 1500))
+  in
+  List.iter
+    (fun (what, attrs_of) ->
+       let announce =
+         Array.to_list
+           (Array.map (fun (e : Feed.entry) -> (attrs_of e, e.net))
+              (Array.sub feed 1500 1500))
+       in
+       let got = Bgp_packet.updates ~withdrawn ~announce in
+       check Alcotest.bool (what ^ ": same UPDATEs as the reference") true
+         (got = reference_updates ~withdrawn ~announce);
+       List.iter (fun m -> ignore (Bgp_packet.encode m)) got)
+    [ ("own attributes", own); ("grouped by nexthop", by_nexthop);
+      ("one attribute set", fun _ -> attrs "10.0.0.1") ];
+  check Alcotest.int "withdrawals alone: 700 + 700 + 100" 3
+    (List.length (Bgp_packet.updates ~withdrawn ~announce:[]))
+
 let test_decode_rejects () =
   (* corrupt marker *)
   let good = Bgp_packet.encode Bgp_packet.Keepalive in
@@ -352,6 +415,8 @@ let () =
           Alcotest.test_case "withdraw-only update" `Quick
             test_update_withdraw_only;
           Alcotest.test_case "rejects malformed" `Quick test_decode_rejects;
+          Alcotest.test_case "updates match a linear-scan reference" `Quick
+            test_updates_match_reference;
         ] );
       ( "stream",
         [

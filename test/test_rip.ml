@@ -373,6 +373,78 @@ let test_counters () =
   check Alcotest.bool "triggered updates counted" true
     (Rip_process.triggered_updates_sent r1.rip >= 1)
 
+(* --- the hand-off to the RIB ---------------------------------------- *)
+
+(* The RIB holds exactly RIP's live learned routes. A learned route
+   that RIP starts to originate must leave it: otherwise r2 keeps
+   forwarding via the neighbour that withdrew the route. Killing the
+   local route afterwards queues nothing for a RIB that never held
+   it. *)
+let test_inject_over_learned_route () =
+  let loop, r1, r2 = pair () in
+  let p = net "172.16.0.0/12" in
+  Rip_process.inject r1.rip ~net:p ();
+  run_for loop 5.0;
+  check Alcotest.int "r2's RIB learned it" 1
+    (Rib.origin_route_count r2.rib "rip");
+  Rip_process.inject r2.rip ~net:p ();
+  Rip_process.retract r1.rip p;
+  run_for loop 5.0;
+  check Alcotest.int "r2's RIB holds no rip route" 0
+    (Rib.origin_route_count r2.rib "rip");
+  check Alcotest.bool "r2's FIB does not forward via r1" true
+    (Fib.lookup (Fea.fib r2.fea) (addr "172.16.5.5") = None);
+  Telemetry.Profile.enable "rip_queued_rib";
+  ignore (Telemetry.Profile.drain ());
+  Rip_process.retract r2.rip p;
+  let queued = Telemetry.Profile.drain () in
+  Telemetry.Profile.disable "rip_queued_rib";
+  check Alcotest.int "killing the local route queues nothing" 0
+    (List.length queued)
+
+(* Two responses for one learned prefix in one loop turn: a metric
+   change, then metric 16. The change queues as a Replace of the route
+   the RIB holds, which folds with the Delete into a Delete; queued as
+   an Add it would cancel against the Delete and leave the old route in
+   the RIB. *)
+let test_changes_fold_into_one_delete () =
+  let loop, _r1, r2 = pair () in
+  let p = net "172.16.0.0/12" in
+  let caller = Xrl_router.create r2.finder loop ~class_name:"test" () in
+  (* fea_client/1.0/recv, as the FEA's relay delivers a datagram from
+     r1; intra-process dispatch runs the handler at once. *)
+  let respond metric =
+    Xrl_router.send caller
+      (Xrl.make ~target:"rip" ~interface:"fea_client" ~method_name:"recv"
+         [ Xrl_atom.u32 "sockid" 0; Xrl_atom.ipv4 "src" (addr "10.0.0.1");
+           Xrl_atom.u32 "sport" 520;
+           Xrl_atom.binary "payload"
+             (Rip_packet.encode
+                { Rip_packet.command = Rip_packet.Response;
+                  entries =
+                    [ { Rip_packet.net = p; nexthop = Ipv4.zero; metric;
+                        tag = 0 } ] }) ])
+      (fun err _ ->
+         if not (Xrl_error.is_ok err) then
+           Alcotest.failf "recv: %s" (Xrl_error.to_string err))
+  in
+  respond 1;
+  run_for loop 1.0;
+  check Alcotest.int "learned into the RIB" 1
+    (Rib.origin_route_count r2.rib "rip");
+  respond 3;
+  respond 16;
+  check Alcotest.(option (pair int string)) "RIP killed it in the same turn"
+    None
+    (Option.map
+       (fun (m, nh) -> (m, Ipv4.to_string nh))
+       (Rip_process.lookup r2.rip p));
+  run_for loop 1.0;
+  check Alcotest.int "the RIB ends without the route" 0
+    (Rib.origin_route_count r2.rib "rip");
+  check Alcotest.bool "so does the FIB" true
+    (Fib.lookup (Fea.fib r2.fea) (addr "172.16.5.5") = None)
+
 let () =
   Alcotest.run "xorp_rip"
     [
@@ -404,5 +476,12 @@ let () =
             test_redistribution_survives_rib_restart;
           Alcotest.test_case "FEA born 120 s late" `Quick test_fea_born_late;
           Alcotest.test_case "counters" `Quick test_counters;
+        ] );
+      ( "rib",
+        [
+          Alcotest.test_case "inject over a learned route" `Quick
+            test_inject_over_learned_route;
+          Alcotest.test_case "changes fold into one delete" `Quick
+            test_changes_fold_into_one_delete;
         ] );
     ]

@@ -246,6 +246,25 @@ protocols {
 }
 |} )
 
+(* The queue pane of [r] names each of [rows], and every queue in it
+   has drained. *)
+let check_queues_drained r rows =
+  let queues = Rtrmgr.show_queues r in
+  List.iter
+    (fun row ->
+       check Alcotest.bool (row ^ " shown") true
+         (Astring.String.is_infix ~affix:row queues))
+    rows;
+  List.iteri
+    (fun i line ->
+       if i > 0 && line <> "" then
+         match List.rev (String.split_on_char ' ' line) with
+         | depth :: _ ->
+           check Alcotest.string
+             (Printf.sprintf "queue row %d drained" i) "0" depth
+         | [] -> ())
+    (String.split_on_char '\n' queues)
+
 let test_boot_bgp_pair_from_config () =
   let cfg_a, cfg_b = bgp_pair_configs in
   let loop = Eventloop.create () in
@@ -273,22 +292,9 @@ let test_boot_bgp_pair_from_config () =
     (Astring.String.is_infix ~affix:"128.16.0.0/16" (Rtrmgr.show_fib rb));
   (* The queue pane names the staging queues and both fanout lanes,
      and everything has drained at quiescence. *)
-  let queues = Rtrmgr.show_queues rb in
-  List.iter
-    (fun row ->
-       check Alcotest.bool (row ^ " shown") true
-         (Astring.String.is_infix ~affix:row queues))
+  check_queues_drained rb
     [ "bgp.inbound"; "bgp.fanout.lane.urgent"; "bgp.fanout.lane.bulk";
       "bgp.rib_q"; "rib.fea_q" ];
-  List.iteri
-    (fun i line ->
-       if i > 0 && line <> "" then
-         match List.rev (String.split_on_char ' ' line) with
-         | depth :: _ ->
-           check Alcotest.string
-             (Printf.sprintf "queue row %d drained" i) "0" depth
-         | [] -> ())
-    (String.split_on_char '\n' queues);
   Rtrmgr.shutdown ra;
   Rtrmgr.shutdown rb
 
@@ -424,6 +430,93 @@ protocols {
   Rtrmgr.shutdown ra;
   Rtrmgr.shutdown rb
 
+(* A reborn RIB gets RIP's and OSPF's tables back through the
+   protocol's one queue, like BGP's: b originates n routes, a learns
+   them, and a's RIB is killed and restarted. The replay queues all n
+   in the bulk lane of a's <class>.rib_q at once, counts n in
+   <class>.rib_resync.replayed, and reaches the RIB as ceil(n/128)
+   packed add_routes4 runs. At quiescence the queue pane shows the
+   queue, drained. *)
+let test_rib_rebirth_replays_in_runs () =
+  let n = 130 in
+  let prefixes =
+    List.init n (fun i ->
+        Printf.sprintf "10.%d.%d.0/24" (100 + (i / 256)) (i mod 256))
+  in
+  let originate line = String.concat "\n" (List.map line prefixes) in
+  (* A protocol's section for the router at [me], peering with
+     [peer]. *)
+  let rip me peer extra =
+    Printf.sprintf {|    rip {
+        interface %s { neighbor: %s }
+%s
+    }|} me peer extra
+  and ospf me peer extra =
+    let id a = if a = "10.0.0.1" then "1.1.1.1" else "2.2.2.2" in
+    Printf.sprintf {|    ospf {
+        router-id: %s
+        interface %s {
+            neighbor %s { router-id: %s }
+        }
+%s
+    }|} (id me) me peer (id peer) extra
+  in
+  let worlds =
+    [ ("rip", rip, originate (Printf.sprintf "        route %s { metric: 1 }"));
+      ("ospf", ospf, originate (Printf.sprintf "        stub %s { }")) ]
+  in
+  List.iter
+    (fun (cls, protocol, routes) ->
+       let config me peer extra =
+         Printf.sprintf {|interfaces {
+    interface eth0 { address: %s }
+}
+protocols {
+%s
+}
+|} me (protocol me peer extra)
+       in
+       let loop = Eventloop.create () in
+       let netsim = Netsim.create loop in
+       let boot ns config =
+         Telemetry.with_namespace ns (fun () ->
+             match Rtrmgr.boot ~loop ~netsim ~config () with
+             | Ok r -> r
+             | Error problems -> Alcotest.fail (String.concat "; " problems))
+       in
+       let ra = boot "a." (config "10.0.0.1" "10.0.0.2" "") in
+       let rb = boot "b." (config "10.0.0.2" "10.0.0.1" routes) in
+       Eventloop.run_until_time loop 60.0;
+       check Alcotest.int (cls ^ ": a's RIB learned every route") n
+         (Rib.origin_route_count (Rtrmgr.rib ra) cls);
+       Rtrmgr.kill_component ra `Rib;
+       Eventloop.run_until_time loop 65.0;
+       Telemetry.reset ();
+       let bulk = Telemetry.gauge ("a." ^ cls ^ ".rib_q.bulk") in
+       let peak = ref 0 in
+       Rtrmgr.restart_component ra `Rib;
+       Eventloop.run loop ~until:(fun () ->
+           peak := max !peak (int_of_float (Telemetry.gauge_value bulk));
+           Eventloop.now loop >= 75.0);
+       check Alcotest.int (cls ^ ": the bulk lane peaks at n") n !peak;
+       (match Telemetry.find_metric ("a." ^ cls ^ ".rib_resync.replayed") with
+        | Some (Telemetry.Counter c) ->
+          check Alcotest.int (cls ^ ": replayed") n (Telemetry.counter_value c)
+        | _ -> Alcotest.failf "no %s.rib_resync.replayed counter" cls);
+       check Alcotest.(list string) (cls ^ ": the replay's add_routes4 runs")
+         [ "128 routes"; Printf.sprintf "%d routes" (n - 128) ]
+         (List.filter_map
+            (fun (s : Telemetry.Trace.span) ->
+               if s.sp_name = "rib.route_add_bulk" then Some s.sp_note
+               else None)
+            (Telemetry.Trace.spans ()));
+       check Alcotest.int (cls ^ ": the reborn RIB holds every route") n
+         (Rib.origin_route_count (Rtrmgr.rib ra) cls);
+       check_queues_drained ra [ cls ^ ".rib_q" ];
+       Rtrmgr.shutdown ra;
+       Rtrmgr.shutdown rb)
+    worlds
+
 let test_config_text_roundtrip () =
   let cfg_a, _ = bgp_pair_configs in
   let loop = Eventloop.create () in
@@ -465,6 +558,8 @@ let () =
             test_boot_rip_pair_from_config;
           Alcotest.test_case "rib rebirth resync counters" `Quick
             test_rib_rebirth_resync_counters;
+          Alcotest.test_case "rib rebirth replays in runs" `Quick
+            test_rib_rebirth_replays_in_runs;
           Alcotest.test_case "config text roundtrip" `Quick
             test_config_text_roundtrip;
         ] );

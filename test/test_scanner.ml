@@ -114,6 +114,36 @@ let test_withdrawal_via_scan () =
   run_for loop 70.0;
   check Alcotest.int "withdrawn after scan" 0 (Scanner_bgp.route_count b)
 
+(* A mass withdrawal leaves as UPDATEs of at most 700 prefixes. Sent
+   as one UPDATE, 1,200 withdrawn /24s do not encode, and c would keep
+   every route after a goes away. *)
+let test_mass_withdrawal () =
+  let loop = Eventloop.create () in
+  let netsim = Netsim.create loop in
+  let mk as_ id =
+    Scanner_bgp.create loop netsim ~local_as:as_ ~bgp_id:(addr id) ()
+  in
+  let a = mk 65001 "1.1.1.1" and b = mk 65002 "2.2.2.2"
+  and c = mk 65003 "3.3.3.3" in
+  let peer x ~local ~remote ~remote_as =
+    Scanner_bgp.add_peer x ~peer_addr:(addr remote) ~local_addr:(addr local)
+      ~peer_as:remote_as ()
+  in
+  peer a ~local:"10.0.0.1" ~remote:"10.0.0.2" ~remote_as:65002;
+  peer b ~local:"10.0.0.2" ~remote:"10.0.0.1" ~remote_as:65001;
+  peer b ~local:"10.0.1.2" ~remote:"10.0.1.3" ~remote_as:65003;
+  peer c ~local:"10.0.1.3" ~remote:"10.0.1.2" ~remote_as:65002;
+  List.iter Scanner_bgp.start [ a; b; c ];
+  for i = 0 to 1199 do
+    Scanner_bgp.originate a
+      (Ipv4net.make (Ipv4.of_int ((100 lsl 24) lor (i lsl 8))) 24)
+  done;
+  run_for loop 200.0;
+  check Alcotest.int "c learned every route" 1200 (Scanner_bgp.route_count c);
+  Scanner_bgp.shutdown a;
+  run_for loop 200.0;
+  check Alcotest.int "c withdrew every route" 0 (Scanner_bgp.route_count c)
+
 let () =
   Alcotest.run "xorp_scanner"
     [
@@ -128,5 +158,6 @@ let () =
             test_event_driven_beats_scanner;
           Alcotest.test_case "withdrawal via scan" `Quick
             test_withdrawal_via_scan;
+          Alcotest.test_case "mass withdrawal" `Quick test_mass_withdrawal;
         ] );
     ]

@@ -638,9 +638,9 @@ let test_notes_render_when_read () =
 
 (* Router [a] (10.0.0.1) takes XRLs from the test; router [b]
    (10.0.0.2) is its eBGP peer. Three chains must show up in a's spans,
-   each note formatted as it always was: a per-route add
-   (rib.route_add -> rib.fea_send -> fea.install_bulk, noting the
-   prefix), a packed add (rib.route_add_bulk -> rib.fea_send ->
+   each note formatted as it always was: a one-route run
+   (rib.route_add_bulk -> rib.fea_send -> fea.install_bulk, noting the
+   prefix), a three-route run (rib.route_add_bulk -> rib.fea_send ->
    fea.install_bulk, noting "3 routes"), and an UPDATE from b
    (bgp.update, noting the peer and its counts, down through BGP's
    one-route run into the RIB and on to the FEA, each span noting the
@@ -680,28 +680,24 @@ protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
   let rib_xrl method_name args =
     Xrl.make ~target:"rib" ~interface:"rib" ~method_name args
   in
-  ignore
-    (call
-       (rib_xrl "add_route"
-          [ Xrl_atom.txt "protocol" "static";
-            Xrl_atom.ipv4net "net" (Ipv4net.of_string_exn "10.9.9.0/24");
-            Xrl_atom.ipv4 "nexthop" (Ipv4.of_string_exn "10.0.0.254") ]));
-  (* The RIB->FEA send is deferred; let it happen. *)
-  settle ();
-  let bulk =
-    List.map
-      (fun n ->
-         { Route_pack.net = Ipv4net.of_string_exn n;
-           nexthop = Ipv4.of_string_exn "10.0.0.254"; ifname = "";
-           protocol = "static"; metric = 0 })
-      [ "10.7.1.0/24"; "10.7.2.0/24"; "10.7.3.0/24" ]
+  let add_run ~urgent nets =
+    ignore
+      (call
+         (rib_xrl "add_routes4"
+            [ Xrl_atom.boolean "urgent" urgent;
+              Xrl_atom.binary "routes"
+                (Route_pack.pack_adds
+                   (List.map
+                      (fun n ->
+                         { Route_pack.net = Ipv4net.of_string_exn n;
+                           nexthop = Ipv4.of_string_exn "10.0.0.254";
+                           ifname = ""; protocol = "static"; metric = 0 })
+                      nets)) ]));
+    (* The RIB->FEA send is deferred; let it happen. *)
+    settle ()
   in
-  ignore
-    (call
-       (rib_xrl "add_routes4"
-          [ Xrl_atom.boolean "urgent" false;
-            Xrl_atom.binary "routes" (Route_pack.pack_adds bulk) ]));
-  settle ();
+  add_run ~urgent:true [ "10.9.9.0/24" ];
+  add_run ~urgent:false [ "10.7.1.0/24"; "10.7.2.0/24"; "10.7.3.0/24" ];
   Bgp_process.originate (Option.get (Rtrmgr.bgp rb))
     (Ipv4net.of_string_exn "128.16.0.0/16");
   settle ();
@@ -734,7 +730,7 @@ protocols { bgp { local-as: 65002 bgp-id: 2.2.2.2
          | Some p -> "under " ^ p.Telemetry.Trace.sp_name
          | None -> "at the root")
   in
-  let root = find ~note:"10.9.9.0/24" "rib.route_add" None in
+  let root = find ~note:"10.9.9.0/24" "rib.route_add_bulk" None in
   let send = find ~note:"10.9.9.0/24" "rib.fea_send" (Some root) in
   ignore (find ~note:"10.9.9.0/24" "fea.install_bulk" (Some send));
   let root = find ~note:"3 routes" "rib.route_add_bulk" None in

@@ -103,20 +103,18 @@ let test_idl_builtin_specs_match_implementations () =
   let caller = Xrl_router.create finder loop ~class_name:"caller" () in
   let rib_iface = Option.get (Xrl_idl.find_interface "rib") in
   let good =
-    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
-      [ Xrl_atom.txt "protocol" "static";
-        Xrl_atom.ipv4net "net" (net "10.0.0.0/8");
-        Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]
+    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"register_interest"
+      [ Xrl_atom.txt "client" (Xrl_router.instance_name caller);
+        Xrl_atom.ipv4 "addr" (addr "192.0.2.1") ]
   in
   check Alcotest.bool "spec accepts" true
     (Xrl_idl.validate_call rib_iface good = Ok ());
   let err, _ = Xrl_router.call_blocking caller good in
   check Alcotest.bool "implementation accepts" true (Xrl_error.is_ok err);
   let bad =
-    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"add_route"
-      [ Xrl_atom.txt "protocol" "static";
-        Xrl_atom.txt "net" "10.0.0.0/8" (* wrong type *);
-        Xrl_atom.ipv4 "nexthop" (addr "192.0.2.1") ]
+    Xrl.make ~target:"rib" ~interface:"rib" ~method_name:"register_interest"
+      [ Xrl_atom.txt "client" (Xrl_router.instance_name caller);
+        Xrl_atom.txt "addr" "192.0.2.1" (* wrong type *) ]
   in
   check Alcotest.bool "spec rejects" true
     (Result.is_error (Xrl_idl.validate_call rib_iface bad));
